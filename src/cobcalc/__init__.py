@@ -29,15 +29,7 @@ from .fgl import (
     universal_fgl,
     universal_fgl_mod_p,
 )
-from .symmfunc import (
-    cf_class,
-    lambda_coeffs,
-    m_product,
-    msym,
-    q_alpha,
-    total_P,
-    total_P_deformed,
-)
+from .symmfunc import total_P, total_P_deformed
 from .chow_models import (
     ChowModel,
     VarietySpec,
@@ -91,8 +83,7 @@ __all__ = [
     "FormalGroupLaw", "additive_fgl", "b_transport", "cha_b_image", "cha_fgl",
     "chx_b_image", "chx_fgl", "formal_inverse", "formal_mult", "specialize",
     "universal_fgl", "universal_fgl_mod_p",
-    "cf_class", "lambda_coeffs", "m_product", "msym", "q_alpha", "total_P",
-    "total_P_deformed",
+    "total_P", "total_P_deformed",
     "ChowModel", "VarietySpec", "VirtualSplitBundle", "additive_chern_number",
     "build_model", "chern_class", "chern_number", "chern_total",
     "euler_number", "fundamental_class", "pushforward_projbundle",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 
-from .core_algebra import ZZ, TruncatedSeries, LaurentSeries, b_ring
+from .core_algebra import ZZ, TruncatedSeries, LaurentSeries, b_ring, is_partition
 
 
 # ---------------------------------------------------------------------------
@@ -81,14 +81,25 @@ class VarietySpec:
         if not isinstance(obj, dict) or "type" not in obj:
             raise ValueError("variety spec must be an object with a 'type' field")
         t = obj["type"]
+
+        def field(name, kind):
+            val = obj.get(name)
+            if not isinstance(val, kind):
+                raise ValueError("%s spec needs a field %r holding a JSON %s"
+                                 % (t, name, "object" if kind is dict else "list"))
+            return val
+
         if t == "multiproj":
-            return cls.multiproj(obj["dims"])
+            return cls.multiproj(field("dims", list))
         if t == "projbundle":
-            return cls.projbundle(cls.from_json(obj["base"]), obj["lines"])
+            lines = field("lines", list)
+            if not all(isinstance(v, list) for v in lines):
+                raise ValueError("projbundle spec needs a field 'lines' holding a JSON list of lists")
+            return cls.projbundle(cls.from_json(field("base", dict)), lines)
         if t == "product":
-            return cls.product([cls.from_json(f) for f in obj["factors"]])
+            return cls.product([cls.from_json(f) for f in field("factors", list)])
         if t == "disjoint":
-            return cls.disjoint([cls.from_json(c) for c in obj["components"]])
+            return cls.disjoint([cls.from_json(c) for c in field("components", list)])
         raise ValueError("unknown variety type %r" % t)
 
     def to_json(self):
@@ -544,12 +555,6 @@ class ChowModel:
         u = self.normalize(dom, u)
         return u.get(top, dom.zero())
 
-    def lift_from_base(self, elt):
-        """Embed a base-model element into this projbundle model."""
-        if self.base_model is None:
-            raise ValueError("not a projbundle model")
-        return _pad(elt, 0, len(self.gens))
-
     # -- tangent bundles ----------------------------------------------------
     def tangent(self):
         if self._tangent is not None:
@@ -704,17 +709,13 @@ def euler_number(spec):
 
 
 def chern_number(spec, alpha):
-    """The alpha-indexed Chern number: the degree of the alpha class of the
-    negated tangent bundle (zero unless the weight of alpha equals dim)."""
-    from . import symmfunc as sf
-
-    spec = spec.canonical()
+    """The alpha-indexed Chern number, the degree of the alpha class of the
+    negated tangent bundle: the b^alpha coefficient of the fundamental class
+    (zero unless the weight of alpha equals dim)."""
     alpha = tuple(alpha)
-    if spec.kind == "disjoint":
-        return sum(chern_number(c, alpha) for c in spec.components)
-    model = build_model(spec)
-    cls = sf.cf_class(model.tangent().neg(), alpha)
-    return model.degree(ZZ, cls)
+    if not is_partition(alpha):
+        raise ValueError("alpha must be a partition")
+    return fundamental_class(spec, "L").get(alpha, 0)
 
 
 def additive_chern_number(spec):
@@ -723,7 +724,7 @@ def additive_chern_number(spec):
     n = spec.dim()
     if n == 0:
         return euler_number(spec)
-    return chern_number(spec, (n,))
+    return fundamental_class(spec, "L").get((n,), 0)
 
 
 def fundamental_class(spec, theory="L", p=None):
@@ -734,7 +735,7 @@ def fundamental_class(spec, theory="L", p=None):
       CHA  -- additive Chern number times eps t^n (euler number for n = 0).
     """
     from . import symmfunc as sf
-    from .core_algebra import TRING, TEPS, int_mod
+    from .core_algebra import TRING, TEPS
 
     spec = spec.canonical()
     n = spec.dim()
@@ -750,7 +751,6 @@ def fundamental_class(spec, theory="L", p=None):
     if theory == "L_p":
         if p is None or p < 2:
             raise ValueError("theory L_p needs a prime p")
-        Bp = b_ring(int_mod(p))
         cls = fundamental_class(spec, "L")
         out = {}
         for parts, v in cls.items():

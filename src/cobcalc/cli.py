@@ -18,6 +18,7 @@ from .chow_models import (
     additive_chern_number,
     chern_number,
     euler_number,
+    fundamental_class,
 )
 from .core_algebra import partitions
 from .fgl import (
@@ -144,9 +145,8 @@ def cmd_chern(args):
     else:
         payload["euler_number"] = euler_number(spec)
         payload["additive_chern_number"] = additive_chern_number(spec)
-        payload["chern_numbers"] = {
-            _alpha_key(a): chern_number(spec, a) for a in partitions(n)
-        }
+        cls = fundamental_class(spec, "L")
+        payload["chern_numbers"] = {_alpha_key(a): cls.get(a, 0) for a in partitions(n)}
     return {"command": "chern", "payload": payload, "checks": [], "status": "pass"}, 0
 
 

@@ -16,7 +16,7 @@ from math import comb, gcd
 
 from .core_algebra import ZZ, IntegerLattice, b_ring, partitions
 from .fgl import universal_fgl
-from .chow_models import VarietySpec, additive_chern_number, chern_number
+from .chow_models import VarietySpec, additive_chern_number, fundamental_class
 
 __all__ = [
     "LazardDegreePiece",
@@ -96,11 +96,11 @@ class LazardDegreePiece:
 
     __slots__ = ("n", "basis", "_index", "generators", "lattice")
 
-    def __init__(self, n, order=None):
+    def __init__(self, n):
         self.n = n
         self.basis = partitions(n)
         self._index = {p: k for k, p in enumerate(self.basis)}
-        self.generators = tuple(lazard_basis(n, order))
+        self.generators = tuple(lazard_basis(n))
         rows = [self.vector(g) for g in self.generators]
         self.lattice = IntegerLattice(rows, len(self.basis))
 
@@ -132,36 +132,35 @@ class LazardDegreePiece:
 
 
 @lru_cache(maxsize=None)
-def lazard_piece(n, order=None):
-    return LazardDegreePiece(n, order)
+def lazard_piece(n):
+    return LazardDegreePiece(n)
 
 
-def lattice_member_mod(n, elt, m, order=None):
+def lattice_member_mod(n, elt, m):
     """Membership of a degree -n element in m times the degree piece."""
-    return lazard_piece(n, order).member_mod(elt, m)
+    return lazard_piece(n).member_mod(elt, m)
 
 
 @lru_cache(maxsize=None)
-def mod2_theory_piece(n, order=None):
+def mod2_theory_piece(n):
     """Degree -n piece of twice the lattice plus the ideal generated by the
     higher coefficients of the formal two-fold multiple [2](x) -- the
     submodule whose quotient is the coefficient ring of the mod-2 theory."""
-    piece = lazard_piece(n, order)
+    piece = lazard_piece(n)
     rows = [tuple(2 * x for x in piece.vector(g)) for g in piece.generators]
-    law_order = max(order if order is not None else 0, n + 2)
-    two = universal_fgl(law_order).formal_mult(2)
+    two = universal_fgl(n + 2).formal_mult(2)
     for k in range(2, n + 2):
         ck = two.coefficient((k,))
         if BRING.is_zero(ck):
             continue
-        for g in lazard_piece(n - k + 1, order).generators:
+        for g in lazard_piece(n - k + 1).generators:
             rows.append(piece.vector(BRING.mul(ck, g)))
     return IntegerLattice(rows, len(piece.basis))
 
 
-def mod2_theory_member(n, elt, order=None):
+def mod2_theory_member(n, elt):
     """Whether a degree -n element vanishes in the mod-2 theory quotient."""
-    return mod2_theory_piece(n, order).member(lazard_piece(n, order).vector(elt))
+    return mod2_theory_piece(n).member(lazard_piece(n).vector(elt))
 
 
 def _is_prime(p):
@@ -254,12 +253,13 @@ def p_typical_chern_check(spec, p):
     verdict = decomposable_test(spec, p)
     n = spec.dim()
     need = p * p if verdict["in_Lmodp_decomposable"] else p
+    cls = fundamental_class(spec, "L")
     rows = []
     ok = True
     for alpha in partitions(n):
         if not all(_is_p_power(a + 1, p) for a in alpha):
             continue
-        c = chern_number(spec, alpha)
+        c = cls.get(alpha, 0)
         good = c % need == 0
         ok = ok and good
         rows.append({"alpha": list(alpha), "chern_number": c,

@@ -20,7 +20,6 @@ from .chow_models import (
     VirtualSplitBundle,
     additive_chern_number,
     build_model,
-    chern_number,
     chern_total,
     cm_add,
     cm_graded,
@@ -31,7 +30,7 @@ from .chow_models import (
     tangent_bundle,
 )
 from .cobordism import decomposable_test, lazard_piece, mod2_theory_member
-from .core_algebra import ZHALF, ZZ, TruncatedSeries, b_ring, partitions
+from .core_algebra import ZHALF, ZZ, TruncatedSeries, b_ring, is_partition, partitions
 from .fgl import formal_inverse, formal_mult, specialize, universal_fgl
 from .report import Report
 
@@ -362,8 +361,9 @@ def verify_trivial_normal(action):
         rep.add_skip("trivial-normal:hypothesis", _HYP_EVEN_NORMAL, lhs=reason)
         return rep
     rep.add("trivial-normal:hypothesis", _HYP_EVEN_NORMAL, True)
+    ambient_cls = fundamental_class(action.ambient, "L")
     for alpha in partitions(n):
-        v = chern_number(action.ambient, alpha)
+        v = ambient_cls.get(alpha, 0)
         rep.add(
             "trivial-normal:ambient:%s" % _alpha_str(alpha),
             "Chern number %s of the ambient variety is even" % _alpha_str(alpha),
@@ -371,9 +371,12 @@ def verify_trivial_normal(action):
             lhs=v,
             rhs="0 (mod 2)",
         )
-    for w in sorted({c.dim() for c in action.components}):
+    fix_cls = {}
+    for c in action.components:
+        fix_cls[c.dim()] = B.add(fix_cls.get(c.dim(), B.zero()), fundamental_class(c.spec, "L"))
+    for w in sorted(fix_cls):
         for beta in partitions(w):
-            s = sum(chern_number(c.spec, beta) for c in action.components if c.dim() == w)
+            s = fix_cls[w].get(beta, 0)
             rep.add(
                 "trivial-normal:fix:%d:%s" % (w, _alpha_str(beta)),
                 "sum of Chern numbers %s over the %d-dimensional fixed components is even"
@@ -461,6 +464,13 @@ def verify_ks(action, alphas=None, f=None):
     if alphas is None and f is None:
         run_alphas = [a for w in range(n + 1) for a in partitions(w)]
     if run_alphas:
+        run_alphas = [tuple(alpha) for alpha in run_alphas]
+        for alpha in run_alphas:
+            if sum(alpha) > n:
+                raise ValueError("partition weight exceeds the ambient dimension")
+            if not is_partition(alpha):
+                raise ValueError("alpha must be a partition")
+        ambient_cls = fundamental_class(action.ambient, "L")
         pre = []
         for comp in action.components:
             model = comp.model
@@ -470,19 +480,12 @@ def verify_ks(action, alphas=None, f=None):
             prod_y = {k: model.mul(B, elt, p_tan) for k, elt in p_ny.items()}
             pre.append((comp, c_minus, prod_y))
         for alpha in run_alphas:
-            alpha = tuple(alpha)
-            if sum(alpha) > n:
-                raise ValueError("partition weight exceeds the ambient dimension")
-            lhs = chern_number(action.ambient, alpha)
+            lhs = ambient_cls.get(alpha, 0)
             rhs = 0
             for comp, c_minus, prod_y in pre:
                 model = comp.model
                 for elt in prod_y.values():
-                    ext = {}
-                    for e, coeff in elt.items():
-                        v = coeff.get(alpha)
-                        if v:
-                            ext[e] = v
+                    ext = sf.class_coefficient(elt, alpha)
                     if ext:
                         rhs += model.degree(ZZ, model.mul(ZZ, c_minus, ext))
             rep.add(
@@ -666,12 +669,12 @@ def verify_additive(action):
         pb = comp.proj_spec()
         pb_model = build_model(pb)
         s_pb += additive_chern_number(pb)
-        tan = pb_model.tangent()
+        p_tan = sf.total_P(pb_model.tangent(), B)
         xi = pb_model.gen_element(len(pb_model.gens) - 1)
         xi_j = pb_model.one(ZZ)
         for j in range(1, n + 1):
             xi_j = pb_model.mul(ZZ, xi_j, xi)
-            cls = sf.cf_class(tan, (n - j,)) if n - j >= 1 else pb_model.one(ZZ)
+            cls = sf.class_coefficient(p_tan, (n - j,)) if n - j >= 1 else pb_model.one(ZZ)
             d[j] += pb_model.degree(ZZ, pb_model.mul(ZZ, xi_j, cls))
     rep.add(
         "additive:mod2",

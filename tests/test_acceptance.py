@@ -43,7 +43,8 @@ from cobcalc.fixedpoint import (
     verify_L2_relations,
     verify_lmod2,
 )
-from cobcalc.symmfunc import lambda_coeffs, total_P
+from cobcalc.symmfunc import total_P
+from symm_oracle import lambda_coeffs
 
 B = b_ring(ZZ)
 

@@ -182,6 +182,10 @@ def test_chern_numbers():
     assert additive_chern_number(VarietySpec.multiproj([1, 1])) == 0
     assert additive_chern_number(VarietySpec.multiproj([1, 1, 1])) == 0
     assert additive_chern_number(VarietySpec.point()) == 1
+    with pytest.raises(ValueError, match="alpha must be a partition"):
+        chern_number(P3, (1, 2))
+    with pytest.raises(ValueError, match="alpha must be a partition"):
+        chern_number(P3, (0,))
 
 
 def test_fundamental_classes():

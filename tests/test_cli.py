@@ -9,6 +9,7 @@ from cobcalc.cli import main, series_terms_from_json
 from cobcalc.core_algebra import TRING, ZZ, b_ring, partitions
 from cobcalc.fgl import formal_mult, universal_fgl
 
+P1 = {"type": "multiproj", "dims": [1]}
 P2 = {"type": "multiproj", "dims": [2]}
 
 
@@ -90,6 +91,46 @@ def test_chern_bad_alpha_exits_2(capsys):
     assert code == 2
     code, obj = run(capsys, ["chern", "--spec", json.dumps(P2), "--alpha", "7"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"type": "multiproj"}, "dims"),
+        ({"type": "multiproj", "dims": 3}, "dims"),
+        ({"type": "projbundle", "lines": [[0], [1]]}, "base"),
+        ({"type": "projbundle", "base": [1], "lines": [[0], [1]]}, "base"),
+        ({"type": "projbundle", "base": P1}, "lines"),
+        ({"type": "projbundle", "base": P1, "lines": [0, 1]}, "lines"),
+        ({"type": "product"}, "factors"),
+        ({"type": "product", "factors": {"a": P1}}, "factors"),
+        ({"type": "disjoint"}, "components"),
+        ({"type": "disjoint", "components": "P1"}, "components"),
+        ({"type": "product", "factors": [{"type": "multiproj"}]}, "dims"),
+    ],
+)
+def test_chern_malformed_spec_exits_2(capsys, spec, field):
+    code = main(["chern", "--spec", json.dumps(spec)])
+    captured = capsys.readouterr()
+    assert code == 2
+    obj = json.loads(captured.out)
+    assert obj["status"] == "error"
+    assert repr(field) in obj["error"]
+    assert "Traceback" not in captured.err
+
+
+def test_partition_guard_at_cli(capsys):
+    p3 = json.dumps({"type": "multiproj", "dims": [3]})
+    code, obj = run(capsys, ["chern", "--spec", p3, "--alpha", "[1,2]"])
+    assert code == 2
+    assert obj["error"] == "alpha must be a partition"
+    code, obj = run(
+        capsys,
+        ["verify", "--theorem", "ks", "--builtin", "linear_pn", "--n", "3", "--a", "1",
+         "--alpha", "[1,2]"],
+    )
+    assert code == 2
+    assert obj["error"] == "alpha must be a partition"
 
 
 def test_chern_file_io(capsys, tmp_path):

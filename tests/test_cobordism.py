@@ -8,6 +8,7 @@ from cobcalc.cobordism import (
     lattice_member_mod,
     lazard_basis,
     lazard_piece,
+    mod2_theory_piece,
     p_typical_chern_check,
     p_typical_kernel_check,
     prime_power_root,
@@ -46,6 +47,16 @@ def test_member_mod_scaling():
     assert piece.member_mod({(1,): 2}, 0)
     assert lattice_member_mod(1, {(1,): 6}, 3)
     assert not lattice_member_mod(1, {(1,): 4}, 3)
+
+
+def test_mod2_piece_reuses_lattice_pieces():
+    # mod2_theory_piece and direct callers share one cache entry per degree
+    mod2_theory_piece(6)
+    before = lazard_piece.cache_info()
+    lazard_piece(6)
+    after = lazard_piece.cache_info()
+    assert after.hits == before.hits + 1
+    assert after.currsize == before.currsize
 
 
 def test_vector_rejects_wrong_degree():

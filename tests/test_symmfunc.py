@@ -1,22 +1,22 @@
 import pytest
 
-from cobcalc.core_algebra import ZZ, TRING, TEPS, b_ring
+from cobcalc.core_algebra import ZZ, TRING, TEPS, b_ring, partitions
 from cobcalc.chow_models import (
     VarietySpec,
     VirtualSplitBundle,
     build_model,
+    chern_number,
     cm_add,
+    fundamental_class,
 )
 from cobcalc.symmfunc import (
-    q_alpha,
-    lambda_coeffs,
-    m_product,
     total_P,
     total_P_deformed,
-    cf_class,
+    class_coefficient,
     pi_series,
     b_image_for,
 )
+from symm_oracle import cf_class, elementary_class, lambda_coeffs, m_product, q_alpha
 
 B = b_ring(ZZ)
 
@@ -149,3 +149,31 @@ def test_lambda_identity_against_direct_classes():
             term = cf_class(E, beta)
             expanded = cm_add(ZZ, expanded, {e: nb * c for e, c in term.items()})
         assert direct == expanded, alpha
+
+
+ORACLE_SPECS = {
+    "P%d" % n: VarietySpec.multiproj([n]) for n in range(1, 6)
+}
+ORACLE_SPECS["P1xP2"] = VarietySpec.multiproj([1, 2])
+ORACLE_SPECS["P2xP2"] = VarietySpec.multiproj([2, 2])
+ORACLE_SPECS["P(O+O(1)+O(3))/P3"] = VarietySpec.projbundle(
+    VarietySpec.multiproj([3]), [(0,), (1,), (3,)])
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_chern_numbers_match_elementary_route(name):
+    # The production path reads every class off total_P and every Chern
+    # number off the fundamental class; the oracle expands m_alpha in
+    # elementary symmetric polynomials and evaluates it on c(-T).
+    spec = ORACLE_SPECS[name]
+    model = build_model(spec)
+    neg_tan = model.tangent().neg()
+    P = total_P(neg_tan, B)
+    cls = fundamental_class(spec, "L")
+    for w in range(6):
+        for alpha in partitions(w):
+            oracle = elementary_class(neg_tan, alpha)
+            assert class_coefficient(P, alpha) == oracle, alpha
+            want = model.degree(ZZ, oracle)
+            assert cls.get(alpha, 0) == want, alpha
+            assert chern_number(spec, alpha) == want, alpha
