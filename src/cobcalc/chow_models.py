@@ -321,7 +321,9 @@ class ChowModel:
         "_bounds",
         "_reduce_cache",
         "_basis_cache",
+        "_residue_cache",
         "_tangent",
+        "_fundamental",
         "_top_checked",
     )
 
@@ -419,7 +421,9 @@ class ChowModel:
         self._bounds = tuple(bounds)
         self._reduce_cache = {}
         self._basis_cache = {}
+        self._residue_cache = {}
         self._tangent = None
+        self._fundamental = None
         self._top_checked = False
         assert sum(self._bounds) == self.dim
 
@@ -651,7 +655,9 @@ def quillen_pushforward(S, V, m, dom):
     P(V + nothing) over S, pushed all the way to the point: computed on S by
     a residue formula, so P(V) itself is never built.
 
-    S may be a spec or a model; V must be an honest bundle on it."""
+    S may be a spec or a model; V must be an honest bundle on it.  Only the
+    factor pi(y)^m depends on m: the rest comes from _residue_series, which
+    computes it once per bundle and domain."""
     from . import symmfunc as sf
 
     model = build_model(S) if isinstance(S, VarietySpec) else S
@@ -666,18 +672,39 @@ def quillen_pushforward(S, V, m, dom):
     r = V.rank
     if r < 1:
         raise ValueError("bundle rank must be >= 1")
-    ns = model.dim
-    order = r + ns
+    order, series = _residue_series(model, V, dom)
     pi = sf.pi_series(dom, order)
-    y = TruncatedSeries.variable(dom, ("y",), order, "y")
     pi_m = TruncatedSeries.constant(dom, ("y",), order, dom.one())
     for _ in range(m):
         pi_m = pi_m.mul(pi)
+    total = dom.zero()
+    for i, di in series:
+        lau = LaurentSeries(m - r - i, pi_m.mul(di))
+        total = dom.add(total, lau.residue())
+    expected = m - (model.dim + r - 1)
+    if not dom.is_homogeneous(total, expected):
+        raise AssertionError("pushforward value is not homogeneous of degree %d" % expected)
+    return total
+
+
+def _residue_series(model, V, dom):
+    """The twist-independent part of the residue pushforward of the honest
+    bundle V: the truncation order and the series d_i(y) = deg(c_i(-V) *
+    P(-T) * P_y(-V)) for every nonzero c_i(-V).  Memoized on the model by the
+    line classes and trivial rank of V and the coefficient domain."""
+    from . import symmfunc as sf
+
+    key = (tuple(tuple(sorted(l.items())) for l in V.plus_lines), V.plus_trivial, dom.name)
+    hit = model._residue_cache.get(key)
+    if hit is not None:
+        return hit
+    ns = model.dim
+    order = V.rank + ns
     p_tan = sf.total_P(model.tangent().neg(), dom)
     p_vy = sf.total_P_deformed(V.neg(), dom, order - 1)
     prod_y = {k: model.mul(dom, elt, p_tan) for k, elt in p_vy.items()}
     cneg = chern_total(model, dom, V.neg())
-    total = dom.zero()
+    series = []
     for i in range(ns + 1):
         ci = cm_graded(cneg, i)
         if not ci:
@@ -687,13 +714,10 @@ def quillen_pushforward(S, V, m, dom):
             v = model.degree(dom, model.mul(dom, ci, elt))
             if not dom.is_zero(v):
                 d_coeffs[(k,)] = v
-        di = TruncatedSeries(dom, ("y",), order, d_coeffs)
-        lau = LaurentSeries(m - r - i, pi_m.mul(di))
-        total = dom.add(total, lau.residue())
-    expected = m - (ns + r - 1)
-    if not dom.is_homogeneous(total, expected):
-        raise AssertionError("pushforward value is not homogeneous of degree %d" % expected)
-    return total
+        series.append((i, TruncatedSeries(dom, ("y",), order, d_coeffs)))
+    hit = (order, tuple(series))
+    model._residue_cache[key] = hit
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +771,9 @@ def fundamental_class(spec, theory="L", p=None):
                 out = B.add(out, fundamental_class(c, "L"))
             return out
         model = build_model(spec)
-        return model.degree(B, sf.total_P(model.tangent().neg(), B))
+        if model._fundamental is None:
+            model._fundamental = model.degree(B, sf.total_P(model.tangent().neg(), B))
+        return model._fundamental
     if theory == "L_p":
         if p is None or p < 2:
             raise ValueError("theory L_p needs a prime p")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, gcd
 
-from .core_algebra import ZZ, IntegerLattice, b_ring, partitions
+from .core_algebra import ZZ, IntegerLattice, b_ring, is_prime, partitions
 from .fgl import universal_fgl
 from .chow_models import VarietySpec, additive_chern_number, fundamental_class
 
@@ -163,24 +163,13 @@ def mod2_theory_member(n, elt):
     return mod2_theory_piece(n).member(lazard_piece(n).vector(elt))
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def prime_power_root(n):
     """The prime p with n = p^q (q >= 1), or None."""
     if n < 2:
         return None
     for p in range(2, n + 1):
         if n % p == 0:
-            if not _is_prime(p):
+            if not is_prime(p):
                 return None
             while n % p == 0:
                 n //= p
@@ -197,7 +186,7 @@ def decomposable_test(spec, p):
     decomposability is automatic in the power case and otherwise agrees
     with the mod-p answer.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError("p must be prime")
     if isinstance(spec, dict):
         spec = VarietySpec.from_json(spec)
@@ -228,7 +217,7 @@ def _is_p_power(k, p):
 def p_typical_kernel_check(p, max_degree):
     """Check that killing every b_i whose index + 1 is not a power of p
     sends all nonlinear law coefficients to zero mod p."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError("p must be prime")
     law = universal_fgl(max_degree + 2)
     for (i, j), c in law.series.coeffs.items():

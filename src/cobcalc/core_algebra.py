@@ -44,6 +44,17 @@ def is_partition(t):
     )
 
 
+def is_prime(p):
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
 @lru_cache(maxsize=None)
 def merge_partitions(p, q):
     return tuple(sorted(p + q, reverse=True))
@@ -344,6 +355,9 @@ class BDomain(Domain):
     def __init__(self, base):
         self.base = base
         self.name = "B(%s)" % base.name
+        # over ZZ the coefficients are plain ints: add, mul and int_scale
+        # skip the per-term dispatch to the base domain
+        self._int_base = base is ZZ
 
     def zero(self):
         return {}
@@ -365,6 +379,14 @@ class BDomain(Domain):
 
     def add(self, a, b):
         out = dict(a)
+        if self._int_base:
+            for k, v in b.items():
+                s = out.get(k, 0) + v
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
+            return out
         for k, v in b.items():
             s = self.base.add(out.get(k, self.base.zero()), v)
             if self.base.is_zero(s):
@@ -376,10 +398,27 @@ class BDomain(Domain):
     def neg(self, a):
         return {k: self.base.neg(v) for k, v in a.items()}
 
+    def int_scale(self, a, k):
+        if k == 1:
+            return a
+        if self._int_base:
+            return {p: v * k for p, v in a.items()} if k else {}
+        return super().int_scale(a, k)
+
     def mul(self, a, b):
         if len(a) > len(b):
             a, b = b, a
         out = {}
+        if self._int_base:
+            for k1, v1 in a.items():
+                for k2, v2 in b.items():
+                    k = merge_partitions(k1, k2)
+                    s = out.get(k, 0) + v1 * v2
+                    if s:
+                        out[k] = s
+                    else:
+                        out.pop(k, None)
+            return out
         bz = self.base
         for k1, v1 in a.items():
             for k2, v2 in b.items():

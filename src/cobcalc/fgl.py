@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core_algebra import ZZ, TRING, TEPS, b_ring, int_mod, TruncatedSeries
+from .core_algebra import ZZ, TRING, TEPS, b_ring, int_mod, is_prime, TruncatedSeries
 
 # associativity is a trivariate identity; comparing it in full at high order
 # is the dominant cost, so it is checked at min(order, this cap)
@@ -183,6 +183,8 @@ def cha_fgl(order):
 
 @lru_cache(maxsize=None)
 def universal_fgl_mod_p(order, p):
+    if not is_prime(p):
+        raise ValueError("the universal law mod p needs a prime p, got %d" % p)
     Bp = b_ring(int_mod(p))
 
     def conv(c):

@@ -154,14 +154,19 @@ class FixedComponent:
         if not isinstance(obj, dict) or "spec" not in obj or "codim" not in obj:
             raise ValueError("fixed component must be an object with 'spec' and 'codim'")
         spec = VarietySpec.from_json(obj["spec"])
-        codim = obj["codim"]
-        return cls.from_lines(
-            spec,
-            codim,
-            obj.get("normal_lines", ()),
-            obj.get("normal_trivial_rank", 0),
-            obj.get("normal_minus_trivial_rank", 0),
-        )
+        lines = obj.get("normal_lines", [])
+        if not isinstance(lines, list) or not all(
+            isinstance(v, list) and all(isinstance(a, int) for a in v) for v in lines
+        ):
+            raise ValueError(
+                "fixed component field 'normal_lines' must be a JSON list of integer lists")
+        ranks = []
+        for name in ("normal_trivial_rank", "normal_minus_trivial_rank"):
+            val = obj.get(name, 0)
+            if not isinstance(val, int):
+                raise ValueError("fixed component field %r must be a JSON integer" % name)
+            ranks.append(val)
+        return cls.from_lines(spec, obj["codim"], lines, *ranks)
 
     def __repr__(self):
         return "<fixed %r codim %d>" % (self.spec, self.codim)
@@ -208,7 +213,10 @@ class MuTwoActionModel:
         if not isinstance(obj, dict) or "ambient" not in obj:
             raise ValueError("action must be an object with an 'ambient' field")
         ambient = VarietySpec.from_json(obj["ambient"])
-        comps = [FixedComponent.from_json(c) for c in obj.get("components", ())]
+        comps = obj.get("components", [])
+        if not isinstance(comps, list):
+            raise ValueError("action field 'components' must be a JSON list")
+        comps = [FixedComponent.from_json(c) for c in comps]
         return cls(ambient, comps, name=name)
 
     def __repr__(self):
@@ -520,8 +528,11 @@ def verify_ks(action, alphas=None, f=None):
 
 @lru_cache(maxsize=None)
 def _half_law(order):
-    return specialize(
-        universal_fgl(order), BH, lambda c: {p: (v, 0) for p, v in c.items()})
+    return specialize(universal_fgl(order), BH, _to_half_element)
+
+
+def _to_half_element(elt):
+    return {parts: (v, 0) for parts, v in elt.items()}
 
 
 def _to_integer_element(elt):
@@ -557,13 +568,14 @@ def verify_lmod2(action, order=None, max_m=None):
     v = x.divide(formal_mult(law, 2))
     zeta = formal_inverse(law).truncate(order - 1)
     vz = v.compose({"x": zeta})
+    # pushforwards of honest bundles are integral: take them over ZZ, where
+    # the residue data verify_L2_relations computed is cached, and embed
     q_sums = []
     for j in range(n + 1):
-        total = BH.zero()
+        total = B.zero()
         for comp in action.components:
-            total = BH.add(
-                total, quillen_pushforward(comp.model, comp.normal_plus_one(), j, BH))
-        q_sums.append(total)
+            total = B.add(total, quillen_pushforward(comp.model, comp.normal_plus_one(), j, B))
+        q_sums.append(_to_half_element(total))
     ambient_cls = fundamental_class(action.ambient, "L")
     g = vz.int_scale(2)
     zpow = TruncatedSeries.constant(BH, ("x",), order - 1, BH.one())

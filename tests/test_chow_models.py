@@ -4,9 +4,11 @@ import pytest
 
 from cobcalc.core_algebra import ZZ, TRING, TEPS, b_ring
 from cobcalc.fgl import b_transport, chx_b_image, cha_b_image
+from cobcalc.fixedpoint import _line_element
 from cobcalc.chow_models import (
     VarietySpec,
     VirtualSplitBundle,
+    ChowModel,
     build_model,
     DisjointModel,
     tangent_bundle,
@@ -276,6 +278,60 @@ def test_quillen_chx_closed_form():
     V = VirtualSplitBundle(sm, plus_trivial=3)
     for m in range(5):
         got = quillen_pushforward(S, V, m, TRING)
+        k = 3 - 1 - m
+        want = TRING.monomial(k + 1, (3 - m) * 2) if k >= 0 else TRING.zero()
+        assert got == want, m
+
+
+def _bundles(model, specs):
+    return [
+        VirtualSplitBundle(model, [_line_element(model, v) for v in lines], (), triv)
+        for lines, triv in specs
+    ]
+
+
+QUILLEN_CASES = [
+    # (base, [(line vectors, trivial rank), ...]): bundles that share a base
+    # differ only in their lines or only in their trivial rank
+    (VarietySpec.point(), [((), 2), ((), 3)]),
+    (P2, [(((1,), (1,)), 1), (((1,), (2,)), 1), (((1,), (1,)), 2)]),
+    (VarietySpec.multiproj([1, 1]), [(((1, 0), (0, 1)), 0), (((1, 1),), 1)]),
+    (F1, [(((0, 1), (1, 0)), 1)]),
+]
+
+
+@pytest.mark.parametrize("spec, specs", QUILLEN_CASES)
+def test_quillen_cache_order_independent(spec, specs):
+    # reference: ascending twists, one bundle per fresh model
+    want = {}
+    for idx, (lines, triv) in enumerate(specs):
+        model = ChowModel(spec)
+        V = _bundles(model, [(lines, triv)])[0]
+        for m in range(V.rank + model.dim + 1):
+            want[idx, m] = quillen_pushforward(model, V, m, B)
+    # all bundles on one fresh model, twists interleaved in a shuffled order
+    model = ChowModel(spec)
+    bundles = _bundles(model, specs)
+    calls = list(want)
+    random.Random(5).shuffle(calls)
+    for idx, m in calls:
+        assert quillen_pushforward(model, bundles[idx], m, B) == want[idx, m], (idx, m)
+    # the shared model agrees too
+    shared = build_model(spec)
+    for idx, V in enumerate(_bundles(shared, specs)):
+        for m in range(V.rank + shared.dim + 1):
+            assert quillen_pushforward(shared, V, m, B) == want[idx, m], (idx, m)
+
+
+def test_quillen_cache_keeps_domains_apart():
+    # the closed-form TRING values of test_quillen_chx_closed_form, after a
+    # B call on the same bundle has filled the model's cache
+    sm = ChowModel(P1)
+    V = VirtualSplitBundle(sm, plus_trivial=3)
+    assert quillen_pushforward(sm, V, 0, B) == fundamental_class(
+        VarietySpec.projbundle(P1, [(0,)] * 3), "L")
+    for m in range(5):
+        got = quillen_pushforward(sm, V, m, TRING)
         k = 3 - 1 - m
         want = TRING.monomial(k + 1, (3 - m) * 2) if k >= 0 else TRING.zero()
         assert got == want, m

@@ -46,6 +46,14 @@ def test_fgl_mod_p_requires_p(capsys):
     assert obj["status"] == "error"
 
 
+@pytest.mark.parametrize("p", [4, 1])
+def test_fgl_mod_p_requires_a_prime(capsys, p):
+    code, obj = run(capsys, ["fgl", "--law", "universal-mod-p", "--p", str(p), "--order", "3"])
+    assert code == 2
+    assert obj["status"] == "error"
+    assert "prime" in obj["error"]
+
+
 def test_fgl_order_env(capsys, monkeypatch):
     monkeypatch.setenv("COBORDISM_ORDER", "5")
     _, obj = run(capsys, ["fgl", "--law", "additive"])
@@ -111,6 +119,36 @@ def test_chern_bad_alpha_exits_2(capsys):
 )
 def test_chern_malformed_spec_exits_2(capsys, spec, field):
     code = main(["chern", "--spec", json.dumps(spec)])
+    captured = capsys.readouterr()
+    assert code == 2
+    obj = json.loads(captured.out)
+    assert obj["status"] == "error"
+    assert repr(field) in obj["error"]
+    assert "Traceback" not in captured.err
+
+
+def _line_component(**fields):
+    comp = {"spec": P1, "codim": 1, "normal_lines": [[1]]}
+    comp.update(fields)
+    return comp
+
+
+@pytest.mark.parametrize(
+    "components, field",
+    [
+        (5, "components"),
+        ({"c": _line_component()}, "components"),
+        ([_line_component(normal_lines=5)], "normal_lines"),
+        ([_line_component(normal_lines=[1])], "normal_lines"),
+        ([_line_component(normal_lines=[["1"]])], "normal_lines"),
+        ([_line_component(normal_trivial_rank="0")], "normal_trivial_rank"),
+        ([_line_component(normal_trivial_rank=[0])], "normal_trivial_rank"),
+        ([_line_component(normal_minus_trivial_rank=0.5)], "normal_minus_trivial_rank"),
+    ],
+)
+def test_verify_malformed_action_exits_2(capsys, components, field):
+    action = {"ambient": P2, "components": components}
+    code = main(["verify", "--theorem", "euler", "--action", json.dumps(action)])
     captured = capsys.readouterr()
     assert code == 2
     obj = json.loads(captured.out)

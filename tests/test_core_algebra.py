@@ -343,3 +343,28 @@ def test_lattice_contains_combinations(rows, coeffs):
     for r, c in zip(rows, coeffs):
         v = [a + c * b for a, b in zip(v, r)]
     assert L.member(v)
+
+
+_parts = st.lists(st.integers(min_value=1, max_value=4), max_size=3).map(
+    lambda l: tuple(sorted(l, reverse=True)))
+b_elements = st.dictionaries(_parts, st.integers(min_value=-20, max_value=20).filter(bool),
+                             max_size=5)
+
+
+@given(b_elements, b_elements, st.integers(min_value=-3, max_value=3))
+@settings(max_examples=80, deadline=None)
+def test_b_ring_int_path_matches_half_ring(a, b, k):
+    # b_ring(ZZ) computes on plain ints; b_ring(ZHALF) dispatches every
+    # coefficient to its base domain: the two must agree on embedded integers
+    BZ, BHf = b_ring(ZZ), b_ring(ZHALF)
+
+    def emb(u):
+        return {p: (v, 0) for p, v in u.items()}
+
+    assert emb(BZ.add(a, b)) == BHf.add(emb(a), emb(b))
+    assert BZ.sub(a, a) == {}
+    assert emb(BZ.mul(a, b)) == BHf.mul(emb(a), emb(b))
+    # (a + b)(a - b): the cross terms cancel inside a single product
+    s, d = BZ.add(a, b), BZ.sub(a, b)
+    assert emb(BZ.mul(s, d)) == BHf.mul(emb(s), emb(d))
+    assert emb(BZ.int_scale(a, k)) == BHf.int_scale(emb(a), k)

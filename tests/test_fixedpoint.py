@@ -206,6 +206,34 @@ def test_catalog_small_all_verifiers():
         assert rep.ok, "%s: %r" % (act.name, rep.failures)
 
 
+@pytest.mark.parametrize("n, a", [(6, 2), (7, 2)])
+def test_linear_pn_larger_dimension_all_verifiers(n, a):
+    rep = verify_all(builtin_action("linear_pn", n=n, a=a))
+    assert rep.checks
+    assert all(c.status in ("pass", "hypothesis-not-met") for c in rep.checks)
+
+
+def test_caches_do_not_leak_between_actions():
+    # the broken copies share the ambient variety and all but one fixed
+    # component model with the good action; whatever they leave in the
+    # per-model caches must not change the next answer
+    good = builtin_action("linear_pn", n=5, a=1)
+    perturbed = good.to_json()
+    perturbed["components"][0]["normal_lines"][3] = [3]
+    dropped = good.to_json()
+    del dropped["components"][0]
+    lmod2 = ["lmod2:class"] + ["lmod2:member:%d" % m for m in range(1, 5)]
+    runs = [
+        (good, []),
+        (MuTwoActionModel.from_json(perturbed), lmod2),
+        (good, []),
+        (MuTwoActionModel.from_json(dropped), ["euler:mod4"] + lmod2),
+        (good, []),
+    ]
+    for act, want in runs:
+        assert sorted(c.id for c in verify_all(act).failures) == want
+
+
 def test_custom_action_from_json():
     # independent involution on a product of two lines, acting on one factor
     blob = {
