@@ -128,7 +128,10 @@ class LazardDegreePiece:
         vec = self.vector(elt)
         if m == 0:
             return self.lattice.member(vec)
-        return self.lattice.scaled(m).member(vec)
+        # v is in m*L exactly when m divides every coordinate and v/m is in L
+        if any(c % m for c in vec):
+            return False
+        return self.lattice.member([c // m for c in vec])
 
 
 @lru_cache(maxsize=None)
@@ -145,15 +148,20 @@ def lattice_member_mod(n, elt, m):
 def mod2_theory_piece(n):
     """Degree -n piece of twice the lattice plus the ideal generated by the
     higher coefficients of the formal two-fold multiple [2](x) -- the
-    submodule whose quotient is the coefficient ring of the mod-2 theory."""
+    submodule whose quotient is the coefficient ring of the mod-2 theory.
+
+    Each lattice piece enters through its HNF rows, a Z-basis of the same
+    lattice, rather than through all of its generators."""
     piece = lazard_piece(n)
-    rows = [tuple(2 * x for x in piece.vector(g)) for g in piece.generators]
+    rows = [tuple(2 * x for x in row) for row in piece.lattice.hnf]
     two = universal_fgl(n + 2).formal_mult(2)
     for k in range(2, n + 2):
         ck = two.coefficient((k,))
         if BRING.is_zero(ck):
             continue
-        for g in lazard_piece(n - k + 1).generators:
+        lower = lazard_piece(n - k + 1)
+        for row in lower.lattice.hnf:
+            g = {lower.basis[i]: c for i, c in enumerate(row) if c}
             rows.append(piece.vector(BRING.mul(ck, g)))
     return IntegerLattice(rows, len(piece.basis))
 

@@ -1017,7 +1017,9 @@ def residue(f):
 def hnf_rows(rows):
     """Row HNF of an integer matrix given as an iterable of equal-length rows.
     Returns (pivot_rows, pivot_cols): pivots positive, entries above each
-    pivot reduced into [0, pivot)."""
+    pivot reduced into [0, pivot).  A row still in play at column `col` is
+    zero left of `col`, and a pivot row is zero left of its pivot, so row
+    operations only touch the columns from the pivot on."""
     rows = [list(r) for r in rows if any(r)]
     if not rows:
         return [], []
@@ -1038,10 +1040,12 @@ def hnf_rows(rows):
         while len(have) > 1:
             have.sort(key=lambda r: abs(r[col]))
             r0 = have[0]
+            tail0 = r0[col:]
             nxt = [r0]
             for r in have[1:]:
                 q = r[col] // r0[col]
-                rr = [a - q * b for a, b in zip(r, r0)]
+                rr = r[:col]
+                rr += [a - q * b for a, b in zip(r[col:], tail0)]
                 if rr[col] != 0:
                     nxt.append(rr)
                 elif any(rr):
@@ -1059,7 +1063,7 @@ def hnf_rows(rows):
             c = pivcols[j]
             q = res[i][c] // res[j][c]
             if q:
-                res[i] = [a - q * b for a, b in zip(res[i], res[j])]
+                res[i][c:] = [a - q * b for a, b in zip(res[i][c:], res[j][c:])]
     return res, pivcols
 
 
@@ -1093,7 +1097,7 @@ class IntegerLattice:
                 if v[c] % row[c]:
                     return False
                 q = v[c] // row[c]
-                v = [a - q * b for a, b in zip(v, row)]
+                v[c:] = [a - q * b for a, b in zip(v[c:], row[c:])]
         return not any(v)
 
     def member_mod(self, v, m):

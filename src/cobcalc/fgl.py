@@ -9,6 +9,7 @@ verifies all of this, so a FormalGroupLaw instance is trusted downstream.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 from .core_algebra import ZZ, TRING, TEPS, b_ring, int_mod, is_prime, TruncatedSeries
 
@@ -122,20 +123,76 @@ def formal_mult(law, a):
 # ---------------------------------------------------------------------------
 # the universal law and its standard specializations
 
+# The universal law F(x, y) = exp(log x + log y), with exp(x) = x + b1 x^2 +
+# b2 x^3 + ...  A coefficient of total degree d does not depend on the
+# truncation order, so one store grows degree by degree and serves every
+# order.  With L_k(n) = [x^n] log(x)^k and b_0 = 1:
+#   L_k(n) = sum_{a=1}^{n-k+1} L_1(a) L_{k-1}(n-a)       (k >= 2)
+#   L_1(n) = -sum_{k=2}^{n} b_{k-1} L_k(n)                 ([x^n] exp(log x) = 0)
+#   F_ab   = sum_{j,l >= 1} b_{j+l-1} C(j+l, j) L_j(a) L_l(b)
+# _LOG_POWERS[n] maps k to L_k(n); _LAW_BY_DEGREE[d] maps (i, j), i + j = d,
+# to F_ij.  Zero entries are not stored.
+_B = b_ring(ZZ)
+_LOG_POWERS = [{}, {1: _B.one()}]
+_LAW_BY_DEGREE = [{}, {(1, 0): _B.one(), (0, 1): _B.one()}]
+
+
+def _grow_log_powers(n):
+    """Extend the table L_k(.) through degree n."""
+    B = _B
+    while len(_LOG_POWERS) <= n:
+        d = len(_LOG_POWERS)
+        row = {}
+        for k in range(2, d + 1):
+            acc = B.zero()
+            for a in range(1, d - k + 2):
+                lower = _LOG_POWERS[d - a].get(k - 1)
+                if lower:
+                    acc = B.add(acc, B.mul(_LOG_POWERS[a][1], lower))
+            if acc:
+                row[k] = acc
+        l1 = B.zero()
+        for k, v in row.items():
+            l1 = B.add(l1, B.mul(B.gen(k - 1), v))
+        if l1:
+            row[1] = B.neg(l1)
+        _LOG_POWERS.append(row)
+
+
+def _grow_universal(degree):
+    """Extend the store of law coefficients through total degree `degree`."""
+    B = _B
+    _grow_log_powers(degree - 1)
+    while len(_LAW_BY_DEGREE) <= degree:
+        d = len(_LAW_BY_DEGREE)
+        row = {}
+        for a in range(1, d // 2 + 1):
+            b = d - a
+            by_k = {}
+            for j, lj in _LOG_POWERS[a].items():
+                for l, ll in _LOG_POWERS[b].items():
+                    term = B.int_scale(B.mul(lj, ll), comb(j + l, j))
+                    by_k[j + l] = B.add(by_k.get(j + l, B.zero()), term)
+            c = B.zero()
+            for k, v in by_k.items():
+                c = B.add(c, B.mul(B.gen(k - 1), v))
+            if c:
+                row[(a, b)] = row[(b, a)] = c
+        _LAW_BY_DEGREE.append(row)
+
+
 @lru_cache(maxsize=None)
 def universal_fgl(order):
-    """Universal formal group law over ZZ[b1, b2, ...], built from the
-    universal exponential x + b1 x^2 + b2 x^3 + ... and its reversion."""
-    B = b_ring(ZZ)
-    exp = TruncatedSeries(
-        B, ("x",), order, {(i + 1,): B.gen(i) for i in range(order - 1)}
-    )
-    log = exp.reversion()
-    X = TruncatedSeries.variable(B, ("x", "y"), order, "x")
-    Y = TruncatedSeries.variable(B, ("x", "y"), order, "y")
-    lx = log.compose({"x": X})
-    ly = log.compose({"x": Y})
-    return FormalGroupLaw(exp.compose({"x": lx.add(ly)}))
+    """Universal formal group law over ZZ[b1, b2, ...] to total degree
+    < order: exp(log x + log y) for the universal exponential
+    x + b1 x^2 + b2 x^3 + ..., read off the shared coefficient store."""
+    if order < 2:
+        raise ValueError("the universal law needs order >= 2, got %d" % order)
+    _grow_universal(order - 1)
+    coeffs = {}
+    for d in range(1, order):
+        coeffs.update(_LAW_BY_DEGREE[d])
+    return FormalGroupLaw(TruncatedSeries(_B, ("x", "y"), order, coeffs, _trusted=True))
 
 
 def specialize(law, new_dom, coeff_fn):

@@ -18,6 +18,7 @@ from . import symmfunc as sf
 from .chow_models import (
     VarietySpec,
     VirtualSplitBundle,
+    _residue_series,
     additive_chern_number,
     build_model,
     chern_total,
@@ -479,23 +480,21 @@ def verify_ks(action, alphas=None, f=None):
             if not is_partition(alpha):
                 raise ValueError("alpha must be a partition")
         ambient_cls = fundamental_class(action.ambient, "L")
-        pre = []
+        # The fixed-locus integral of alpha is the b^alpha coefficient of
+        # sum_{k <= n} [y^k] deg(c(-N) P(-T) P_y(-N)).  With V = N + O,
+        # c(-N) = c(-V) and P_y(-N) = P_y(-V) pi(y), so it is read off the
+        # residue series of V that the pushforwards share: sum_i d_i(y) pi(y).
+        fixed = B.zero()
         for comp in action.components:
-            model = comp.model
-            c_minus = chern_total(model, ZZ, comp.normal.neg())
-            p_tan = sf.total_P(model.tangent().neg(), B)
-            p_ny = sf.total_P_deformed(comp.normal.neg(), B, n)
-            prod_y = {k: model.mul(B, elt, p_tan) for k, elt in p_ny.items()}
-            pre.append((comp, c_minus, prod_y))
+            order, series = _residue_series(comp.model, comp.normal_plus_one(), B)
+            d = TruncatedSeries.zero(B, ("y",), order)
+            for _, di in series:
+                d = d.add(di)
+            for c in d.mul(sf.pi_series(B, order)).coeffs.values():
+                fixed = B.add(fixed, c)
         for alpha in run_alphas:
             lhs = ambient_cls.get(alpha, 0)
-            rhs = 0
-            for comp, c_minus, prod_y in pre:
-                model = comp.model
-                for elt in prod_y.values():
-                    ext = sf.class_coefficient(elt, alpha)
-                    if ext:
-                        rhs += model.degree(ZZ, model.mul(ZZ, c_minus, ext))
+            rhs = fixed.get(alpha, 0)
             rep.add(
                 "ks:alpha:%s" % _alpha_str(alpha),
                 "characteristic number %s of the ambient variety matches the "

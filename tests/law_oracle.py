@@ -1,0 +1,45 @@
+"""Reference constructions of the universal law and of the mod-2 lattice
+pieces, kept as test oracles for the production path.
+
+The production code reads the universal law off a coefficient store that
+grows one total degree at a time (`fgl.universal_fgl`) and builds each
+mod-2 piece from HNF bases of the lattice pieces
+(`cobordism.mod2_theory_piece`).  This module builds the same objects the
+direct way: the law as exp(log x + log y) with log the compositional
+inverse of the universal exponential, and the mod-2 piece from every
+generator of every lattice piece involved."""
+
+from cobcalc.cobordism import BRING, lazard_piece
+from cobcalc.core_algebra import ZZ, IntegerLattice, TruncatedSeries, b_ring
+from cobcalc.fgl import universal_fgl
+
+
+def universal_series_by_reversion(order):
+    """The universal law's series at `order`: the exponential
+    x + b1 x^2 + b2 x^3 + ..., its reversion log, and exp(log x + log y)."""
+    B = b_ring(ZZ)
+    exp = TruncatedSeries(
+        B, ("x",), order, {(i + 1,): B.gen(i) for i in range(order - 1)}
+    )
+    log = exp.reversion()
+    X = TruncatedSeries.variable(B, ("x", "y"), order, "x")
+    Y = TruncatedSeries.variable(B, ("x", "y"), order, "y")
+    lx = log.compose({"x": X})
+    ly = log.compose({"x": Y})
+    return exp.compose({"x": lx.add(ly)})
+
+
+def mod2_piece_from_generators(n):
+    """Twice every generator of the degree -n lattice piece, plus c_k times
+    every generator of the degree -(n-k+1) piece for the coefficients c_k
+    of [2](x), as one integer lattice."""
+    piece = lazard_piece(n)
+    rows = [tuple(2 * x for x in piece.vector(g)) for g in piece.generators]
+    two = universal_fgl(n + 2).formal_mult(2)
+    for k in range(2, n + 2):
+        ck = two.coefficient((k,))
+        if BRING.is_zero(ck):
+            continue
+        for g in lazard_piece(n - k + 1).generators:
+            rows.append(piece.vector(BRING.mul(ck, g)))
+    return IntegerLattice(rows, len(piece.basis))

@@ -54,6 +54,13 @@ def test_fgl_mod_p_requires_a_prime(capsys, p):
     assert "prime" in obj["error"]
 
 
+@pytest.mark.parametrize("law", ["universal", "universal-mod-p"])
+def test_fgl_order_below_two_exits_2(capsys, law):
+    code, obj = run(capsys, ["fgl", "--law", law, "--p", "2", "--order", "1"])
+    assert code == 2
+    assert obj["error"] == "--order must be at least 2"
+
+
 def test_fgl_order_env(capsys, monkeypatch):
     monkeypatch.setenv("COBORDISM_ORDER", "5")
     _, obj = run(capsys, ["fgl", "--law", "additive"])

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cobcalc.chow_models import VarietySpec, fundamental_class
 from cobcalc.cobordism import (
@@ -15,6 +16,7 @@ from cobcalc.cobordism import (
 )
 from cobcalc.core_algebra import partitions
 from cobcalc.fgl import universal_fgl
+from law_oracle import mod2_piece_from_generators
 
 
 def pn(n):
@@ -47,6 +49,38 @@ def test_member_mod_scaling():
     assert piece.member_mod({(1,): 2}, 0)
     assert lattice_member_mod(1, {(1,): 6}, 3)
     assert not lattice_member_mod(1, {(1,): 4}, 3)
+
+
+@st.composite
+def _degree_vector_modulus(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 4))
+    piece = lazard_piece(n)
+    # a lattice combination of the HNF rows, sometimes nudged off the lattice
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=piece.rank, max_size=piece.rank))
+    vec = [sum(c * row[i] for c, row in zip(coeffs, piece.lattice.hnf))
+           for i in range(len(piece.basis))]
+    scale = draw(st.sampled_from([1, m]))
+    vec = [scale * v for v in vec]
+    if draw(st.booleans()):
+        vec[draw(st.integers(0, len(vec) - 1))] += draw(st.integers(-4, 4))
+    return n, vec, m
+
+
+@settings(max_examples=150, deadline=None)
+@given(_degree_vector_modulus())
+def test_member_mod_matches_scaled_lattice(case):
+    n, vec, m = case
+    piece = lazard_piece(n)
+    elt = {p: c for p, c in zip(piece.basis, vec) if c}
+    assert piece.member_mod(elt, m) == piece.lattice.scaled(m).member(vec)
+
+
+def test_mod2_piece_matches_all_generator_oracle():
+    for n in range(1, 11):
+        fast, ref = mod2_theory_piece(n), mod2_piece_from_generators(n)
+        assert fast.hnf == ref.hnf
+        assert fast.pivcols == ref.pivcols
 
 
 def test_mod2_piece_reuses_lattice_pieces():

@@ -15,6 +15,7 @@ from cobcalc.fgl import (
     formal_inverse,
     formal_mult,
 )
+from law_oracle import universal_series_by_reversion
 
 B = b_ring(ZZ)
 
@@ -26,6 +27,23 @@ def test_universal_low_coefficients():
     a12 = B.add(B.int_scale(B.gen(2), 3), B.int_scale(B.mul(B.gen(1), B.gen(1)), -2))
     assert U.coefficient(1, 2) == a12  # 3 b2 - 2 b1^2
     assert U.coefficient(2, 1) == a12
+
+
+def test_universal_matches_reversion_oracle():
+    for order in range(2, 13):
+        assert universal_fgl(order).series == universal_series_by_reversion(order)
+
+
+def test_universal_truncations_agree():
+    top = universal_fgl(18).series
+    for order in range(2, 18):
+        assert universal_fgl(order).series == top.truncate(order)
+
+
+@pytest.mark.parametrize("order", [1, 0, -1])
+def test_universal_rejects_order_below_two(order):
+    with pytest.raises(ValueError, match=r"order >= 2, got %d" % order):
+        universal_fgl(order)
 
 
 def test_universal_grading():

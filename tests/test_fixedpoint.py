@@ -1,6 +1,14 @@
 import pytest
 
-from cobcalc.chow_models import VarietySpec, VirtualSplitBundle, build_model, tangent_bundle
+from cobcalc import symmfunc as sf
+from cobcalc.chow_models import (
+    VarietySpec,
+    VirtualSplitBundle,
+    build_model,
+    chern_total,
+    tangent_bundle,
+)
+from cobcalc.core_algebra import ZZ, b_ring, partitions
 from cobcalc.fixedpoint import (
     FixedComponent,
     MuTwoActionModel,
@@ -267,3 +275,45 @@ def test_report_json_shape():
     assert blob["command"] == "euler"
     assert blob["status"] == "pass"
     assert all(set(c) >= {"id", "statement", "status"} for c in blob["checks"])
+
+
+def _ks_rhs_by_component(action, alphas):
+    """The fixed-locus side of ks:alpha for each alpha, built per component
+    from the deformed class of -N itself: the sum over components and
+    y-degrees k <= n of deg(c(-N) * [b^alpha](P(-T) * [y^k] P_y(-N)))."""
+    B = b_ring(ZZ)
+    rhs = dict.fromkeys(alphas, 0)
+    for comp in action.components:
+        model = comp.model
+        c_minus = chern_total(model, ZZ, comp.normal.neg())
+        p_tan = sf.total_P(model.tangent().neg(), B)
+        for elt in sf.total_P_deformed(comp.normal.neg(), B, action.dim).values():
+            prod = model.mul(B, elt, p_tan)
+            for alpha in alphas:
+                ext = sf.class_coefficient(prod, alpha)
+                if ext:
+                    rhs[alpha] += model.degree(ZZ, model.mul(ZZ, c_minus, ext))
+    return rhs
+
+
+def _ks_oracle_actions():
+    acts = [builtin_action("linear_pn", n=n, a=a) for n in range(1, 7) for a in range(n)]
+    acts += [builtin_action("factorwise_p1n", n=n) for n in range(1, 4)]
+    acts += [builtin_action("swap_square", spec=pn(d)) for d in range(1, 4)]
+    # a broken copy: one normal line perturbed, one trivial summand subtracted
+    broken = builtin_action("swap_square", spec=pn(2)).to_json()
+    broken["components"][0]["normal_lines"][0] = [3]
+    acts.append(MuTwoActionModel.from_json(broken))
+    return acts
+
+
+def test_ks_rhs_matches_per_component_oracle():
+    acts = _ks_oracle_actions()
+    assert len(acts) == 28
+    for act in acts:
+        alphas = [a for w in range(act.dim + 1) for a in partitions(w)]
+        want = _ks_rhs_by_component(act, alphas)
+        got = {c.id: c.rhs for c in verify_ks(act).checks}
+        assert len(got) == len(alphas)
+        for alpha in alphas:
+            assert got["ks:alpha:(%s)" % ",".join(map(str, alpha))] == want[alpha]
