@@ -8,7 +8,6 @@ from .core_algebra import (
     TRING,
     TEPS,
     IntegerLattice,
-    LaurentSeries,
     TruncatedSeries,
     b_ring,
     hnf_rows,
@@ -49,7 +48,6 @@ from .cobordism import (
     LazardDegreePiece,
     binomial_middle_gcd,
     decomposable_test,
-    lattice_member_mod,
     lazard_basis,
     lazard_piece,
     mod2_theory_member,
@@ -78,8 +76,8 @@ from .report import Check, Report
 __version__ = "0.1.0"
 
 __all__ = [
-    "ZZ", "ZHALF", "TRING", "TEPS", "IntegerLattice", "LaurentSeries",
-    "TruncatedSeries", "b_ring", "hnf_rows", "int_mod", "partitions",
+    "ZZ", "ZHALF", "TRING", "TEPS", "IntegerLattice", "TruncatedSeries",
+    "b_ring", "hnf_rows", "int_mod", "partitions",
     "FormalGroupLaw", "additive_fgl", "b_transport", "cha_b_image", "cha_fgl",
     "chx_b_image", "chx_fgl", "formal_inverse", "formal_mult", "specialize",
     "universal_fgl", "universal_fgl_mod_p",
@@ -89,8 +87,8 @@ __all__ = [
     "euler_number", "fundamental_class", "pushforward_projbundle",
     "quillen_pushforward", "tangent_bundle",
     "LazardDegreePiece", "binomial_middle_gcd", "decomposable_test",
-    "lattice_member_mod", "lazard_basis", "lazard_piece",
-    "mod2_theory_member", "mod2_theory_piece", "p_typical_chern_check",
+    "lazard_basis", "lazard_piece", "mod2_theory_member",
+    "mod2_theory_piece", "p_typical_chern_check",
     "p_typical_kernel_check", "prime_power_root",
     "BUILTIN_CATALOG", "VERIFIERS", "FixedComponent", "MuTwoActionModel",
     "builtin_action", "verify_L2_relations", "verify_additive", "verify_all",

@@ -3,17 +3,21 @@ bundles, with exact intersection products, degrees, bundle pushforwards, and
 virtual split vector bundles.
 
 Every generator has codimension 1: hyperplane classes h_i with h_i^{n_i+1}=0
-and relative classes xi_k subject to xi^r = -(e_1(x) xi^{r-1} + ... + e_r(x))
-for the line roots x_1..x_r of the bundle layer.  Ring elements are sparse
-dicts mapping exponent tuples to coefficients in a chosen Domain; reduction
-to normal form happens inside multiplication.
+and relative classes xi_k subject to xi^r = -(c_1(V) xi^{r-1} + ... + c_r(V))
+for the bundle V of the layer, whose line roots are x_1..x_r.  Ring elements
+are sparse dicts mapping exponent tuples to coefficients in a chosen Domain;
+reduction to normal form happens inside multiplication.  Every total class
+of a split bundle (Chern, P, deformed P) is one `ChowModel.product` of unit
+factors over its roots.
 """
 
 from __future__ import annotations
 
 import json
 
-from .core_algebra import ZZ, TruncatedSeries, LaurentSeries, b_ring, is_partition
+from .core_algebra import (
+    ZZ, TruncatedSeries, b_ring, is_partition, sparse_add, sparse_int_scale, sparse_neg,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -155,29 +159,8 @@ class VarietySpec:
 
 
 # ---------------------------------------------------------------------------
-# element helpers (sparse dicts: exponent tuple -> domain element)
-
-def cm_add(dom, u, v):
-    out = dict(u)
-    for e, c in v.items():
-        s = dom.add(out.get(e, dom.zero()), c)
-        if dom.is_zero(s):
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return out
-
-
-def cm_scale(dom, u, c):
-    if dom.is_zero(c):
-        return {}
-    out = {}
-    for e, v in u.items():
-        p = dom.mul(v, c)
-        if not dom.is_zero(p):
-            out[e] = p
-    return out
-
+# element helpers (sparse elements: exponent tuple -> domain element; their
+# sums and multiples are the core_algebra kernel's)
 
 def cm_convert(dom, u):
     """Int-coefficient element -> dom-coefficient element."""
@@ -191,20 +174,6 @@ def cm_convert(dom, u):
 
 def cm_graded(u, k):
     return {e: c for e, c in u.items() if sum(e) == k}
-
-
-def _raw_mul_int(u, v):
-    """Unreduced product of int-coefficient elements."""
-    out = {}
-    for e1, c1 in u.items():
-        for e2, c2 in v.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
 
 
 def _pad(elt, off, width):
@@ -382,31 +351,9 @@ class ChowModel:
                         elt[tuple(e)] = a
                 lines.append(elt)
             self.bundle_lines = tuple(lines)
-            # e_i of the roots via prod (1 + x_j z), unreduced
-            e_polys = [{(0,) * nb: 1}]
-            for x in lines:
-                nxt = [dict(e_polys[0])]
-                for i in range(1, len(e_polys) + 1):
-                    prev = e_polys[i] if i < len(e_polys) else {}
-                    term = _raw_mul_int(e_polys[i - 1], x)
-                    acc = dict(prev)
-                    for e, c in term.items():
-                        s = acc.get(e, 0) + c
-                        if s:
-                            acc[e] = s
-                        else:
-                            acc.pop(e, None)
-                    nxt.append(acc)
-                e_polys = nxt
-            rule = {}
-            for i in range(1, r + 1):
-                for e, c in e_polys[i].items():
-                    ee = tuple(e) + (r - i,)
-                    s = rule.get(ee, 0) - c
-                    if s:
-                        rule[ee] = s
-                    else:
-                        rule.pop(ee, None)
+            # xi^r = -(c_1(V) xi^(r-1) + ... + c_r(V)), with c(V) on the base
+            c_v = chern_total(base, ZZ, VirtualSplitBundle(base, lines))
+            rule = {e + (r - sum(e),): -c for e, c in c_v.items() if sum(e)}
             self.xi = {off: (rr, _pad(rl, 0, width)) for off, (rr, rl) in base.xi.items()}
             self.xi[nb] = (r, rule)
             self.dim = base.dim + r - 1
@@ -457,12 +404,7 @@ class ChowModel:
                 out = {}
                 for me, mc in rule.items():
                     sub = self.reduce(tuple(a + b for a, b in zip(rest, me)))
-                    for e2, k2 in sub.items():
-                        s = out.get(e2, 0) + mc * k2
-                        if s:
-                            out[e2] = s
-                        else:
-                            out.pop(e2, None)
+                    out = sparse_add(ZZ, out, sparse_int_scale(ZZ, sub, mc))
                 self._reduce_cache[exp] = out
                 return out
         self._reduce_cache[exp] = {exp: 1}
@@ -496,23 +438,43 @@ class ChowModel:
                         out[e] = s
         return out
 
-    def inverse_unit(self, dom, u):
-        """Inverse of 1 + (positive-codimension part) by geometric series."""
-        one = self.one(dom)
+    def product(self, dom, plus, minus, y_max):
+        """The product of the factors in `plus` divided by the factors in
+        `minus`, as a y-polynomial {k: element} truncated above y^y_max.
+        Each factor is such a y-polynomial whose y^0 element is 1 plus terms
+        of positive codimension, so it is a unit: 1 / (1 + g) is the sum of
+        the (-g)^j, which vanish for j > dim + y_max."""
+
+        def mul(a, b):
+            out = {}
+            for ka, ea in a.items():
+                for kb, eb in b.items():
+                    k = ka + kb
+                    if k <= y_max:
+                        term = self.mul(dom, ea, eb)
+                        if term:
+                            out[k] = sparse_add(dom, out[k], term) if k in out else term
+            return {k: v for k, v in out.items() if v}
+
         zero_exp = (0,) * len(self.gens)
-        c0 = u.get(zero_exp, dom.zero())
-        if not dom.eq(c0, dom.one()):
-            raise ValueError("inverse_unit needs constant term 1")
-        nu = dict(u)
-        nu.pop(zero_exp, None)
-        acc = one
-        term = one
-        for _ in range(self.dim + 1):
-            term = cm_scale(dom, self.mul(dom, term, nu), dom.from_int(-1))
-            if not term:
-                break
-            acc = cm_add(dom, acc, term)
-        return acc
+        out = {0: self.one(dom)}
+        for f in plus:
+            out = mul(out, f)
+        for f in minus:
+            neg_g = {k: sparse_neg(dom, v) for k, v in f.items()}
+            if not dom.eq(neg_g.get(0, {}).pop(zero_exp, dom.zero()), dom.from_int(-1)):
+                raise ValueError("a divided factor needs constant term 1")
+            inv = {0: self.one(dom)}
+            term = inv
+            for _ in range(self.dim + y_max + 1):
+                term = mul(term, neg_g)
+                if not term:
+                    break
+                for k, v in term.items():
+                    inv[k] = sparse_add(dom, inv[k], v) if k in inv else v
+                inv = {k: v for k, v in inv.items() if v}
+            out = mul(out, inv)
+        return out
 
     def basis(self, codim):
         """Normal-form monomials of the given codimension, with a generating
@@ -591,7 +553,7 @@ class ChowModel:
             plus = [_pad(l, 0, width) for l in bt.plus_lines]
             minus = [_pad(l, 0, width) for l in bt.minus_lines]
             for x in self.bundle_lines:
-                plus.append(cm_add(ZZ, _pad(x, 0, width), xi))
+                plus.append(sparse_add(ZZ, _pad(x, 0, width), xi))
             E = VirtualSplitBundle(self, plus, minus, bt.plus_trivial, bt.minus_trivial + 1)
         self._tangent = E
         return E
@@ -608,16 +570,15 @@ def tangent_bundle(spec):
 # characteristic classes and pushforwards
 
 def chern_total(model, dom, E):
-    """Total Chern class of a virtual split bundle."""
+    """Total Chern class of a virtual split bundle: the product of 1 + x over
+    its line roots x, with inverted factors for the negative part."""
     if E.model is not model:
         raise ValueError("bundle lives on a different model")
-    out = model.one(dom)
-    for line in E.plus_lines:
-        out = model.mul(dom, out, cm_add(dom, model.one(dom), cm_convert(dom, line)))
-    for line in E.minus_lines:
-        f = cm_add(dom, model.one(dom), cm_convert(dom, line))
-        out = model.mul(dom, out, model.inverse_unit(dom, f))
-    return out
+
+    def factors(lines):
+        return [{0: sparse_add(dom, model.one(dom), cm_convert(dom, x))} for x in lines]
+
+    return model.product(dom, factors(E.plus_lines), factors(E.minus_lines), 0)[0]
 
 
 def chern_class(model, dom, E, k):
@@ -646,7 +607,7 @@ def pushforward_projbundle(model, u, dom=ZZ):
         ck = cm_graded(cneg, k)
         if not ck:
             continue
-        out = cm_add(dom, out, base.mul(dom, {tuple(e[:-1]): c}, ck))
+        out = sparse_add(dom, out, base.mul(dom, {tuple(e[:-1]): c}, ck))
     return base, out
 
 
@@ -677,10 +638,14 @@ def quillen_pushforward(S, V, m, dom):
     pi_m = TruncatedSeries.constant(dom, ("y",), order, dom.one())
     for _ in range(m):
         pi_m = pi_m.mul(pi)
+    # the residue at y = 0 of y^(m-r-i) pi^m d_i is [y^(r+i-m-1)] of pi^m d_i,
+    # zero when that exponent is negative (it is always below the order)
     total = dom.zero()
     for i, di in series:
-        lau = LaurentSeries(m - r - i, pi_m.mul(di))
-        total = dom.add(total, lau.residue())
+        e = r + i - m - 1
+        for (k,), c in di.coeffs.items():
+            if k <= e and (e - k,) in pi_m.coeffs:
+                total = dom.add(total, dom.mul(pi_m.coeffs[(e - k,)], c))
     expected = m - (model.dim + r - 1)
     if not dom.is_homogeneous(total, expected):
         raise AssertionError("pushforward value is not homogeneous of degree %d" % expected)

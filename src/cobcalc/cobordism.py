@@ -3,8 +3,8 @@
 The universal group law's coefficients generate a subring of the b-polynomial
 ring; its graded piece in degree -n is a full-rank sublattice of the span of
 the degree-n monomials.  This module builds explicit generator matrices for
-those pieces, answers membership questions (exactly and modulo an integer
-multiple of the lattice), and packages two integer invariants used by the
+those pieces, answers membership questions (in the lattice and in an
+integer multiple of it), and packages two integer invariants used by the
 verifiers: decomposability of a variety's class modulo a prime, and the gcd
 pattern of middle binomial coefficients.
 """
@@ -22,7 +22,6 @@ __all__ = [
     "LazardDegreePiece",
     "lazard_basis",
     "lazard_piece",
-    "lattice_member_mod",
     "mod2_theory_piece",
     "mod2_theory_member",
     "decomposable_test",
@@ -137,11 +136,6 @@ class LazardDegreePiece:
 @lru_cache(maxsize=None)
 def lazard_piece(n):
     return LazardDegreePiece(n)
-
-
-def lattice_member_mod(n, elt, m):
-    """Membership of a degree -n element in m times the degree piece."""
-    return lazard_piece(n).member_mod(elt, m)
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,6 @@
-"""Exact arithmetic kernel: graded coefficient domains, truncated multivariate
-power series, Laurent series in one distinguished variable, and integer-lattice
-linear algebra (row Hermite normal form).
+"""Exact arithmetic kernel: sparse-element arithmetic, graded coefficient
+domains, truncated multivariate power series, and integer-lattice linear
+algebra (row Hermite normal form).
 
 Elements of a domain are plain Python values (ints, pairs, dicts); the domain
 object supplies the ring operations.  Everything is immutable by convention and
@@ -10,7 +10,7 @@ anywhere are powers of two, in ZHALF).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +61,92 @@ def merge_partitions(p, q):
 
 
 # ---------------------------------------------------------------------------
+# sparse elements
+#
+# A sparse element is a dict {monomial: coefficient} over a base domain that
+# never stores a zero coefficient: the elements of B, T and TEPS, the
+# coefficient tables of series and the elements of Chow rings are all sparse
+# elements.  Over ZZ the coefficients are plain ints, and every routine below
+# skips the per-term dispatch to the base domain.
+
+def sparse_add(base, a, b):
+    out = dict(a)
+    if base is ZZ:
+        for k, v in b.items():
+            s = out.get(k, 0) + v
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        return out
+    zero = base.zero()
+    for k, v in b.items():
+        s = base.add(out.get(k, zero), v)
+        if base.is_zero(s):
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
+
+
+def sparse_neg(base, a):
+    if base is ZZ:
+        return {k: -v for k, v in a.items()}
+    return {k: base.neg(v) for k, v in a.items()}
+
+
+def sparse_scale(base, a, c):
+    """c * a for a base element c."""
+    if base.is_zero(c):
+        return {}
+    if base is ZZ:
+        return {k: v * c for k, v in a.items()}
+    out = {}
+    for k, v in a.items():
+        p = base.mul(v, c)
+        if not base.is_zero(p):
+            out[k] = p
+    return out
+
+
+def sparse_int_scale(base, a, n):
+    """n * a for an integer n; returns a itself when n == 1."""
+    if n == 1:
+        return a
+    if base is ZZ:
+        return {k: v * n for k, v in a.items()} if n else {}
+    return sparse_scale(base, a, base.from_int(n))
+
+
+def sparse_mul(base, a, b, key):
+    """Product of sparse elements whose monomials multiply by key(m1, m2),
+    a commutative product."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    if base is ZZ:
+        for k1, v1 in a.items():
+            for k2, v2 in b.items():
+                k = key(k1, k2)
+                s = out.get(k, 0) + v1 * v2
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
+        return out
+    zero = base.zero()
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            k = key(k1, k2)
+            s = base.add(out.get(k, zero), base.mul(v1, v2))
+            if base.is_zero(s):
+                out.pop(k, None)
+            else:
+                out[k] = s
+    return out
+
+
+# ---------------------------------------------------------------------------
 # coefficient domains
 
 class Domain:
@@ -78,18 +164,6 @@ class Domain:
 
     def eq(self, a, b):
         return self.is_zero(self.sub(a, b))
-
-    def sum(self, items):
-        acc = self.zero()
-        for a in items:
-            acc = self.add(acc, a)
-        return acc
-
-    def prod(self, items):
-        acc = self.one()
-        for a in items:
-            acc = self.mul(acc, a)
-        return acc
 
     def degrees(self, a):
         """Set of graded degrees of the monomials present in a."""
@@ -347,20 +421,33 @@ class HalfDomain(Domain):
         return acc
 
 
-class BDomain(Domain):
+class SparseDomain(Domain):
+    """A domain whose elements are sparse elements over `base`.  The sum,
+    negation and integer multiples are the kernel's, bound to the base once
+    so that each costs a single call; a subclass supplies the monomial
+    product (`mul`), degrees, units and serialization."""
+
+    def __init__(self, base):
+        self.base = base
+        self.add = partial(sparse_add, base)
+        self.neg = partial(sparse_neg, base)
+        self.int_scale = partial(sparse_int_scale, base)
+
+    def zero(self):
+        return {}
+
+    def is_zero(self, a):
+        return not a
+
+
+class BDomain(SparseDomain):
     """Polynomial ring over `base` in countably many generators b_1, b_2, ...
     with b_i of graded degree -i.  Elements are dicts {partition: base elt};
     the monomial for partition (3,1,1) is b3*b1^2."""
 
     def __init__(self, base):
-        self.base = base
+        super().__init__(base)
         self.name = "B(%s)" % base.name
-        # over ZZ the coefficients are plain ints: add, mul and int_scale
-        # skip the per-term dispatch to the base domain
-        self._int_base = base is ZZ
-
-    def zero(self):
-        return {}
 
     def one(self):
         return {(): self.base.one()}
@@ -377,62 +464,8 @@ class BDomain(Domain):
     def monomial(self, parts, coeff):
         return {} if self.base.is_zero(coeff) else {tuple(parts): coeff}
 
-    def add(self, a, b):
-        out = dict(a)
-        if self._int_base:
-            for k, v in b.items():
-                s = out.get(k, 0) + v
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-            return out
-        for k, v in b.items():
-            s = self.base.add(out.get(k, self.base.zero()), v)
-            if self.base.is_zero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return out
-
-    def neg(self, a):
-        return {k: self.base.neg(v) for k, v in a.items()}
-
-    def int_scale(self, a, k):
-        if k == 1:
-            return a
-        if self._int_base:
-            return {p: v * k for p, v in a.items()} if k else {}
-        return super().int_scale(a, k)
-
     def mul(self, a, b):
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        if self._int_base:
-            for k1, v1 in a.items():
-                for k2, v2 in b.items():
-                    k = merge_partitions(k1, k2)
-                    s = out.get(k, 0) + v1 * v2
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-            return out
-        bz = self.base
-        for k1, v1 in a.items():
-            for k2, v2 in b.items():
-                k = merge_partitions(k1, k2)
-                p = bz.mul(v1, v2)
-                s = bz.add(out.get(k, bz.zero()), p)
-                if bz.is_zero(s):
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return out
-
-    def is_zero(self, a):
-        return not a
+        return sparse_mul(self.base, a, b, merge_partitions)
 
     def is_unit(self, a):
         return set(a) == {()} and self.base.is_unit(a[()])
@@ -470,13 +503,13 @@ class BDomain(Domain):
         return acc
 
 
-class TDomain(Domain):
+class TDomain(SparseDomain):
     """ZZ[t] with t of graded degree -1; elements {exponent: int}."""
 
     name = "T"
 
-    def zero(self):
-        return {}
+    def __init__(self):
+        super().__init__(ZZ)
 
     def one(self):
         return {0: 1}
@@ -487,20 +520,9 @@ class TDomain(Domain):
     def monomial(self, k, c):
         return {} if c == 0 else {k: c}
 
-    def add(self, a, b):
-        out = dict(a)
-        for k, v in b.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return out
-
-    def neg(self, a):
-        return {k: -v for k, v in a.items()}
-
     def mul(self, a, b):
+        # inline rather than through sparse_mul: most products here have
+        # one-term factors, where a per-term key call would dominate
         out = {}
         for k1, v1 in a.items():
             for k2, v2 in b.items():
@@ -511,9 +533,6 @@ class TDomain(Domain):
                 else:
                     out.pop(k, None)
         return out
-
-    def is_zero(self, a):
-        return not a
 
     def is_unit(self, a):
         return set(a) == {0} and a[0] in (1, -1)
@@ -545,14 +564,18 @@ class TDomain(Domain):
         return acc
 
 
-class TEpsDomain(Domain):
+def _add_exponents(e1, e2):
+    return (e1[0] + e2[0], e1[1] + e2[1])
+
+
+class TEpsDomain(SparseDomain):
     """ZZ[t,eps]/eps^2 with t of degree -1 and eps of degree 0; elements are
     dicts {(t_exp, eps_exp): int} with eps_exp in {0, 1}."""
 
     name = "TEPS"
 
-    def zero(self):
-        return {}
+    def __init__(self):
+        super().__init__(ZZ)
 
     def one(self):
         return {(0, 0): 1}
@@ -563,36 +586,10 @@ class TEpsDomain(Domain):
     def monomial(self, k, eps, c):
         return {} if c == 0 else {(k, eps): c}
 
-    def add(self, a, b):
-        out = dict(a)
-        for k, v in b.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return out
-
-    def neg(self, a):
-        return {k: -v for k, v in a.items()}
-
     def mul(self, a, b):
-        out = {}
-        for (k1, e1), v1 in a.items():
-            for (k2, e2), v2 in b.items():
-                e = e1 + e2
-                if e > 1:
-                    continue
-                k = (k1 + k2, e)
-                s = out.get(k, 0) + v1 * v2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return out
-
-    def is_zero(self, a):
-        return not a
+        # eps^2 terms never mix with the others, so they are dropped at the end
+        prod = sparse_mul(ZZ, a, b, _add_exponents)
+        return {k: v for k, v in prod.items() if k[1] < 2}
 
     def is_unit(self, a):
         body = {k: v for (k, e), v in a.items() if e == 0}
@@ -750,35 +747,19 @@ class TruncatedSeries:
 
     def add(self, other):
         self._check(other)
-        dom = self.dom
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = dom.add(out.get(e, dom.zero()), c)
-            if dom.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return self._like(out)
+        return self._like(sparse_add(self.dom, self.coeffs, other.coeffs))
 
     def neg(self):
-        return self._like({e: self.dom.neg(c) for e, c in self.coeffs.items()})
+        return self._like(sparse_neg(self.dom, self.coeffs))
 
     def sub(self, other):
         return self.add(other.neg())
 
     def scale(self, c):
-        dom = self.dom
-        if dom.is_zero(c):
-            return self._like({})
-        out = {}
-        for e, v in self.coeffs.items():
-            p = dom.mul(v, c)
-            if not dom.is_zero(p):
-                out[e] = p
-        return self._like(out)
+        return self._like(sparse_scale(self.dom, self.coeffs, c))
 
     def int_scale(self, k):
-        return self.scale(self.dom.from_int(k))
+        return self._like(sparse_int_scale(self.dom, self.coeffs, k))
 
     def mul(self, other):
         self._check(other)
@@ -799,12 +780,6 @@ class TruncatedSeries:
                 else:
                     out[e] = s
         return self._like(out)
-
-    def pow(self, k):
-        acc = TruncatedSeries.constant(self.dom, self.vars, self.order, self.dom.one())
-        for _ in range(k):
-            acc = acc.mul(self)
-        return acc
 
     def truncate(self, new_order):
         if new_order > self.order:
@@ -934,84 +909,6 @@ class TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# Laurent series in one distinguished variable
-
-class LaurentSeries:
-    """y^shift * series, with `series` a univariate TruncatedSeries in y.
-    The principal part (negative exponents) is finite by construction."""
-
-    __slots__ = ("shift", "series")
-
-    def __init__(self, shift, series):
-        if len(series.vars) != 1:
-            raise ValueError("LaurentSeries needs a univariate series")
-        self.shift = shift
-        self.series = series
-
-    @classmethod
-    def from_series(cls, series, shift=0):
-        return cls(shift, series)
-
-    def _normalized_pair(self, other):
-        s = min(self.shift, other.shift)
-        return self._lower_to(s), other._lower_to(s)
-
-    def _lower_to(self, s):
-        if s == self.shift:
-            return self
-        d = self.shift - s  # > 0
-        sr = self.series
-        out = {}
-        for (e,), c in sr.coeffs.items():
-            if e + d < sr.order:
-                out[(e + d,)] = c
-        return LaurentSeries(s, TruncatedSeries(sr.dom, sr.vars, sr.order, out, _trusted=True))
-
-    def add(self, other):
-        a, b = self._normalized_pair(other)
-        return LaurentSeries(a.shift, a.series.add(b.series))
-
-    def mul(self, other):
-        return LaurentSeries(self.shift + other.shift, self.series.mul(other.series))
-
-    def scale(self, c):
-        return LaurentSeries(self.shift, self.series.scale(c))
-
-    def coefficient(self, n):
-        """Coefficient of y^n."""
-        e = n - self.shift
-        if e < 0:
-            return self.series.dom.zero()
-        if e >= self.series.order:
-            raise ValueError("coefficient y^%d beyond truncation order" % n)
-        return self.series.coefficient((e,))
-
-    def residue(self):
-        return self.coefficient(-1)
-
-    def principal_items(self):
-        out = {}
-        for (e,), c in self.series.coeffs.items():
-            if e + self.shift < 0:
-                out[e + self.shift] = c
-        return out
-
-    def regular_part(self):
-        sr = self.series
-        out = {}
-        for (e,), c in sr.coeffs.items():
-            n = e + self.shift
-            if n >= 0 and n < sr.order:
-                out[(n,)] = c
-        return TruncatedSeries(sr.dom, sr.vars, sr.order, out, _trusted=True)
-
-
-def residue(f):
-    """The y^{-1} coefficient of a LaurentSeries."""
-    return f.residue()
-
-
-# ---------------------------------------------------------------------------
 # integer lattices via row Hermite normal form
 
 def hnf_rows(rows):
@@ -1070,7 +967,7 @@ def hnf_rows(rows):
 class IntegerLattice:
     """Z-span of integer vectors with exact membership tests."""
 
-    __slots__ = ("ncols", "generators", "hnf", "pivcols", "_mod_cache")
+    __slots__ = ("ncols", "generators", "hnf", "pivcols")
 
     def __init__(self, generators, ncols):
         self.ncols = ncols
@@ -1079,7 +976,6 @@ class IntegerLattice:
             if len(g) != ncols:
                 raise ValueError("generator length != ncols")
         self.hnf, self.pivcols = hnf_rows(self.generators)
-        self._mod_cache = {}
         for g in self.generators:  # spans-the-same-module sanity check
             if not self.member(g):
                 raise AssertionError("HNF lost a generator")
@@ -1099,21 +995,6 @@ class IntegerLattice:
                 q = v[c] // row[c]
                 v[c:] = [a - q * b for a, b in zip(v[c:], row[c:])]
         return not any(v)
-
-    def member_mod(self, v, m):
-        """Membership in span + m*Z^n (plain membership when m == 0)."""
-        if m < 0:
-            raise ValueError("modulus must be >= 0")
-        if m == 0:
-            return self.member(v)
-        if m not in self._mod_cache:
-            extra = []
-            for i in range(self.ncols):
-                e = [0] * self.ncols
-                e[i] = m
-                extra.append(e)
-            self._mod_cache[m] = IntegerLattice(list(self.generators) + extra, self.ncols)
-        return self._mod_cache[m].member(v)
 
     def scaled(self, m):
         """The lattice m*L."""

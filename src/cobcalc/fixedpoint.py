@@ -12,8 +12,6 @@ with their divisibility consequences for small fixed loci.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import symmfunc as sf
 from .chow_models import (
     VarietySpec,
@@ -22,17 +20,17 @@ from .chow_models import (
     additive_chern_number,
     build_model,
     chern_total,
-    cm_add,
     cm_graded,
-    cm_scale,
     euler_number,
     fundamental_class,
     quillen_pushforward,
     tangent_bundle,
 )
 from .cobordism import decomposable_test, lazard_piece, mod2_theory_member
-from .core_algebra import ZHALF, ZZ, TruncatedSeries, b_ring, is_partition, partitions
-from .fgl import formal_inverse, formal_mult, specialize, universal_fgl
+from .core_algebra import (
+    ZHALF, ZZ, TruncatedSeries, b_ring, is_partition, partitions, sparse_add, sparse_int_scale,
+)
+from .fgl import formal_inverse, formal_mult, universal_fgl
 from .report import Report
 
 __all__ = [
@@ -397,34 +395,24 @@ def verify_trivial_normal(action):
     return rep
 
 
-def _chern_series(model, plus_roots, minus_roots, z_max):
-    """Graded pieces c_0..c_{z_max} of prod (1 + r) / prod (1 + s) over the
-    given root elements, tracked by an auxiliary formal degree so the roots
-    may be inhomogeneous."""
-    c = [model.one(ZZ)] + [{} for _ in range(z_max)]
-    for r in plus_roots:
-        for j in range(z_max, 0, -1):
-            c[j] = cm_add(ZZ, c[j], model.mul(ZZ, r, c[j - 1]))
-    for s in minus_roots:
-        for j in range(1, z_max + 1):
-            c[j] = cm_add(ZZ, c[j], cm_scale(ZZ, model.mul(ZZ, s, c[j - 1]), -1))
-    return c
-
-
-def _twisted_roots(comp):
-    """Roots of the twist of the normal bundle by the nontrivial character,
-    plus the tangent roots of the component, split into numerator and
-    denominator lists."""
+def _twisted_chern_classes(comp, z_max):
+    """The pieces c_0..c_{z_max} of the total Chern class of the twist of
+    the normal bundle by the nontrivial character plus the tangent bundle of
+    the component: the z-graded pieces of the product of 1 + z r over its
+    roots r, which are 1 + l for a normal line l, 1 for a trivial normal
+    summand, and the tangent roots.  The auxiliary degree z lets the roots be
+    inhomogeneous."""
     model = comp.model
     one = model.one(ZZ)
-    plus = [cm_add(ZZ, one, l) for l in comp.normal.plus_lines]
-    plus += [one] * comp.normal.plus_trivial
-    minus = [one] * comp.normal.minus_trivial
     tan = model.tangent()
     if tan.minus_lines:
         raise AssertionError("tangent model subtracts line summands")
-    plus += list(tan.plus_lines)
-    return plus, minus
+    roots = [sparse_add(ZZ, one, l) for l in comp.normal.plus_lines]
+    roots += [one] * comp.normal.plus_trivial + list(tan.plus_lines)
+    plus = [{0: one, 1: r} for r in roots]
+    minus = [{0: one, 1: one}] * comp.normal.minus_trivial
+    cz = model.product(ZZ, plus, minus, z_max)
+    return [cz.get(j, {}) for j in range(z_max + 1)]
 
 
 def _eval_chern_poly(model, f, cz):
@@ -442,7 +430,7 @@ def _eval_chern_poly(model, f, cz):
                 term = model.mul(ZZ, term, cj)
                 if not term:
                     break
-        out = cm_add(ZZ, out, cm_scale(ZZ, term, coeff))
+        out = sparse_add(ZZ, out, sparse_int_scale(ZZ, term, coeff))
     return out
 
 
@@ -452,8 +440,8 @@ def _poly_number(spec, f):
     if spec.kind == "disjoint":
         return sum(_poly_number(c, f) for c in spec.components)
     model = build_model(spec)
-    tan = model.tangent()
-    cz = _chern_series(model, list(tan.plus_lines), [], spec.dim())
+    c_tan = chern_total(model, ZZ, model.tangent())
+    cz = [cm_graded(c_tan, j) for j in range(spec.dim() + 1)]
     return model.degree(ZZ, _eval_chern_poly(model, f, cz))
 
 
@@ -510,9 +498,7 @@ def verify_ks(action, alphas=None, f=None):
         for comp in action.components:
             model = comp.model
             c_minus = chern_total(model, ZZ, comp.normal.neg())
-            plus, minus = _twisted_roots(comp)
-            cz = _chern_series(model, plus, minus, n)
-            val = _eval_chern_poly(model, f, cz)
+            val = _eval_chern_poly(model, f, _twisted_chern_classes(comp, n))
             rhs += model.degree(ZZ, model.mul(ZZ, c_minus, val))
         rep.add(
             "ks:poly",
@@ -523,11 +509,6 @@ def verify_ks(action, alphas=None, f=None):
             rhs=rhs,
         )
     return rep
-
-
-@lru_cache(maxsize=None)
-def _half_law(order):
-    return specialize(universal_fgl(order), BH, _to_half_element)
 
 
 def _to_half_element(elt):
@@ -562,10 +543,13 @@ def verify_lmod2(action, order=None, max_m=None):
     if max_m is None:
         max_m = n
     rep = Report("lmod2")
-    law = _half_law(order)
+    # [2](x) and the formal inverse have integer coefficients: take them off
+    # the universal law and embed them
+    law = universal_fgl(order)
+    two = formal_mult(law, 2).map_coefficients(BH, _to_half_element)
+    zeta = formal_inverse(law).truncate(order - 1).map_coefficients(BH, _to_half_element)
     x = TruncatedSeries.variable(BH, ("x",), order, "x")
-    v = x.divide(formal_mult(law, 2))
-    zeta = formal_inverse(law).truncate(order - 1)
+    v = x.divide(two)
     vz = v.compose({"x": zeta})
     # pushforwards of honest bundles are integral: take them over ZZ, where
     # the residue data verify_L2_relations computed is cached, and embed

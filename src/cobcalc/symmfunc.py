@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from math import comb
 
-from .core_algebra import ZZ, TRING, TEPS, BDomain, TruncatedSeries
+from .core_algebra import ZZ, TRING, TEPS, BDomain, TruncatedSeries, sparse_add, sparse_scale
 from .fgl import chx_b_image, cha_b_image
-from .chow_models import VirtualSplitBundle, cm_add, cm_convert, cm_scale
+from .chow_models import VirtualSplitBundle, cm_convert
 
 __all__ = [
     "total_P",
@@ -50,91 +50,22 @@ def pi_series(dom, order):
     return TruncatedSeries(dom, ("y",), order, coeffs)
 
 
-def _pi_of_element(model, dom, img, u):
-    """pi evaluated on a nilpotent codim-1 element: 1 + b_1 u + b_2 u^2 + ..."""
-    out = model.one(dom)
-    p = model.one(ZZ)
-    for i in range(1, model.dim + 1):
-        p = model.mul(ZZ, p, u)
-        if not p:
-            break
-        bi = img(i)
-        out = cm_add(dom, out, cm_scale(dom, cm_convert(dom, p), bi))
-    return out
-
-
-def total_P(E, dom):
-    """Product of pi(c_1) over the lines of E, with inverted factors for the
-    negative part; trivial summands contribute pi(0) = 1."""
-    model = E.model
-    img = b_image_for(dom)
-    out = model.one(dom)
-    for line in E.plus_lines:
-        out = model.mul(dom, out, _pi_of_element(model, dom, img, line))
-    for line in E.minus_lines:
-        f = _pi_of_element(model, dom, img, line)
-        out = model.mul(dom, out, model.inverse_unit(dom, f))
-    return out
-
-
-def _ypoly_mul(model, dom, A, B, y_max):
-    out = {}
-    for ka, ea in A.items():
-        for kb, eb in B.items():
-            k = ka + kb
-            if k > y_max:
-                continue
-            term = model.mul(dom, ea, eb)
-            if not term:
-                continue
-            out[k] = cm_add(dom, out.get(k, {}), term)
-    return {k: v for k, v in out.items() if v}
-
-
-def _ypoly_inverse(model, dom, A, y_max):
-    one = {0: model.one(dom)}
-    zero_exp = (0,) * len(model.gens)
-    c00 = A.get(0, {}).get(zero_exp, dom.zero())
-    if not dom.eq(c00, dom.one()):
-        raise ValueError("y-polynomial inverse needs constant term 1")
-    M = {k: dict(v) for k, v in A.items()}
-    M[0] = dict(M.get(0, {}))
-    M[0].pop(zero_exp, None)
-    if not M[0]:
-        M.pop(0, None)
-    acc = one
-    term = one
-    for _ in range(model.dim + y_max + 1):
-        term = _ypoly_mul(model, dom, term, M, y_max)
-        term = {k: cm_scale(dom, v, dom.from_int(-1)) for k, v in term.items()}
-        if not term:
-            break
-        for k, v in term.items():
-            acc[k] = cm_add(dom, acc.get(k, {}), v)
-        acc = {k: v for k, v in acc.items() if v}
-    return acc
-
-
 def _pi_shifted(model, dom, img, u, y_max):
-    """pi(u + y) as a y-polynomial: dict {y power: element}."""
-    n = model.dim
+    """pi(u + y) for a codim-1 element u, as a y-polynomial {y power:
+    element}: [y^k] pi(u + y) = sum_d C(k + d, k) b_(k+d) u^d."""
     powers = [model.one(ZZ)]
-    for _ in range(n):
+    for _ in range(model.dim):
         nxt = model.mul(ZZ, powers[-1], u)
         if not nxt:
             break
         powers.append(nxt)
     out = {}
-    for k in range(0, y_max + 1):
-        elt = {}
-        for d, updeg in enumerate(powers):
-            i = k + d
-            if i == 0:
-                elt = cm_add(dom, elt, model.one(dom))
-                continue
-            c = comb(i, k)
-            bi = img(i)
-            elt = cm_add(dom, elt, cm_scale(dom, cm_convert(dom, updeg), dom.int_scale(bi, c)))
+    for k in range(y_max + 1):
+        elt = model.one(dom) if k == 0 else {}
+        for d, u_d in enumerate(powers):
+            if k + d:
+                coeff = dom.int_scale(img(k + d), comb(k + d, k))
+                elt = sparse_add(dom, elt, sparse_scale(dom, cm_convert(dom, u_d), coeff))
         if elt:
             out[k] = elt
     return out
@@ -145,19 +76,24 @@ def total_P_deformed(E, dom, y_max):
     roots to y), as a y-polynomial truncated at y^y_max."""
     model = E.model
     img = b_image_for(dom)
-    zero = {}
-    out = {0: model.one(dom)}
-    for line in E.plus_lines:
-        out = _ypoly_mul(model, dom, out, _pi_shifted(model, dom, img, line, y_max), y_max)
-    for _ in range(E.plus_trivial):
-        out = _ypoly_mul(model, dom, out, _pi_shifted(model, dom, img, zero, y_max), y_max)
-    for line in E.minus_lines:
-        f = _pi_shifted(model, dom, img, line, y_max)
-        out = _ypoly_mul(model, dom, out, _ypoly_inverse(model, dom, f, y_max), y_max)
-    for _ in range(E.minus_trivial):
-        f = _pi_shifted(model, dom, img, zero, y_max)
-        out = _ypoly_mul(model, dom, out, _ypoly_inverse(model, dom, f, y_max), y_max)
-    return out
+
+    def factors(lines, trivial):
+        return [_pi_shifted(model, dom, img, u, y_max) for u in lines + ({},) * trivial]
+
+    return model.product(dom, factors(E.plus_lines, E.plus_trivial),
+                         factors(E.minus_lines, E.minus_trivial), y_max)
+
+
+def total_P(E, dom):
+    """Product of pi(c_1) over the lines of E, with inverted factors for the
+    negative part; trivial summands contribute pi(0) = 1."""
+    model = E.model
+    img = b_image_for(dom)
+
+    def factors(lines):
+        return [_pi_shifted(model, dom, img, u, 0) for u in lines]
+
+    return model.product(dom, factors(E.plus_lines), factors(E.minus_lines), 0)[0]
 
 
 def class_coefficient(P, alpha):

@@ -1,5 +1,6 @@
-"""Reference constructions of the universal law and of the mod-2 lattice
-pieces, kept as test oracles for the production path.
+"""Reference constructions of the universal law, of its image over
+half-integers and of the mod-2 lattice pieces, kept as test oracles for the
+production path.
 
 The production code reads the universal law off a coefficient store that
 grows one total degree at a time (`fgl.universal_fgl`) and builds each
@@ -7,11 +8,14 @@ mod-2 piece from HNF bases of the lattice pieces
 (`cobordism.mod2_theory_piece`).  This module builds the same objects the
 direct way: the law as exp(log x + log y) with log the compositional
 inverse of the universal exponential, and the mod-2 piece from every
-generator of every lattice piece involved."""
+generator of every lattice piece involved.  `verify_lmod2` embeds the
+integral series [2](x) and the formal inverse in B(ZHALF); the oracle
+specializes the whole law into B(ZHALF) and validates it again."""
 
 from cobcalc.cobordism import BRING, lazard_piece
-from cobcalc.core_algebra import ZZ, IntegerLattice, TruncatedSeries, b_ring
-from cobcalc.fgl import universal_fgl
+from cobcalc.core_algebra import ZHALF, ZZ, IntegerLattice, TruncatedSeries, b_ring
+from cobcalc.fgl import specialize, universal_fgl
+from cobcalc.fixedpoint import _to_half_element
 
 
 def universal_series_by_reversion(order):
@@ -43,3 +47,9 @@ def mod2_piece_from_generators(n):
         for g in lazard_piece(n - k + 1).generators:
             rows.append(piece.vector(BRING.mul(ck, g)))
     return IntegerLattice(rows, len(piece.basis))
+
+
+def half_law_by_specialization(order):
+    """The universal law at `order` specialized into B(ZHALF)."""
+    return specialize(universal_fgl(order), b_ring(ZHALF), _to_half_element)
+

@@ -1,5 +1,13 @@
-"""Reference implementation of the alpha-indexed classes through symmetric
-functions, kept as a test oracle for the production path.
+"""Reference implementations of the characteristic classes, kept as test
+oracles for the production path.
+
+The first part holds the multiplicative classes as they were computed
+before every one of them became a product of unit factors in
+`ChowModel.product`: each routine with its own accumulation loops, inverses
+by geometric series, and the projective-bundle relation from unreduced
+elementary symmetric polynomials.
+
+The rest is the alpha-indexed classes through symmetric functions.
 
 The production code reads every alpha class off the multiplicative class
 P (`symmfunc.total_P`) and every Chern number off the fundamental class.
@@ -16,10 +24,207 @@ sparse dict mapping exponent tuples (length N) to integers."""
 
 from functools import lru_cache
 from itertools import permutations
+from math import comb
 
-from cobcalc.chow_models import chern_total, cm_add, cm_graded, cm_scale
+from cobcalc.chow_models import chern_total, cm_convert, cm_graded
 from cobcalc.core_algebra import ZZ, b_ring, is_partition
-from cobcalc.symmfunc import class_coefficient, total_P
+from cobcalc.symmfunc import b_image_for, class_coefficient, total_P
+
+
+# ---------------------------------------------------------------------------
+# multiplicative classes, one routine each
+
+def _add(dom, u, v):
+    out = dict(u)
+    for e, c in v.items():
+        s = dom.add(out.get(e, dom.zero()), c)
+        if dom.is_zero(s):
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
+def _scale(dom, u, c):
+    if dom.is_zero(c):
+        return {}
+    out = {}
+    for e, v in u.items():
+        p = dom.mul(v, c)
+        if not dom.is_zero(p):
+            out[e] = p
+    return out
+
+
+def _raw_mul_int(u, v):
+    """Unreduced product of int-coefficient elements."""
+    out = {}
+    for e1, c1 in u.items():
+        for e2, c2 in v.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def projbundle_relation(lines, nb):
+    """The rule for xi^r on a projective bundle with the given line roots
+    (int elements over nb base generators): -sum_i e_i(x) xi^(r-i), with
+    e_i the unreduced elementary symmetric polynomials of the roots."""
+    r = len(lines)
+    e_polys = [{(0,) * nb: 1}]
+    for x in lines:
+        nxt = [dict(e_polys[0])]
+        for i in range(1, len(e_polys) + 1):
+            prev = e_polys[i] if i < len(e_polys) else {}
+            nxt.append(_add(ZZ, prev, _raw_mul_int(e_polys[i - 1], x)))
+        e_polys = nxt
+    rule = {}
+    for i in range(1, r + 1):
+        for e, c in e_polys[i].items():
+            rule = _add(ZZ, rule, {tuple(e) + (r - i,): -c})
+    return rule
+
+
+def _inverse_unit(model, dom, u):
+    """Inverse of 1 + (positive-codimension part) by geometric series."""
+    one = model.one(dom)
+    zero_exp = (0,) * len(model.gens)
+    if not dom.eq(u.get(zero_exp, dom.zero()), dom.one()):
+        raise ValueError("inverse_unit needs constant term 1")
+    nu = dict(u)
+    nu.pop(zero_exp, None)
+    acc = one
+    term = one
+    for _ in range(model.dim + 1):
+        term = _scale(dom, model.mul(dom, term, nu), dom.from_int(-1))
+        if not term:
+            break
+        acc = _add(dom, acc, term)
+    return acc
+
+
+def chern_total_oracle(model, dom, E):
+    out = model.one(dom)
+    for line in E.plus_lines:
+        out = model.mul(dom, out, _add(dom, model.one(dom), cm_convert(dom, line)))
+    for line in E.minus_lines:
+        f = _add(dom, model.one(dom), cm_convert(dom, line))
+        out = model.mul(dom, out, _inverse_unit(model, dom, f))
+    return out
+
+
+def _pi_of_element(model, dom, img, u):
+    """pi evaluated on a nilpotent codim-1 element: 1 + b_1 u + b_2 u^2 + ..."""
+    out = model.one(dom)
+    p = model.one(ZZ)
+    for i in range(1, model.dim + 1):
+        p = model.mul(ZZ, p, u)
+        if not p:
+            break
+        out = _add(dom, out, _scale(dom, cm_convert(dom, p), img(i)))
+    return out
+
+
+def total_P_oracle(E, dom):
+    model = E.model
+    img = b_image_for(dom)
+    out = model.one(dom)
+    for line in E.plus_lines:
+        out = model.mul(dom, out, _pi_of_element(model, dom, img, line))
+    for line in E.minus_lines:
+        f = _pi_of_element(model, dom, img, line)
+        out = model.mul(dom, out, _inverse_unit(model, dom, f))
+    return out
+
+
+def _ypoly_mul(model, dom, A, B, y_max):
+    out = {}
+    for ka, ea in A.items():
+        for kb, eb in B.items():
+            k = ka + kb
+            if k > y_max:
+                continue
+            term = model.mul(dom, ea, eb)
+            if term:
+                out[k] = _add(dom, out.get(k, {}), term)
+    return {k: v for k, v in out.items() if v}
+
+
+def _ypoly_inverse(model, dom, A, y_max):
+    zero_exp = (0,) * len(model.gens)
+    if not dom.eq(A.get(0, {}).get(zero_exp, dom.zero()), dom.one()):
+        raise ValueError("y-polynomial inverse needs constant term 1")
+    M = {k: dict(v) for k, v in A.items()}
+    M[0] = dict(M.get(0, {}))
+    M[0].pop(zero_exp, None)
+    if not M[0]:
+        M.pop(0, None)
+    acc = {0: model.one(dom)}
+    term = acc
+    for _ in range(model.dim + y_max + 1):
+        term = _ypoly_mul(model, dom, term, M, y_max)
+        term = {k: _scale(dom, v, dom.from_int(-1)) for k, v in term.items()}
+        if not term:
+            break
+        for k, v in term.items():
+            acc[k] = _add(dom, acc.get(k, {}), v)
+        acc = {k: v for k, v in acc.items() if v}
+    return acc
+
+
+def _pi_shifted(model, dom, img, u, y_max):
+    """pi(u + y) as a y-polynomial: dict {y power: element}."""
+    powers = [model.one(ZZ)]
+    for _ in range(model.dim):
+        nxt = model.mul(ZZ, powers[-1], u)
+        if not nxt:
+            break
+        powers.append(nxt)
+    out = {}
+    for k in range(0, y_max + 1):
+        elt = {}
+        for d, updeg in enumerate(powers):
+            i = k + d
+            if i == 0:
+                elt = _add(dom, elt, model.one(dom))
+                continue
+            c = comb(i, k)
+            elt = _add(dom, elt, _scale(dom, cm_convert(dom, updeg), dom.int_scale(img(i), c)))
+        if elt:
+            out[k] = elt
+    return out
+
+
+def total_P_deformed_oracle(E, dom, y_max):
+    model = E.model
+    img = b_image_for(dom)
+    out = {0: model.one(dom)}
+    plus = list(E.plus_lines) + [{}] * E.plus_trivial
+    minus = list(E.minus_lines) + [{}] * E.minus_trivial
+    for line in plus:
+        out = _ypoly_mul(model, dom, out, _pi_shifted(model, dom, img, line, y_max), y_max)
+    for line in minus:
+        f = _ypoly_inverse(model, dom, _pi_shifted(model, dom, img, line, y_max), y_max)
+        out = _ypoly_mul(model, dom, out, f, y_max)
+    return out
+
+
+def chern_series_oracle(model, plus_roots, minus_roots, z_max):
+    """Graded pieces c_0..c_{z_max} of prod (1 + r) / prod (1 + s) over the
+    given root elements, tracked by an auxiliary formal degree so the roots
+    may be inhomogeneous."""
+    c = [model.one(ZZ)] + [{} for _ in range(z_max)]
+    for r in plus_roots:
+        for j in range(z_max, 0, -1):
+            c[j] = _add(ZZ, c[j], model.mul(ZZ, r, c[j - 1]))
+    for s in minus_roots:
+        for j in range(1, z_max + 1):
+            c[j] = _add(ZZ, c[j], _scale(ZZ, model.mul(ZZ, s, c[j - 1]), -1))
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +385,7 @@ def elementary_class(E, alpha):
             if not term:
                 break
         if term:
-            out = cm_add(ZZ, out, cm_scale(ZZ, term, c))
+            out = _add(ZZ, out, _scale(ZZ, term, c))
     return out
 
 

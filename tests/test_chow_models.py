@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -21,8 +22,9 @@ from cobcalc.chow_models import (
     euler_number,
     chern_number,
     additive_chern_number,
-    cm_add,
+    _pad,
 )
+from symm_oracle import projbundle_relation
 
 B = b_ring(ZZ)
 
@@ -103,6 +105,35 @@ def test_f1_relation_and_degree():
     assert m.degree(ZZ, m.normalize(ZZ, {(0, 2): 1})) == -1
     assert m.degree(ZZ, m.normalize(ZZ, {(1, 1): 1})) == 1
     assert len(m.basis(1)) == 2
+
+
+def _relations_by_oracle(model):
+    """The xi table of a chain of projective bundles, every relation built
+    from unreduced elementary symmetric polynomials of the roots."""
+    if model.base_model is None:
+        return dict(model.xi)
+    base = model.base_model
+    nb = len(base.gens)
+    xi = {off: (r, _pad(rule, 0, nb + 1)) for off, (r, rule) in _relations_by_oracle(base).items()}
+    xi[nb] = (len(model.bundle_lines), projbundle_relation(model.bundle_lines, nb))
+    return xi
+
+
+@pytest.mark.parametrize("spec", [
+    F1,
+    VarietySpec.projbundle(F1, [(0, 0), (1, 0), (0, 1)]),
+    VarietySpec.projbundle(VarietySpec.projbundle(P2, [(0,), (1,), (3,)]), [(1, 0), (0, 1), (2, -1)]),
+    VarietySpec.projbundle(VarietySpec.projbundle(P3, [(0,), (2,)]), [(0, 0), (1, 1), (-1, 2)]),
+])
+def test_reduce_matches_unreduced_relation(spec):
+    # the relation xi^r = -sum c_i(V) xi^(r-i) takes c(V) reduced on the
+    # base; it is the same relation, so every normal form must agree with
+    # the one under the unreduced e_i of the roots
+    model = build_model(spec)
+    old = ChowModel(spec.canonical())
+    old.xi = _relations_by_oracle(model)
+    for exp in itertools.product(*[range(b + 3) for b in model._bounds]):
+        assert model.reduce(exp) == old.reduce(exp), exp
 
 
 def test_bundle_line_length_checked():

@@ -6,7 +6,6 @@ from cobcalc.cobordism import (
     BRING,
     binomial_middle_gcd,
     decomposable_test,
-    lattice_member_mod,
     lazard_basis,
     lazard_piece,
     mod2_theory_piece,
@@ -47,8 +46,8 @@ def test_member_mod_scaling():
     assert piece.member_mod({(1,): 4}, 2)
     assert not piece.member_mod({(1,): 2}, 2)
     assert piece.member_mod({(1,): 2}, 0)
-    assert lattice_member_mod(1, {(1,): 6}, 3)
-    assert not lattice_member_mod(1, {(1,): 4}, 3)
+    assert piece.member_mod({(1,): 6}, 3)
+    assert not piece.member_mod({(1,): 4}, 3)
 
 
 @st.composite

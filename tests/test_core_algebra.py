@@ -14,8 +14,6 @@ from cobcalc.core_algebra import (
     is_partition,
     merge_partitions,
     TruncatedSeries as TS,
-    LaurentSeries,
-    residue,
     hnf_rows,
     IntegerLattice,
 )
@@ -194,36 +192,6 @@ def test_map_coefficients():
 
 
 # ---------------------------------------------------------------------------
-# Laurent series
-
-def test_laurent_residue():
-    f = LaurentSeries(-2, TS(ZZ, ("y",), 5, {(0,): 1, (1,): 1, (2,): 1}))
-    assert f.residue() == 1  # y^{-2}(1 + y + y^2): coeff of y^{-1} is 1
-    assert residue(f) == 1
-    g = LaurentSeries(0, TS(ZZ, ("y",), 5, {(0,): 3, (1,): 4}))
-    assert g.residue() == 0
-    assert f.coefficient(0) == 1
-    assert f.principal_items() == {-2: 1, -1: 1}
-    assert g.regular_part().coefficient((1,)) == 4
-
-
-def test_laurent_add_mul():
-    f = LaurentSeries(-1, TS(ZZ, ("y",), 4, {(0,): 1}))  # y^{-1}
-    g = LaurentSeries(0, TS(ZZ, ("y",), 4, {(1,): 1}))  # y
-    s = f.add(g)
-    assert s.coefficient(-1) == 1 and s.coefficient(1) == 1 and s.coefficient(0) == 0
-    p = f.mul(g)
-    assert p.coefficient(0) == 1
-    assert f.mul(f).coefficient(-2) == 1
-
-
-def test_laurent_truncation_guard():
-    f = LaurentSeries(0, TS(ZZ, ("y",), 3, {(0,): 1}))
-    with pytest.raises(ValueError):
-        f.coefficient(5)
-
-
-# ---------------------------------------------------------------------------
 # lattices
 
 def test_hnf_examples():
@@ -244,19 +212,6 @@ def test_lattice_membership():
     E = IntegerLattice([], 3)
     assert E.member((0, 0, 0))
     assert not E.member((1, 0, 0))
-    assert E.member_mod((1, 0, 0), 1)
-    assert not E.member_mod((1, 0, 0), 2)
-    assert E.member_mod((4, -2, 6), 2)
-
-
-def test_lattice_member_mod_zero_is_plain():
-    L = IntegerLattice([(2, 0), (0, 2)], 2)
-    assert L.member_mod((2, 2), 0)
-    assert not L.member_mod((1, 0), 0)
-    assert L.member_mod((1, 0), 1)
-    assert not L.member_mod((1, 0), 2)
-    assert not L.member_mod((3, 1), 2)  # L + 2Z^2 = 2Z^2 misses odd vectors
-    assert L.member_mod((3, 1), 3)
 
 
 def test_lattice_scaled():

@@ -8,7 +8,7 @@ from cobcalc.chow_models import (
     chern_total,
     tangent_bundle,
 )
-from cobcalc.core_algebra import ZZ, b_ring, partitions
+from cobcalc.core_algebra import ZHALF, ZZ, b_ring, partitions, sparse_add
 from cobcalc.fixedpoint import (
     FixedComponent,
     MuTwoActionModel,
@@ -21,7 +21,14 @@ from cobcalc.fixedpoint import (
     verify_ks,
     verify_lmod2,
     verify_trivial_normal,
+    _eval_chern_poly,
+    _to_half_element,
 )
+from cobcalc.fgl import formal_inverse, formal_mult, universal_fgl
+from law_oracle import half_law_by_specialization
+from symm_oracle import chern_series_oracle
+
+BH = b_ring(ZHALF)
 
 
 def pn(n):
@@ -317,3 +324,46 @@ def test_ks_rhs_matches_per_component_oracle():
         assert len(got) == len(alphas)
         for alpha in alphas:
             assert got["ks:alpha:(%s)" % ",".join(map(str, alpha))] == want[alpha]
+
+
+def _ks_poly_by_old_route(action, f):
+    """Both sides of ks:poly with the Chern series built root by root: c(T)
+    of the ambient variety, and per component the series of the twisted
+    normal-plus-tangent roots."""
+    def number(model, cz):
+        return model.degree(ZZ, _eval_chern_poly(model, f, cz))
+
+    amb = build_model(action.ambient)
+    lhs = number(amb, chern_series_oracle(amb, list(amb.tangent().plus_lines), [], action.dim))
+    rhs = 0
+    for comp in action.components:
+        model = comp.model
+        one = model.one(ZZ)
+        plus = [sparse_add(ZZ, one, l) for l in comp.normal.plus_lines]
+        plus += [one] * comp.normal.plus_trivial + list(model.tangent().plus_lines)
+        cz = chern_series_oracle(model, plus, [one] * comp.normal.minus_trivial, action.dim)
+        c_minus = chern_total(model, ZZ, comp.normal.neg())
+        rhs += model.degree(ZZ, model.mul(ZZ, c_minus, _eval_chern_poly(model, f, cz)))
+    return lhs, rhs
+
+
+KS_POLYS = [{(2,): 1}, {(0, 1): 1}, {(1, 1): 3, (3,): -1}, {(0, 0, 1): 2, (1,): 1}]
+
+
+def test_ks_poly_matches_old_route():
+    for act in _ks_oracle_actions():
+        for f in KS_POLYS:
+            chk = by_id(verify_ks(act, alphas=(), f=f), "ks:poly")
+            assert (chk.lhs, chk.rhs) == _ks_poly_by_old_route(act, f), (act, f)
+
+
+def test_lmod2_series_match_specialized_law():
+    # verify_lmod2 embeds [2](x) and the formal inverse of the universal law
+    # in B(ZHALF); the embedding is a ring map, so they agree with the series
+    # of the law specialized into B(ZHALF) first
+    for order in range(3, 11):
+        law = universal_fgl(order)
+        half = half_law_by_specialization(order)
+        assert formal_mult(law, 2).map_coefficients(BH, _to_half_element) == formal_mult(half, 2)
+        assert formal_inverse(law).map_coefficients(BH, _to_half_element) == formal_inverse(half)
+

@@ -1,12 +1,13 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cobcalc.core_algebra import ZZ, TRING, TEPS, b_ring, partitions
+from cobcalc.core_algebra import ZHALF, ZZ, TRING, TEPS, b_ring, partitions, sparse_add
 from cobcalc.chow_models import (
     VarietySpec,
     VirtualSplitBundle,
     build_model,
     chern_number,
-    cm_add,
+    chern_total,
     fundamental_class,
 )
 from cobcalc.symmfunc import (
@@ -16,7 +17,17 @@ from cobcalc.symmfunc import (
     pi_series,
     b_image_for,
 )
-from symm_oracle import cf_class, elementary_class, lambda_coeffs, m_product, q_alpha
+from symm_oracle import (
+    cf_class,
+    chern_series_oracle,
+    chern_total_oracle,
+    elementary_class,
+    lambda_coeffs,
+    m_product,
+    q_alpha,
+    total_P_deformed_oracle,
+    total_P_oracle,
+)
 
 B = b_ring(ZZ)
 
@@ -83,7 +94,7 @@ def test_total_P_multiplicative_inverse():
     m = build_model(VarietySpec.multiproj([2, 1]))
     h0, h1 = m.gen_element(0), m.gen_element(1)
     E = VirtualSplitBundle(
-        m, plus_lines=[h0, cm_add(ZZ, h0, h1)], minus_lines=[h1], plus_trivial=1
+        m, plus_lines=[h0, sparse_add(ZZ, h0, h1)], minus_lines=[h1], plus_trivial=1
     )
     prod = m.mul(B, total_P(E, B), total_P(E.neg(), B))
     assert prod == m.one(B)
@@ -110,9 +121,9 @@ def test_total_P_deformed_specializes_to_tensor():
     power = m.one(ZZ)
     for k in range(4):
         if k in d:
-            acc = cm_add(B, acc, m.mul(B, d[k], {e: B.from_int(c) for e, c in power.items()}))
+            acc = sparse_add(B, acc, m.mul(B, d[k], {e: B.from_int(c) for e, c in power.items()}))
         power = m.mul(ZZ, power, two_h)
-    three_h = cm_add(ZZ, h, two_h)
+    three_h = sparse_add(ZZ, h, two_h)
     direct = total_P(VirtualSplitBundle(m, plus_lines=[three_h]), B)
     assert acc == direct
 
@@ -141,13 +152,13 @@ def test_lambda_identity_against_direct_classes():
     # classes of E
     m = build_model(VarietySpec.multiproj([2, 1]))
     h0, h1 = m.gen_element(0), m.gen_element(1)
-    E = VirtualSplitBundle(m, plus_lines=[h0, h1, cm_add(ZZ, h0, h1)])
+    E = VirtualSplitBundle(m, plus_lines=[h0, h1, sparse_add(ZZ, h0, h1)])
     for alpha in [(1,), (2,), (1, 1), (2, 1), (3,), (1, 1, 1)]:
         direct = cf_class(E.neg(), alpha)
         expanded = {}
         for beta, nb in lambda_coeffs(alpha).items():
             term = cf_class(E, beta)
-            expanded = cm_add(ZZ, expanded, {e: nb * c for e, c in term.items()})
+            expanded = sparse_add(ZZ, expanded, {e: nb * c for e, c in term.items()})
         assert direct == expanded, alpha
 
 
@@ -177,3 +188,66 @@ def test_chern_numbers_match_elementary_route(name):
             want = model.degree(ZZ, oracle)
             assert cls.get(alpha, 0) == want, alpha
             assert chern_number(spec, alpha) == want, alpha
+
+
+# ---------------------------------------------------------------------------
+# every multiplicative class is one ChowModel.product; the routines it
+# replaced are the oracles
+
+_P1 = VarietySpec.multiproj([1])
+_F1 = VarietySpec.projbundle(_P1, [(0,), (1,)])
+PRODUCT_MODELS = [
+    VarietySpec.multiproj([2]),
+    VarietySpec.multiproj([1, 2]),
+    VarietySpec.product([_P1, _F1]),
+    VarietySpec.projbundle(VarietySpec.multiproj([2]), [(0,), (1,), (3,)]),
+    VarietySpec.projbundle(_F1, [(0, 0), (1, 0), (0, 1)]),
+]
+PRODUCT_DOMAINS = [ZZ, B, b_ring(ZHALF), TRING]
+
+
+@st.composite
+def _virtual_bundles(draw):
+    model = build_model(draw(st.sampled_from(PRODUCT_MODELS)))
+    vec = st.lists(st.integers(-2, 2), min_size=len(model.gens), max_size=len(model.gens))
+
+    def line(v):
+        return {tuple(int(i == j) for j in range(len(v))): c for i, c in enumerate(v) if c}
+
+    plus = [line(v) for v in draw(st.lists(vec, max_size=3))]
+    minus = [line(v) for v in draw(st.lists(vec, max_size=2))]
+    trivial = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    return VirtualSplitBundle(model, plus, minus, *trivial)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_virtual_bundles(), st.sampled_from(PRODUCT_DOMAINS), st.integers(0, 3))
+def test_products_match_oracles(E, dom, y_max):
+    model = E.model
+    assert chern_total(model, dom, E) == chern_total_oracle(model, dom, E)
+    if dom is not ZZ:
+        assert total_P(E, dom) == total_P_oracle(E, dom)
+        assert total_P_deformed(E, dom, y_max) == total_P_deformed_oracle(E, dom, y_max)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_virtual_bundles(), st.lists(st.booleans(), max_size=5), st.integers(0, 4))
+def test_z_graded_product_matches_chern_series(E, shifted, z_max):
+    # roots 1 + l are inhomogeneous; the factor 1 + z r keeps them apart by
+    # the auxiliary degree z
+    model = E.model
+    one = model.one(ZZ)
+    roots = [sparse_add(ZZ, one, l) if s else l for l, s in zip(E.plus_lines, shifted)]
+    roots += list(E.plus_lines[len(roots):]) + [one] * E.plus_trivial
+    minus = list(E.minus_lines) + [one] * E.minus_trivial
+    got = model.product(ZZ, [{0: one, 1: r} for r in roots], [{0: one, 1: s} for s in minus], z_max)
+    want = chern_series_oracle(model, roots, minus, z_max)
+    assert [got.get(j, {}) for j in range(z_max + 1)] == want
+
+
+def test_product_rejects_non_unit_divisor():
+    model = build_model(VarietySpec.multiproj([2]))
+    with pytest.raises(ValueError):
+        model.product(ZZ, [], [{0: {(0,): 2}}], 0)
+    with pytest.raises(ValueError):
+        model.product(ZZ, [], [{0: {(1,): 1}}], 0)
