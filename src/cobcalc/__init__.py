@@ -40,7 +40,6 @@ from .chow_models import (
     chern_total,
     euler_number,
     fundamental_class,
-    pushforward_projbundle,
     quillen_pushforward,
     tangent_bundle,
 )
@@ -84,7 +83,7 @@ __all__ = [
     "total_P", "total_P_deformed",
     "ChowModel", "VarietySpec", "VirtualSplitBundle", "additive_chern_number",
     "build_model", "chern_class", "chern_number", "chern_total",
-    "euler_number", "fundamental_class", "pushforward_projbundle",
+    "euler_number", "fundamental_class",
     "quillen_pushforward", "tangent_bundle",
     "LazardDegreePiece", "binomial_middle_gcd", "decomposable_test",
     "lazard_basis", "lazard_piece", "mod2_theory_member",

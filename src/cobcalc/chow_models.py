@@ -291,6 +291,7 @@ class ChowModel:
         "_reduce_cache",
         "_basis_cache",
         "_residue_cache",
+        "_pi_powers",
         "_tangent",
         "_fundamental",
         "_top_checked",
@@ -369,6 +370,7 @@ class ChowModel:
         self._reduce_cache = {}
         self._basis_cache = {}
         self._residue_cache = {}
+        self._pi_powers = {}
         self._tangent = None
         self._fundamental = None
         self._top_checked = False
@@ -589,28 +591,6 @@ def degree(model, u, dom=ZZ):
     return model.degree(dom, u)
 
 
-def pushforward_projbundle(model, u, dom=ZZ):
-    """Pushforward along p: P(V) -> S on raw elements: xi^j beta |->
-    c_{j+1-r}(-V) beta, zero for j < r-1.  Returns (base_model, element)."""
-    if model.base_model is None:
-        raise ValueError("pushforward needs a projbundle model")
-    base = model.base_model
-    r = model.xi[len(base.gens)][0]
-    minus_v = VirtualSplitBundle(base, (), model.bundle_lines, 0, 0)
-    cneg = chern_total(base, dom, minus_v)
-    out = {}
-    for e, c in u.items():
-        j = e[-1]
-        if j < r - 1:
-            continue
-        k = j + 1 - r
-        ck = cm_graded(cneg, k)
-        if not ck:
-            continue
-        out = sparse_add(dom, out, base.mul(dom, {tuple(e[:-1]): c}, ck))
-    return base, out
-
-
 def quillen_pushforward(S, V, m, dom):
     """Degree of the m-th power of the relative hyperplane class of
     P(V + nothing) over S, pushed all the way to the point: computed on S by
@@ -618,9 +598,8 @@ def quillen_pushforward(S, V, m, dom):
 
     S may be a spec or a model; V must be an honest bundle on it.  Only the
     factor pi(y)^m depends on m: the rest comes from _residue_series, which
-    computes it once per bundle and domain."""
-    from . import symmfunc as sf
-
+    computes it once per bundle and domain, and the powers of pi are kept on
+    the model per domain and order."""
     model = build_model(S) if isinstance(S, VarietySpec) else S
     if isinstance(model, DisjointModel):
         raise ValueError("push each component of a disjoint union separately")
@@ -634,10 +613,7 @@ def quillen_pushforward(S, V, m, dom):
     if r < 1:
         raise ValueError("bundle rank must be >= 1")
     order, series = _residue_series(model, V, dom)
-    pi = sf.pi_series(dom, order)
-    pi_m = TruncatedSeries.constant(dom, ("y",), order, dom.one())
-    for _ in range(m):
-        pi_m = pi_m.mul(pi)
+    pi_m = _pi_power(model, dom, order, m)
     # the residue at y = 0 of y^(m-r-i) pi^m d_i is [y^(r+i-m-1)] of pi^m d_i,
     # zero when that exponent is negative (it is always below the order)
     total = dom.zero()
@@ -650,6 +626,22 @@ def quillen_pushforward(S, V, m, dom):
     if not dom.is_homogeneous(total, expected):
         raise AssertionError("pushforward value is not homogeneous of degree %d" % expected)
     return total
+
+
+def _pi_power(model, dom, order, m):
+    """pi(y)^m truncated at `order`, for pi(y) = 1 + b_1 y + b_2 y^2 + ...
+    in dom.  The powers are memoized on the model per domain and order and
+    grown one product at a time on demand."""
+    from . import symmfunc as sf
+
+    key = (dom.name, order)
+    powers = model._pi_powers.get(key)
+    if powers is None:
+        one = TruncatedSeries.constant(dom, ("y",), order, dom.one())
+        powers = model._pi_powers[key] = [one, sf.pi_series(dom, order)]
+    while len(powers) <= m:
+        powers.append(powers[-1].mul(powers[1]))
+    return powers[m]
 
 
 def _residue_series(model, V, dom):

@@ -995,9 +995,3 @@ class IntegerLattice:
                 q = v[c] // row[c]
                 v[c:] = [a - q * b for a, b in zip(v[c:], row[c:])]
         return not any(v)
-
-    def scaled(self, m):
-        """The lattice m*L."""
-        if m < 1:
-            raise ValueError("scale must be >= 1")
-        return IntegerLattice([[m * a for a in row] for row in self.hnf], self.ncols)

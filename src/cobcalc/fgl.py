@@ -4,6 +4,16 @@ A law is a bivariate truncated series F(x, y) with F(x, 0) = x, F(0, y) = y,
 symmetric in x and y, associative up to the checked order, and graded: the
 coefficient of x^i y^j is homogeneous of degree 1 - i - j.  Construction
 verifies all of this, so a FormalGroupLaw instance is trusted downstream.
+
+The universal law and its reductions mod p are read off one coefficient
+store, together with the table L_k(n) = [x^n] log(x)^k.  Their multiples
+[a](x) = exp(a log x), the formal inverse [-1](x) among them, are read off
+that table as well, and since every truncation of such a law to order A
+holds the same store coefficients, their associativity check runs once per
+domain and A in a process.  Laws built any other way (the closed forms,
+the additive law, images under `specialize`) get [a](x) by composing the
+law with itself, the inverse by a fixed-point iteration, and the full
+check at every construction.
 """
 
 from __future__ import annotations
@@ -130,19 +140,26 @@ def formal_mult(law, a):
 #   L_k(n) = sum_{a=1}^{n-k+1} L_1(a) L_{k-1}(n-a)       (k >= 2)
 #   L_1(n) = -sum_{k=2}^{n} b_{k-1} L_k(n)                 ([x^n] exp(log x) = 0)
 #   F_ab   = sum_{j,l >= 1} b_{j+l-1} C(j+l, j) L_j(a) L_l(b)
-# _LOG_POWERS[n] maps k to L_k(n); _LAW_BY_DEGREE[d] maps (i, j), i + j = d,
-# to F_ij.  Zero entries are not stored.
+#   [x^n][a](x) = sum_{k=1}^{n} a^k b_{k-1} L_k(n)          ([a](x) = exp(a log x))
+# _LOG_POWERS[n] maps k to L_k(n), _EXP_LOG[n] maps k to b_{k-1} L_k(n), and
+# _LAW_BY_DEGREE[d] maps (i, j), i + j = d, to F_ij.  Zero entries are not
+# stored.
 _B = b_ring(ZZ)
 _LOG_POWERS = [{}, {1: _B.one()}]
+_EXP_LOG = [{}, {1: _B.one()}]
 _LAW_BY_DEGREE = [{}, {(1, 0): _B.one(), (0, 1): _B.one()}]
+# (domain name, A) for every store truncation to order A that passed the
+# associativity check in this process
+_ASSOC_CHECKED = set()
 
 
 def _grow_log_powers(n):
-    """Extend the table L_k(.) through degree n."""
+    """Extend the tables L_k(.) and b_{k-1} L_k(.) through degree n."""
     B = _B
     while len(_LOG_POWERS) <= n:
         d = len(_LOG_POWERS)
         row = {}
+        terms = {}
         for k in range(2, d + 1):
             acc = B.zero()
             for a in range(1, d - k + 2):
@@ -151,12 +168,14 @@ def _grow_log_powers(n):
                     acc = B.add(acc, B.mul(_LOG_POWERS[a][1], lower))
             if acc:
                 row[k] = acc
+                terms[k] = B.mul(B.gen(k - 1), acc)
         l1 = B.zero()
-        for k, v in row.items():
-            l1 = B.add(l1, B.mul(B.gen(k - 1), v))
+        for v in terms.values():
+            l1 = B.add(l1, v)
         if l1:
-            row[1] = B.neg(l1)
+            row[1] = terms[1] = B.neg(l1)
         _LOG_POWERS.append(row)
+        _EXP_LOG.append(terms)
 
 
 def _grow_universal(degree):
@@ -181,18 +200,64 @@ def _grow_universal(degree):
         _LAW_BY_DEGREE.append(row)
 
 
+class _StoreLaw(FormalGroupLaw):
+    """A law read off the shared store through the ring map `image` from
+    ZZ[b] to `dom`: the identity for the universal law, reduction mod p for
+    its reductions.  Its truncation to any order is the image of the same
+    store coefficients, so the associativity check at order A runs once per
+    (dom, A), and [a](x) is the image of the universal [a](x)."""
+
+    __slots__ = ("_image",)
+
+    def __init__(self, dom, order, image):
+        if order < 2:
+            raise ValueError("the universal law needs order >= 2, got %d" % order)
+        _grow_universal(order - 1)
+        self._image = image
+        coeffs = {}
+        for d in range(1, order):
+            for e, c in _LAW_BY_DEGREE[d].items():
+                v = image(c)
+                if not dom.is_zero(v):
+                    coeffs[e] = v
+        super().__init__(TruncatedSeries(dom, ("x", "y"), order, coeffs, _trusted=True))
+
+    def _assoc_ok(self, A):
+        key = (self.dom.name, A)
+        if key not in _ASSOC_CHECKED:
+            if not super()._assoc_ok(A):
+                return False
+            _ASSOC_CHECKED.add(key)
+        return True
+
+    def formal_inverse(self):
+        return self.formal_mult(-1)
+
+    def formal_mult(self, a):
+        """[a](x) = exp(a log x), whose x^n coefficient is
+        sum_k a^k b_{k-1} L_k(n), mapped into the law's domain."""
+        r = self._mult_cache.get(a)
+        if r is None:
+            B, dom = _B, self.dom
+            _grow_log_powers(self.order - 1)
+            coeffs = {}
+            for n in range(1, self.order):
+                acc = B.zero()
+                for k, term in _EXP_LOG[n].items():
+                    acc = B.add(acc, B.int_scale(term, a ** k))
+                v = self._image(acc)
+                if not dom.is_zero(v):
+                    coeffs[(n,)] = v
+            r = self._mult_cache[a] = TruncatedSeries(dom, ("x",), self.order, coeffs, _trusted=True)
+        return r
+
+
 @lru_cache(maxsize=None)
 def universal_fgl(order):
     """Universal formal group law over ZZ[b1, b2, ...] to total degree
     < order: exp(log x + log y) for the universal exponential
     x + b1 x^2 + b2 x^3 + ..., read off the shared coefficient store."""
-    if order < 2:
-        raise ValueError("the universal law needs order >= 2, got %d" % order)
-    _grow_universal(order - 1)
-    coeffs = {}
-    for d in range(1, order):
-        coeffs.update(_LAW_BY_DEGREE[d])
-    return FormalGroupLaw(TruncatedSeries(_B, ("x", "y"), order, coeffs, _trusted=True))
+    return _StoreLaw(_B, order, lambda c: c)
 
 
 def specialize(law, new_dom, coeff_fn):
@@ -240,11 +305,12 @@ def cha_fgl(order):
 
 @lru_cache(maxsize=None)
 def universal_fgl_mod_p(order, p):
+    """The universal law with every coefficient reduced mod the prime p,
+    over (ZZ/p)[b1, b2, ...]."""
     if not is_prime(p):
         raise ValueError("the universal law mod p needs a prime p, got %d" % p)
-    Bp = b_ring(int_mod(p))
 
-    def conv(c):
+    def reduce_mod_p(c):
         out = {}
         for parts, v in c.items():
             r = v % p
@@ -252,7 +318,7 @@ def universal_fgl_mod_p(order, p):
                 out[parts] = r
         return out
 
-    return specialize(universal_fgl(order), Bp, conv)
+    return _StoreLaw(b_ring(int_mod(p)), order, reduce_mod_p)
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +331,20 @@ def b_transport(elt, new_dom, gen_image, base_map=None):
         base_map = new_dom.from_int
     out = new_dom.zero()
     for parts, c in elt.items():
-        term = base_map(c)
-        for i in parts:
-            term = new_dom.mul(term, gen_image(i))
-        out = new_dom.add(out, term)
+        out = new_dom.add(out, new_dom.mul(base_map(c), _monomial_image(new_dom, gen_image, parts)))
     return out
+
+
+# the b-monomials of degree <= 17, the universal law's at order 18, number
+# about 1,200; the bound keeps a caller that passes a new gen_image on every
+# call from growing the memo without limit
+@lru_cache(maxsize=4096)
+def _monomial_image(new_dom, gen_image, parts):
+    """The image of the b-monomial `parts` (a partition) under
+    b_i |-> gen_image(i), built on the image of its longest proper prefix."""
+    if not parts:
+        return new_dom.one()
+    return new_dom.mul(_monomial_image(new_dom, gen_image, parts[:-1]), gen_image(parts[-1]))
 
 
 def chx_b_image(i):

@@ -1,6 +1,6 @@
-"""Reference constructions of the universal law, of its image over
-half-integers and of the mod-2 lattice pieces, kept as test oracles for the
-production path.
+"""Reference constructions of the universal law, of its multiples, of its
+image over half-integers and of the mod-2 lattice pieces, kept as test
+oracles for the production path.
 
 The production code reads the universal law off a coefficient store that
 grows one total degree at a time (`fgl.universal_fgl`) and builds each
@@ -10,11 +10,18 @@ direct way: the law as exp(log x + log y) with log the compositional
 inverse of the universal exponential, and the mod-2 piece from every
 generator of every lattice piece involved.  `verify_lmod2` embeds the
 integral series [2](x) and the formal inverse in B(ZHALF); the oracle
-specializes the whole law into B(ZHALF) and validates it again."""
+specializes the whole law into B(ZHALF) and validates it again.
+
+The store-built laws read [a](x) = exp(a log x) off the log-power table;
+`law_without_store` rebuilds the same series as a law with no store behind
+it, whose [a](x) comes from composing the series with itself and whose
+inverse comes from a fixed-point iteration.  `b_transport_by_parts` is the
+monomial transport without the memo of monomial images, and
+`scaled_lattice` the lattice m*L behind `LazardDegreePiece.member_mod`."""
 
 from cobcalc.cobordism import BRING, lazard_piece
 from cobcalc.core_algebra import ZHALF, ZZ, IntegerLattice, TruncatedSeries, b_ring
-from cobcalc.fgl import specialize, universal_fgl
+from cobcalc.fgl import FormalGroupLaw, specialize, universal_fgl
 from cobcalc.fixedpoint import _to_half_element
 
 
@@ -53,3 +60,29 @@ def half_law_by_specialization(order):
     """The universal law at `order` specialized into B(ZHALF)."""
     return specialize(universal_fgl(order), b_ring(ZHALF), _to_half_element)
 
+
+def law_without_store(law):
+    """The law's series as a law built directly: [a](x) = F([a-1](x), x) for
+    a > 0, [a](x) = m([-a](x)) for a < 0, and the inverse m(x) the fixed
+    point of m = -x - (mixed terms of F)(x, m)."""
+    return FormalGroupLaw(law.series)
+
+
+def b_transport_by_parts(elt, new_dom, gen_image, base_map=None):
+    """b_transport with every monomial multiplied out one part at a time."""
+    if base_map is None:
+        base_map = new_dom.from_int
+    out = new_dom.zero()
+    for parts, c in elt.items():
+        term = base_map(c)
+        for i in parts:
+            term = new_dom.mul(term, gen_image(i))
+        out = new_dom.add(out, term)
+    return out
+
+
+def scaled_lattice(lattice, m):
+    """The lattice m*L."""
+    if m < 1:
+        raise ValueError("scale must be >= 1")
+    return IntegerLattice([[m * a for a in row] for row in lattice.hnf], lattice.ncols)

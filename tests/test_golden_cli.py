@@ -69,6 +69,11 @@ COMMANDS = {
     "fgl-cha-mult": "fgl --law cha --order 5 --mult -2",
     "fgl-mod-3": "fgl --law universal-mod-p --p 3 --order 5",
     "fgl-additive": "fgl --law additive --order 4",
+    "fgl-universal-inverse": "fgl --law universal --order 10 --mult -1",
+    "fgl-universal-mult-3": "fgl --law universal --order 10 --mult 3",
+    "fgl-universal-mult-neg-3": "fgl --law universal --order 10 --mult -3",
+    "fgl-mod-2-inverse": "fgl --law universal-mod-p --p 2 --order 8 --mult -1",
+    "fgl-mod-3-mult-2": "fgl --law universal-mod-p --p 3 --order 8 --mult 2",
     "catalog": "catalog",
     "error-chern-alpha": ["chern", "--spec", _j(P3), "--alpha", "[1,2]"],
     "error-ks-alpha": "verify --theorem ks --builtin linear_pn --n 3 --a 1 --alpha [1,2]",
@@ -96,8 +101,13 @@ PINS = {
     'fgl-additive': (0, 'ce944fa12d7eaf9a35a6b84d6afcf2db34efce344c941c56b5496df42e3b6ff1'),
     'fgl-cha-mult': (0, '852af84fcf5e2d81d3cf7a2d1ec24417d8afe9dcfe276779d3965e177c4a18cb'),
     'fgl-chx-mult': (0, '04b80540942aaa29c04d5d23204527134730a95ba36cc439007f043410fa1898'),
+    'fgl-mod-2-inverse': (0, '62fd0f4efdb29b826070c25d1a7e61cb9516f8fd2e6a24cc9441d11cfe43910f'),
     'fgl-mod-3': (0, '7b5b0aff546587c17afd5293df60fe0e42dc0bfb1aa178e7d9c373891c4f730e'),
+    'fgl-mod-3-mult-2': (0, '7962d2c06140c1ebcd2d138ff322361ce51d541c689e8be20d17a9476253d7a3'),
+    'fgl-universal-inverse': (0, 'cc8eaf619a270c0411e6be0467ac71b036f1ff161f45841f3155375c13f768a2'),
     'fgl-universal-mult': (0, '068326ae6fd60551a987eafd222b6ebddc79cff53023c6b6e27a646a7be7ee7b'),
+    'fgl-universal-mult-3': (0, 'ccf5eeebdcb7eec6e77cd59e4bde589cdffa3df4d93b4c556b0a7c6ae457c3fe'),
+    'fgl-universal-mult-neg-3': (0, 'da9d556ba14b0629eea840bbb32fef35df6ef931e4d1e01d44a2c7ed60dc1171'),
     'verify-all-broken': (1, '9dd65176a7ed25ac9c2fcddbe45aa96c033c5af06c7d19fe3bf03566ae48c270'),
     'verify-all-factorwise-3': (0, 'b19c6e83ef56f2677884e4a5a973adae64ae81ff3246561e567ecdbbc97115ba'),
     'verify-all-linear-4-0': (0, '1cd6d7a889a01ddb755139ded50db99df48912104320bfe408fb96a6850eaec9'),
