@@ -16,12 +16,18 @@ from __future__ import annotations
 import json
 
 from .core_algebra import (
-    ZZ, TruncatedSeries, b_ring, is_partition, sparse_add, sparse_int_scale, sparse_neg,
+    TEPS, TRING, ZZ, TruncatedSeries, b_ring, int_mod, is_partition, sparse_add, sparse_from_int,
+    sparse_int_scale, sparse_neg,
 )
 
 
 # ---------------------------------------------------------------------------
 # variety specifications
+
+def _is_int(v):
+    """An int that is not a bool (JSON true/false decode to bools)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
 
 class VarietySpec:
     """Shape of a variety: multiproj / projbundle / product / disjoint."""
@@ -39,7 +45,7 @@ class VarietySpec:
     @classmethod
     def multiproj(cls, dims):
         dims = tuple(dims)
-        if not all(isinstance(d, int) and d >= 0 for d in dims):
+        if not all(_is_int(d) and d >= 0 for d in dims):
             raise ValueError("multiproj dims must be non-negative integers")
         return cls("multiproj", dims=dims)
 
@@ -53,7 +59,7 @@ class VarietySpec:
         if not lines:
             raise ValueError("projbundle needs at least one line")
         for v in lines:
-            if not all(isinstance(a, int) for a in v):
+            if not all(_is_int(a) for a in v):
                 raise ValueError("line vectors must be integer")
         if base.kind == "disjoint":
             raise ValueError("projbundle base must be connected")
@@ -160,17 +166,7 @@ class VarietySpec:
 
 # ---------------------------------------------------------------------------
 # element helpers (sparse elements: exponent tuple -> domain element; their
-# sums and multiples are the core_algebra kernel's)
-
-def cm_convert(dom, u):
-    """Int-coefficient element -> dom-coefficient element."""
-    out = {}
-    for e, c in u.items():
-        v = dom.from_int(c)
-        if not dom.is_zero(v):
-            out[e] = v
-    return out
-
+# sums, multiples and conversions are the core_algebra kernel's)
 
 def cm_graded(u, k):
     return {e: c for e, c in u.items() if sum(e) == k}
@@ -257,25 +253,13 @@ _model_cache = {}
 
 
 def build_model(spec):
-    """Chow model of a canonicalized spec (cached; disjoint specs get a thin
-    wrapper holding one model per component)."""
+    """Chow model of a canonicalized connected spec (cached).  A disjoint
+    union has no single model: its callers take its components."""
     spec = spec.canonical()
     key = spec.key()
     if key not in _model_cache:
-        if spec.kind == "disjoint":
-            _model_cache[key] = DisjointModel(spec)
-        else:
-            _model_cache[key] = ChowModel(spec)
+        _model_cache[key] = ChowModel(spec)
     return _model_cache[key]
-
-
-class DisjointModel:
-    __slots__ = ("spec", "components", "dim")
-
-    def __init__(self, spec):
-        self.spec = spec
-        self.components = tuple(build_model(c) for c in spec.components)
-        self.dim = spec.dim()
 
 
 class ChowModel:
@@ -293,13 +277,14 @@ class ChowModel:
         "_residue_cache",
         "_pi_powers",
         "_tangent",
+        "_p_neg_tangent",
         "_fundamental",
         "_top_checked",
     )
 
     def __init__(self, spec):
         if spec.kind == "disjoint":
-            raise ValueError("disjoint spec has per-component models")
+            raise ValueError("a disjoint union has no single Chow model: take its components")
         self.spec = spec
         self.base_model = None
         self.bundle_lines = None
@@ -372,6 +357,7 @@ class ChowModel:
         self._residue_cache = {}
         self._pi_powers = {}
         self._tangent = None
+        self._p_neg_tangent = {}
         self._fundamental = None
         self._top_checked = False
         assert sum(self._bounds) == self.dim
@@ -562,10 +548,7 @@ class ChowModel:
 
 
 def tangent_bundle(spec):
-    model = build_model(spec)
-    if isinstance(model, DisjointModel):
-        raise ValueError("tangent bundle of a disjoint union: take components")
-    return model.tangent()
+    return build_model(spec).tangent()
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +561,7 @@ def chern_total(model, dom, E):
         raise ValueError("bundle lives on a different model")
 
     def factors(lines):
-        return [{0: sparse_add(dom, model.one(dom), cm_convert(dom, x))} for x in lines]
+        return [{0: sparse_add(dom, model.one(dom), sparse_from_int(dom, x))} for x in lines]
 
     return model.product(dom, factors(E.plus_lines), factors(E.minus_lines), 0)[0]
 
@@ -601,8 +584,6 @@ def quillen_pushforward(S, V, m, dom):
     computes it once per bundle and domain, and the powers of pi are kept on
     the model per domain and order."""
     model = build_model(S) if isinstance(S, VarietySpec) else S
-    if isinstance(model, DisjointModel):
-        raise ValueError("push each component of a disjoint union separately")
     if V.model is not model:
         raise ValueError("bundle lives on a different model")
     if not V.is_honest():
@@ -644,6 +625,18 @@ def _pi_power(model, dom, order, m):
     return powers[m]
 
 
+def _p_neg_tangent(model, dom):
+    """P(-T) of the model over dom, memoized on the model per domain: the
+    fundamental class, the residue pushforwards and the additive verifier
+    all read it."""
+    from . import symmfunc as sf
+
+    hit = model._p_neg_tangent.get(dom.name)
+    if hit is None:
+        hit = model._p_neg_tangent[dom.name] = sf.total_P(model.tangent().neg(), dom)
+    return hit
+
+
 def _residue_series(model, V, dom):
     """The twist-independent part of the residue pushforward of the honest
     bundle V: the truncation order and the series d_i(y) = deg(c_i(-V) *
@@ -657,7 +650,7 @@ def _residue_series(model, V, dom):
         return hit
     ns = model.dim
     order = V.rank + ns
-    p_tan = sf.total_P(model.tangent().neg(), dom)
+    p_tan = _p_neg_tangent(model, dom)
     p_vy = sf.total_P_deformed(V.neg(), dom, order - 1)
     prod_y = {k: model.mul(dom, elt, p_tan) for k, elt in p_vy.items()}
     cneg = chern_total(model, dom, V.neg())
@@ -715,9 +708,6 @@ def fundamental_class(spec, theory="L", p=None):
       CHX  -- euler number times t^n,
       CHA  -- additive Chern number times eps t^n (euler number for n = 0).
     """
-    from . import symmfunc as sf
-    from .core_algebra import TRING, TEPS
-
     spec = spec.canonical()
     n = spec.dim()
     if theory == "L":
@@ -729,18 +719,12 @@ def fundamental_class(spec, theory="L", p=None):
             return out
         model = build_model(spec)
         if model._fundamental is None:
-            model._fundamental = model.degree(B, sf.total_P(model.tangent().neg(), B))
+            model._fundamental = model.degree(B, _p_neg_tangent(model, B))
         return model._fundamental
     if theory == "L_p":
         if p is None or p < 2:
             raise ValueError("theory L_p needs a prime p")
-        cls = fundamental_class(spec, "L")
-        out = {}
-        for parts, v in cls.items():
-            r = v % p
-            if r:
-                out[parts] = r
-        return out
+        return sparse_from_int(int_mod(p), fundamental_class(spec, "L"))
     if theory == "CHX":
         return TRING.monomial(n, euler_number(spec))
     if theory == "CHA":

@@ -15,6 +15,7 @@ import sys
 
 from .chow_models import (
     VarietySpec,
+    _is_int,
     additive_chern_number,
     chern_number,
     euler_number,
@@ -49,14 +50,6 @@ def series_json(series):
     return {"vars": list(series.vars), "order": series.order, "terms": terms}
 
 
-def series_terms_from_json(dom, obj):
-    """Inverse of series_json, as a plain {exponent: element} dict."""
-    out = {}
-    for term in obj["terms"]:
-        out[tuple(term["exp"])] = dom.from_monomials(term["coeff"])
-    return out
-
-
 def _alpha_key(alpha):
     return ",".join(str(a) for a in alpha) or "-"
 
@@ -80,7 +73,7 @@ def _read_input(path):
 
 def _parse_alpha(text):
     obj = _parse_json(text, "--alpha")
-    if not isinstance(obj, list) or not all(isinstance(a, int) and a > 0 for a in obj):
+    if not isinstance(obj, list) or not all(_is_int(a) and a > 0 for a in obj):
         raise UsageError("--alpha must be a JSON list of positive integers")
     return tuple(obj)
 

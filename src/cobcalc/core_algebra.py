@@ -109,6 +109,17 @@ def sparse_scale(base, a, c):
     return out
 
 
+def sparse_from_int(base, a):
+    """An int-coefficient sparse element with its coefficients mapped into
+    base, dropping those that become zero there."""
+    out = {}
+    for k, v in a.items():
+        c = base.from_int(v)
+        if not base.is_zero(c):
+            out[k] = c
+    return out
+
+
 def sparse_int_scale(base, a, n):
     """n * a for an integer n; returns a itself when n == 1."""
     if n == 1:
@@ -151,8 +162,10 @@ def sparse_mul(base, a, b, key):
 
 class Domain:
     """Base of all coefficient domains.  Subclasses define zero/one/from_int,
-    add/neg/mul, is_zero, is_unit/inv, degrees and the monomial serialization
-    used by the CLI."""
+    add/neg/mul, is_zero and is_unit/inv; _ScalarDomain and SparseDomain
+    define `degrees`, the graded degrees present in an element, and
+    `monomials`, its serialization as a sorted list of {"b", "t", "eps",
+    "coeff"} dicts, which the CLI writes and `fmt` renders."""
 
     name = "?"
 
@@ -165,23 +178,8 @@ class Domain:
     def eq(self, a, b):
         return self.is_zero(self.sub(a, b))
 
-    def degrees(self, a):
-        """Set of graded degrees of the monomials present in a."""
-        raise NotImplementedError
-
-    def graded_part(self, a, d):
-        raise NotImplementedError
-
     def is_homogeneous(self, a, d):
-        degs = self.degrees(a)
-        return degs <= {d}
-
-    def monomials(self, a):
-        """Serialize to a sorted list of {"b","t","eps","coeff"} dicts."""
-        raise NotImplementedError
-
-    def from_monomials(self, items):
-        raise NotImplementedError
+        return self.degrees(a) <= {d}
 
     def fmt(self, a):
         """Human-readable rendering, deterministic."""
@@ -213,11 +211,20 @@ class Domain:
         return s[2:] if s.startswith("+ ") else "-" + s[2:]
 
 
-def _mono_key(it):
-    return (sum(it["b"]) + it["t"], it["t"], it["eps"], it["b"])
+class _ScalarDomain(Domain):
+    """A domain of constants: a nonzero element is one monomial of degree 0,
+    whose coefficient the subclass renders with `coeff_str`."""
+
+    def degrees(self, a):
+        return frozenset() if self.is_zero(a) else frozenset({0})
+
+    def monomials(self, a):
+        if self.is_zero(a):
+            return []
+        return [{"b": [], "t": 0, "eps": 0, "coeff": self.coeff_str(a)}]
 
 
-class IntDomain(Domain):
+class IntDomain(_ScalarDomain):
     name = "ZZ"
 
     def zero(self):
@@ -249,33 +256,11 @@ class IntDomain(Domain):
             return a
         raise ValueError("not a unit in ZZ: %r" % (a,))
 
-    def degrees(self, a):
-        return frozenset() if a == 0 else frozenset({0})
-
-    def graded_part(self, a, d):
-        return a if d == 0 else 0
-
     def coeff_str(self, a):
         return str(a)
 
-    def coeff_parse(self, s):
-        return int(s)
 
-    def monomials(self, a):
-        if a == 0:
-            return []
-        return [{"b": [], "t": 0, "eps": 0, "coeff": str(a)}]
-
-    def from_monomials(self, items):
-        acc = 0
-        for it in items:
-            if it["b"] or it["t"] or it["eps"]:
-                raise ValueError("non-scalar monomial for ZZ")
-            acc += int(it["coeff"])
-        return acc
-
-
-class IntModDomain(Domain):
+class IntModDomain(_ScalarDomain):
     def __init__(self, m):
         if m < 2:
             raise ValueError("modulus must be >= 2")
@@ -312,30 +297,8 @@ class IntModDomain(Domain):
             raise ValueError("not a unit mod %d: %r" % (self.m, a))
         return pow(a, -1, self.m)
 
-    def degrees(self, a):
-        return frozenset() if self.is_zero(a) else frozenset({0})
-
-    def graded_part(self, a, d):
-        return a if d == 0 else 0
-
     def coeff_str(self, a):
         return str(a % self.m)
-
-    def coeff_parse(self, s):
-        return int(s) % self.m
-
-    def monomials(self, a):
-        if self.is_zero(a):
-            return []
-        return [{"b": [], "t": 0, "eps": 0, "coeff": str(a % self.m)}]
-
-    def from_monomials(self, items):
-        acc = 0
-        for it in items:
-            if it["b"] or it["t"] or it["eps"]:
-                raise ValueError("non-scalar monomial for %s" % self.name)
-            acc = (acc + int(it["coeff"])) % self.m
-        return acc
 
 
 def _half_norm(n, e):
@@ -347,7 +310,7 @@ def _half_norm(n, e):
     return (n, e)
 
 
-class HalfDomain(Domain):
+class HalfDomain(_ScalarDomain):
     """The ring of integers with powers of two inverted; elements are pairs
     (num, e) meaning num / 2**e, normalized so e == 0 or num is odd."""
 
@@ -388,44 +351,21 @@ class HalfDomain(Domain):
         j = abs(n).bit_length() - 1
         return _half_norm(sign * (1 << e), j)
 
-    def is_integral(self, a):
-        return a[1] == 0
-
-    def degrees(self, a):
-        return frozenset() if a[0] == 0 else frozenset({0})
-
-    def graded_part(self, a, d):
-        return a if d == 0 else (0, 0)
-
     def coeff_str(self, a):
         n, e = a
         return str(n) if e == 0 else "%d/2^%d" % (n, e)
 
-    def coeff_parse(self, s):
-        if "/2^" in s:
-            n, e = s.split("/2^")
-            return _half_norm(int(n), int(e))
-        return (int(s), 0)
 
-    def monomials(self, a):
-        if a[0] == 0:
-            return []
-        return [{"b": [], "t": 0, "eps": 0, "coeff": self.coeff_str(a)}]
-
-    def from_monomials(self, items):
-        acc = self.zero()
-        for it in items:
-            if it["b"] or it["t"] or it["eps"]:
-                raise ValueError("non-scalar monomial for ZHALF")
-            acc = self.add(acc, self.coeff_parse(it["coeff"]))
-        return acc
+def _mono_key(it):
+    return (sum(it["b"]) + it["t"], it["t"], it["eps"], it["b"])
 
 
 class SparseDomain(Domain):
     """A domain whose elements are sparse elements over `base`.  The sum,
     negation and integer multiples are the kernel's, bound to the base once
     so that each costs a single call; a subclass supplies the monomial
-    product (`mul`), degrees, units and serialization."""
+    product (`mul`), units, and `_parts`, which splits a monomial key into
+    its (b-partition, t exponent, eps exponent)."""
 
     def __init__(self, base):
         self.base = base
@@ -439,6 +379,17 @@ class SparseDomain(Domain):
     def is_zero(self, a):
         return not a
 
+    def degrees(self, a):
+        return frozenset(-sum(b) - t for b, t, _eps in map(self._parts, a))
+
+    def monomials(self, a):
+        items = []
+        for k, v in a.items():
+            b, t, eps = self._parts(k)
+            items.append({"b": list(b), "t": t, "eps": eps, "coeff": self.base.coeff_str(v)})
+        items.sort(key=_mono_key)
+        return items
+
 
 class BDomain(SparseDomain):
     """Polynomial ring over `base` in countably many generators b_1, b_2, ...
@@ -448,6 +399,10 @@ class BDomain(SparseDomain):
     def __init__(self, base):
         super().__init__(base)
         self.name = "B(%s)" % base.name
+
+    @staticmethod
+    def _parts(k):
+        return k, 0, 0
 
     def one(self):
         return {(): self.base.one()}
@@ -475,33 +430,6 @@ class BDomain(SparseDomain):
             raise ValueError("not a unit in %s: %r" % (self.name, a))
         return {(): self.base.inv(a[()])}
 
-    def degrees(self, a):
-        return frozenset(-sum(k) for k in a)
-
-    def graded_part(self, a, d):
-        return {k: v for k, v in a.items() if -sum(k) == d}
-
-    def coefficient(self, a, parts):
-        return a.get(tuple(parts), self.base.zero())
-
-    def monomials(self, a):
-        items = [
-            {"b": list(k), "t": 0, "eps": 0, "coeff": self.base.coeff_str(v)}
-            for k, v in a.items()
-        ]
-        items.sort(key=_mono_key)
-        return items
-
-    def from_monomials(self, items):
-        acc = self.zero()
-        for it in items:
-            if it["t"] or it["eps"]:
-                raise ValueError("t/eps monomial for %s" % self.name)
-            acc = self.add(
-                acc, self.monomial(tuple(it["b"]), self.base.coeff_parse(it["coeff"]))
-            )
-        return acc
-
 
 class TDomain(SparseDomain):
     """ZZ[t] with t of graded degree -1; elements {exponent: int}."""
@@ -510,6 +438,10 @@ class TDomain(SparseDomain):
 
     def __init__(self):
         super().__init__(ZZ)
+
+    @staticmethod
+    def _parts(k):
+        return (), k, 0
 
     def one(self):
         return {0: 1}
@@ -542,27 +474,6 @@ class TDomain(SparseDomain):
             raise ValueError("not a unit in ZZ[t]: %r" % (a,))
         return dict(a)
 
-    def degrees(self, a):
-        return frozenset(-k for k in a)
-
-    def graded_part(self, a, d):
-        return {k: v for k, v in a.items() if -k == d}
-
-    def monomials(self, a):
-        items = [
-            {"b": [], "t": k, "eps": 0, "coeff": str(v)} for k, v in a.items()
-        ]
-        items.sort(key=_mono_key)
-        return items
-
-    def from_monomials(self, items):
-        acc = self.zero()
-        for it in items:
-            if it["b"] or it["eps"]:
-                raise ValueError("b/eps monomial for ZZ[t]")
-            acc = self.add(acc, self.monomial(it["t"], int(it["coeff"])))
-        return acc
-
 
 def _add_exponents(e1, e2):
     return (e1[0] + e2[0], e1[1] + e2[1])
@@ -576,6 +487,10 @@ class TEpsDomain(SparseDomain):
 
     def __init__(self):
         super().__init__(ZZ)
+
+    @staticmethod
+    def _parts(k):
+        return (), k[0], k[1]
 
     def one(self):
         return {(0, 0): 1}
@@ -604,27 +519,6 @@ class TEpsDomain(SparseDomain):
             if e == 1:
                 out[(k, 1)] = -v
         return out
-
-    def degrees(self, a):
-        return frozenset(-k for (k, _e) in a)
-
-    def graded_part(self, a, d):
-        return {k: v for k, v in a.items() if -k[0] == d}
-
-    def monomials(self, a):
-        items = [
-            {"b": [], "t": k, "eps": e, "coeff": str(v)} for (k, e), v in a.items()
-        ]
-        items.sort(key=_mono_key)
-        return items
-
-    def from_monomials(self, items):
-        acc = self.zero()
-        for it in items:
-            if it["b"]:
-                raise ValueError("b monomial for TEPS")
-            acc = self.add(acc, self.monomial(it["t"], it["eps"], int(it["coeff"])))
-        return acc
 
 
 ZZ = IntDomain()

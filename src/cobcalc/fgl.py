@@ -18,10 +18,12 @@ check at every construction.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
-from .core_algebra import ZZ, TRING, TEPS, b_ring, int_mod, is_prime, TruncatedSeries
+from .core_algebra import (
+    ZZ, TRING, TEPS, b_ring, int_mod, is_prime, sparse_from_int, TruncatedSeries,
+)
 
 # associativity is a trivariate identity; comparing it in full at high order
 # is the dominant cost, so it is checked at min(order, this cap)
@@ -309,16 +311,8 @@ def universal_fgl_mod_p(order, p):
     over (ZZ/p)[b1, b2, ...]."""
     if not is_prime(p):
         raise ValueError("the universal law mod p needs a prime p, got %d" % p)
-
-    def reduce_mod_p(c):
-        out = {}
-        for parts, v in c.items():
-            r = v % p
-            if r:
-                out[parts] = r
-        return out
-
-    return _StoreLaw(b_ring(int_mod(p)), order, reduce_mod_p)
+    Fp = int_mod(p)
+    return _StoreLaw(b_ring(Fp), order, partial(sparse_from_int, Fp))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from . import symmfunc as sf
 from .chow_models import (
     VarietySpec,
     VirtualSplitBundle,
+    _is_int,
+    _p_neg_tangent,
     _residue_series,
     additive_chern_number,
     build_model,
@@ -28,9 +30,10 @@ from .chow_models import (
 )
 from .cobordism import decomposable_test, lazard_piece, mod2_theory_member
 from .core_algebra import (
-    ZHALF, ZZ, TruncatedSeries, b_ring, is_partition, partitions, sparse_add, sparse_int_scale,
+    ZHALF, ZZ, TruncatedSeries, b_ring, is_partition, partitions, sparse_add, sparse_from_int,
+    sparse_int_scale,
 )
-from .fgl import formal_inverse, formal_mult, universal_fgl
+from .fgl import formal_mult, universal_fgl
 from .report import Report
 
 __all__ = [
@@ -64,7 +67,7 @@ def _line_element(model, vec):
         raise ValueError("line vector has %d entries, model has %d generators" % (len(vec), ng))
     out = {}
     for i, c in enumerate(vec):
-        if not isinstance(c, int):
+        if not _is_int(c):
             raise ValueError("line vector entries must be integers")
         if c:
             e = [0] * ng
@@ -94,7 +97,7 @@ class FixedComponent:
         spec = spec.canonical()
         if spec.kind == "disjoint":
             raise ValueError("list the pieces of a disconnected fixed locus separately")
-        if not isinstance(codim, int) or codim < 0:
+        if not _is_int(codim) or codim < 0:
             raise ValueError("codimension must be a nonnegative integer")
         model = build_model(spec)
         if normal.model is not model:
@@ -155,14 +158,14 @@ class FixedComponent:
         spec = VarietySpec.from_json(obj["spec"])
         lines = obj.get("normal_lines", [])
         if not isinstance(lines, list) or not all(
-            isinstance(v, list) and all(isinstance(a, int) for a in v) for v in lines
+            isinstance(v, list) and all(_is_int(a) for a in v) for v in lines
         ):
             raise ValueError(
                 "fixed component field 'normal_lines' must be a JSON list of integer lists")
         ranks = []
         for name in ("normal_trivial_rank", "normal_minus_trivial_rank"):
             val = obj.get(name, 0)
-            if not isinstance(val, int):
+            if not _is_int(val):
                 raise ValueError("fixed component field %r must be a JSON integer" % name)
             ranks.append(val)
         return cls.from_lines(spec, obj["codim"], lines, *ranks)
@@ -287,6 +290,15 @@ def builtin_action(name, n=None, a=None, spec=None):
 # ---------------------------------------------------------------------------
 # verifiers
 
+def _max_twist(max_m, n):
+    """The largest twist to check: max_m, or the ambient dimension n."""
+    if max_m is None:
+        return n
+    if max_m < 0:
+        raise ValueError("max_m must be >= 0")
+    return max_m
+
+
 def verify_L2_relations(action, max_m=None):
     """Pushforwards from the projective completions of the normal bundles:
     at twist zero the total agrees with the ambient class in the mod-2
@@ -294,8 +306,7 @@ def verify_L2_relations(action, max_m=None):
     every positive twist vanishes there.  Each twist-zero pushforward is
     also recomputed directly on the completion as a cross-check."""
     n = action.dim
-    if max_m is None:
-        max_m = n
+    max_m = _max_twist(max_m, n)
     rep = Report("l2")
     sums = [B.zero() for _ in range(max_m + 1)]
     for idx, comp in enumerate(action.components):
@@ -512,7 +523,7 @@ def verify_ks(action, alphas=None, f=None):
 
 
 def _to_half_element(elt):
-    return {parts: (v, 0) for parts, v in elt.items()}
+    return sparse_from_int(ZHALF, elt)
 
 
 def _to_integer_element(elt):
@@ -529,9 +540,10 @@ def verify_lmod2(action, order=None, max_m=None):
     the halved two-fold multiple of the group law.
 
     Over half-integer coefficients, v = x / [2](x) is composed with the
-    formal inverse; the twisted class A_m sums the x-coefficients of that
-    series (multiplied by the m-th power of the inverse, and doubled at
-    m = 0) against the twisted pushforwards from the fixed locus.  Every
+    formal inverse [-1](x), which gives [-1](x) / [-2](x); the twisted class
+    A_m sums the x-coefficients of that series (multiplied by the m-th power
+    of the inverse, and doubled at m = 0) against the twisted pushforwards
+    from the fixed locus.  Every
     A_m must be integral; A_0 must agree with the ambient class modulo
     twice the lattice, and each A_m with m >= 1 must lie in the lattice."""
     n = action.dim
@@ -540,17 +552,14 @@ def verify_lmod2(action, order=None, max_m=None):
         order = need
     if order < need:
         raise ValueError("order %d too small: need at least %d" % (order, need))
-    if max_m is None:
-        max_m = n
+    max_m = _max_twist(max_m, n)
     rep = Report("lmod2")
-    # [2](x) and the formal inverse have integer coefficients: take them off
-    # the universal law and embed them
+    # [-1](x) and [-2](x) have integer coefficients: take them off the
+    # universal law and embed them; v(zeta(x)) = [-1](x) / [2]([-1](x))
     law = universal_fgl(order)
-    two = formal_mult(law, 2).map_coefficients(BH, _to_half_element)
-    zeta = formal_inverse(law).truncate(order - 1).map_coefficients(BH, _to_half_element)
-    x = TruncatedSeries.variable(BH, ("x",), order, "x")
-    v = x.divide(two)
-    vz = v.compose({"x": zeta})
+    inv = formal_mult(law, -1).map_coefficients(BH, _to_half_element)
+    vz = inv.divide(formal_mult(law, -2).map_coefficients(BH, _to_half_element))
+    zeta = inv.truncate(order - 1)
     # pushforwards of honest bundles are integral: take them over ZZ, where
     # the residue data verify_L2_relations computed is cached, and embed
     q_sums = []
@@ -664,13 +673,18 @@ def verify_additive(action):
         pb = comp.proj_spec()
         pb_model = build_model(pb)
         s_pb += additive_chern_number(pb)
-        p_tan = sf.total_P(pb_model.tangent(), B)
+        # [b_k]P(T) is the k-th power sum of the tangent roots, which is
+        # additive in the bundle, so it is -[b_k]P(-T)
+        p_neg_tan = _p_neg_tangent(pb_model, B)
         xi = pb_model.gen_element(len(pb_model.gens) - 1)
         xi_j = pb_model.one(ZZ)
         for j in range(1, n + 1):
             xi_j = pb_model.mul(ZZ, xi_j, xi)
-            cls = sf.class_coefficient(p_tan, (n - j,)) if n - j >= 1 else pb_model.one(ZZ)
-            d[j] += pb_model.degree(ZZ, pb_model.mul(ZZ, xi_j, cls))
+            if j == n:
+                d[j] += pb_model.degree(ZZ, xi_j)
+            else:
+                cls = sf.class_coefficient(p_neg_tan, (n - j,))
+                d[j] -= pb_model.degree(ZZ, pb_model.mul(ZZ, xi_j, cls))
     rep.add(
         "additive:mod2",
         "additive number of the ambient variety matches the completion total mod 2",

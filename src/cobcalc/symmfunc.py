@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from math import comb
 
-from .core_algebra import ZZ, TRING, TEPS, BDomain, TruncatedSeries, sparse_add, sparse_scale
+from .core_algebra import (
+    ZZ, TRING, TEPS, BDomain, TruncatedSeries, sparse_add, sparse_from_int, sparse_scale,
+)
 from .fgl import chx_b_image, cha_b_image
-from .chow_models import VirtualSplitBundle, cm_convert
+from .chow_models import VirtualSplitBundle
 
 __all__ = [
     "total_P",
@@ -65,7 +67,7 @@ def _pi_shifted(model, dom, img, u, y_max):
         for d, u_d in enumerate(powers):
             if k + d:
                 coeff = dom.int_scale(img(k + d), comb(k + d, k))
-                elt = sparse_add(dom, elt, sparse_scale(dom, cm_convert(dom, u_d), coeff))
+                elt = sparse_add(dom, elt, sparse_scale(dom, sparse_from_int(dom, u_d), coeff))
         if elt:
             out[k] = elt
     return out

@@ -28,8 +28,8 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb
 
-from cobcalc.chow_models import VirtualSplitBundle, chern_total, cm_convert, cm_graded
-from cobcalc.core_algebra import ZZ, b_ring, is_partition, sparse_add
+from cobcalc.chow_models import VirtualSplitBundle, chern_total, cm_graded
+from cobcalc.core_algebra import ZZ, b_ring, is_partition, sparse_add, sparse_from_int
 from cobcalc.symmfunc import b_image_for, class_coefficient, total_P
 
 
@@ -134,9 +134,9 @@ def _inverse_unit(model, dom, u):
 def chern_total_oracle(model, dom, E):
     out = model.one(dom)
     for line in E.plus_lines:
-        out = model.mul(dom, out, _add(dom, model.one(dom), cm_convert(dom, line)))
+        out = model.mul(dom, out, _add(dom, model.one(dom), sparse_from_int(dom, line)))
     for line in E.minus_lines:
-        f = _add(dom, model.one(dom), cm_convert(dom, line))
+        f = _add(dom, model.one(dom), sparse_from_int(dom, line))
         out = model.mul(dom, out, _inverse_unit(model, dom, f))
     return out
 
@@ -149,7 +149,7 @@ def _pi_of_element(model, dom, img, u):
         p = model.mul(ZZ, p, u)
         if not p:
             break
-        out = _add(dom, out, _scale(dom, cm_convert(dom, p), img(i)))
+        out = _add(dom, out, _scale(dom, sparse_from_int(dom, p), img(i)))
     return out
 
 
@@ -217,7 +217,7 @@ def _pi_shifted(model, dom, img, u, y_max):
                 elt = _add(dom, elt, model.one(dom))
                 continue
             c = comb(i, k)
-            elt = _add(dom, elt, _scale(dom, cm_convert(dom, updeg), dom.int_scale(img(i), c)))
+            elt = _add(dom, elt, _scale(dom, sparse_from_int(dom, updeg), dom.int_scale(img(i), c)))
         if elt:
             out[k] = elt
     return out

@@ -11,7 +11,6 @@ from cobcalc.chow_models import (
     VirtualSplitBundle,
     ChowModel,
     build_model,
-    DisjointModel,
     tangent_bundle,
     chern_total,
     chern_class,
@@ -163,8 +162,8 @@ def test_product_model_of_bundles():
 
 def test_disjoint_model():
     d = VarietySpec.disjoint([P1, P1])
-    m = build_model(d)
-    assert isinstance(m, DisjointModel) and len(m.components) == 2
+    with pytest.raises(ValueError, match="disjoint"):
+        build_model(d)
     assert euler_number(d) == 4
     assert fundamental_class(d, "L") == B.int_scale(B.gen(1), -4)
     with pytest.raises(ValueError):

@@ -5,8 +5,8 @@ import sys
 import pytest
 
 from cobcalc.chow_models import VarietySpec, chern_number
-from cobcalc.cli import main, series_terms_from_json
-from cobcalc.core_algebra import TRING, ZZ, b_ring, partitions
+from cobcalc.cli import main, series_json
+from cobcalc.core_algebra import TRING, partitions
 from cobcalc.fgl import formal_mult, universal_fgl
 
 P1 = {"type": "multiproj", "dims": [1]}
@@ -23,20 +23,18 @@ def test_fgl_chx_order4_signs(capsys):
     code, obj = run(capsys, ["fgl", "--law", "chx", "--order", "4"])
     assert code == 0
     assert obj["status"] == "pass"
-    terms = series_terms_from_json(TRING, obj["payload"]["series"])
-    assert terms[(1, 1)] == TRING.monomial(1, -2)
-    assert terms[(2, 1)] == TRING.monomial(2, 1)
-    assert terms[(1, 2)] == TRING.monomial(2, 1)
-    assert terms[(1, 0)] == TRING.one()
+    terms = {tuple(t["exp"]): t["coeff"] for t in obj["payload"]["series"]["terms"]}
+    assert terms[(1, 1)] == TRING.monomials(TRING.monomial(1, -2))
+    assert terms[(2, 1)] == TRING.monomials(TRING.monomial(2, 1))
+    assert terms[(1, 2)] == TRING.monomials(TRING.monomial(2, 1))
+    assert terms[(1, 0)] == TRING.monomials(TRING.one())
 
 
 def test_fgl_universal_mult_roundtrip(capsys):
     code, obj = run(capsys, ["fgl", "--order", "5", "--mult", "2"])
     assert code == 0
-    B = b_ring(ZZ)
-    got = series_terms_from_json(B, obj["payload"]["mult"]["series"])
     want = formal_mult(universal_fgl(5), 2)
-    assert got == want.coeffs
+    assert obj["payload"]["mult"]["series"] == series_json(want)
     assert obj["payload"]["mult"]["a"] == 2
 
 
@@ -162,6 +160,41 @@ def test_verify_malformed_action_exits_2(capsys, components, field):
     assert obj["status"] == "error"
     assert repr(field) in obj["error"]
     assert "Traceback" not in captured.err
+
+
+def _action_argv(**fields):
+    action = {"ambient": P2, "components": [_line_component(**fields)]}
+    return ["verify", "--theorem", "euler", "--action", json.dumps(action)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chern", "--spec", json.dumps({"type": "multiproj", "dims": [True]})],
+        ["chern", "--spec", json.dumps(P1), "--alpha", "[true]"],
+        ["chern", "--spec", json.dumps({"type": "projbundle", "base": P1, "lines": [[0], [True]]})],
+        _action_argv(normal_lines=[[True]]),
+        _action_argv(codim=True),
+        _action_argv(normal_trivial_rank=False),
+        _action_argv(normal_minus_trivial_rank=False),
+    ],
+    ids=["dims", "alpha", "lines", "normal_lines", "codim", "normal_trivial_rank",
+         "normal_minus_trivial_rank"],
+)
+def test_json_boolean_is_not_an_integer(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["status"] == "error"
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("theorem", ["l2", "lmod2", "all"])
+def test_negative_max_m_exits_2(capsys, theorem):
+    code, obj = run(capsys, ["verify", "--theorem", theorem, "--builtin", "linear_pn",
+                             "--n", "3", "--a", "1", "--max-m", "-1"])
+    assert code == 2
+    assert obj["error"] == "max_m must be >= 0"
 
 
 def test_partition_guard_at_cli(capsys):

@@ -251,3 +251,30 @@ def test_product_rejects_non_unit_divisor():
         model.product(ZZ, [], [{0: {(0,): 2}}], 0)
     with pytest.raises(ValueError):
         model.product(ZZ, [], [{0: {(1,): 1}}], 0)
+
+
+_P2 = VarietySpec.multiproj([2])
+_F1 = VarietySpec.projbundle(VarietySpec.multiproj([1]), [[0], [1]])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        VarietySpec.multiproj([4]),
+        VarietySpec.multiproj([1, 2]),
+        VarietySpec.product([_P2, _F1]),
+        VarietySpec.projbundle(_P2, [[0], [-1], [2]]),
+        VarietySpec.projbundle(_F1, [[0, 0], [1, -1], [0, 2]]),
+    ],
+    ids=["multiproj", "multiproj2", "product", "projbundle-neg-line", "projbundle-over-projbundle"],
+)
+def test_single_row_class_of_tangent_changes_sign(spec):
+    """[b_k]P(T) is the k-th power sum of the tangent roots, additive in the
+    bundle, so it is -[b_k]P(-T); verify_additive reads it off P(-T)."""
+    model = build_model(spec)
+    tan = model.tangent()
+    p_tan, p_neg = total_P(tan, B), total_P(tan.neg(), B)
+    assert class_coefficient(p_tan, (1,))  # c_1(T) is nonzero on every model here
+    for k in range(1, model.dim + 1):
+        neg = class_coefficient(p_neg, (k,))
+        assert class_coefficient(p_tan, (k,)) == {e: -c for e, c in neg.items()}, k
