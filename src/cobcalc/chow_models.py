@@ -7,27 +7,24 @@ and relative classes xi_k subject to xi^r = -(c_1(V) xi^{r-1} + ... + c_r(V))
 for the bundle V of the layer, whose line roots are x_1..x_r.  Ring elements
 are sparse dicts mapping exponent tuples to coefficients in a chosen Domain;
 reduction to normal form happens inside multiplication.  Every total class
-of a split bundle (Chern, P, deformed P) is one `ChowModel.product` of unit
-factors over its roots.
+of a split bundle (Chern, P, deformed P) is one `multiplicative_class`: a
+`ChowModel.product` of a series phi shifted by the plus roots and of 1/phi
+shifted by the minus roots.
 """
 
 from __future__ import annotations
 
 import json
+from math import comb
 
 from .core_algebra import (
-    TEPS, TRING, ZZ, TruncatedSeries, b_ring, int_mod, is_partition, sparse_add, sparse_from_int,
-    sparse_int_scale, sparse_neg,
+    TEPS, TRING, ZZ, TruncatedSeries, b_ring, int_mod, is_int, is_partition, is_prime, sparse_add,
+    sparse_from_int, sparse_int_scale, sparse_scale,
 )
 
 
 # ---------------------------------------------------------------------------
 # variety specifications
-
-def _is_int(v):
-    """An int that is not a bool (JSON true/false decode to bools)."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
 
 class VarietySpec:
     """Shape of a variety: multiproj / projbundle / product / disjoint."""
@@ -45,7 +42,7 @@ class VarietySpec:
     @classmethod
     def multiproj(cls, dims):
         dims = tuple(dims)
-        if not all(_is_int(d) and d >= 0 for d in dims):
+        if not all(is_int(d) and d >= 0 for d in dims):
             raise ValueError("multiproj dims must be non-negative integers")
         return cls("multiproj", dims=dims)
 
@@ -59,7 +56,7 @@ class VarietySpec:
         if not lines:
             raise ValueError("projbundle needs at least one line")
         for v in lines:
-            if not all(_is_int(a) for a in v):
+            if not all(is_int(a) for a in v):
                 raise ValueError("line vectors must be integer")
         if base.kind == "disjoint":
             raise ValueError("projbundle base must be connected")
@@ -426,12 +423,9 @@ class ChowModel:
                         out[e] = s
         return out
 
-    def product(self, dom, plus, minus, y_max):
-        """The product of the factors in `plus` divided by the factors in
-        `minus`, as a y-polynomial {k: element} truncated above y^y_max.
-        Each factor is such a y-polynomial whose y^0 element is 1 plus terms
-        of positive codimension, so it is a unit: 1 / (1 + g) is the sum of
-        the (-g)^j, which vanish for j > dim + y_max."""
+    def product(self, dom, factors, y_max):
+        """The product of the y-polynomials {k: element} in `factors`,
+        truncated above y^y_max."""
 
         def mul(a, b):
             out = {}
@@ -444,24 +438,9 @@ class ChowModel:
                             out[k] = sparse_add(dom, out[k], term) if k in out else term
             return {k: v for k, v in out.items() if v}
 
-        zero_exp = (0,) * len(self.gens)
         out = {0: self.one(dom)}
-        for f in plus:
+        for f in factors:
             out = mul(out, f)
-        for f in minus:
-            neg_g = {k: sparse_neg(dom, v) for k, v in f.items()}
-            if not dom.eq(neg_g.get(0, {}).pop(zero_exp, dom.zero()), dom.from_int(-1)):
-                raise ValueError("a divided factor needs constant term 1")
-            inv = {0: self.one(dom)}
-            term = inv
-            for _ in range(self.dim + y_max + 1):
-                term = mul(term, neg_g)
-                if not term:
-                    break
-                for k, v in term.items():
-                    inv[k] = sparse_add(dom, inv[k], v) if k in inv else v
-                inv = {k: v for k, v in inv.items() if v}
-            out = mul(out, inv)
         return out
 
     def basis(self, codim):
@@ -554,16 +533,59 @@ def tangent_bundle(spec):
 # ---------------------------------------------------------------------------
 # characteristic classes and pushforwards
 
+def _shifted_factor(model, phi, u, y_max):
+    """phi(u + y) for a codim-1 int element u, as a y-polynomial {y power:
+    element}: [y^k] phi(u + y) = sum_d C(k + d, k) phi_(k+d) u^d."""
+    dom = phi.dom
+    powers = [model.one(ZZ)]
+    while u and len(powers) <= model.dim:
+        nxt = model.mul(ZZ, powers[-1], u)
+        if not nxt:
+            break
+        powers.append(nxt)
+    out = {}
+    for k in range(y_max + 1):
+        elt = {}
+        for d, u_d in enumerate(powers):
+            c = phi.coeffs.get((k + d,))
+            if c is not None:
+                c = dom.int_scale(c, comb(k + d, k))
+                elt = sparse_add(dom, elt, sparse_scale(dom, sparse_from_int(dom, u_d), c))
+        if elt:
+            out[k] = elt
+    return out
+
+
+def multiplicative_class(E, phi, y_max):
+    """The multiplicative class of the virtual split bundle E fixed by the
+    univariate series phi, phi(0) = 1, with every root shifted by y: the
+    product of phi(u + y) over the plus roots u and of (1/phi)(v + y) over
+    the minus roots v, as a y-polynomial {k: element} truncated above
+    y^y_max.  Trivial roots are 0, so they only count when y_max > 0.  The
+    order of phi must exceed dim + y_max."""
+    model = E.model
+    if phi.order <= model.dim + y_max:
+        raise ValueError("phi needs order > dim + y_max")
+
+    def roots(lines, trivial):
+        return lines + ({},) * trivial if y_max else lines
+
+    factors = [_shifted_factor(model, phi, u, y_max) for u in roots(E.plus_lines, E.plus_trivial)]
+    minus = roots(E.minus_lines, E.minus_trivial)
+    if minus:
+        inv = phi.inverse()
+        factors += [_shifted_factor(model, inv, v, y_max) for v in minus]
+    return model.product(phi.dom, factors, y_max)
+
+
 def chern_total(model, dom, E):
-    """Total Chern class of a virtual split bundle: the product of 1 + x over
-    its line roots x, with inverted factors for the negative part."""
+    """Total Chern class of a virtual split bundle: the multiplicative class
+    of 1 + t."""
     if E.model is not model:
         raise ValueError("bundle lives on a different model")
-
-    def factors(lines):
-        return [{0: sparse_add(dom, model.one(dom), sparse_from_int(dom, x))} for x in lines]
-
-    return model.product(dom, factors(E.plus_lines), factors(E.minus_lines), 0)[0]
+    one = dom.one()
+    phi = TruncatedSeries(dom, ("t",), model.dim + 1, {(0,): one, (1,): one})
+    return multiplicative_class(E, phi, 0)[0]
 
 
 def chern_class(model, dom, E, k):
@@ -722,7 +744,7 @@ def fundamental_class(spec, theory="L", p=None):
             model._fundamental = model.degree(B, _p_neg_tangent(model, B))
         return model._fundamental
     if theory == "L_p":
-        if p is None or p < 2:
+        if not (is_int(p) and is_prime(p)):
             raise ValueError("theory L_p needs a prime p")
         return sparse_from_int(int_mod(p), fundamental_class(spec, "L"))
     if theory == "CHX":

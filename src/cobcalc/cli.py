@@ -15,13 +15,12 @@ import sys
 
 from .chow_models import (
     VarietySpec,
-    _is_int,
     additive_chern_number,
     chern_number,
     euler_number,
     fundamental_class,
 )
-from .core_algebra import partitions
+from .core_algebra import is_int, partitions
 from .fgl import (
     additive_fgl,
     cha_fgl,
@@ -73,7 +72,7 @@ def _read_input(path):
 
 def _parse_alpha(text):
     obj = _parse_json(text, "--alpha")
-    if not isinstance(obj, list) or not all(_is_int(a) and a > 0 for a in obj):
+    if not isinstance(obj, list) or not all(is_int(a) and a > 0 for a in obj):
         raise UsageError("--alpha must be a JSON list of positive integers")
     return tuple(obj)
 

@@ -38,8 +38,13 @@ def partitions(n):
     return tuple(out)
 
 
+def is_int(v):
+    """An int that is not a bool (JSON true/false decode to bools)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def is_partition(t):
-    return all(isinstance(a, int) and a > 0 for a in t) and all(
+    return all(is_int(a) and a > 0 for a in t) and all(
         t[i] >= t[i + 1] for i in range(len(t) - 1)
     )
 
@@ -733,27 +738,6 @@ class TruncatedSeries:
                 term = TruncatedSeries.constant(t0.dom, t0.vars, t0.order, t0.dom.one())
             acc = acc.add(term.scale(c))
         return acc
-
-    def reversion(self):
-        """Compositional inverse of a univariate series with f(0)=0 and unit
-        linear coefficient, via fixed-point iteration (works verbatim over
-        domains with nilpotents)."""
-        if len(self.vars) != 1:
-            raise ValueError("reversion needs a univariate series")
-        dom = self.dom
-        if (0,) in self.coeffs:
-            raise ValueError("reversion needs zero constant term")
-        u = self.coefficient((1,))
-        u_inv = dom.inv(u)  # raises if not a unit
-        x = TruncatedSeries.variable(dom, self.vars, self.order, self.vars[0])
-        h = self.sub(x.scale(u))  # degree >= 2 tail
-        g = x.scale(u_inv)
-        for _ in range(self.order - 1):
-            nxt = x.sub(h.compose({self.vars[0]: g})).scale(u_inv)
-            if nxt == g:
-                break
-            g = nxt
-        return g
 
     def inverse(self):
         """Multiplicative inverse; requires unit constant term."""

@@ -80,10 +80,6 @@ class FormalGroupLaw:
         rhs = f.compose({"x": X, "y": Fyz})
         return lhs == rhs
 
-    def add_series(self, u, v):
-        """F(u, v) for univariate series u, v with zero constant term."""
-        return self.series.compose({"x": u, "y": v})
-
     def formal_inverse(self):
         """The series m(x) with F(x, m(x)) = 0."""
         if self._inverse is None:

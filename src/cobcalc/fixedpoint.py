@@ -16,7 +16,6 @@ from . import symmfunc as sf
 from .chow_models import (
     VarietySpec,
     VirtualSplitBundle,
-    _is_int,
     _p_neg_tangent,
     _residue_series,
     additive_chern_number,
@@ -30,8 +29,8 @@ from .chow_models import (
 )
 from .cobordism import decomposable_test, lazard_piece, mod2_theory_member
 from .core_algebra import (
-    ZHALF, ZZ, TruncatedSeries, b_ring, is_partition, partitions, sparse_add, sparse_from_int,
-    sparse_int_scale,
+    ZHALF, ZZ, TruncatedSeries, b_ring, is_int, is_partition, partitions, sparse_add,
+    sparse_from_int, sparse_int_scale,
 )
 from .fgl import formal_mult, universal_fgl
 from .report import Report
@@ -67,7 +66,7 @@ def _line_element(model, vec):
         raise ValueError("line vector has %d entries, model has %d generators" % (len(vec), ng))
     out = {}
     for i, c in enumerate(vec):
-        if not _is_int(c):
+        if not is_int(c):
             raise ValueError("line vector entries must be integers")
         if c:
             e = [0] * ng
@@ -97,7 +96,7 @@ class FixedComponent:
         spec = spec.canonical()
         if spec.kind == "disjoint":
             raise ValueError("list the pieces of a disconnected fixed locus separately")
-        if not _is_int(codim) or codim < 0:
+        if not is_int(codim) or codim < 0:
             raise ValueError("codimension must be a nonnegative integer")
         model = build_model(spec)
         if normal.model is not model:
@@ -158,14 +157,14 @@ class FixedComponent:
         spec = VarietySpec.from_json(obj["spec"])
         lines = obj.get("normal_lines", [])
         if not isinstance(lines, list) or not all(
-            isinstance(v, list) and all(_is_int(a) for a in v) for v in lines
+            isinstance(v, list) and all(is_int(a) for a in v) for v in lines
         ):
             raise ValueError(
                 "fixed component field 'normal_lines' must be a JSON list of integer lists")
         ranks = []
         for name in ("normal_trivial_rank", "normal_minus_trivial_rank"):
             val = obj.get(name, 0)
-            if not _is_int(val):
+            if not is_int(val):
                 raise ValueError("fixed component field %r must be a JSON integer" % name)
             ranks.append(val)
         return cls.from_lines(spec, obj["codim"], lines, *ranks)
@@ -420,9 +419,10 @@ def _twisted_chern_classes(comp, z_max):
         raise AssertionError("tangent model subtracts line summands")
     roots = [sparse_add(ZZ, one, l) for l in comp.normal.plus_lines]
     roots += [one] * comp.normal.plus_trivial + list(tan.plus_lines)
-    plus = [{0: one, 1: r} for r in roots]
-    minus = [{0: one, 1: one}] * comp.normal.minus_trivial
-    cz = model.product(ZZ, plus, minus, z_max)
+    # a subtracted trivial summand divides by 1 + z: times sum_j (-z)^j
+    inv = {j: sparse_int_scale(ZZ, one, (-1) ** j) for j in range(z_max + 1)}
+    factors = [{0: one, 1: r} for r in roots] + [inv] * comp.normal.minus_trivial
+    cz = model.product(ZZ, factors, z_max)
     return [cz.get(j, {}) for j in range(z_max + 1)]
 
 

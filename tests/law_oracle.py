@@ -7,7 +7,7 @@ grows one total degree at a time (`fgl.universal_fgl`) and builds each
 mod-2 piece from HNF bases of the lattice pieces
 (`cobordism.mod2_theory_piece`).  This module builds the same objects the
 direct way: the law as exp(log x + log y) with log the compositional
-inverse of the universal exponential, and the mod-2 piece from every
+inverse of the universal exponential (`reversion`), and the mod-2 piece from every
 generator of every lattice piece involved.  `verify_lmod2` embeds the
 integral series [2](x) and the formal inverse in B(ZHALF); the oracle
 specializes the whole law into B(ZHALF) and validates it again.
@@ -25,6 +25,28 @@ from cobcalc.fgl import FormalGroupLaw, specialize, universal_fgl
 from cobcalc.fixedpoint import _to_half_element
 
 
+def reversion(f):
+    """Compositional inverse of a univariate series with f(0) = 0 and unit
+    linear coefficient, via fixed-point iteration (works verbatim over
+    domains with nilpotents)."""
+    if len(f.vars) != 1:
+        raise ValueError("reversion needs a univariate series")
+    dom = f.dom
+    if (0,) in f.coeffs:
+        raise ValueError("reversion needs zero constant term")
+    u = f.coefficient((1,))
+    u_inv = dom.inv(u)  # raises if not a unit
+    x = TruncatedSeries.variable(dom, f.vars, f.order, f.vars[0])
+    h = f.sub(x.scale(u))  # degree >= 2 tail
+    g = x.scale(u_inv)
+    for _ in range(f.order - 1):
+        nxt = x.sub(h.compose({f.vars[0]: g})).scale(u_inv)
+        if nxt == g:
+            break
+        g = nxt
+    return g
+
+
 def universal_series_by_reversion(order):
     """The universal law's series at `order`: the exponential
     x + b1 x^2 + b2 x^3 + ..., its reversion log, and exp(log x + log y)."""
@@ -32,7 +54,7 @@ def universal_series_by_reversion(order):
     exp = TruncatedSeries(
         B, ("x",), order, {(i + 1,): B.gen(i) for i in range(order - 1)}
     )
-    log = exp.reversion()
+    log = reversion(exp)
     X = TruncatedSeries.variable(B, ("x", "y"), order, "x")
     Y = TruncatedSeries.variable(B, ("x", "y"), order, "y")
     lx = log.compose({"x": X})

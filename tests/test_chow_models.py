@@ -217,6 +217,8 @@ def test_chern_numbers():
         chern_number(P3, (1, 2))
     with pytest.raises(ValueError, match="alpha must be a partition"):
         chern_number(P3, (0,))
+    with pytest.raises(ValueError, match="alpha must be a partition"):
+        chern_number(P1, (True,))
 
 
 def test_fundamental_classes():
@@ -229,8 +231,9 @@ def test_fundamental_classes():
     assert fundamental_class(P2, "CHA") == {(2, 1): -3}
     assert fundamental_class(VarietySpec.point(), "CHA") == {(0, 0): 1}
     assert fundamental_class(P2, "L_p", p=2) == {(2,): 1}
-    with pytest.raises(ValueError):
-        fundamental_class(P2, "L_p")
+    for p in (None, 1, 4, True):
+        with pytest.raises(ValueError, match="theory L_p needs a prime p"):
+            fundamental_class(P2, "L_p", p=p)
     with pytest.raises(ValueError):
         fundamental_class(P2, "nope")
 

@@ -142,6 +142,8 @@ def test_ks_alpha_guard():
     act = builtin_action("linear_pn", n=2, a=0)
     with pytest.raises(ValueError):
         verify_ks(act, alphas=[(5,)])
+    with pytest.raises(ValueError, match="alpha must be a partition"):
+        verify_ks(builtin_action("linear_pn", n=3, a=1), alphas=[(True,)])
 
 
 def test_additive_mod4_line():

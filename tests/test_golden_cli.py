@@ -25,6 +25,8 @@ F1 = {"type": "projbundle", "base": P1, "lines": [[0], [1]]}
 P2_AS_BUNDLE = {"type": "projbundle", "base": {"type": "multiproj", "dims": []}, "lines": [[], [], []]}
 PB_P2 = {"type": "projbundle", "base": P2, "lines": [[0], [1], [3]]}
 PB_PB = {"type": "projbundle", "base": F1, "lines": [[0, 0], [1, 0], [0, 1]]}
+# a negative line: c(-T) divides by 1 + xi - 2h
+PB_NEG = {"type": "projbundle", "base": P2, "lines": [[-2], [0], [1]]}
 # linear_pn(n=5, a=1) with one normal line of the first component perturbed
 BROKEN = {
     "ambient": {"type": "multiproj", "dims": [5]},
@@ -35,6 +37,11 @@ BROKEN = {
 }
 # P^2 with only a line fixed: the Euler congruence fails
 MISSING_POINT = {"ambient": P2, "components": [{"spec": P1, "codim": 1, "normal_lines": [[1]]}]}
+# a normal bundle that subtracts a trivial summand
+MINUS_TRIVIAL = {
+    "ambient": {"type": "multiproj", "dims": [2, 2]},
+    "components": [{"spec": P2, "codim": 2, "normal_lines": [[1], [1], [1]], "normal_minus_trivial_rank": 1}],
+}
 
 
 def _j(obj):
@@ -45,6 +52,7 @@ COMMANDS = {
     "verify-all-linear-5-1": "verify --theorem all --builtin linear_pn --n 5 --a 1",
     "verify-all-linear-6-2": "verify --theorem all --builtin linear_pn --n 6 --a 2",
     "verify-all-linear-4-0": "verify --theorem all --builtin linear_pn --n 4 --a 0",
+    "verify-all-linear-7-3": "verify --theorem all --builtin linear_pn --n 7 --a 3",
     "verify-all-factorwise-3": "verify --theorem all --builtin factorwise_p1n --n 3",
     "verify-all-swap-p3": ["verify", "--theorem", "all", "--builtin", "swap_square", "--spec", _j(P3)],
     "verify-all-swap-bundle": ["verify", "--theorem", "all", "--builtin", "swap_square", "--spec", _j(P2_AS_BUNDLE)],
@@ -57,10 +65,12 @@ COMMANDS = {
     "verify-trivial-normal": "verify --theorem trivial-normal --builtin factorwise_p1n --n 2",
     "verify-all-broken": ["verify", "--theorem", "all", "--action", _j(BROKEN)],
     "verify-all-missing-point": ["verify", "--theorem", "all", "--action", _j(MISSING_POINT)],
+    "verify-all-minus-trivial": ["verify", "--theorem", "all", "--action", _j(MINUS_TRIVIAL)],
     "chern-p2": ["chern", "--spec", _j(P2)],
     "chern-p1xp2": ["chern", "--spec", _j({"type": "multiproj", "dims": [1, 2]})],
     "chern-projbundle": ["chern", "--spec", _j(PB_P2)],
     "chern-projbundle-projbundle": ["chern", "--spec", _j(PB_PB)],
+    "chern-projbundle-neg-line": ["chern", "--spec", _j(PB_NEG)],
     "chern-product": ["chern", "--spec", _j({"type": "product", "factors": [P1, F1]})],
     "chern-disjoint": ["chern", "--spec", _j({"type": "disjoint", "components": [P2, F1]})],
     "chern-alpha": ["chern", "--spec", _j(P3), "--alpha", "[2,1]"],
@@ -92,6 +102,7 @@ PINS = {
     'chern-p2': (0, '2e136602a9ee67085c0bdfa5a8a774dd4f80abe353049597c14339294a94e00f'),
     'chern-product': (0, '74ec1fefd53348cc7a50535a2325ed82bc8d44ea71bec43b4fa1a6069a0d7118'),
     'chern-projbundle': (0, 'f3773fbdaa94e4bd8e8913e56340721f94760c0b96e2e12a2c1fdb778751b3ac'),
+    'chern-projbundle-neg-line': (0, '75310a4455922290791e983e733963bfcfe62e2e1e7111098a25d633de735c49'),
     'chern-projbundle-projbundle': (0, '298c783c5a9028fe725fd82c846ac7777a25eeb3cbb665300c28657c05eecf59'),
     'error-action': (2, 'f8d4a99521d213d21fed951545a17bd77433823517d824b6e45ec6c85a3ef5f3'),
     'error-chern-alpha': (2, '7465a959212ffc3b4215004cbe81f9cf62203f7803be552a103f3424a11d4266'),
@@ -113,6 +124,8 @@ PINS = {
     'verify-all-linear-4-0': (0, '1cd6d7a889a01ddb755139ded50db99df48912104320bfe408fb96a6850eaec9'),
     'verify-all-linear-5-1': (0, '3a88bd04ddc0a94622f70330985e8ece32b65d2351444a204af07a59e2a8ba70'),
     'verify-all-linear-6-2': (0, '2d10a9ad791318c4dea1184bd83f8984eec96c7ad94d0427f51ab42a523048bf'),
+    'verify-all-linear-7-3': (0, '1153cf313479b643f5b3f725677d7e90ae67dbc04a455aa5c3c4bcf457bcc5e5'),
+    'verify-all-minus-trivial': (0, '06f17cfe3f73a34c30c7b32640845e10ba9b311ee3c85e47eae38f8ad42f32ce'),
     'verify-all-missing-point': (1, 'e555697e3156a91cb6acb24b0ac7cd285d064753735e72963730af5c6f70d211'),
     'verify-all-swap-bundle': (0, '4931d5a4dcd71e710ffad9160bdb598eac9fe58f9cbe3202593957e5dbe4520f'),
     'verify-all-swap-p3': (0, '8400d6ac3b8dbd9627e47a9cdc7b26795f93a3471ad991240c1d1444d11eec58'),

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cobcalc.core_algebra import ZHALF, ZZ, TRING, TEPS, b_ring, partitions, sparse_add
+from cobcalc.core_algebra import ZHALF, ZZ, TRING, TEPS, b_ring, int_mod, partitions, sparse_add
 from cobcalc.chow_models import (
     VarietySpec,
     VirtualSplitBundle,
@@ -203,7 +203,7 @@ PRODUCT_MODELS = [
     VarietySpec.projbundle(VarietySpec.multiproj([2]), [(0,), (1,), (3,)]),
     VarietySpec.projbundle(_F1, [(0, 0), (1, 0), (0, 1)]),
 ]
-PRODUCT_DOMAINS = [ZZ, B, b_ring(ZHALF), TRING]
+PRODUCT_DOMAINS = [ZZ, B, b_ring(ZHALF), TRING, TEPS, b_ring(int_mod(3))]
 
 
 @st.composite
@@ -234,23 +234,23 @@ def test_products_match_oracles(E, dom, y_max):
 @given(_virtual_bundles(), st.lists(st.booleans(), max_size=5), st.integers(0, 4))
 def test_z_graded_product_matches_chern_series(E, shifted, z_max):
     # roots 1 + l are inhomogeneous; the factor 1 + z r keeps them apart by
-    # the auxiliary degree z
+    # the auxiliary degree z, and a divided root s is the factor sum_j (-z s)^j
     model = E.model
     one = model.one(ZZ)
     roots = [sparse_add(ZZ, one, l) if s else l for l, s in zip(E.plus_lines, shifted)]
     roots += list(E.plus_lines[len(roots):]) + [one] * E.plus_trivial
     minus = list(E.minus_lines) + [one] * E.minus_trivial
-    got = model.product(ZZ, [{0: one, 1: r} for r in roots], [{0: one, 1: s} for s in minus], z_max)
+
+    def inverse(s):
+        powers = [one]
+        for _ in range(z_max):
+            powers.append(model.mul(ZZ, powers[-1], s))
+        return {j: {e: (-1) ** j * c for e, c in p.items()} for j, p in enumerate(powers) if p}
+
+    factors = [{0: one, 1: r} for r in roots] + [inverse(s) for s in minus]
+    got = model.product(ZZ, factors, z_max)
     want = chern_series_oracle(model, roots, minus, z_max)
     assert [got.get(j, {}) for j in range(z_max + 1)] == want
-
-
-def test_product_rejects_non_unit_divisor():
-    model = build_model(VarietySpec.multiproj([2]))
-    with pytest.raises(ValueError):
-        model.product(ZZ, [], [{0: {(0,): 2}}], 0)
-    with pytest.raises(ValueError):
-        model.product(ZZ, [], [{0: {(1,): 1}}], 0)
 
 
 _P2 = VarietySpec.multiproj([2])
