@@ -270,13 +270,11 @@ class ChowModel:
         "bundle_lines",
         "_bounds",
         "_reduce_cache",
-        "_basis_cache",
         "_residue_cache",
         "_pi_powers",
         "_tangent",
         "_p_neg_tangent",
         "_fundamental",
-        "_top_checked",
     )
 
     def __init__(self, spec):
@@ -350,13 +348,11 @@ class ChowModel:
                 bounds.append(self.xi[i][0] - 1)
         self._bounds = tuple(bounds)
         self._reduce_cache = {}
-        self._basis_cache = {}
         self._residue_cache = {}
         self._pi_powers = {}
         self._tangent = None
         self._p_neg_tangent = {}
         self._fundamental = None
-        self._top_checked = False
         assert sum(self._bounds) == self.dim
 
     # -- ring structure ----------------------------------------------------
@@ -412,10 +408,11 @@ class ChowModel:
         out = {}
         for e1, c1 in u.items():
             for e2, c2 in v.items():
-                p = dom.mul(c1, c2)
-                if dom.is_zero(p):
+                red = self.reduce(tuple(a + b for a, b in zip(e1, e2)))
+                if not red:
                     continue
-                for e, k in self.reduce(tuple(a + b for a, b in zip(e1, e2))).items():
+                p = dom.mul(c1, c2)
+                for e, k in red.items():
                     s = dom.add(out.get(e, dom.zero()), dom.int_scale(p, k))
                     if dom.is_zero(s):
                         out.pop(e, None)
@@ -443,50 +440,10 @@ class ChowModel:
             out = mul(out, f)
         return out
 
-    def basis(self, codim):
-        """Normal-form monomials of the given codimension, with a generating
-        function cross-check on the count."""
-        if codim in self._basis_cache:
-            return self._basis_cache[codim]
-        bounds = self._bounds
-        out = []
-
-        def rec(i, left, acc):
-            if i == len(bounds):
-                if left == 0:
-                    out.append(tuple(acc))
-                return
-            lo = max(0, left - sum(bounds[i + 1:]))
-            for e in range(min(bounds[i], left), lo - 1, -1):
-                acc.append(e)
-                rec(i + 1, left - e, acc)
-                acc.pop()
-
-        rec(0, codim, [])
-        gf = [1]
-        for b in bounds:
-            nxt = [0] * (len(gf) + b)
-            for i, c in enumerate(gf):
-                for j in range(b + 1):
-                    nxt[i + j] += c
-            gf = nxt
-        want = gf[codim] if 0 <= codim < len(gf) else 0
-        if len(out) != want:
-            raise AssertionError("basis enumeration disagrees with rank count")
-        out.sort()
-        self._basis_cache[codim] = out
-        return out
-
     def degree(self, dom, u):
-        """Coefficient of the point class: the unique top-codimension normal
-        monomial."""
-        top = self._bounds
-        if not self._top_checked:
-            if self.basis(self.dim) != [top]:
-                raise AssertionError("top graded piece is not one-dimensional")
-            self._top_checked = True
-        u = self.normalize(dom, u)
-        return u.get(top, dom.zero())
+        """Coefficient of the point class: the one normal monomial of
+        codimension dim, whose exponents are the bounds."""
+        return self.normalize(dom, u).get(self._bounds, dom.zero())
 
     # -- tangent bundles ----------------------------------------------------
     def tangent(self):
@@ -590,10 +547,6 @@ def chern_total(model, dom, E):
 
 def chern_class(model, dom, E, k):
     return cm_graded(chern_total(model, dom, E), k)
-
-
-def degree(model, u, dom=ZZ):
-    return model.degree(dom, u)
 
 
 def quillen_pushforward(S, V, m, dom):

@@ -3,14 +3,14 @@ variety catalog, and the fixed-locus verifiers, all speaking JSON.
 
 Every command writes one JSON object {"command", "payload", "checks",
 "status"} (sorted keys, so output is byte-deterministic).  Exit codes:
-0 for pass, 1 for a failed verification, 2 for usage or data errors.
+0 for pass, 1 for a failed verification, 2 for usage or data errors, 3
+for an internal self-check that failed (a fault of the program).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .chow_models import (
@@ -31,7 +31,6 @@ from .fgl import (
 )
 from .fixedpoint import BUILTIN_CATALOG, VERIFIERS, MuTwoActionModel, builtin_action
 
-ORDER_ENV = "COBORDISM_ORDER"
 DEFAULT_ORDER = 8
 
 
@@ -77,20 +76,8 @@ def _parse_alpha(text):
     return tuple(obj)
 
 
-def _default_order(arg_order):
-    if arg_order is not None:
-        return arg_order
-    env = os.environ.get(ORDER_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError("%s must be an integer, got %r" % (ORDER_ENV, env))
-    return DEFAULT_ORDER
-
-
 def cmd_fgl(args):
-    order = _default_order(args.order)
+    order = args.order
     if order < 2:
         raise UsageError("--order must be at least 2")
     if args.law == "universal":
@@ -210,7 +197,7 @@ def _build_parser():
         choices=["universal", "chx", "cha", "additive", "universal-mod-p"],
         default="universal",
     )
-    pf.add_argument("--order", type=int, help="truncation order (default %s or $%s)" % (DEFAULT_ORDER, ORDER_ENV))
+    pf.add_argument("--order", type=int, default=DEFAULT_ORDER, help="truncation order (default %(default)s)")
     pf.add_argument("--p", type=int, help="prime for universal-mod-p")
     pf.add_argument("--mult", type=int, help="also expand the formal a-fold multiple")
 
@@ -260,6 +247,9 @@ def main(argv=None):
     except (UsageError, ValueError) as e:
         _emit({"command": args.command, "error": str(e), "status": "error"}, args)
         return 2
+    except AssertionError as e:
+        _emit({"command": args.command, "error": str(e), "status": "internal-error"}, args)
+        return 3
     _emit(obj, args)
     return code
 

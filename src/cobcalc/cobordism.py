@@ -16,7 +16,7 @@ from math import comb, gcd
 
 from .core_algebra import ZZ, IntegerLattice, b_ring, is_prime, partitions
 from .fgl import universal_fgl
-from .chow_models import VarietySpec, additive_chern_number, fundamental_class
+from .chow_models import additive_chern_number, fundamental_class
 
 __all__ = [
     "LazardDegreePiece",
@@ -190,8 +190,6 @@ def decomposable_test(spec, p):
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
-    if isinstance(spec, dict):
-        spec = VarietySpec.from_json(spec)
     n = spec.dim()
     if n < 1:
         raise ValueError("need a positive-dimensional variety")
@@ -239,8 +237,6 @@ def p_typical_chern_check(spec, p):
     divisible by p, and by p^2 when the class is decomposable mod p.  Returns
     a report dict listing each qualifying partition with its verdict.
     """
-    if isinstance(spec, dict):
-        spec = VarietySpec.from_json(spec)
     verdict = decomposable_test(spec, p)
     n = spec.dim()
     need = p * p if verdict["in_Lmodp_decomposable"] else p

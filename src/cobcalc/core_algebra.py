@@ -845,18 +845,14 @@ def hnf_rows(rows):
 class IntegerLattice:
     """Z-span of integer vectors with exact membership tests."""
 
-    __slots__ = ("ncols", "generators", "hnf", "pivcols")
+    __slots__ = ("ncols", "hnf", "pivcols")
 
     def __init__(self, generators, ncols):
         self.ncols = ncols
-        self.generators = [tuple(g) for g in generators]
-        for g in self.generators:
-            if len(g) != ncols:
-                raise ValueError("generator length != ncols")
-        self.hnf, self.pivcols = hnf_rows(self.generators)
-        for g in self.generators:  # spans-the-same-module sanity check
-            if not self.member(g):
-                raise AssertionError("HNF lost a generator")
+        generators = list(generators)
+        if any(len(g) != ncols for g in generators):
+            raise ValueError("generator length != ncols")
+        self.hnf, self.pivcols = hnf_rows(generators)
 
     @property
     def rank(self):

@@ -124,9 +124,7 @@ class FixedComponent:
         return self.spec.dim()
 
     def normal_plus_one(self):
-        nb = self.normal.add_trivial(1)
-        assert nb.is_honest()
-        return nb
+        return self.normal.add_trivial(1)
 
     def proj_lines(self):
         nb = self.normal_plus_one()
@@ -414,9 +412,7 @@ def _twisted_chern_classes(comp, z_max):
     inhomogeneous."""
     model = comp.model
     one = model.one(ZZ)
-    tan = model.tangent()
-    if tan.minus_lines:
-        raise AssertionError("tangent model subtracts line summands")
+    tan = model.tangent()  # it subtracts trivial summands only, roots 0
     roots = [sparse_add(ZZ, one, l) for l in comp.normal.plus_lines]
     roots += [one] * comp.normal.plus_trivial + list(tan.plus_lines)
     # a subtracted trivial summand divides by 1 + z: times sum_j (-z)^j

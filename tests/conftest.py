@@ -1,0 +1,7 @@
+"""Test-suite settings: Hypothesis draws the same examples on every run, so
+tier-1 results are deterministic."""
+
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")

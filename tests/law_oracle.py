@@ -15,7 +15,8 @@ specializes the whole law into B(ZHALF) and validates it again.
 The store-built laws read [a](x) = exp(a log x) off the log-power table;
 `law_without_store` rebuilds the same series as a law with no store behind
 it, whose [a](x) comes from composing the series with itself and whose
-inverse comes from a fixed-point iteration.  `b_transport_by_parts` is the
+inverse comes from a fixed-point iteration; it also runs the full axiom
+check that store-built laws skip.  `b_transport_by_parts` is the
 monomial transport without the memo of monomial images, and
 `scaled_lattice` the lattice m*L behind `LazardDegreePiece.member_mod`."""
 
@@ -62,10 +63,10 @@ def universal_series_by_reversion(order):
     return exp.compose({"x": lx.add(ly)})
 
 
-def mod2_piece_from_generators(n):
+def mod2_generator_rows(n):
     """Twice every generator of the degree -n lattice piece, plus c_k times
     every generator of the degree -(n-k+1) piece for the coefficients c_k
-    of [2](x), as one integer lattice."""
+    of [2](x), as coordinate rows in the degree -n basis."""
     piece = lazard_piece(n)
     rows = [tuple(2 * x for x in piece.vector(g)) for g in piece.generators]
     two = universal_fgl(n + 2).formal_mult(2)
@@ -75,7 +76,12 @@ def mod2_piece_from_generators(n):
             continue
         for g in lazard_piece(n - k + 1).generators:
             rows.append(piece.vector(BRING.mul(ck, g)))
-    return IntegerLattice(rows, len(piece.basis))
+    return rows
+
+
+def mod2_piece_from_generators(n):
+    """The integer lattice spanned by `mod2_generator_rows(n)`."""
+    return IntegerLattice(mod2_generator_rows(n), len(lazard_piece(n).basis))
 
 
 def half_law_by_specialization(order):
@@ -90,13 +96,11 @@ def law_without_store(law):
     return FormalGroupLaw(law.series)
 
 
-def b_transport_by_parts(elt, new_dom, gen_image, base_map=None):
+def b_transport_by_parts(elt, new_dom, gen_image):
     """b_transport with every monomial multiplied out one part at a time."""
-    if base_map is None:
-        base_map = new_dom.from_int
     out = new_dom.zero()
     for parts, c in elt.items():
-        term = base_map(c)
+        term = new_dom.from_int(c)
         for i in parts:
             term = new_dom.mul(term, gen_image(i))
         out = new_dom.add(out, term)

@@ -7,7 +7,8 @@ before every one of them became a product of unit factors in
 by geometric series, and the projective-bundle relation from unreduced
 elementary symmetric polynomials.  With it goes the pushforward along a
 projective bundle by the Segre-class formula, which checks the relations of
-the bundle's Chow model.
+the bundle's Chow model, and the normal-form basis of a model in each
+codimension, whose top piece is the one monomial `ChowModel.degree` reads.
 
 The rest is the alpha-indexed classes through symmetric functions.
 
@@ -111,6 +112,39 @@ def pushforward_projbundle(model, u, dom=ZZ):
             continue
         out = sparse_add(dom, out, base.mul(dom, {tuple(e[:-1]): c}, ck))
     return base, out
+
+
+@lru_cache(maxsize=None)
+def normal_basis(model, codim):
+    """Normal-form monomials of the given codimension, sorted: exponent
+    tuples bounded by the model's caps and relation degrees, with their
+    count checked against the generating function prod_i (1 + ... + t^b_i)."""
+    bounds = model._bounds
+    out = []
+
+    def rec(i, left, acc):
+        if i == len(bounds):
+            if left == 0:
+                out.append(tuple(acc))
+            return
+        lo = max(0, left - sum(bounds[i + 1:]))
+        for e in range(min(bounds[i], left), lo - 1, -1):
+            acc.append(e)
+            rec(i + 1, left - e, acc)
+            acc.pop()
+
+    rec(0, codim, [])
+    gf = [1]
+    for b in bounds:
+        nxt = [0] * (len(gf) + b)
+        for i, c in enumerate(gf):
+            for j in range(b + 1):
+                nxt[i + j] += c
+        gf = nxt
+    want = gf[codim] if 0 <= codim < len(gf) else 0
+    if len(out) != want:
+        raise AssertionError("basis enumeration disagrees with rank count")
+    return sorted(out)
 
 
 def _inverse_unit(model, dom, u):

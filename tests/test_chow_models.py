@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cobcalc.core_algebra import ZZ, TRING, TEPS, b_ring
+from cobcalc.core_algebra import ZZ, TRING, TEPS, IntDomain, b_ring
 from cobcalc.fgl import b_transport, chx_b_image, cha_b_image
 from cobcalc.fixedpoint import _line_element
 from cobcalc.chow_models import (
@@ -14,7 +14,6 @@ from cobcalc.chow_models import (
     tangent_bundle,
     chern_total,
     chern_class,
-    degree,
     quillen_pushforward,
     fundamental_class,
     euler_number,
@@ -22,7 +21,7 @@ from cobcalc.chow_models import (
     additive_chern_number,
     _pad,
 )
-from symm_oracle import projbundle_relation, pushforward_projbundle
+from symm_oracle import normal_basis, projbundle_relation, pushforward_projbundle
 
 B = b_ring(ZZ)
 
@@ -81,7 +80,7 @@ def test_spec_dims():
 def test_multiproj_ring():
     m = build_model(VarietySpec.multiproj([1, 2]))
     assert m.dim == 3
-    assert [len(m.basis(k)) for k in range(4)] == [1, 2, 2, 1]
+    assert [len(normal_basis(m, k)) for k in range(4)] == [1, 2, 2, 1]
     h0, h1 = m.gen_element(0), m.gen_element(1)
     top = m.mul(ZZ, h0, m.mul(ZZ, h1, h1))
     assert m.degree(ZZ, top) == 1
@@ -102,7 +101,7 @@ def test_f1_relation_and_degree():
     assert m.reduce((0, 2)) == {(1, 1): -1}
     assert m.degree(ZZ, m.normalize(ZZ, {(0, 2): 1})) == -1
     assert m.degree(ZZ, m.normalize(ZZ, {(1, 1): 1})) == 1
-    assert len(m.basis(1)) == 2
+    assert len(normal_basis(m, 1)) == 2
 
 
 def _relations_by_oracle(model):
@@ -134,6 +133,44 @@ def test_reduce_matches_unreduced_relation(spec):
         assert model.reduce(exp) == old.reduce(exp), exp
 
 
+@pytest.mark.parametrize("spec", [
+    VarietySpec.point(),
+    VarietySpec.multiproj([1, 2, 0]),
+    F1,
+    VarietySpec.product([F1, P2]),
+    VarietySpec.projbundle(VarietySpec.projbundle(P2, [(0,), (1,), (3,)]), [(1, 0), (0, 1), (2, -1)]),
+])
+def test_top_piece_is_the_bounds_monomial(spec):
+    # ChowModel.degree reads the coefficient of the bounds tuple, and the
+    # twisted Chern classes of the ks verifier ignore subtracted tangent lines
+    m = build_model(spec)
+    assert normal_basis(m, m.dim) == [m._bounds]
+    assert not m.tangent().minus_lines
+
+
+class _CountingZZ(IntDomain):
+    """ZZ that counts its coefficient products (int_scale not included)."""
+
+    products = 0
+
+    def mul(self, a, b):
+        self.products += 1
+        return a * b
+
+    def int_scale(self, a, k):
+        return a * k
+
+
+def test_mul_skips_products_that_reduce_to_zero():
+    # (1 + h + h^2)^2 on P^2: the three pairs of total exponent above 2
+    # reduce to zero and are never multiplied
+    m = build_model(P2)
+    dom = _CountingZZ()
+    u = {(0,): 1, (1,): 1, (2,): 1}
+    assert m.mul(dom, u, u) == {(0,): 1, (1,): 2, (2,): 3}
+    assert dom.products == 6
+
+
 def test_bundle_line_length_checked():
     with pytest.raises(ValueError):
         build_model(VarietySpec.projbundle(P2, [(1, 2)]))
@@ -155,7 +192,7 @@ def test_product_model_of_bundles():
     m = build_model(sq)
     assert m.dim == 4
     assert len(m.gens) == 4
-    assert len(m.basis(4)) == 1
+    assert len(normal_basis(m, 4)) == 1
     assert m.degree(ZZ, m.normalize(ZZ, {(1, 1, 1, 1): 1})) == 1
     assert euler_number(sq) == 16
 

@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
+from cobcalc import chow_models
 from cobcalc.chow_models import VarietySpec, chern_number
 from cobcalc.cli import main, series_json
-from cobcalc.core_algebra import TRING, partitions
+from cobcalc.core_algebra import TRING, TruncatedSeries, partitions
 from cobcalc.fgl import formal_mult, universal_fgl
 
 P1 = {"type": "multiproj", "dims": [1]}
@@ -57,14 +58,6 @@ def test_fgl_order_below_two_exits_2(capsys, law):
     code, obj = run(capsys, ["fgl", "--law", law, "--p", "2", "--order", "1"])
     assert code == 2
     assert obj["error"] == "--order must be at least 2"
-
-
-def test_fgl_order_env(capsys, monkeypatch):
-    monkeypatch.setenv("COBORDISM_ORDER", "5")
-    _, obj = run(capsys, ["fgl", "--law", "additive"])
-    assert obj["payload"]["order"] == 5
-    _, obj = run(capsys, ["fgl", "--law", "additive", "--order", "3"])
-    assert obj["payload"]["order"] == 3
 
 
 def test_chern_full_listing(capsys):
@@ -335,3 +328,21 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_failed_self_check_exits_3(capsys, monkeypatch):
+    # a residue series of degree 0 makes the pushforward inhomogeneous, so
+    # its homogeneity check fires: exit 3 with an error object, no traceback
+    def constant_residue_series(model, V, dom):
+        order = V.rank + model.dim
+        ones = {(k,): dom.one() for k in range(order)}
+        return order, ((0, TruncatedSeries(dom, ("y",), order, ones)),)
+
+    monkeypatch.setattr(chow_models, "_residue_series", constant_residue_series)
+    code = main(["verify", "--theorem", "l2", "--builtin", "linear_pn", "--n", "3", "--a", "1"])
+    captured = capsys.readouterr()
+    obj = json.loads(captured.out)
+    assert code == 3
+    assert obj["status"] == "internal-error"
+    assert "not homogeneous" in obj["error"]
+    assert "Traceback" not in captured.err

@@ -15,7 +15,7 @@ from cobcalc.cobordism import (
 )
 from cobcalc.core_algebra import partitions
 from cobcalc.fgl import universal_fgl
-from law_oracle import mod2_piece_from_generators, scaled_lattice
+from law_oracle import mod2_generator_rows, mod2_piece_from_generators, scaled_lattice
 
 
 def pn(n):
@@ -80,6 +80,20 @@ def test_mod2_piece_matches_all_generator_oracle():
         fast, ref = mod2_theory_piece(n), mod2_piece_from_generators(n)
         assert fast.hnf == ref.hnf
         assert fast.pivcols == ref.pivcols
+
+
+def test_lazard_piece_contains_its_generators():
+    # the HNF keeps the span of every generator product it reduced
+    for n in range(14):
+        piece = lazard_piece(n)
+        assert all(piece.member(g) for g in piece.generators), n
+
+
+def test_mod2_piece_contains_all_generator_rows():
+    # the HNF-basis route spans every row of the all-generator route
+    for n in range(1, 13):
+        lat = mod2_theory_piece(n)
+        assert all(lat.member(row) for row in mod2_generator_rows(n)), n
 
 
 def test_mod2_piece_reuses_lattice_pieces():
@@ -175,11 +189,6 @@ def test_decomposable_rejects():
         decomposable_test(VarietySpec.point(), 2)
 
 
-def test_decomposable_accepts_json():
-    out = decomposable_test({"type": "multiproj", "dims": [1]}, 2)
-    assert out["dim"] == 1
-
-
 def test_p_typical_kernel_pattern():
     assert p_typical_kernel_check(2, 6)
     assert p_typical_kernel_check(3, 6)
@@ -188,7 +197,7 @@ def test_p_typical_kernel_pattern():
 
 
 def test_p_typical_chern_divisibility_line():
-    out = p_typical_chern_check({"type": "multiproj", "dims": [1]}, 2)
+    out = p_typical_chern_check(pn(1), 2)
     assert out["ok"]
     assert out["divisor"] == 2  # not decomposable mod 2, so only p required
     assert out["alphas"] == [
@@ -198,7 +207,7 @@ def test_p_typical_chern_divisibility_line():
 
 def test_p_typical_chern_divisibility_products():
     # nontrivial products are decomposable mod p: the bound sharpens to p^2
-    out = p_typical_chern_check({"type": "multiproj", "dims": [1, 1]}, 2)
+    out = p_typical_chern_check(VarietySpec.multiproj([1, 1]), 2)
     assert out["decomposable_mod_p"]
     assert out["divisor"] == 4
     assert out["ok"]
@@ -208,7 +217,7 @@ def test_p_typical_chern_divisibility_products():
 
 def test_p_typical_chern_divisibility_p3():
     # projective 3-space is decomposable mod 2 (4 is a power of 2)
-    out = p_typical_chern_check({"type": "multiproj", "dims": [3]}, 2)
+    out = p_typical_chern_check(pn(3), 2)
     assert out["divisor"] == 4
     assert out["ok"]
     got = {tuple(r["alpha"]): r["chern_number"] for r in out["alphas"]}
@@ -216,7 +225,7 @@ def test_p_typical_chern_divisibility_p3():
 
 
 def test_p_typical_chern_no_qualifying_partitions():
-    out = p_typical_chern_check({"type": "multiproj", "dims": [1]}, 3)
+    out = p_typical_chern_check(pn(1), 3)
     assert out["alphas"] == []
     assert out["ok"]
 
