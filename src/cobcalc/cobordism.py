@@ -1,20 +1,28 @@
 """The lattice of bordism classes inside the polynomial coefficient ring.
 
-The universal group law's coefficients generate a subring of the b-polynomial
-ring; its graded piece in degree -n is a full-rank sublattice of the span of
-the degree-n monomials.  This module builds explicit generator matrices for
-those pieces, answers membership questions (in the lattice and in an
-integer multiple of it), and packages two integer invariants used by the
-verifiers: decomposability of a variety's class modulo a prime, and the gcd
-pattern of middle binomial coefficients.
+The universal group law's coefficients a_ij generate a subring L of the
+b-polynomial ring; its graded piece L_n in degree -n is a full-rank
+sublattice of the span of the degree-n monomials.  By Lazard's theorem L is
+the polynomial ring on generators x_k = sum_i lam_i a_{i,k+1-i}, where the
+lam_i are Bezout coefficients of the C(k+1, i)/d_k and d_k is their gcd, so
+the monomials x^alpha, one per partition alpha of n, are a Z-basis of L_n.
+Each piece is the HNF of those p(n) rows, certified on construction: by
+Milnor and Novikov the index of L_n is the product over alpha and its parts
+k of m(k) = p when k + 1 is a power of the prime p, and 1 otherwise, and
+the product of the HNF pivots must equal it.
+
+This module builds those pieces, answers membership questions (in the
+lattice and in an integer multiple of it), and packages two integer
+invariants used by the verifiers: decomposability of a variety's class
+modulo a prime, and the gcd pattern of middle binomial coefficients.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, prod
 
-from .core_algebra import ZZ, IntegerLattice, b_ring, is_prime, partitions
+from .core_algebra import ZZ, IntegerLattice, b_ring, bezout, is_prime, partitions
 from .fgl import universal_fgl
 from .chow_models import additive_chern_number, fundamental_class
 
@@ -66,8 +74,9 @@ def _pair_multisets(pairs, weights, total):
 
 
 def lazard_basis(n, order=None):
-    """Generators of the degree -n lattice piece: all products of universal
-    group-law coefficients with total weight n, as b-polynomial elements.
+    """A spanning set of the degree -n lattice piece: all products of
+    universal group-law coefficients with total weight n, as b-polynomial
+    elements.
 
     `order` is the truncation order used for the universal law and must
     exceed n + 1 so every needed coefficient is present.
@@ -89,9 +98,51 @@ def lazard_basis(n, order=None):
     return gens
 
 
+@lru_cache(maxsize=None)
+def _middle_binomial_bezout(k):
+    """(d_k, lam): d_k is the gcd of C(k+1, i) for 1 <= i <= k, and
+    sum_i lam_i C(k+1, i) = d_k."""
+    return bezout([comb(k + 1, i) for i in range(1, k + 1)])
+
+
+@lru_cache(maxsize=None)
+def _lazard_generator(k):
+    """x_k = sum_i lam_i a_{i,k+1-i}, a polynomial generator of the
+    coefficient subring in degree -k."""
+    _, lam = _middle_binomial_bezout(k)
+    x = BRING.zero()
+    for i, c in enumerate(lam, 1):
+        if c:
+            x = BRING.add(x, BRING.int_scale(_law_coefficient(k + 2, i, k + 1 - i), c))
+    return x
+
+
+@lru_cache(maxsize=None)
+def _generator_monomial(alpha):
+    """x^alpha for a partition alpha, built on x^alpha' for alpha without its
+    last part."""
+    if not alpha:
+        return BRING.one()
+    return BRING.mul(_generator_monomial(alpha[:-1]), _lazard_generator(alpha[-1]))
+
+
+def _lazard_index(n):
+    """Index of the degree -n piece in the span of the weight-n monomials:
+    the product over the partitions of n and their parts k of m(k), which
+    is p when k + 1 is a power of the prime p and 1 otherwise."""
+    return prod(prime_power_root(k + 1) or 1 for alpha in partitions(n) for k in alpha)
+
+
 class LazardDegreePiece:
     """Degree -n piece of the coefficient subring, as an integer lattice in
-    the free module spanned by the weight-n monomial partitions."""
+    the free module spanned by the weight-n monomial partitions.
+
+    The lattice is the HNF of the generator monomials x^alpha, alpha a
+    partition of n.  Construction checks that the rank is full and that the
+    product of the HNF pivots is `_lazard_index(n)`, which proves that these
+    rows span the whole piece; a failure raises AssertionError.
+    `generators` holds every product of law coefficients of weight n, the
+    spanning set the piece is defined by."""
 
     __slots__ = ("n", "basis", "_index", "generators", "lattice")
 
@@ -100,8 +151,12 @@ class LazardDegreePiece:
         self.basis = partitions(n)
         self._index = {p: k for k, p in enumerate(self.basis)}
         self.generators = tuple(lazard_basis(n))
-        rows = [self.vector(g) for g in self.generators]
+        rows = [self.vector(_generator_monomial(alpha)) for alpha in self.basis]
         self.lattice = IntegerLattice(rows, len(self.basis))
+        index = prod(row[c] for row, c in zip(self.lattice.hnf, self.lattice.pivcols))
+        if self.lattice.rank != len(self.basis) or index != _lazard_index(n):
+            raise AssertionError(
+                "the generator monomials of degree %d fail the index certificate" % n)
 
     @property
     def rank(self):
@@ -260,7 +315,4 @@ def binomial_middle_gcd(n):
     """gcd of the inner binomial coefficients of n + 1."""
     if n < 1:
         raise ValueError("n must be positive")
-    g = 0
-    for i in range(1, n + 1):
-        g = gcd(g, comb(n + 1, i))
-    return g
+    return _middle_binomial_bezout(n)[0]

@@ -60,6 +60,30 @@ def is_prime(p):
     return True
 
 
+def bezout(values):
+    """(g, coeffs): g >= 0 is the gcd of the integers `values` and
+    sum(c * v for c, v in zip(coeffs, values)) == g.  A value that g already
+    divides gets the coefficient 0."""
+    g, coeffs = 0, []
+    for v in values:
+        if g and v % g == 0:
+            coeffs.append(0)
+            continue
+        # extended Euclid on (g, v): s * g + t * v == r throughout
+        r0, r1, s0, s1, t0, t1 = g, v, 1, 0, 0, 1
+        while r1:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            s0, s1 = s1, s0 - q * s1
+            t0, t1 = t1, t0 - q * t1
+        if r0 < 0:
+            r0, s0, t0 = -r0, -s0, -t0
+        coeffs = [s0 * c for c in coeffs]
+        coeffs.append(t0)
+        g = r0
+    return g, coeffs
+
+
 @lru_cache(maxsize=None)
 def merge_partitions(p, q):
     return tuple(sorted(p + q, reverse=True))
@@ -178,6 +202,8 @@ class Domain:
         return self.add(a, self.neg(b))
 
     def int_scale(self, a, k):
+        if k == 1:
+            return a
         return self.mul(a, self.from_int(k))
 
     def eq(self, a, b):
@@ -718,7 +744,8 @@ class TruncatedSeries:
         for t in targets:
             if zero_exp in t.coeffs:
                 raise ValueError("substituted series has nonzero constant term")
-        pows = {name: [TruncatedSeries.constant(t0.dom, t0.vars, t0.order, t0.dom.one())] for name in subs}
+        one = TruncatedSeries.constant(t0.dom, t0.vars, t0.order, t0.dom.one())
+        pows = {name: [one, s] for name, s in subs.items()}
 
         def power(name, k):
             lst = pows[name]
@@ -735,7 +762,7 @@ class TruncatedSeries:
                 p = power(name, k)
                 term = p if term is None else term.mul(p)
             if term is None:
-                term = TruncatedSeries.constant(t0.dom, t0.vars, t0.order, t0.dom.one())
+                term = one
             acc = acc.add(term.scale(c))
         return acc
 

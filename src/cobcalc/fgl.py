@@ -8,12 +8,13 @@ verifies all of this, so a FormalGroupLaw instance is trusted downstream.
 The universal law and its reductions mod p are read off one coefficient
 store, together with the table L_k(n) = [x^n] log(x)^k.  Their multiples
 [a](x) = exp(a log x), the formal inverse [-1](x) among them, are read off
-that table as well, and since every truncation of such a law to order A
-holds the same store coefficients, their associativity check runs once per
-domain and A in a process; the other axioms hold by construction.  Laws
-built any other way (the closed forms, the additive law, images under
-`specialize`) get [a](x) by composing the law with itself, the inverse by
-a fixed-point iteration, and the full check at every construction.
+that table as well, and since every truncation of such a law holds the
+same store coefficients, their associativity check runs once per domain in
+a process, at order ASSOC_CHECK_CAP; the other axioms hold by
+construction.  Laws built any other way (the closed forms, the additive
+law, images under `specialize`) get [a](x) by composing the law with
+itself, the inverse by a fixed-point iteration, and the full check at every
+construction.
 """
 
 from __future__ import annotations
@@ -62,24 +63,7 @@ class FormalGroupLaw:
                     "coefficient of x^%d y^%d is not homogeneous of degree %d"
                     % (i, j, 1 - i - j)
                 )
-        self._check_associativity()
-
-    def _check_associativity(self):
-        A = min(self.order, ASSOC_CHECK_CAP)
-        if A < 3:
-            return
-        dom = self.dom
-        vars3 = ("x", "y", "z")
-        X = TruncatedSeries.variable(dom, vars3, A, "x")
-        Y = TruncatedSeries.variable(dom, vars3, A, "y")
-        Z = TruncatedSeries.variable(dom, vars3, A, "z")
-        f = self.series.truncate(A) if self.order > A else self.series
-        Fxy = f.compose({"x": X, "y": Y})
-        Fyz = f.compose({"x": Y, "y": Z})
-        lhs = f.compose({"x": Fxy, "y": Z})
-        rhs = f.compose({"x": X, "y": Fyz})
-        if lhs != rhs:
-            raise ValueError("law is not associative to order %d" % A)
+        _check_associativity(self.series.truncate(min(self.order, ASSOC_CHECK_CAP)))
 
     def formal_inverse(self):
         """The series m(x) with F(x, m(x)) = 0: the fixed point of
@@ -121,6 +105,22 @@ class FormalGroupLaw:
         return r
 
 
+def _check_associativity(f):
+    """Raise ValueError unless F(F(x, y), z) = F(x, F(y, z)) for the law
+    series f, to its order."""
+    A = f.order
+    if A < 3:
+        return
+    vars3 = ("x", "y", "z")
+    X = TruncatedSeries.variable(f.dom, vars3, A, "x")
+    Y = TruncatedSeries.variable(f.dom, vars3, A, "y")
+    Z = TruncatedSeries.variable(f.dom, vars3, A, "z")
+    lhs = f.compose({"x": f.compose({"x": X, "y": Y}), "y": Z})
+    rhs = f.compose({"x": X, "y": f.compose({"x": Y, "y": Z})})
+    if lhs != rhs:
+        raise ValueError("law is not associative to order %d" % A)
+
+
 def formal_inverse(law):
     return law.formal_inverse()
 
@@ -147,8 +147,8 @@ _B = b_ring(ZZ)
 _LOG_POWERS = [{}, {1: _B.one()}]
 _EXP_LOG = [{}, {1: _B.one()}]
 _LAW_BY_DEGREE = [{}, {(1, 0): _B.one(), (0, 1): _B.one()}]
-# (domain name, A) for every store truncation to order A that passed the
-# associativity check in this process
+# the name of every domain whose store image passed the associativity check
+# at order ASSOC_CHECK_CAP in this process
 _ASSOC_CHECKED = set()
 
 
@@ -199,38 +199,45 @@ def _grow_universal(degree):
         _LAW_BY_DEGREE.append(row)
 
 
+def _store_series(dom, order, image):
+    """The law series to `order` read off the store through `image`."""
+    _grow_universal(order - 1)
+    coeffs = {}
+    for d in range(1, order):
+        for e, c in _LAW_BY_DEGREE[d].items():
+            v = image(c)
+            if not dom.is_zero(v):
+                coeffs[e] = v
+    return TruncatedSeries(dom, ("x", "y"), order, coeffs, _trusted=True)
+
+
 class _StoreLaw(FormalGroupLaw):
     """A law read off the shared store through the ring map `image` from
     ZZ[b] to `dom`: the identity for the universal law, reduction mod p for
     its reductions.  Its truncation to any order is the image of the same
-    store coefficients, so the associativity check at order A runs once per
-    (dom, A), and [a](x) is the image of the universal [a](x)."""
+    store coefficients, so one associativity check at order ASSOC_CHECK_CAP
+    per dom covers every order, and [a](x) is the image of the universal
+    [a](x)."""
 
     __slots__ = ("_image",)
 
     def __init__(self, dom, order, image):
         if order < 2:
             raise ValueError("the universal law needs order >= 2, got %d" % order)
-        _grow_universal(order - 1)
         self._image = image
-        coeffs = {}
-        for d in range(1, order):
-            for e, c in _LAW_BY_DEGREE[d].items():
-                v = image(c)
-                if not dom.is_zero(v):
-                    coeffs[e] = v
-        super().__init__(TruncatedSeries(dom, ("x", "y"), order, coeffs, _trusted=True))
+        super().__init__(_store_series(dom, order, image))
 
     def _check_axioms(self):
-        """Check associativity only, once per (dom, A).  Unit, symmetry and
-        grading hold by construction: the store holds x and y, sets
-        F_ab = F_ba, holds no other pure power of x or y, and each F_ab is
-        homogeneous of degree 1 - a - b by its formula; `image` is a ring
-        map, so it keeps all three."""
-        key = (self.dom.name, min(self.order, ASSOC_CHECK_CAP))
-        if key not in _ASSOC_CHECKED:
-            self._check_associativity()
-            _ASSOC_CHECKED.add(key)
+        """Check associativity only, once per dom, on the store image to
+        order ASSOC_CHECK_CAP: every lower truncation holds the same
+        coefficients, and every higher one is checked to that order anyway.
+        Unit, symmetry and grading hold by construction: the store holds x
+        and y, sets F_ab = F_ba, holds no other pure power of x or y, and
+        each F_ab is homogeneous of degree 1 - a - b by its formula; `image`
+        is a ring map, so it keeps all three."""
+        if self.dom.name not in _ASSOC_CHECKED:
+            _check_associativity(_store_series(self.dom, ASSOC_CHECK_CAP, self._image))
+            _ASSOC_CHECKED.add(self.dom.name)
 
     def formal_inverse(self):
         return self.formal_mult(-1)

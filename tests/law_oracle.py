@@ -18,9 +18,13 @@ it, whose [a](x) comes from composing the series with itself and whose
 inverse comes from a fixed-point iteration; it also runs the full axiom
 check that store-built laws skip.  `b_transport_by_parts` is the
 monomial transport without the memo of monomial images, and
-`scaled_lattice` the lattice m*L behind `LazardDegreePiece.member_mod`."""
+`scaled_lattice` the lattice m*L behind `LazardDegreePiece.member_mod`.
 
-from cobcalc.cobordism import BRING, lazard_piece
+`lazard_lattice_from_all_products` builds each lattice piece from every
+product of law coefficients of its weight; production builds it from the
+p(n) monomials in Lazard's polynomial generators."""
+
+from cobcalc.cobordism import BRING, lazard_basis, lazard_piece
 from cobcalc.core_algebra import ZHALF, ZZ, IntegerLattice, TruncatedSeries, b_ring
 from cobcalc.fgl import FormalGroupLaw, specialize, universal_fgl
 from cobcalc.fixedpoint import _to_half_element
@@ -61,6 +65,13 @@ def universal_series_by_reversion(order):
     lx = log.compose({"x": X})
     ly = log.compose({"x": Y})
     return exp.compose({"x": lx.add(ly)})
+
+
+def lazard_lattice_from_all_products(n):
+    """The degree -n lattice piece spanned by every product of universal
+    law coefficients of total weight n."""
+    piece = lazard_piece(n)
+    return IntegerLattice([piece.vector(g) for g in lazard_basis(n)], len(piece.basis))
 
 
 def mod2_generator_rows(n):

@@ -1,9 +1,15 @@
+import json
+from functools import reduce
+from math import comb, gcd, prod
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cobcalc import cobordism, fixedpoint
 from cobcalc.chow_models import VarietySpec, fundamental_class
 from cobcalc.cobordism import (
     BRING,
+    LazardDegreePiece,
     binomial_middle_gcd,
     decomposable_test,
     lazard_basis,
@@ -13,9 +19,15 @@ from cobcalc.cobordism import (
     p_typical_kernel_check,
     prime_power_root,
 )
+from cobcalc.cli import main
 from cobcalc.core_algebra import partitions
 from cobcalc.fgl import universal_fgl
-from law_oracle import mod2_generator_rows, mod2_piece_from_generators, scaled_lattice
+from law_oracle import (
+    lazard_lattice_from_all_products,
+    mod2_generator_rows,
+    mod2_piece_from_generators,
+    scaled_lattice,
+)
 
 
 def pn(n):
@@ -82,8 +94,65 @@ def test_mod2_piece_matches_all_generator_oracle():
         assert fast.pivcols == ref.pivcols
 
 
+def test_lazard_piece_matches_all_products_oracle():
+    # the p(n) generator monomials span the same lattice as every product
+    # of law coefficients of weight n
+    for n in range(14):
+        fast, ref = lazard_piece(n).lattice, lazard_lattice_from_all_products(n)
+        assert fast.hnf == ref.hnf, n
+        assert fast.pivcols == ref.pivcols, n
+
+
+def test_index_certificate_is_the_pivot_product():
+    for n in range(16):
+        piece = lazard_piece(n)
+        assert piece.rank == len(piece.basis)
+        pivots = [row[c] for row, c in zip(piece.lattice.hnf, piece.lattice.pivcols)]
+        assert prod(pivots) == cobordism._lazard_index(n), n
+    # m(1) = 2, m(2) = 3, m(3) = 2: partitions of 3 are (3), (2,1), (1,1,1)
+    assert cobordism._lazard_index(3) == 2 * (3 * 2) * 2 ** 3
+
+
+def _with_doubled_generator(monkeypatch, k):
+    """Make x_k twice Lazard's generator in every piece built afterwards."""
+    plain = cobordism._lazard_generator.__wrapped__
+    monkeypatch.setattr(
+        cobordism, "_lazard_generator",
+        lambda j: BRING.int_scale(plain(j), 2) if j == k else plain(j))
+    monkeypatch.setattr(cobordism, "_generator_monomial", cobordism._generator_monomial.__wrapped__)
+
+
+def test_doubled_generator_fails_the_certificate(monkeypatch):
+    _with_doubled_generator(monkeypatch, 3)
+    assert LazardDegreePiece(2).rank == 2
+    for n in range(3, 8):
+        with pytest.raises(AssertionError, match="index certificate"):
+            LazardDegreePiece(n)
+
+
+def test_failed_index_certificate_exits_3(capsys, monkeypatch):
+    # lmod2 builds its lattice pieces through the uncached constructor, and
+    # the piece of degree 3 holds x_2 x_1
+    _with_doubled_generator(monkeypatch, 2)
+    monkeypatch.setattr(fixedpoint, "lazard_piece", LazardDegreePiece)
+    code = main(["verify", "--theorem", "lmod2", "--builtin", "linear_pn", "--n", "3", "--a", "1"])
+    captured = capsys.readouterr()
+    obj = json.loads(captured.out)
+    assert code == 3
+    assert obj["status"] == "internal-error"
+    assert "index certificate" in obj["error"]
+    assert "Traceback" not in captured.err
+
+
+def test_generator_counts_are_pinned():
+    # the session benchmark digests these counts
+    assert len(lazard_piece(12).generators) == 348
+    assert len(lazard_piece(13).generators) == 532
+
+
 def test_lazard_piece_contains_its_generators():
-    # the HNF keeps the span of every generator product it reduced
+    # every product of law coefficients lies in the span of the generator
+    # monomials
     for n in range(14):
         piece = lazard_piece(n)
         assert all(piece.member(g) for g in piece.generators), n
@@ -240,6 +309,19 @@ def test_prime_power_root():
 
 def test_binomial_gcd_small():
     assert [binomial_middle_gcd(n) for n in range(1, 6)] == [2, 3, 2, 5, 1]
+
+
+def test_middle_binomial_bezout():
+    for k in range(1, 21):
+        d, lam = cobordism._middle_binomial_bezout(k)
+        assert len(lam) == k
+        assert sum(c * comb(k + 1, i) for i, c in enumerate(lam, 1)) == d
+        assert d == binomial_middle_gcd(k)
+
+
+def test_binomial_gcd_matches_gcd_of_binomials():
+    for n in range(1, 31):
+        assert binomial_middle_gcd(n) == reduce(gcd, (comb(n + 1, i) for i in range(1, n + 1)))
 
 
 def test_binomial_gcd_rule():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from cobcalc.core_algebra import (
     TruncatedSeries as TS,
     hnf_rows,
     IntegerLattice,
+    bezout,
 )
 from law_oracle import reversion, scaled_lattice
 
@@ -30,6 +32,20 @@ def test_partitions_small():
     assert len(partitions(8)) == 22
     assert all(is_partition(p) for p in partitions(6))
     assert not is_partition((True,)) and not is_partition((2, 0)) and not is_partition((1, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-50, 50), max_size=6))
+def test_bezout(values):
+    g, coeffs = bezout(values)
+    assert len(coeffs) == len(values)
+    assert sum(c * v for c, v in zip(coeffs, values)) == g
+    assert g == math.gcd(*values)
+
+
+def test_int_scale_by_one_is_identity():
+    for dom, a in ((ZZ, 5), (ZHALF, ZHALF.inv(ZHALF.from_int(2))), (int_mod(3), 2)):
+        assert dom.int_scale(a, 1) is a
 
 
 def test_merge_partitions():

@@ -1,5 +1,6 @@
 import pytest
 
+from cobcalc import fgl
 from cobcalc.core_algebra import ZZ, TRING, TEPS, b_ring, int_mod, TruncatedSeries as TS
 from cobcalc.fgl import (
     FormalGroupLaw,
@@ -179,9 +180,30 @@ def test_specialize_rejects_degree_breaking_map():
         specialize(U, TRING, bad)
 
 
+def test_store_laws_check_associativity_once_per_domain(monkeypatch):
+    # every truncation of a store law holds the same coefficients, so one
+    # check at the cap per domain covers all orders, below the cap as well
+    checked = []
+    check = fgl._check_associativity
+
+    def counted(f):
+        checked.append((f.dom.name, f.order))
+        check(f)
+
+    monkeypatch.setattr(fgl, "_ASSOC_CHECKED", set())
+    monkeypatch.setattr(fgl, "_check_associativity", counted)
+    # the unwrapped constructors build new laws past the lru_cache
+    for order in range(3, 13):
+        universal_fgl.__wrapped__(order)
+    for order in (3, 8, 12):
+        universal_fgl_mod_p.__wrapped__(order, 2)
+    cap = fgl.ASSOC_CHECK_CAP
+    assert checked == [("B(ZZ)", cap), ("B(ZZ/2)", cap)]
+
+
 def test_law_construction_rejects_non_associative():
-    # the store laws check associativity once per truncation order; a law
-    # built directly is checked in full even after that memo is warm
+    # the store laws check associativity once per domain; a law built
+    # directly is checked in full even after that memo is warm
     universal_fgl(18)
     for order in (5, 18):
         U = universal_fgl(order)
