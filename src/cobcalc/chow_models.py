@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import json
 from math import comb
+from operator import add as _plus
 
 from .core_algebra import (
-    TEPS, TRING, ZZ, TruncatedSeries, b_ring, int_mod, is_int, is_partition, is_prime, sparse_add,
-    sparse_from_int, sparse_int_scale, sparse_scale,
+    TEPS, TRING, ZZ, TruncatedSeries, b_ring, dot_groups, int_mod, is_int, is_partition, is_prime,
+    sparse_add, sparse_from_int, sparse_int_scale,
 )
 
 
@@ -392,33 +393,36 @@ class ChowModel:
         return {exp: 1}
 
     def normalize(self, dom, u):
-        out = {}
+        """Normal form of an element: the reductions of its monomials, summed
+        by one `dot` per normal monomial.  A monomial already in normal form
+        with no other contribution keeps its coefficient as it is."""
+        one = dom.one()
+        groups = {}
         for e, c in u.items():
-            if dom.is_zero(c):
-                continue
             for e2, k in self.reduce(tuple(e)).items():
-                s = dom.add(out.get(e2, dom.zero()), dom.int_scale(c, k))
-                if dom.is_zero(s):
-                    out.pop(e2, None)
-                else:
-                    out[e2] = s
+                groups.setdefault(e2, []).append((c, one, k))
+        out = {}
+        for e2, terms in groups.items():
+            v = terms[0][0] if len(terms) == 1 and terms[0][2] == 1 else dom.dot(terms)
+            if not dom.is_zero(v):
+                out[e2] = v
         return out
 
     def mul(self, dom, u, v):
-        out = {}
+        """The product: the coefficient pairs are summed by one `dot` per
+        exponent sum, then normalized.  Pairs whose exponent sum reduces to
+        zero are never multiplied."""
+        reduce = self.reduce
+        groups = {}
         for e1, c1 in u.items():
             for e2, c2 in v.items():
-                red = self.reduce(tuple(a + b for a, b in zip(e1, e2)))
-                if not red:
-                    continue
-                p = dom.mul(c1, c2)
-                for e, k in red.items():
-                    s = dom.add(out.get(e, dom.zero()), dom.int_scale(p, k))
-                    if dom.is_zero(s):
-                        out.pop(e, None)
-                    else:
-                        out[e] = s
-        return out
+                e = tuple(map(_plus, e1, e2))
+                terms = groups.get(e)
+                if terms is not None:
+                    terms.append((c1, c2, 1))
+                elif reduce(e):
+                    groups[e] = [(c1, c2, 1)]
+        return self.normalize(dom, dot_groups(dom, groups))
 
     def product(self, dom, factors, y_max):
         """The product of the y-polynomials {k: element} in `factors`,
@@ -500,14 +504,17 @@ def _shifted_factor(model, phi, u, y_max):
         if not nxt:
             break
         powers.append(nxt)
+    one = dom.one()
     out = {}
     for k in range(y_max + 1):
-        elt = {}
+        groups = {}
         for d, u_d in enumerate(powers):
             c = phi.coeffs.get((k + d,))
             if c is not None:
-                c = dom.int_scale(c, comb(k + d, k))
-                elt = sparse_add(dom, elt, sparse_scale(dom, sparse_from_int(dom, u_d), c))
+                binom = comb(k + d, k)
+                for e, n in u_d.items():
+                    groups.setdefault(e, []).append((c, one, binom * n))
+        elt = dot_groups(dom, groups)
         if elt:
             out[k] = elt
     return out
@@ -572,12 +579,13 @@ def quillen_pushforward(S, V, m, dom):
     pi_m = _pi_power(model, dom, order, m)
     # the residue at y = 0 of y^(m-r-i) pi^m d_i is [y^(r+i-m-1)] of pi^m d_i,
     # zero when that exponent is negative (it is always below the order)
-    total = dom.zero()
+    terms = []
     for i, di in series:
         e = r + i - m - 1
         for (k,), c in di.coeffs.items():
             if k <= e and (e - k,) in pi_m.coeffs:
-                total = dom.add(total, dom.mul(pi_m.coeffs[(e - k,)], c))
+                terms.append((pi_m.coeffs[(e - k,)], c, 1))
+    total = dom.dot(terms)
     expected = m - (model.dim + r - 1)
     if not dom.is_homogeneous(total, expected):
         raise AssertionError("pushforward value is not homogeneous of degree %d" % expected)

@@ -110,11 +110,9 @@ def _lazard_generator(k):
     """x_k = sum_i lam_i a_{i,k+1-i}, a polynomial generator of the
     coefficient subring in degree -k."""
     _, lam = _middle_binomial_bezout(k)
-    x = BRING.zero()
-    for i, c in enumerate(lam, 1):
-        if c:
-            x = BRING.add(x, BRING.int_scale(_law_coefficient(k + 2, i, k + 1 - i), c))
-    return x
+    one = BRING.one()
+    return BRING.dot([(_law_coefficient(k + 2, i, k + 1 - i), one, c)
+                      for i, c in enumerate(lam, 1) if c])
 
 
 @lru_cache(maxsize=None)

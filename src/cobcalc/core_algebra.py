@@ -6,11 +6,19 @@ Elements of a domain are plain Python values (ints, pairs, dicts); the domain
 object supplies the ring operations.  Everything is immutable by convention and
 exact (arbitrary-precision integers throughout; the only denominators allowed
 anywhere are powers of two, in ZHALF).
+
+A sum of products is one `dot(terms)` of a domain: sum of k * a * b over
+(a, b, k) triples.  The sparse domains (the b-ring, ZZ[t], ZZ[t,eps]/eps^2)
+multiply monomials through a MonomialTable of interned monomial ids, whose
+product rows are filled on a miss by merging the two keys, and sum into one
+accumulator keyed by id that drops zeros once, at the end.  Ids never leave
+this module: elements are dicts keyed by their monomials.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from operator import add as _plus
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +92,8 @@ def bezout(values):
     return g, coeffs
 
 
-@lru_cache(maxsize=None)
 def merge_partitions(p, q):
+    """The partition of the b-monomial product b^p * b^q."""
     return tuple(sorted(p + q, reverse=True))
 
 
@@ -96,7 +104,8 @@ def merge_partitions(p, q):
 # never stores a zero coefficient: the elements of B, T and TEPS, the
 # coefficient tables of series and the elements of Chow rings are all sparse
 # elements.  Over ZZ the coefficients are plain ints, and every routine below
-# skips the per-term dispatch to the base domain.
+# skips the per-term dispatch to the base domain.  Sums of products go
+# through a domain's `dot` (see SparseDomain), not through repeated `add`.
 
 def sparse_add(base, a, b):
     out = dict(a)
@@ -158,32 +167,74 @@ def sparse_int_scale(base, a, n):
     return sparse_scale(base, a, base.from_int(n))
 
 
-def sparse_mul(base, a, b, key):
-    """Product of sparse elements whose monomials multiply by key(m1, m2),
-    a commutative product."""
-    if len(a) > len(b):
-        a, b = b, a
+def dot_groups(dom, groups):
+    """{key: dom.dot(terms)} for the (a, b, k) triples grouped by key, without
+    the keys whose sum is zero."""
     out = {}
-    if base is ZZ:
-        for k1, v1 in a.items():
-            for k2, v2 in b.items():
-                k = key(k1, k2)
-                s = out.get(k, 0) + v1 * v2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return out
-    zero = base.zero()
-    for k1, v1 in a.items():
-        for k2, v2 in b.items():
-            k = key(k1, k2)
-            s = base.add(out.get(k, zero), base.mul(v1, v2))
-            if base.is_zero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
+    for key, terms in groups.items():
+        v = dom.dot(terms)
+        if not dom.is_zero(v):
+            out[key] = v
     return out
+
+
+# ---------------------------------------------------------------------------
+# interned monomials
+#
+# A sparse domain multiplies monomials through a MonomialTable: every
+# monomial key it meets gets a small int id, and row i of the table maps id j
+# to the id of the product of monomials i and j.  A row entry is computed
+# once, by the domain's key product, on its first lookup; after that a
+# product of two monomials costs one int-keyed dict lookup and no hashing of
+# the keys.  Ids live only inside `SparseDomain.dot`: elements keep their
+# keys, so emptying a table never changes an answer.
+
+class _ProductRow(dict):
+    """Row of a MonomialTable for the monomial `key`."""
+
+    __slots__ = ("table", "key")
+
+    def __init__(self, table, key):
+        self.table = table
+        self.key = key
+
+    def __missing__(self, j):
+        t = self.table
+        p = self[j] = t.ids[t.merge(self.key, t.keys[j])]
+        return p
+
+
+class _MonomialIds(dict):
+    """Monomial key -> id, interning a key on its first lookup."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table):
+        self.table = table
+
+    def __missing__(self, key):
+        t = self.table
+        i = self[key] = len(t.keys)
+        t.keys.append(key)
+        t.rows.append(_ProductRow(t, key))
+        return i
+
+
+class MonomialTable:
+    """Interned monomials under the commutative key product `merge`: `ids`
+    maps a key to its id, `keys` maps an id back, and `rows[i][j]` is the id
+    of the product of monomials i and j."""
+
+    def __init__(self, merge):
+        self.merge = merge
+        self.ids = _MonomialIds(self)
+        self.keys = []
+        self.rows = []
+
+    def clear(self):
+        self.ids.clear()
+        self.keys.clear()
+        self.rows.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +245,17 @@ class Domain:
     add/neg/mul, is_zero and is_unit/inv; _ScalarDomain and SparseDomain
     define `degrees`, the graded degrees present in an element, and
     `monomials`, its serialization as a sorted list of {"b", "t", "eps",
-    "coeff"} dicts, which the CLI writes and `fmt` renders."""
+    "coeff"} dicts, which the CLI writes and `fmt` renders.  `dot(terms)` is
+    the sum of k * a * b over (a, b, k) triples with k an int; sums of
+    products call it instead of adding one product at a time."""
 
     name = "?"
+
+    def dot(self, terms):
+        acc = self.zero()
+        for a, b, k in terms:
+            acc = self.add(acc, self.int_scale(self.mul(a, b), k))
+        return acc
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -275,6 +334,9 @@ class IntDomain(_ScalarDomain):
 
     def mul(self, a, b):
         return a * b
+
+    def dot(self, terms):
+        return sum(a * b * k for a, b, k in terms)
 
     def is_zero(self, a):
         return a == 0
@@ -394,9 +456,10 @@ def _mono_key(it):
 class SparseDomain(Domain):
     """A domain whose elements are sparse elements over `base`.  The sum,
     negation and integer multiples are the kernel's, bound to the base once
-    so that each costs a single call; a subclass supplies the monomial
-    product (`mul`), units, and `_parts`, which splits a monomial key into
-    its (b-partition, t exponent, eps exponent)."""
+    so that each costs a single call; `mul` and `dot` multiply monomials
+    through the subclass's MonomialTable (`_table`), whose unit key is
+    `_unit`.  A subclass supplies units and `_parts`, which splits a
+    monomial key into its (b-partition, t exponent, eps exponent)."""
 
     def __init__(self, base):
         self.base = base
@@ -410,6 +473,61 @@ class SparseDomain(Domain):
     def is_zero(self, a):
         return not a
 
+    def mul(self, a, b):
+        return self.dot(((a, b, 1),))
+
+    def dot(self, terms):
+        """sum of k * a * b over the (a, b, k) triples in one accumulator
+        keyed by monomial id, with the zeros dropped once, at the end.  A
+        constant factor (the unit among them) scales the other factor and
+        costs no monomial products."""
+        table, unit, base = self._table, self._unit, self.base
+        ids, rows = table.ids, table.rows
+        acc = {}
+        get = acc.get
+        if base is ZZ:
+            for a, b, k in terms:
+                if len(b) < len(a) or (len(b) == 1 and unit in b):
+                    a, b = b, a
+                if len(a) == 1 and unit in a:
+                    s = k * a[unit]
+                    for m, v in b.items():
+                        j = ids[m]
+                        acc[j] = get(j, 0) + s * v
+                    continue
+                ib = [(ids[m], v) for m, v in b.items()]
+                for m, v1 in a.items():
+                    row = rows[ids[m]]
+                    v1 *= k
+                    for j, v2 in ib:
+                        p = row[j]
+                        acc[p] = get(p, 0) + v1 * v2
+            keys = table.keys
+            return {keys[i]: v for i, v in acc.items() if v}
+        zero, add, mul, is_zero = base.zero(), base.add, base.mul, base.is_zero
+        for a, b, k in terms:
+            kk = base.from_int(k)
+            if is_zero(kk):
+                continue
+            if len(b) < len(a) or (len(b) == 1 and unit in b):
+                a, b = b, a
+            if len(a) == 1 and unit in a:
+                s = mul(a[unit], kk)
+                for m, v in b.items():
+                    j = ids[m]
+                    acc[j] = add(get(j, zero), mul(s, v))
+                continue
+            ib = [(ids[m], v) for m, v in b.items()]
+            for m, v1 in a.items():
+                row = rows[ids[m]]
+                if k != 1:
+                    v1 = mul(v1, kk)
+                for j, v2 in ib:
+                    p = row[j]
+                    acc[p] = add(get(p, zero), mul(v1, v2))
+        keys = table.keys
+        return {keys[i]: v for i, v in acc.items() if not is_zero(v)}
+
     def degrees(self, a):
         return frozenset(-sum(b) - t for b, t, _eps in map(self._parts, a))
 
@@ -422,10 +540,18 @@ class SparseDomain(Domain):
         return items
 
 
+# the product of b-monomials does not depend on the base, so every B-ring
+# shares one table
+_B_MONOMIALS = MonomialTable(merge_partitions)
+
+
 class BDomain(SparseDomain):
     """Polynomial ring over `base` in countably many generators b_1, b_2, ...
     with b_i of graded degree -i.  Elements are dicts {partition: base elt};
     the monomial for partition (3,1,1) is b3*b1^2."""
+
+    _table = _B_MONOMIALS
+    _unit = ()
 
     def __init__(self, base):
         super().__init__(base)
@@ -450,8 +576,8 @@ class BDomain(SparseDomain):
     def monomial(self, parts, coeff):
         return {} if self.base.is_zero(coeff) else {tuple(parts): coeff}
 
-    def mul(self, a, b):
-        return sparse_mul(self.base, a, b, merge_partitions)
+    # a method of BDomain itself, so that the benchmark's tracer can count it
+    mul = SparseDomain.mul
 
     def is_unit(self, a):
         return set(a) == {()} and self.base.is_unit(a[()])
@@ -466,9 +592,11 @@ class TDomain(SparseDomain):
     """ZZ[t] with t of graded degree -1; elements {exponent: int}."""
 
     name = "T"
+    _unit = 0
 
     def __init__(self):
         super().__init__(ZZ)
+        self._table = MonomialTable(int.__add__)
 
     @staticmethod
     def _parts(k):
@@ -482,20 +610,6 @@ class TDomain(SparseDomain):
 
     def monomial(self, k, c):
         return {} if c == 0 else {k: c}
-
-    def mul(self, a, b):
-        # inline rather than through sparse_mul: most products here have
-        # one-term factors, where a per-term key call would dominate
-        out = {}
-        for k1, v1 in a.items():
-            for k2, v2 in b.items():
-                k = k1 + k2
-                s = out.get(k, 0) + v1 * v2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return out
 
     def is_unit(self, a):
         return set(a) == {0} and a[0] in (1, -1)
@@ -515,9 +629,11 @@ class TEpsDomain(SparseDomain):
     dicts {(t_exp, eps_exp): int} with eps_exp in {0, 1}."""
 
     name = "TEPS"
+    _unit = (0, 0)
 
     def __init__(self):
         super().__init__(ZZ)
+        self._table = MonomialTable(_add_exponents)
 
     @staticmethod
     def _parts(k):
@@ -532,10 +648,9 @@ class TEpsDomain(SparseDomain):
     def monomial(self, k, eps, c):
         return {} if c == 0 else {(k, eps): c}
 
-    def mul(self, a, b):
+    def dot(self, terms):
         # eps^2 terms never mix with the others, so they are dropped at the end
-        prod = sparse_mul(ZZ, a, b, _add_exponents)
-        return {k: v for k, v in prod.items() if k[1] < 2}
+        return {k: v for k, v in super().dot(terms).items() if k[1] < 2}
 
     def is_unit(self, a):
         body = {k: v for (k, e), v in a.items() if e == 0}
@@ -687,24 +802,24 @@ class TruncatedSeries:
         return self._like(sparse_int_scale(self.dom, self.coeffs, k))
 
     def mul(self, other):
+        """The product, as one `dot` per output exponent over the pairs of
+        coefficients that land on it."""
         self._check(other)
-        dom = self.dom
         order = self.order
         items2 = sorted(((sum(e), e, c) for e, c in other.coeffs.items()))
-        out = {}
+        groups = {}
         for e1, c1 in self.coeffs.items():
             d1 = sum(e1)
             for d2, e2, c2 in items2:
                 if d1 + d2 >= order:
                     break
-                e = tuple(a + b for a, b in zip(e1, e2))
-                p = dom.mul(c1, c2)
-                s = dom.add(out.get(e, dom.zero()), p)
-                if dom.is_zero(s):
-                    out.pop(e, None)
+                e = tuple(map(_plus, e1, e2))
+                terms = groups.get(e)
+                if terms is None:
+                    groups[e] = [(c1, c2, 1)]
                 else:
-                    out[e] = s
-        return self._like(out)
+                    terms.append((c1, c2, 1))
+        return self._like(dot_groups(self.dom, groups))
 
     def truncate(self, new_order):
         if new_order > self.order:
@@ -753,7 +868,7 @@ class TruncatedSeries:
                 lst.append(lst[-1].mul(subs[name]))
             return lst[k]
 
-        acc = TruncatedSeries.zero(t0.dom, t0.vars, t0.order)
+        groups = {}
         for e, c in self.coeffs.items():
             term = None
             for name, k in zip(self.vars, e):
@@ -763,8 +878,9 @@ class TruncatedSeries:
                 term = p if term is None else term.mul(p)
             if term is None:
                 term = one
-            acc = acc.add(term.scale(c))
-        return acc
+            for e2, c2 in term.coeffs.items():
+                groups.setdefault(e2, []).append((c, c2, 1))
+        return t0._like(dot_groups(t0.dom, groups))
 
     def inverse(self):
         """Multiplicative inverse; requires unit constant term."""

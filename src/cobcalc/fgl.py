@@ -23,7 +23,7 @@ from functools import lru_cache, partial
 from math import comb
 
 from .core_algebra import (
-    ZZ, TRING, TEPS, b_ring, int_mod, is_prime, sparse_from_int, TruncatedSeries,
+    ZZ, TRING, TEPS, b_ring, dot_groups, int_mod, is_prime, sparse_from_int, TruncatedSeries,
 )
 
 # associativity is a trivariate identity; comparing it in full at high order
@@ -155,24 +155,20 @@ _ASSOC_CHECKED = set()
 def _grow_log_powers(n):
     """Extend the tables L_k(.) and b_{k-1} L_k(.) through degree n."""
     B = _B
+    one = B.one()
     while len(_LOG_POWERS) <= n:
         d = len(_LOG_POWERS)
         row = {}
         terms = {}
         for k in range(2, d + 1):
-            acc = B.zero()
-            for a in range(1, d - k + 2):
-                lower = _LOG_POWERS[d - a].get(k - 1)
-                if lower:
-                    acc = B.add(acc, B.mul(_LOG_POWERS[a][1], lower))
+            acc = B.dot([(_LOG_POWERS[a][1], _LOG_POWERS[d - a][k - 1], 1)
+                         for a in range(1, d - k + 2) if k - 1 in _LOG_POWERS[d - a]])
             if acc:
                 row[k] = acc
                 terms[k] = B.mul(B.gen(k - 1), acc)
-        l1 = B.zero()
-        for v in terms.values():
-            l1 = B.add(l1, v)
+        l1 = B.dot([(v, one, -1) for v in terms.values()])
         if l1:
-            row[1] = terms[1] = B.neg(l1)
+            row[1] = terms[1] = l1
         _LOG_POWERS.append(row)
         _EXP_LOG.append(terms)
 
@@ -189,11 +185,8 @@ def _grow_universal(degree):
             by_k = {}
             for j, lj in _LOG_POWERS[a].items():
                 for l, ll in _LOG_POWERS[b].items():
-                    term = B.int_scale(B.mul(lj, ll), comb(j + l, j))
-                    by_k[j + l] = B.add(by_k.get(j + l, B.zero()), term)
-            c = B.zero()
-            for k, v in by_k.items():
-                c = B.add(c, B.mul(B.gen(k - 1), v))
+                    by_k.setdefault(j + l, []).append((lj, ll, comb(j + l, j)))
+            c = B.dot([(B.gen(k - 1), v, 1) for k, v in dot_groups(B, by_k).items()])
             if c:
                 row[(a, b)] = row[(b, a)] = c
         _LAW_BY_DEGREE.append(row)
@@ -250,10 +243,9 @@ class _StoreLaw(FormalGroupLaw):
             B, dom = _B, self.dom
             _grow_log_powers(self.order - 1)
             coeffs = {}
+            one = B.one()
             for n in range(1, self.order):
-                acc = B.zero()
-                for k, term in _EXP_LOG[n].items():
-                    acc = B.add(acc, B.int_scale(term, a ** k))
+                acc = B.dot([(term, one, a ** k) for k, term in _EXP_LOG[n].items()])
                 v = self._image(acc)
                 if not dom.is_zero(v):
                     coeffs[(n,)] = v
@@ -326,12 +318,11 @@ def universal_fgl_mod_p(order, p):
 # transport of ZZ[b] elements along b_i |-> (image in another domain)
 
 def b_transport(elt, new_dom, gen_image):
-    """Push a BDomain element through b_i |-> gen_image(i)."""
-    out = new_dom.zero()
-    for parts, c in elt.items():
-        term = new_dom.mul(new_dom.from_int(c), _monomial_image(new_dom, gen_image, parts))
-        out = new_dom.add(out, term)
-    return out
+    """Push a BDomain element through b_i |-> gen_image(i): the sum of
+    c * image(m) over its monomials m, as one `dot`."""
+    one = new_dom.one()
+    return new_dom.dot([(_monomial_image(new_dom, gen_image, parts), one, c)
+                        for parts, c in elt.items()])
 
 
 # the b-monomials of degree <= 17, the universal law's at order 18, number

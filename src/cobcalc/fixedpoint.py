@@ -571,12 +571,7 @@ def verify_lmod2(action, order=None, max_m=None):
         if m > 0:
             zpow = zpow.mul(zeta)
             g = zpow.mul(vz)
-        a_m = BH.zero()
-        for j in range(n + 1):
-            coeff = g.coefficient((j,))
-            if BH.is_zero(coeff):
-                continue
-            a_m = BH.add(a_m, BH.mul(coeff, q_sums[j]))
+        a_m = BH.dot([(g.coeffs[(j,)], q_sums[j], 1) for j in range(n + 1) if (j,) in g.coeffs])
         ints = _to_integer_element(a_m)
         rep.add(
             "lmod2:int:%d" % m,

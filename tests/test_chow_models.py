@@ -149,16 +149,15 @@ def test_top_piece_is_the_bounds_monomial(spec):
 
 
 class _CountingZZ(IntDomain):
-    """ZZ that counts its coefficient products (int_scale not included)."""
+    """ZZ that counts its coefficient products: every sum of products goes
+    through `dot`, one product per (a, b, k) term."""
 
     products = 0
 
-    def mul(self, a, b):
-        self.products += 1
-        return a * b
-
-    def int_scale(self, a, k):
-        return a * k
+    def dot(self, terms):
+        terms = list(terms)
+        self.products += len(terms)
+        return super().dot(terms)
 
 
 def test_mul_skips_products_that_reduce_to_zero():

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cobcalc import core_algebra
 from cobcalc.core_algebra import (
     ZZ,
     ZHALF,
@@ -19,6 +20,8 @@ from cobcalc.core_algebra import (
     IntegerLattice,
     bezout,
 )
+from cobcalc.fgl import cha_fgl, chx_fgl, universal_fgl
+from kernel_oracle import oracle_dot, oracle_mul
 from law_oracle import reversion, scaled_lattice
 
 
@@ -370,3 +373,90 @@ def test_b_ring_int_path_matches_half_ring(a, b, k):
     s, d = BZ.add(a, b), BZ.sub(a, b)
     assert emb(BZ.mul(s, d)) == BHf.mul(emb(s), emb(d))
     assert emb(BZ.int_scale(a, k)) == BHf.int_scale(emb(a), k)
+
+
+# ---------------------------------------------------------------------------
+# the interned-monomial kernel against the plain products of kernel_oracle
+
+def _half(n, e):
+    return ZHALF.mul(ZHALF.from_int(n), ZHALF.inv(ZHALF.from_int(1 << e)))
+
+
+_nonzero = st.integers(min_value=-9, max_value=9).filter(bool)
+# (domain, monomial keys, nonzero coefficients in canonical form)
+_KERNEL_DOMAINS = [
+    (b_ring(ZZ), _parts, _nonzero),
+    (b_ring(int_mod(2)), _parts, st.just(1)),
+    (b_ring(ZHALF), _parts, st.builds(_half, _nonzero, st.integers(0, 2))),
+    (TRING, st.integers(0, 4), _nonzero),
+    (TEPS, st.tuples(st.integers(0, 3), st.integers(0, 1)), _nonzero),
+]
+
+
+@st.composite
+def dot_cases(draw):
+    """A domain and (a, b, k) triples over it.  The factors come from a pool
+    that holds zero, the unit, a few drawn elements and the negative of the
+    first, so terms can vanish, have a unit factor or cancel each other."""
+    dom, keys, coeffs = draw(st.sampled_from(_KERNEL_DOMAINS))
+    drawn = draw(st.lists(st.dictionaries(keys, coeffs, max_size=4), min_size=1, max_size=3))
+    pool = [dom.zero(), dom.one(), dom.neg(drawn[0])] + drawn
+    factor = st.sampled_from(pool)
+    terms = draw(st.lists(st.tuples(factor, factor, st.integers(-2, 2)), max_size=5))
+    if terms and draw(st.booleans()):
+        a, b, k = terms[0]
+        terms.append((b, a, -k))
+    return dom, terms
+
+
+@given(dot_cases())
+@settings(max_examples=300, deadline=None)
+def test_dot_and_mul_match_oracle(case):
+    dom, terms = case
+    assert dom.dot(terms) == oracle_dot(dom, terms)
+    for a, b, _k in terms:
+        assert dom.mul(a, b) == oracle_mul(dom, a, b)
+
+
+def _tables():
+    return [core_algebra._B_MONOMIALS, TRING._table, TEPS._table]
+
+
+def test_monomial_tables_are_consistent():
+    law = universal_fgl(9)
+    law.series.mul(law.series)
+    chx_fgl(6).series.mul(chx_fgl(6).series)
+    cha_fgl(6).series.mul(cha_fgl(6).series)
+    assert core_algebra._B_MONOMIALS.merge is merge_partitions
+    for table in _tables():
+        # ids and keys are inverse bijections (dict.get: no interning here)
+        assert len(table.ids) == len(table.keys) == len(table.rows) > 1
+        assert all(dict.get(table.ids, key) == i for i, key in enumerate(table.keys))
+        assert any(table.rows)
+        for i, row in enumerate(table.rows):
+            for j, p in row.items():
+                assert table.keys[p] == table.merge(table.keys[i], table.keys[j])
+
+
+def _kernel_results():
+    B = b_ring(ZZ)
+    law = universal_fgl(10)
+    half = law.series.map_coefficients(b_ring(ZHALF), lambda c: {p: (v, 0) for p, v in c.items()})
+    pi = TS(B, ("y",), 8, {(i,): B.gen(i) for i in range(8)})
+    terms = [(law.coefficient(2, 3), law.coefficient(4, 1), 3), (B.gen(2), B.one(), -2)]
+    return [
+        law.series.mul(law.series).coeffs,
+        half.mul(half).coeffs,
+        pi.inverse().coeffs,
+        B.dot(terms),
+        chx_fgl(8).series.mul(chx_fgl(8).series).coeffs,
+        cha_fgl(8).series.mul(cha_fgl(8).series).coeffs,
+    ]
+
+
+def test_results_identical_after_tables_are_emptied():
+    warm = _kernel_results()
+    for table in _tables():
+        table.clear()
+        assert not table.ids and not table.keys and not table.rows
+    assert _kernel_results() == warm
