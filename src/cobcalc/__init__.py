@@ -71,8 +71,30 @@ from .fixedpoint import (
     verify_trivial_normal,
 )
 from .report import Check, Report
+from . import chow_models, cobordism, core_algebra, fgl, fixedpoint, symmfunc
 
 __version__ = "0.1.0"
+
+
+def clear_caches():
+    """Empty every process-lifetime cache, so that later calls compute from
+    scratch: the model cache, which takes each model's memos with it, and
+    every `lru_cache` of the package (laws, lattice pieces, the `lmod2`
+    twisted series, the b_transport memo, partitions).  A model or law a
+    caller still holds keeps its own memos.  The universal law's coefficient
+    store and the interned monomial tables stay: they are append-only tables
+    that every law and every sparse product reads, the same whatever is
+    asked first."""
+    chow_models._model_cache.clear()
+    for mod in (core_algebra, fgl, cobordism, symmfunc, chow_models, fixedpoint):
+        for obj in list(vars(mod).values()):
+            # a wrapper that sets __wrapped__ (functools.wraps) may stand in
+            # front of a cached function
+            while obj is not None:
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+                obj = getattr(obj, "__wrapped__", None)
+
 
 __all__ = [
     "ZZ", "ZHALF", "TRING", "TEPS", "IntegerLattice", "TruncatedSeries",
@@ -94,5 +116,5 @@ __all__ = [
     "verify_decomposable", "verify_euler", "verify_ks", "verify_lmod2",
     "verify_trivial_normal",
     "Check", "Report",
-    "__version__",
+    "clear_caches", "__version__",
 ]

@@ -272,10 +272,12 @@ class ChowModel:
         "_bounds",
         "_reduce_cache",
         "_residue_cache",
+        "_pushforward_cache",
         "_pi_powers",
         "_tangent",
         "_p_neg_tangent",
         "_fundamental",
+        "_euler",
     )
 
     def __init__(self, spec):
@@ -350,10 +352,12 @@ class ChowModel:
         self._bounds = tuple(bounds)
         self._reduce_cache = {}
         self._residue_cache = {}
+        self._pushforward_cache = {}
         self._pi_powers = {}
         self._tangent = None
         self._p_neg_tangent = {}
         self._fundamental = None
+        self._euler = None
         assert sum(self._bounds) == self.dim
 
     # -- ring structure ----------------------------------------------------
@@ -408,12 +412,11 @@ class ChowModel:
                 out[e2] = v
         return out
 
-    def mul(self, dom, u, v):
-        """The product: the coefficient pairs are summed by one `dot` per
-        exponent sum, then normalized.  Pairs whose exponent sum reduces to
-        zero are never multiplied."""
+    def _group_pairs(self, groups, u, v):
+        """Add the coefficient pairs of u * v to `groups`, as (a, b, 1)
+        triples keyed by exponent sum.  Pairs whose exponent sum reduces to
+        zero are left out."""
         reduce = self.reduce
-        groups = {}
         for e1, c1 in u.items():
             for e2, c2 in v.items():
                 e = tuple(map(_plus, e1, e2))
@@ -422,26 +425,32 @@ class ChowModel:
                     terms.append((c1, c2, 1))
                 elif reduce(e):
                     groups[e] = [(c1, c2, 1)]
+
+    def mul(self, dom, u, v):
+        """The product: the coefficient pairs are summed by one `dot` per
+        exponent sum, then normalized.  Pairs whose exponent sum reduces to
+        zero are never multiplied."""
+        groups = {}
+        self._group_pairs(groups, u, v)
         return self.normalize(dom, dot_groups(dom, groups))
 
     def product(self, dom, factors, y_max):
         """The product of the y-polynomials {k: element} in `factors`,
-        truncated above y^y_max."""
-
-        def mul(a, b):
-            out = {}
-            for ka, ea in a.items():
-                for kb, eb in b.items():
-                    k = ka + kb
-                    if k <= y_max:
-                        term = self.mul(dom, ea, eb)
-                        if term:
-                            out[k] = sparse_add(dom, out[k], term) if k in out else term
-            return {k: v for k, v in out.items() if v}
-
+        truncated above y^y_max.  For each factor, the pairs of every
+        (ka, kb) with ka + kb = k are summed by one `dot` per exponent sum
+        and normalized once per y power k."""
         out = {0: self.one(dom)}
         for f in factors:
-            out = mul(out, f)
+            by_power = {}
+            for ka, ea in out.items():
+                for kb, eb in f.items():
+                    if ka + kb <= y_max:
+                        self._group_pairs(by_power.setdefault(ka + kb, {}), ea, eb)
+            out = {}
+            for k, groups in by_power.items():
+                elt = self.normalize(dom, dot_groups(dom, groups))
+                if elt:
+                    out[k] = elt
         return out
 
     def degree(self, dom, u):
@@ -564,7 +573,8 @@ def quillen_pushforward(S, V, m, dom):
     S may be a spec or a model; V must be an honest bundle on it.  Only the
     factor pi(y)^m depends on m: the rest comes from _residue_series, which
     computes it once per bundle and domain, and the powers of pi are kept on
-    the model per domain and order."""
+    the model per domain and order.  Each value is memoized on the model by
+    the key of the residue series plus m, after its homogeneity check."""
     model = build_model(S) if isinstance(S, VarietySpec) else S
     if V.model is not model:
         raise ValueError("bundle lives on a different model")
@@ -575,10 +585,18 @@ def quillen_pushforward(S, V, m, dom):
     r = V.rank
     if r < 1:
         raise ValueError("bundle rank must be >= 1")
+    key = _bundle_key(V, dom) + (m,)
+    hit = model._pushforward_cache.get(key)
+    if hit is not None:
+        return hit
     order, series = _residue_series(model, V, dom)
-    pi_m = _pi_power(model, dom, order, m)
     # the residue at y = 0 of y^(m-r-i) pi^m d_i is [y^(r+i-m-1)] of pi^m d_i,
     # zero when that exponent is negative (it is always below the order)
+    if m >= order:
+        # negative for every i <= dim = order - r: the value is 0, and
+        # neither pi^m nor the value is kept
+        return dom.zero()
+    pi_m = _pi_power(model, dom, order, m)
     terms = []
     for i, di in series:
         e = r + i - m - 1
@@ -589,6 +607,7 @@ def quillen_pushforward(S, V, m, dom):
     expected = m - (model.dim + r - 1)
     if not dom.is_homogeneous(total, expected):
         raise AssertionError("pushforward value is not homogeneous of degree %d" % expected)
+    model._pushforward_cache[key] = total
     return total
 
 
@@ -620,6 +639,12 @@ def _p_neg_tangent(model, dom):
     return hit
 
 
+def _bundle_key(V, dom):
+    """Memo key of an honest bundle over a domain: its line classes, its
+    trivial rank and the domain's name."""
+    return (tuple(tuple(sorted(l.items())) for l in V.plus_lines), V.plus_trivial, dom.name)
+
+
 def _residue_series(model, V, dom):
     """The twist-independent part of the residue pushforward of the honest
     bundle V: the truncation order and the series d_i(y) = deg(c_i(-V) *
@@ -627,7 +652,7 @@ def _residue_series(model, V, dom):
     line classes and trivial rank of V and the coefficient domain."""
     from . import symmfunc as sf
 
-    key = (tuple(tuple(sorted(l.items())) for l in V.plus_lines), V.plus_trivial, dom.name)
+    key = _bundle_key(V, dom)
     hit = model._residue_cache.get(key)
     if hit is not None:
         return hit
@@ -657,12 +682,15 @@ def _residue_series(model, V, dom):
 # numerical invariants and fundamental classes
 
 def euler_number(spec):
-    """Degree of the top Chern class of the tangent bundle."""
+    """Degree of the top Chern class of the tangent bundle, memoized on the
+    model."""
     spec = spec.canonical()
     if spec.kind == "disjoint":
         return sum(euler_number(c) for c in spec.components)
     model = build_model(spec)
-    return model.degree(ZZ, chern_class(model, ZZ, model.tangent(), model.dim))
+    if model._euler is None:
+        model._euler = model.degree(ZZ, chern_class(model, ZZ, model.tangent(), model.dim))
+    return model._euler
 
 
 def chern_number(spec, alpha):

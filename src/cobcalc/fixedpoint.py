@@ -12,6 +12,8 @@ with their divisibility consequences for small fixed loci.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import symmfunc as sf
 from .chow_models import (
     VarietySpec,
@@ -531,6 +533,31 @@ def _to_integer_element(elt):
     return out
 
 
+@lru_cache(maxsize=None)
+def _lmod2_twists(order):
+    """zeta(x) = [-1](x) over B(ZZ[1/2]), truncated below x^(order - 1), and
+    the list [g_0, g_1, ...] of twisted series that _twisted_series grows.
+    [-1](x) and [-2](x) have integer coefficients: take them off the
+    universal law and embed them; v(zeta(x)) = [-1](x) / [2]([-1](x))."""
+    law = universal_fgl(order)
+    inv = formal_mult(law, -1).map_coefficients(BH, _to_half_element)
+    vz = inv.divide(formal_mult(law, -2).map_coefficients(BH, _to_half_element))
+    zeta = inv.truncate(order - 1)
+    return zeta, [vz.int_scale(2), vz.mul(zeta)]
+
+
+def _twisted_series(order, m):
+    """g_0 = 2 v(zeta) and g_m = zeta^m v(zeta) for m >= 1, read off the
+    memo of the order and grown one power of zeta at a time.  zeta^m
+    vanishes below x^(order - 1) from m = order - 1 on, so every such m reads
+    g_(order - 1) = 0 and the memo holds at most `order` series."""
+    zeta, gs = _lmod2_twists(order)
+    m = min(m, order - 1)
+    while len(gs) <= m:
+        gs.append(gs[-1].mul(zeta))
+    return gs[m]
+
+
 def verify_lmod2(action, order=None, max_m=None):
     """Integrality and lattice membership of the twisted classes built from
     the halved two-fold multiple of the group law.
@@ -550,14 +577,8 @@ def verify_lmod2(action, order=None, max_m=None):
         raise ValueError("order %d too small: need at least %d" % (order, need))
     max_m = _max_twist(max_m, n)
     rep = Report("lmod2")
-    # [-1](x) and [-2](x) have integer coefficients: take them off the
-    # universal law and embed them; v(zeta(x)) = [-1](x) / [2]([-1](x))
-    law = universal_fgl(order)
-    inv = formal_mult(law, -1).map_coefficients(BH, _to_half_element)
-    vz = inv.divide(formal_mult(law, -2).map_coefficients(BH, _to_half_element))
-    zeta = inv.truncate(order - 1)
     # pushforwards of honest bundles are integral: take them over ZZ, where
-    # the residue data verify_L2_relations computed is cached, and embed
+    # the values verify_L2_relations computed are cached, and embed
     q_sums = []
     for j in range(n + 1):
         total = B.zero()
@@ -565,12 +586,8 @@ def verify_lmod2(action, order=None, max_m=None):
             total = B.add(total, quillen_pushforward(comp.model, comp.normal_plus_one(), j, B))
         q_sums.append(_to_half_element(total))
     ambient_cls = fundamental_class(action.ambient, "L")
-    g = vz.int_scale(2)
-    zpow = TruncatedSeries.constant(BH, ("x",), order - 1, BH.one())
     for m in range(max_m + 1):
-        if m > 0:
-            zpow = zpow.mul(zeta)
-            g = zpow.mul(vz)
+        g = _twisted_series(order, m)
         a_m = BH.dot([(g.coeffs[(j,)], q_sums[j], 1) for j in range(n + 1) if (j,) in g.coeffs])
         ints = _to_integer_element(a_m)
         rep.add(

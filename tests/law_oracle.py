@@ -22,11 +22,16 @@ monomial transport without the memo of monomial images, and
 
 `lazard_lattice_from_all_products` builds each lattice piece from every
 product of law coefficients of its weight; production builds it from the
-p(n) monomials in Lazard's polynomial generators."""
+p(n) monomials in Lazard's polynomial generators.
+
+`lmod2_series_by_loop` builds the twisted series of `verify_lmod2` by the
+loop that verifier once ran inline on every call, from the law specialized
+into B(ZHALF); production keeps them per order and grows them one power of
+zeta at a time."""
 
 from cobcalc.cobordism import BRING, lazard_basis, lazard_piece
 from cobcalc.core_algebra import ZHALF, ZZ, IntegerLattice, TruncatedSeries, b_ring
-from cobcalc.fgl import FormalGroupLaw, specialize, universal_fgl
+from cobcalc.fgl import FormalGroupLaw, formal_inverse, formal_mult, specialize, universal_fgl
 from cobcalc.fixedpoint import _to_half_element
 
 
@@ -123,3 +128,20 @@ def scaled_lattice(lattice, m):
     if m < 1:
         raise ValueError("scale must be >= 1")
     return IntegerLattice([[m * a for a in row] for row in lattice.hnf], lattice.ncols)
+
+
+def lmod2_series_by_loop(order, max_m):
+    """[g_0, ..., g_max_m]: g_0 = 2 v(zeta) and g_m = zeta^m v(zeta), with
+    zeta = [-1](x) and v(zeta) = [-1](x) / [-2](x) over B(ZHALF) truncated
+    below x^(order - 1), and zeta^m grown from 1 by one product per m."""
+    half = half_law_by_specialization(order)
+    BH = half.dom
+    inv = formal_inverse(half)
+    vz = inv.divide(formal_mult(half, -2))
+    zeta = inv.truncate(order - 1)
+    out = [vz.int_scale(2)]
+    zpow = TruncatedSeries.constant(BH, ("x",), order - 1, BH.one())
+    for _ in range(max_m):
+        zpow = zpow.mul(zeta)
+        out.append(zpow.mul(vz))
+    return out

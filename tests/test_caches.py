@@ -1,0 +1,103 @@
+"""Caches never change an answer: every verifier report is the same from
+empty caches, on a warm repeat and after `clear_caches()`, whatever order
+the actions come in, and `clear_caches()` empties every cache it names."""
+
+import functools
+import gc
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cobcalc import chow_models, clear_caches
+from cobcalc.chow_models import VarietySpec, build_model
+from cobcalc.fixedpoint import (
+    _twisted_series,
+    builtin_action,
+    verify_all,
+    verify_L2_relations,
+    verify_lmod2,
+)
+from law_oracle import lmod2_series_by_loop
+
+SMALL_BUILTINS = (
+    [("linear_pn", {"n": n, "a": a}) for n in range(1, 5) for a in range(n)]
+    + [("factorwise_p1n", {"n": n}) for n in range(1, 4)]
+    + [("swap_square", {"spec": VarietySpec.multiproj(d)}) for d in ([1], [2], [3])]
+)
+
+
+def _report(verify, name, params, **kwargs):
+    """The report of `verify` on a freshly built action, as canonical JSON."""
+    return json.dumps(verify(builtin_action(name, **params), **kwargs).to_json(), sort_keys=True)
+
+
+def _package_lru_caches():
+    return [o for o in gc.get_objects()
+            if isinstance(o, functools._lru_cache_wrapper)
+            and getattr(o, "__module__", "").startswith("cobcalc")]
+
+
+def test_clear_caches_empties_every_cache():
+    verify_all(builtin_action("linear_pn", n=3, a=1))
+    caches = _package_lru_caches()
+    assert chow_models._model_cache and any(f.cache_info().currsize for f in caches)
+    clear_caches()
+    assert not chow_models._model_cache
+    assert [f.__qualname__ for f in caches if f.cache_info().currsize] == []
+    model = build_model(VarietySpec.multiproj([1]))
+    assert model._pushforward_cache == {} and model._euler is None
+
+
+@pytest.mark.parametrize("name,params", SMALL_BUILTINS)
+def test_verify_all_same_cold_warm_and_cleared(name, params):
+    clear_caches()
+    cold = _report(verify_all, name, params)
+    assert _report(verify_all, name, params) == cold
+    clear_caches()
+    assert _report(verify_all, name, params) == cold
+
+
+# Actions whose fixed components share models and bundles: linear_pn(4, a)
+# and linear_pn(4, 3 - a) have the same two components, swap_square(P^1)
+# puts another bundle on the P^1 of linear_pn(4, 1), and the twists above
+# the ambient dimension reach pushforwards and zeta powers that vanish.
+SHARED = (
+    [(verify_all, "linear_pn", {"n": 4, "a": a}, {}) for a in range(4)]
+    + [
+        (verify_all, "linear_pn", {"n": 3, "a": 1}, {}),
+        (verify_all, "swap_square", {"spec": VarietySpec.multiproj([1])}, {}),
+        (verify_all, "factorwise_p1n", {"n": 2}, {}),
+        (verify_lmod2, "linear_pn", {"n": 3, "a": 1}, {"order": 8, "max_m": 9}),
+        (verify_L2_relations, "linear_pn", {"n": 4, "a": 1}, {"max_m": 6}),
+    ]
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _cold_reports():
+    out = []
+    for verify, name, params, kwargs in SHARED:
+        clear_caches()
+        out.append(_report(verify, name, params, **kwargs))
+    return tuple(out)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.permutations(range(len(SHARED))))
+def test_shuffled_shared_components_match_cold_reports(order):
+    cold = _cold_reports()
+    clear_caches()
+    for i in order + order[:3]:
+        verify, name, params, kwargs = SHARED[i]
+        assert _report(verify, name, params, **kwargs) == cold[i]
+
+
+def test_twisted_series_match_the_power_loop():
+    clear_caches()
+    for order in range(4, 11):
+        want = lmod2_series_by_loop(order, order)
+        # the highest m first, so one call grows the memo to its cap
+        for m in reversed(range(order + 1)):
+            assert _twisted_series(order, m) == want[m], (order, m)
