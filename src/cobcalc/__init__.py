@@ -20,6 +20,7 @@ from .fgl import (
     b_transport,
     cha_b_image,
     cha_fgl,
+    check_law_series,
     chx_b_image,
     chx_fgl,
     formal_inverse,
@@ -100,8 +101,8 @@ __all__ = [
     "ZZ", "ZHALF", "TRING", "TEPS", "IntegerLattice", "TruncatedSeries",
     "b_ring", "hnf_rows", "int_mod", "partitions",
     "FormalGroupLaw", "additive_fgl", "b_transport", "cha_b_image", "cha_fgl",
-    "chx_b_image", "chx_fgl", "formal_inverse", "formal_mult", "specialize",
-    "universal_fgl", "universal_fgl_mod_p",
+    "check_law_series", "chx_b_image", "chx_fgl", "formal_inverse",
+    "formal_mult", "specialize", "universal_fgl", "universal_fgl_mod_p",
     "total_P", "total_P_deformed",
     "ChowModel", "VarietySpec", "VirtualSplitBundle", "additive_chern_number",
     "build_model", "chern_class", "chern_number", "chern_total",

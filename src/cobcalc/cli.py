@@ -80,6 +80,8 @@ def cmd_fgl(args):
     order = args.order
     if order < 2:
         raise UsageError("--order must be at least 2")
+    if args.p is not None and args.law != "universal-mod-p":
+        raise UsageError("--p applies only to --law universal-mod-p")
     if args.law == "universal":
         law = universal_fgl(order)
     elif args.law == "chx":
@@ -93,7 +95,7 @@ def cmd_fgl(args):
             raise UsageError("--law universal-mod-p needs --p")
         law = universal_fgl_mod_p(order, args.p)
     payload = {"law": args.law, "order": order, "series": series_json(law.series)}
-    if args.p is not None:
+    if args.law == "universal-mod-p":
         payload["p"] = args.p
     if args.mult is not None:
         payload["mult"] = {

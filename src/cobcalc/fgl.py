@@ -1,20 +1,24 @@
 """Formal group laws over graded coefficient domains.
 
-A law is a bivariate truncated series F(x, y) with F(x, 0) = x, F(0, y) = y,
-symmetric in x and y, associative up to the checked order, and graded: the
-coefficient of x^i y^j is homogeneous of degree 1 - i - j.  Construction
-verifies all of this, so a FormalGroupLaw instance is trusted downstream.
+Every law is the universal law pushed along a ring map.  The universal law
+F(x, y) = exp(log x + log y) over ZZ[b1, b2, ...] is read off one
+coefficient store, together with the table L_k(n) = [x^n] log(x)^k.  A
+`FormalGroupLaw(dom, order, image)` is that store truncated below total
+degree `order`, with every coefficient mapped through `image`, a ring map
+from ZZ[b] into `dom`.  Its multiples [a](x) = exp(a log x), the formal
+inverse [-1](x) among them, are the store's multiples mapped the same way.
 
-The universal law and its reductions mod p are read off one coefficient
-store, together with the table L_k(n) = [x^n] log(x)^k.  Their multiples
-[a](x) = exp(a log x), the formal inverse [-1](x) among them, are read off
-that table as well, and since every truncation of such a law holds the
-same store coefficients, their associativity check runs once per domain in
-a process, at order ASSOC_CHECK_CAP; the other axioms hold by
-construction.  Laws built any other way (the closed forms, the additive
-law, images under `specialize`) get [a](x) by composing the law with
-itself, the inverse by a fixed-point iteration, and the full check at every
-construction.
+The constructors differ only in the image: the identity (`universal_fgl`),
+reduction mod p (`universal_fgl_mod_p`), b_i |-> (-t)^i into ZZ[t]
+(`chx_fgl`), b_i |-> eps t^i into ZZ[t, eps]/eps^2 (`cha_fgl`) and
+b_i |-> 0 into ZZ (`additive_fgl`).  The store has the unit, the symmetry
+and the grading (the coefficient of x^i y^j is homogeneous of degree
+1 - i - j) by construction, and a ring map keeps them.  Every truncation of
+such a law holds the same mapped coefficients, so its associativity check
+runs once per (domain, image) in a process, at order ASSOC_CHECK_CAP.
+`specialize` pushes a law further along a caller's coefficient function,
+which nothing here can vouch for, so its result gets the full check on
+every call.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from functools import lru_cache, partial
 from math import comb
 
 from .core_algebra import (
-    ZZ, TRING, TEPS, b_ring, dot_groups, int_mod, is_prime, sparse_from_int, TruncatedSeries,
+    ZZ, TRING, TEPS, b_ring, dot_groups, int_mod, is_int, is_prime, sparse_from_int,
+    TruncatedSeries,
 )
 
 # associativity is a trivariate identity; comparing it in full at high order
@@ -32,77 +37,78 @@ ASSOC_CHECK_CAP = 9
 
 
 class FormalGroupLaw:
-    __slots__ = ("dom", "order", "series", "_mult_cache", "_inverse")
+    """The universal law's store truncated below total degree `order`, with
+    each coefficient mapped through the ring map `image` from ZZ[b] into
+    `dom`.  The class trusts `image` to be a ring map; the constructors
+    and `specialize`, which check the laws they build, are the way in."""
 
-    def __init__(self, series):
-        if series.vars != ("x", "y"):
-            raise ValueError("law series must have variables (x, y)")
-        self.dom = series.dom
-        self.order = series.order
-        self.series = series
+    __slots__ = ("dom", "order", "image", "series", "_mult_cache")
+
+    def __init__(self, dom, order, image):
+        if order < 2:
+            raise ValueError("a formal group law needs order >= 2, got %d" % order)
+        self.dom = dom
+        self.order = order
+        self.image = image
+        self.series = _store_series(dom, order, image)
         self._mult_cache = {}
-        self._inverse = None
-        self._check_axioms()
 
     def coefficient(self, i, j):
         return self.series.coefficient((i, j))
 
-    def _check_axioms(self):
-        dom = self.dom
-        if self.order > 1 and not dom.eq(self.coefficient(1, 0), dom.one()):
-            raise ValueError("law fails F(x,0) = x at the linear term")
-        for (i, j), c in self.series.coeffs.items():
-            if j == 0 and i != 1:
-                raise ValueError("law fails F(x,0) = x at x^%d" % i)
-            if i == 0 and j != 1:
-                raise ValueError("law fails F(0,y) = y at y^%d" % j)
-            if not dom.eq(c, self.coefficient(j, i)):
-                raise ValueError("law is not commutative at x^%d y^%d" % (i, j))
-            if not dom.is_homogeneous(c, 1 - i - j):
-                raise ValueError(
-                    "coefficient of x^%d y^%d is not homogeneous of degree %d"
-                    % (i, j, 1 - i - j)
-                )
-        _check_associativity(self.series.truncate(min(self.order, ASSOC_CHECK_CAP)))
-
-    def formal_inverse(self):
-        """The series m(x) with F(x, m(x)) = 0: the fixed point of
-        m = -x - mixed(x, m), for the terms `mixed` of F divisible by xy.
-        Each step fixes one more degree, so order - 1 steps reach it."""
-        if self._inverse is None:
-            dom = self.dom
-            x = TruncatedSeries.variable(dom, ("x",), self.order, "x")
-            mixed = TruncatedSeries(
-                dom,
-                ("x", "y"),
-                self.order,
-                {e: c for e, c in self.series.coeffs.items() if e[0] >= 1 and e[1] >= 1},
-                _trusted=True,
-            )
-            m = x.neg()
-            for _ in range(self.order - 1):
-                nxt = x.add(mixed.compose({"x": x, "y": m})).neg()
-                if nxt == m:
-                    break
-                m = nxt
-            self._inverse = m
-        return self._inverse
-
     def formal_mult(self, a):
-        """The a-fold formal sum [a](x); [0] = 0, [a] = F([a-1](x), x),
-        [-a] = inverse([a])."""
-        if a in self._mult_cache:
-            return self._mult_cache[a]
-        dom = self.dom
-        x = TruncatedSeries.variable(dom, ("x",), self.order, "x")
-        if a == 0:
-            r = TruncatedSeries.zero(dom, ("x",), self.order)
-        elif a > 0:
-            r = self.series.compose({"x": self.formal_mult(a - 1), "y": x})
-        else:
-            r = self.formal_inverse().compose({"x": self.formal_mult(-a)})
-        self._mult_cache[a] = r
+        """The a-fold formal sum [a](x) = exp(a log x) for an integer a: its
+        x^n coefficient is sum_k a^k b_{k-1} L_k(n), mapped into the law's
+        domain.  [0](x) = 0 and [-1](x) is the formal inverse."""
+        if not is_int(a):
+            raise ValueError("the formal multiple [a](x) needs an integer a, got %r" % (a,))
+        r = self._mult_cache.get(a)
+        if r is None:
+            B, dom = _B, self.dom
+            _grow_log_powers(self.order - 1)
+            coeffs = {}
+            one = B.one()
+            for n in range(1, self.order):
+                acc = B.dot([(term, one, a ** k) for k, term in _EXP_LOG[n].items()])
+                v = self.image(acc)
+                if not dom.is_zero(v):
+                    coeffs[(n,)] = v
+            r = self._mult_cache[a] = TruncatedSeries(dom, ("x",), self.order, coeffs, _trusted=True)
         return r
+
+
+def formal_inverse(law):
+    """The series m(x) with F(x, m(x)) = 0, which is [-1](x)."""
+    return law.formal_mult(-1)
+
+
+def formal_mult(law, a):
+    return law.formal_mult(a)
+
+
+def check_law_series(series):
+    """Raise ValueError unless the series F(x, y) is a formal group law to
+    its order: F(x, 0) = x, F(0, y) = y, F symmetric in x and y, the
+    coefficient of x^i y^j homogeneous of degree 1 - i - j, and associative
+    up to order min(order, ASSOC_CHECK_CAP)."""
+    if series.vars != ("x", "y"):
+        raise ValueError("law series must have variables (x, y)")
+    dom = series.dom
+    if series.order > 1 and not dom.eq(series.coefficient((1, 0)), dom.one()):
+        raise ValueError("law fails F(x,0) = x at the linear term")
+    for (i, j), c in series.coeffs.items():
+        if j == 0 and i != 1:
+            raise ValueError("law fails F(x,0) = x at x^%d" % i)
+        if i == 0 and j != 1:
+            raise ValueError("law fails F(0,y) = y at y^%d" % j)
+        if not dom.eq(c, series.coefficient((j, i))):
+            raise ValueError("law is not commutative at x^%d y^%d" % (i, j))
+        if not dom.is_homogeneous(c, 1 - i - j):
+            raise ValueError(
+                "coefficient of x^%d y^%d is not homogeneous of degree %d"
+                % (i, j, 1 - i - j)
+            )
+    _check_associativity(series.truncate(min(series.order, ASSOC_CHECK_CAP)))
 
 
 def _check_associativity(f):
@@ -121,16 +127,8 @@ def _check_associativity(f):
         raise ValueError("law is not associative to order %d" % A)
 
 
-def formal_inverse(law):
-    return law.formal_inverse()
-
-
-def formal_mult(law, a):
-    return law.formal_mult(a)
-
-
 # ---------------------------------------------------------------------------
-# the universal law and its standard specializations
+# the universal law's coefficient store
 
 # The universal law F(x, y) = exp(log x + log y), with exp(x) = x + b1 x^2 +
 # b2 x^3 + ...  A coefficient of total degree d does not depend on the
@@ -147,9 +145,6 @@ _B = b_ring(ZZ)
 _LOG_POWERS = [{}, {1: _B.one()}]
 _EXP_LOG = [{}, {1: _B.one()}]
 _LAW_BY_DEGREE = [{}, {(1, 0): _B.one(), (0, 1): _B.one()}]
-# the name of every domain whose store image passed the associativity check
-# at order ASSOC_CHECK_CAP in this process
-_ASSOC_CHECKED = set()
 
 
 def _grow_log_powers(n):
@@ -204,116 +199,6 @@ def _store_series(dom, order, image):
     return TruncatedSeries(dom, ("x", "y"), order, coeffs, _trusted=True)
 
 
-class _StoreLaw(FormalGroupLaw):
-    """A law read off the shared store through the ring map `image` from
-    ZZ[b] to `dom`: the identity for the universal law, reduction mod p for
-    its reductions.  Its truncation to any order is the image of the same
-    store coefficients, so one associativity check at order ASSOC_CHECK_CAP
-    per dom covers every order, and [a](x) is the image of the universal
-    [a](x)."""
-
-    __slots__ = ("_image",)
-
-    def __init__(self, dom, order, image):
-        if order < 2:
-            raise ValueError("the universal law needs order >= 2, got %d" % order)
-        self._image = image
-        super().__init__(_store_series(dom, order, image))
-
-    def _check_axioms(self):
-        """Check associativity only, once per dom, on the store image to
-        order ASSOC_CHECK_CAP: every lower truncation holds the same
-        coefficients, and every higher one is checked to that order anyway.
-        Unit, symmetry and grading hold by construction: the store holds x
-        and y, sets F_ab = F_ba, holds no other pure power of x or y, and
-        each F_ab is homogeneous of degree 1 - a - b by its formula; `image`
-        is a ring map, so it keeps all three."""
-        if self.dom.name not in _ASSOC_CHECKED:
-            _check_associativity(_store_series(self.dom, ASSOC_CHECK_CAP, self._image))
-            _ASSOC_CHECKED.add(self.dom.name)
-
-    def formal_inverse(self):
-        return self.formal_mult(-1)
-
-    def formal_mult(self, a):
-        """[a](x) = exp(a log x), whose x^n coefficient is
-        sum_k a^k b_{k-1} L_k(n), mapped into the law's domain."""
-        r = self._mult_cache.get(a)
-        if r is None:
-            B, dom = _B, self.dom
-            _grow_log_powers(self.order - 1)
-            coeffs = {}
-            one = B.one()
-            for n in range(1, self.order):
-                acc = B.dot([(term, one, a ** k) for k, term in _EXP_LOG[n].items()])
-                v = self._image(acc)
-                if not dom.is_zero(v):
-                    coeffs[(n,)] = v
-            r = self._mult_cache[a] = TruncatedSeries(dom, ("x",), self.order, coeffs, _trusted=True)
-        return r
-
-
-@lru_cache(maxsize=None)
-def universal_fgl(order):
-    """Universal formal group law over ZZ[b1, b2, ...] to total degree
-    < order: exp(log x + log y) for the universal exponential
-    x + b1 x^2 + b2 x^3 + ..., read off the shared coefficient store."""
-    return _StoreLaw(_B, order, lambda c: c)
-
-
-def specialize(law, new_dom, coeff_fn):
-    """Apply coeff_fn to every coefficient of the law; the result is
-    re-validated (including the grading), so an image that breaks the
-    degree convention is rejected."""
-    return FormalGroupLaw(law.series.map_coefficients(new_dom, coeff_fn))
-
-
-def additive_fgl(order):
-    x = TruncatedSeries.variable(ZZ, ("x", "y"), order, "x")
-    y = TruncatedSeries.variable(ZZ, ("x", "y"), order, "y")
-    return FormalGroupLaw(x.add(y))
-
-
-@lru_cache(maxsize=None)
-def chx_fgl(order):
-    """Closed-form law (x + y - 2txy) / (1 - t^2 xy) over ZZ[t]."""
-    dom = TRING
-    X = TruncatedSeries.variable(dom, ("x", "y"), order, "x")
-    Y = TruncatedSeries.variable(dom, ("x", "y"), order, "y")
-    XY = X.mul(Y)
-    num = X.add(Y).add(XY.scale(dom.monomial(1, -2)))
-    den = TruncatedSeries.constant(dom, ("x", "y"), order, dom.one()).sub(
-        XY.scale(dom.monomial(2, 1))
-    )
-    return FormalGroupLaw(num.mul(den.inverse()))
-
-
-@lru_cache(maxsize=None)
-def cha_fgl(order):
-    """Closed-form law x + y + eps * sum_i t^i ((x+y)^{i+1} - x^{i+1} - y^{i+1})
-    over ZZ[t, eps]/eps^2."""
-    dom = TEPS
-    X = TruncatedSeries.variable(dom, ("x", "y"), order, "x")
-    Y = TruncatedSeries.variable(dom, ("x", "y"), order, "y")
-    S = X.add(Y)
-    F = S
-    Sp, Xp, Yp = S.mul(S), X.mul(X), Y.mul(Y)
-    for i in range(1, order - 1):
-        F = F.add(Sp.sub(Xp).sub(Yp).scale(dom.monomial(i, 1, 1)))
-        Sp, Xp, Yp = Sp.mul(S), Xp.mul(X), Yp.mul(Y)
-    return FormalGroupLaw(F)
-
-
-@lru_cache(maxsize=None)
-def universal_fgl_mod_p(order, p):
-    """The universal law with every coefficient reduced mod the prime p,
-    over (ZZ/p)[b1, b2, ...]."""
-    if not is_prime(p):
-        raise ValueError("the universal law mod p needs a prime p, got %d" % p)
-    Fp = int_mod(p)
-    return _StoreLaw(b_ring(Fp), order, partial(sparse_from_int, Fp))
-
-
 # ---------------------------------------------------------------------------
 # transport of ZZ[b] elements along b_i |-> (image in another domain)
 
@@ -345,3 +230,99 @@ def chx_b_image(i):
 def cha_b_image(i):
     """b_i |-> eps * t^i, carrying the universal law to cha_fgl."""
     return TEPS.monomial(i, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the constructors: the universal law and its standard images
+
+# every (domain, image) of a constructor whose law passed the associativity
+# check at order ASSOC_CHECK_CAP in this process.  The map is part of the
+# key: two maps into one domain give two different laws.
+_ASSOC_CHECKED = set()
+
+
+def _store_law(dom, order, image):
+    """The law along one of the constructors' fixed images, whose
+    associativity is checked once per (dom, image): every lower truncation
+    holds the same coefficients, and every higher one is checked to
+    ASSOC_CHECK_CAP anyway."""
+    law = FormalGroupLaw(dom, order, image)
+    key = (dom, image)
+    if key not in _ASSOC_CHECKED:
+        _check_associativity(_store_series(dom, ASSOC_CHECK_CAP, image))
+        _ASSOC_CHECKED.add(key)
+    return law
+
+
+def _identity(c):
+    return c
+
+
+def _constant_term(c):
+    """b_i |-> 0 into ZZ: the constant term of a b-polynomial."""
+    return c.get((), 0)
+
+
+def _chx_image(c):
+    return b_transport(c, TRING, chx_b_image)
+
+
+def _cha_image(c):
+    return b_transport(c, TEPS, cha_b_image)
+
+
+# the reduction ZZ[b] -> (ZZ/p)[b], one object per p, so that the
+# associativity memo meets the same map on every call
+_REDUCTIONS = {}
+
+
+@lru_cache(maxsize=None)
+def universal_fgl(order):
+    """Universal formal group law over ZZ[b1, b2, ...] to total degree
+    < order: exp(log x + log y) for the universal exponential
+    x + b1 x^2 + b2 x^3 + ..., the store itself."""
+    return _store_law(_B, order, _identity)
+
+
+@lru_cache(maxsize=None)
+def universal_fgl_mod_p(order, p):
+    """The universal law with every coefficient reduced mod the prime p,
+    over (ZZ/p)[b1, b2, ...]."""
+    if not is_prime(p):
+        raise ValueError("the universal law mod p needs a prime p, got %d" % p)
+    Fp = int_mod(p)
+    image = _REDUCTIONS.setdefault(p, partial(sparse_from_int, Fp))
+    return _store_law(b_ring(Fp), order, image)
+
+
+@lru_cache(maxsize=None)
+def chx_fgl(order):
+    """The law (x + y - 2txy) / (1 - t^2 xy) over ZZ[t]: the universal law
+    along b_i |-> (-t)^i."""
+    return _store_law(TRING, order, _chx_image)
+
+
+@lru_cache(maxsize=None)
+def cha_fgl(order):
+    """The law x + y + eps * sum_{i>=1} t^i ((x+y)^{i+1} - x^{i+1} - y^{i+1})
+    over ZZ[t, eps]/eps^2: the universal law along b_i |-> eps t^i."""
+    return _store_law(TEPS, order, _cha_image)
+
+
+@lru_cache(maxsize=None)
+def additive_fgl(order):
+    """The additive law x + y over ZZ: the universal law along b_i |-> 0."""
+    return _store_law(ZZ, order, _constant_term)
+
+
+def specialize(law, new_dom, coeff_fn):
+    """The law pushed along coeff_fn, which must be a ring map from law.dom
+    to new_dom: the result is the store along coeff_fn o law.image, so its
+    [a](x) is coeff_fn applied to the law's [a](x) only for a ring map.
+    coeff_fn comes from the caller, so the result's series gets the full
+    check of `check_law_series` on every call, the grading included: an
+    image that breaks the degree convention is rejected."""
+    image = law.image
+    out = FormalGroupLaw(new_dom, law.order, lambda c: coeff_fn(image(c)))
+    check_law_series(out.series)
+    return out

@@ -8,30 +8,35 @@ mod-2 piece from HNF bases of the lattice pieces
 (`cobordism.mod2_theory_piece`).  This module builds the same objects the
 direct way: the law as exp(log x + log y) with log the compositional
 inverse of the universal exponential (`reversion`), and the mod-2 piece from every
-generator of every lattice piece involved.  `verify_lmod2` embeds the
-integral series [2](x) and the formal inverse in B(ZHALF); the oracle
-specializes the whole law into B(ZHALF) and validates it again.
+generator of every lattice piece involved.
 
-The store-built laws read [a](x) = exp(a log x) off the log-power table;
-`law_without_store` rebuilds the same series as a law with no store behind
-it, whose [a](x) comes from composing the series with itself and whose
-inverse comes from a fixed-point iteration; it also runs the full axiom
-check that store-built laws skip.  `b_transport_by_parts` is the
-monomial transport without the memo of monomial images, and
-`scaled_lattice` the lattice m*L behind `LazardDegreePiece.member_mod`.
+Every production law is the universal store pushed along a ring map, with
+[a](x) = exp(a log x) read off the same store.  `SeriesLaw` is a law built
+from its series alone: [a](x) composes the series with itself, the inverse
+is a fixed-point iteration, and construction runs the full series check
+that `specialize` runs.  `law_without_store` builds each constructor's law
+that way, from the reversion series (the universal law and its reductions
+mod p) or from its closed form (`chx_law_closed_form`,
+`cha_law_closed_form`, `additive_law_closed_form`).
+`b_transport_by_parts` is the monomial transport without the memo of
+monomial images, and `scaled_lattice` the lattice m*L behind
+`LazardDegreePiece.member_mod`.
 
 `lazard_lattice_from_all_products` builds each lattice piece from every
 product of law coefficients of its weight; production builds it from the
 p(n) monomials in Lazard's polynomial generators.
 
 `lmod2_series_by_loop` builds the twisted series of `verify_lmod2` by the
-loop that verifier once ran inline on every call, from the law specialized
-into B(ZHALF); production keeps them per order and grows them one power of
-zeta at a time."""
+loop that verifier once ran inline on every call, from the reversion series
+mapped into B(ZHALF) as a `SeriesLaw`; production embeds the integral [2](x)
+and [-1](x) read off the store, keeps the twisted series per order and grows
+them one power of zeta at a time."""
 
 from cobcalc.cobordism import BRING, lazard_basis, lazard_piece
-from cobcalc.core_algebra import ZHALF, ZZ, IntegerLattice, TruncatedSeries, b_ring
-from cobcalc.fgl import FormalGroupLaw, formal_inverse, formal_mult, specialize, universal_fgl
+from cobcalc.core_algebra import TEPS, TRING, ZHALF, ZZ, IntegerLattice, TruncatedSeries, b_ring, int_mod
+from cobcalc.fgl import (
+    additive_fgl, cha_fgl, check_law_series, chx_fgl, universal_fgl, universal_fgl_mod_p,
+)
 from cobcalc.fixedpoint import _to_half_element
 
 
@@ -100,16 +105,121 @@ def mod2_piece_from_generators(n):
     return IntegerLattice(mod2_generator_rows(n), len(lazard_piece(n).basis))
 
 
-def half_law_by_specialization(order):
-    """The universal law at `order` specialized into B(ZHALF)."""
-    return specialize(universal_fgl(order), b_ring(ZHALF), _to_half_element)
+class SeriesLaw:
+    """A formal group law built from its series alone: [a](x) by composing
+    the series with itself, the inverse by a fixed-point iteration.  The
+    series passes the full check of `check_law_series` first."""
+
+    def __init__(self, series):
+        check_law_series(series)
+        self.dom = series.dom
+        self.order = series.order
+        self.series = series
+        self._mult_cache = {}
+        self._inverse = None
+
+    def formal_inverse(self):
+        """The series m(x) with F(x, m(x)) = 0: the fixed point of
+        m = -x - mixed(x, m), for the terms `mixed` of F divisible by xy.
+        Each step fixes one more degree, so order - 1 steps reach it."""
+        if self._inverse is None:
+            dom = self.dom
+            x = TruncatedSeries.variable(dom, ("x",), self.order, "x")
+            mixed = TruncatedSeries(
+                dom,
+                ("x", "y"),
+                self.order,
+                {e: c for e, c in self.series.coeffs.items() if e[0] >= 1 and e[1] >= 1},
+                _trusted=True,
+            )
+            m = x.neg()
+            for _ in range(self.order - 1):
+                nxt = x.add(mixed.compose({"x": x, "y": m})).neg()
+                if nxt == m:
+                    break
+                m = nxt
+            self._inverse = m
+        return self._inverse
+
+    def formal_mult(self, a):
+        """The a-fold formal sum [a](x); [0] = 0, [a] = F([a-1](x), x),
+        [-a] = inverse([a])."""
+        if a in self._mult_cache:
+            return self._mult_cache[a]
+        dom = self.dom
+        x = TruncatedSeries.variable(dom, ("x",), self.order, "x")
+        if a == 0:
+            r = TruncatedSeries.zero(dom, ("x",), self.order)
+        elif a > 0:
+            r = self.series.compose({"x": self.formal_mult(a - 1), "y": x})
+        else:
+            r = self.formal_inverse().compose({"x": self.formal_mult(-a)})
+        self._mult_cache[a] = r
+        return r
 
 
-def law_without_store(law):
-    """The law's series as a law built directly: [a](x) = F([a-1](x), x) for
-    a > 0, [a](x) = m([-a](x)) for a < 0, and the inverse m(x) the fixed
-    point of m = -x - (mixed terms of F)(x, m)."""
-    return FormalGroupLaw(law.series)
+def additive_law_closed_form(order):
+    """x + y over ZZ."""
+    x = TruncatedSeries.variable(ZZ, ("x", "y"), order, "x")
+    y = TruncatedSeries.variable(ZZ, ("x", "y"), order, "y")
+    return SeriesLaw(x.add(y))
+
+
+def chx_law_closed_form(order):
+    """(x + y - 2txy) / (1 - t^2 xy) over ZZ[t]."""
+    dom = TRING
+    X = TruncatedSeries.variable(dom, ("x", "y"), order, "x")
+    Y = TruncatedSeries.variable(dom, ("x", "y"), order, "y")
+    XY = X.mul(Y)
+    num = X.add(Y).add(XY.scale(dom.monomial(1, -2)))
+    den = TruncatedSeries.constant(dom, ("x", "y"), order, dom.one()).sub(
+        XY.scale(dom.monomial(2, 1))
+    )
+    return SeriesLaw(num.mul(den.inverse()))
+
+
+def cha_law_closed_form(order):
+    """x + y + eps * sum_i t^i ((x+y)^{i+1} - x^{i+1} - y^{i+1}) over
+    ZZ[t, eps]/eps^2."""
+    dom = TEPS
+    X = TruncatedSeries.variable(dom, ("x", "y"), order, "x")
+    Y = TruncatedSeries.variable(dom, ("x", "y"), order, "y")
+    S = X.add(Y)
+    F = S
+    Sp, Xp, Yp = S.mul(S), X.mul(X), Y.mul(Y)
+    for i in range(1, order - 1):
+        F = F.add(Sp.sub(Xp).sub(Yp).scale(dom.monomial(i, 1, 1)))
+        Sp, Xp, Yp = Sp.mul(S), Xp.mul(X), Yp.mul(Y)
+    return SeriesLaw(F)
+
+
+def _reversion_law_mod_p(order, p):
+    """The reversion series with every coefficient reduced mod p."""
+    reduce = lambda c: {m: v % p for m, v in c.items() if v % p}
+    return SeriesLaw(universal_series_by_reversion(order).map_coefficients(b_ring(int_mod(p)), reduce))
+
+
+_WITHOUT_STORE = {
+    universal_fgl: lambda order: SeriesLaw(universal_series_by_reversion(order)),
+    universal_fgl_mod_p: _reversion_law_mod_p,
+    chx_fgl: chx_law_closed_form,
+    cha_fgl: cha_law_closed_form,
+    additive_fgl: additive_law_closed_form,
+}
+
+
+def law_without_store(constructor, order, *args):
+    """The law that `constructor(order, *args)` returns, built as a
+    `SeriesLaw` with no store behind it: from the reversion series for the
+    universal law and its reductions mod p, and from the closed form for
+    `chx_fgl`, `cha_fgl` and `additive_fgl`."""
+    return _WITHOUT_STORE[constructor](order, *args)
+
+
+def half_law_without_store(order):
+    """The universal law at `order` over B(ZHALF), as a `SeriesLaw` on the
+    reversion series mapped into B(ZHALF)."""
+    return SeriesLaw(universal_series_by_reversion(order).map_coefficients(b_ring(ZHALF), _to_half_element))
 
 
 def b_transport_by_parts(elt, new_dom, gen_image):
@@ -134,10 +244,10 @@ def lmod2_series_by_loop(order, max_m):
     """[g_0, ..., g_max_m]: g_0 = 2 v(zeta) and g_m = zeta^m v(zeta), with
     zeta = [-1](x) and v(zeta) = [-1](x) / [-2](x) over B(ZHALF) truncated
     below x^(order - 1), and zeta^m grown from 1 by one product per m."""
-    half = half_law_by_specialization(order)
+    half = half_law_without_store(order)
     BH = half.dom
-    inv = formal_inverse(half)
-    vz = inv.divide(formal_mult(half, -2))
+    inv = half.formal_inverse()
+    vz = inv.divide(half.formal_mult(-2))
     zeta = inv.truncate(order - 1)
     out = [vz.int_scale(2)]
     zpow = TruncatedSeries.constant(BH, ("x",), order - 1, BH.one())

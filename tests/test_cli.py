@@ -60,6 +60,16 @@ def test_fgl_order_below_two_exits_2(capsys, law):
     assert obj["error"] == "--order must be at least 2"
 
 
+@pytest.mark.parametrize("law", ["universal", "chx", "cha", "additive"])
+def test_fgl_p_without_mod_p_law_exits_2(capsys, law):
+    # only the universal law mod p has a p; the others must not echo one
+    code, obj = run(capsys, ["fgl", "--law", law, "--order", "4", "--p", "3"])
+    assert code == 2
+    assert obj["status"] == "error"
+    assert obj["error"] == "--p applies only to --law universal-mod-p"
+    assert "payload" not in obj
+
+
 def test_chern_full_listing(capsys):
     code, obj = run(capsys, ["chern", "--spec", json.dumps(P2)])
     assert code == 0

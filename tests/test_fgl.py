@@ -3,7 +3,7 @@ import pytest
 from cobcalc import fgl
 from cobcalc.core_algebra import ZZ, TRING, TEPS, b_ring, int_mod, TruncatedSeries as TS
 from cobcalc.fgl import (
-    FormalGroupLaw,
+    check_law_series,
     universal_fgl,
     specialize,
     additive_fgl,
@@ -16,9 +16,27 @@ from cobcalc.fgl import (
     formal_inverse,
     formal_mult,
 )
-from law_oracle import b_transport_by_parts, law_without_store, universal_series_by_reversion
+from law_oracle import (
+    additive_law_closed_form,
+    b_transport_by_parts,
+    cha_law_closed_form,
+    chx_law_closed_form,
+    law_without_store,
+    universal_series_by_reversion,
+)
 
 B = b_ring(ZZ)
+
+# every constructor, with the arguments after the order
+CONSTRUCTORS = [
+    pytest.param(universal_fgl, (), id="universal"),
+    pytest.param(universal_fgl_mod_p, (2,), id="mod-2"),
+    pytest.param(universal_fgl_mod_p, (3,), id="mod-3"),
+    pytest.param(universal_fgl_mod_p, (5,), id="mod-5"),
+    pytest.param(chx_fgl, (), id="chx"),
+    pytest.param(cha_fgl, (), id="cha"),
+    pytest.param(additive_fgl, (), id="additive"),
+]
 
 
 def test_universal_low_coefficients():
@@ -47,6 +65,13 @@ def test_universal_rejects_order_below_two(order):
         universal_fgl(order)
 
 
+@pytest.mark.parametrize("order", [1, 0, -1])
+@pytest.mark.parametrize("constructor, args", CONSTRUCTORS)
+def test_every_constructor_rejects_order_below_two(constructor, args, order):
+    with pytest.raises(ValueError, match=r"order >= 2, got %d" % order):
+        constructor(order, *args)
+
+
 def test_universal_grading():
     U = universal_fgl(6)
     for (i, j), c in U.series.coeffs.items():
@@ -70,22 +95,61 @@ def test_store_inverse_closes_through_order_18():
 
 @pytest.mark.parametrize("p", [None, 2, 3, 5])
 def test_store_multiples_match_compose_oracle(p):
-    # [a](x) read off the log-power table against the same series as a law
-    # with no store behind it: compose route for [a], fixed point for [-1]
+    # [a](x) read off the log-power table against the reversion series as a
+    # law with no store behind it: compose route for [a], fixed point for [-1]
+    args = () if p is None else (p,)
+    constructor = universal_fgl if p is None else universal_fgl_mod_p
     for order in range(2, 13):
-        law = universal_fgl(order) if p is None else universal_fgl_mod_p(order, p)
-        ref = law_without_store(law)
+        law = constructor(order, *args)
+        ref = law_without_store(constructor, order, *args)
+        assert law.series == ref.series, (order, p)
         assert formal_inverse(law) == ref.formal_inverse(), (order, p)
         for a in range(-3, 4):
             assert formal_mult(law, a) == ref.formal_mult(a), (order, p, a)
 
 
+@pytest.mark.parametrize("constructor", [chx_fgl, cha_fgl, additive_fgl])
+def test_closed_form_multiples_match_store(constructor):
+    # [a](x) of the store pushed along chx's, cha's or the additive image
+    # against the closed form as a law with no store behind it (the
+    # universal law and its reductions are compared above)
+    for order in range(2, 13):
+        law = constructor(order)
+        ref = law_without_store(constructor, order)
+        assert formal_inverse(law) == ref.formal_inverse(), order
+        for a in range(-3, 4):
+            assert formal_mult(law, a) == ref.formal_mult(a), (order, a)
+
+
+@pytest.mark.parametrize("closed_form, constructor", [
+    (chx_law_closed_form, chx_fgl),
+    (cha_law_closed_form, cha_fgl),
+    (additive_law_closed_form, additive_fgl),
+], ids=["chx", "cha", "additive"])
+def test_closed_forms_match_store_images(closed_form, constructor):
+    for order in range(2, 19):
+        assert constructor(order).series == closed_form(order).series, order
+
+
 @pytest.mark.parametrize("p", [None, 2, 3, 5])
 def test_store_laws_pass_the_full_axiom_check(p):
-    # a store-built law checks only associativity; rebuilt with no store
-    # behind it, the same series passes unit, symmetry and grading as well
+    # a store-built law checks only associativity; the full check that
+    # `specialize` runs passes unit, symmetry and grading on its series too
     law = universal_fgl(18) if p is None else universal_fgl_mod_p(18, p)
-    assert FormalGroupLaw(law.series).series == law.series
+    check_law_series(law.series)
+
+
+@pytest.mark.parametrize("constructor, a", [
+    (universal_fgl, 2.5),
+    (universal_fgl, True),
+    (chx_fgl, 2.5),
+    (cha_fgl, False),
+    (additive_fgl, "2"),
+], ids=["universal-float", "universal-bool", "chx-float", "cha-bool", "additive-str"])
+def test_formal_mult_rejects_a_non_integer(constructor, a):
+    # a float would give float coefficients and a bool would read as 0 or 1
+    with pytest.raises(ValueError, match="integer"):
+        formal_mult(constructor(5), a)
 
 
 def test_additive_law():
@@ -180,9 +244,19 @@ def test_specialize_rejects_degree_breaking_map():
         specialize(U, TRING, bad)
 
 
+def _t_gen(i):
+    return TRING.monomial(i, 1)
+
+
+def _t_image(c):
+    # b_i |-> t^i: a second ring map into ZZ[t], besides chx's b_i |-> (-t)^i
+    return b_transport(c, TRING, _t_gen)
+
+
 def test_store_laws_check_associativity_once_per_domain(monkeypatch):
     # every truncation of a store law holds the same coefficients, so one
-    # check at the cap per domain covers all orders, below the cap as well
+    # check at the cap per (domain, map) covers all orders, below the cap as
+    # well; a second map into the same domain gets its own check
     checked = []
     check = fgl._check_associativity
 
@@ -197,13 +271,19 @@ def test_store_laws_check_associativity_once_per_domain(monkeypatch):
         universal_fgl.__wrapped__(order)
     for order in (3, 8, 12):
         universal_fgl_mod_p.__wrapped__(order, 2)
+    for order in (3, 8, 12, 18):
+        chx_fgl.__wrapped__(order)
+        cha_fgl.__wrapped__(order)
+    for order in (3, 12):
+        fgl._store_law(TRING, order, _t_image)
     cap = fgl.ASSOC_CHECK_CAP
-    assert checked == [("B(ZZ)", cap), ("B(ZZ/2)", cap)]
+    T, E = TRING.name, TEPS.name
+    assert checked == [("B(ZZ)", cap), ("B(ZZ/2)", cap), (T, cap), (E, cap), (T, cap)]
 
 
 def test_law_construction_rejects_non_associative():
-    # the store laws check associativity once per domain; a law built
-    # directly is checked in full even after that memo is warm
+    # the store laws check associativity once per (domain, map); the check
+    # that `specialize` runs is made in full even after that memo is warm
     universal_fgl(18)
     for order in (5, 18):
         U = universal_fgl(order)
@@ -212,15 +292,19 @@ def test_law_construction_rejects_non_associative():
         c[(1, 2)] = B.add(c[(1, 2)], pert)
         c[(2, 1)] = B.add(c[(2, 1)], pert)
         with pytest.raises(ValueError, match="associative"):
-            FormalGroupLaw(TS(B, ("x", "y"), order, c))
+            check_law_series(TS(B, ("x", "y"), order, c))
 
 
 def test_law_construction_rejects_bad_series():
     # 2x + y is not a law: fails F(x,0) = x
     s = TS(ZZ, ("x", "y"), 4, {(1, 0): 2, (0, 1): 1})
     with pytest.raises(ValueError):
-        FormalGroupLaw(s)
+        check_law_series(s)
     # x + y + x^2 fails unitality at x^2
     s = TS(ZZ, ("x", "y"), 4, {(1, 0): 1, (0, 1): 1, (2, 0): 1})
     with pytest.raises(ValueError):
-        FormalGroupLaw(s)
+        check_law_series(s)
+    # a series in other variables is not a law series
+    s = TS(ZZ, ("x",), 4, {(1,): 1})
+    with pytest.raises(ValueError, match="variables"):
+        check_law_series(s)
