@@ -1,15 +1,17 @@
-"""Chow rings of products of projective spaces and iterated projective
-bundles, with exact intersection products, degrees, bundle pushforwards, and
-virtual split vector bundles.
+"""Chow rings of towers of projective bundles, with exact intersection
+products, degrees, bundle pushforwards, and virtual split vector bundles.
 
-Every generator has codimension 1: hyperplane classes h_i with h_i^{n_i+1}=0
-and relative classes xi_k subject to xi^r = -(c_1(V) xi^{r-1} + ... + c_r(V))
-for the bundle V of the layer, whose line roots are x_1..x_r.  Ring elements
-are sparse dicts mapping exponent tuples to coefficients in a chosen Domain;
-reduction to normal form happens inside multiplication.  Every total class
-of a split bundle (Chern, P, deformed P) is one `multiplicative_class`: a
-`ChowModel.product` of a series phi shifted by the plus roots and of 1/phi
-shifted by the minus roots.
+Projective spaces, their products and projective bundles over them are all
+towers: each generator xi_i, of codimension 1, is the relative hyperplane
+class of P(V_i) over the generators below it, where V_i is a sum of lines
+x_1..x_r, and xi_i^r = -(c_1(V_i) xi_i^(r-1) + ... + c_r(V_i)) (Fulton,
+Intersection Theory, Rem. 3.2.4).  P^n is P(O^(n+1)) over a point, so its
+relation is xi^(n+1) = 0, and a product joins the towers of its factors.
+Ring elements are sparse dicts mapping exponent tuples to coefficients in a
+chosen Domain; reduction to normal form happens inside multiplication.
+Every total class of a split bundle (Chern, P, deformed P) is one
+`multiplicative_class`: a `ChowModel.product` of a series phi shifted by the
+plus roots and of 1/phi shifted by the minus roots.
 """
 
 from __future__ import annotations
@@ -170,13 +172,6 @@ def cm_graded(u, k):
     return {e: c for e, c in u.items() if sum(e) == k}
 
 
-def _pad(elt, off, width):
-    out = {}
-    for e, c in elt.items():
-        out[(0,) * off + tuple(e) + (0,) * (width - off - len(e))] = c
-    return out
-
-
 # ---------------------------------------------------------------------------
 # virtual split bundles
 
@@ -250,25 +245,55 @@ class VirtualSplitBundle:
 _model_cache = {}
 
 
+def _layers(spec):
+    """The tower of a connected spec: one tuple of line vectors per
+    generator, each vector over the generators below it.  P^n is n + 1 zero
+    vectors, a product joins its factors' towers (each vector prefixed with
+    zeros for the generators of the factors before it), and P(V) is its
+    base's tower plus the lines of V."""
+    if spec.kind == "multiproj":
+        return tuple(((0,) * i,) * (n + 1) for i, n in enumerate(spec.dims))
+    if spec.kind == "product":
+        out = []
+        for f in spec.factors:
+            pad = (0,) * len(out)
+            out.extend(tuple(pad + v for v in lines) for lines in _layers(f))
+        return tuple(out)
+    if spec.kind == "projbundle":
+        base = _layers(spec.base)
+        if any(len(v) != len(base) for v in spec.lines):
+            raise ValueError("line vectors must have one entry per base generator (%d)" % len(base))
+        return base + (spec.lines,)
+    if spec.kind == "disjoint":
+        raise ValueError("a disjoint union has no single Chow model: take its components")
+    raise ValueError("unknown spec kind %r" % spec.kind)
+
+
 def build_model(spec):
-    """Chow model of a canonicalized connected spec (cached).  A disjoint
-    union has no single model: its callers take its components."""
-    spec = spec.canonical()
-    key = spec.key()
-    if key not in _model_cache:
-        _model_cache[key] = ChowModel(spec)
-    return _model_cache[key]
+    """Chow model of a connected spec, cached by its tower, so specs with
+    one tower (a product of projective spaces and the equal multiproj, or a
+    bundle of a trivial bundle) share one model.  A disjoint union has no
+    single model: its callers take its components."""
+    layers = _layers(spec)
+    model = _model_cache.get(layers)
+    if model is None:
+        model = _model_cache[layers] = ChowModel(spec, layers)
+    return model
 
 
 class ChowModel:
+    """The Chow ring of the tower of a connected spec (see `_layers`), with
+    one generator xi_i per layer.  Layer i is a bundle V_i of rank r_i, and
+    its relation xi_i^r_i = -(c_1(V_i) xi_i^(r_i-1) + ... + c_r_i(V_i)) takes
+    c(V_i) from `chern_total` on this model, whose lower relations are set by
+    then.  The normal monomials are those with exponent i below r_i, and the
+    point class is the one with every exponent r_i - 1."""
+
     __slots__ = (
-        "spec",
+        "layers",
         "gens",
-        "caps",
-        "xi",
         "dim",
-        "base_model",
-        "bundle_lines",
+        "_relations",
         "_bounds",
         "_reduce_cache",
         "_residue_cache",
@@ -280,76 +305,11 @@ class ChowModel:
         "_euler",
     )
 
-    def __init__(self, spec):
-        if spec.kind == "disjoint":
-            raise ValueError("a disjoint union has no single Chow model: take its components")
-        self.spec = spec
-        self.base_model = None
-        self.bundle_lines = None
-        if spec.kind == "multiproj":
-            self.gens = tuple("h%d" % i for i in range(len(spec.dims)))
-            self.caps = {i: spec.dims[i] for i in range(len(spec.dims))}
-            self.xi = {}
-            self.dim = sum(spec.dims)
-        elif spec.kind == "product":
-            parts = [build_model(f) for f in spec.factors]
-            gens = []
-            caps = {}
-            xi = {}
-            off = 0
-            for k, pm in enumerate(parts):
-                gens.extend("f%d_%s" % (k, g) for g in pm.gens)
-                for i, cap in pm.caps.items():
-                    caps[off + i] = cap
-                off += len(pm.gens)
-            width = off
-            off = 0
-            for pm in parts:
-                for i, (r, rule) in pm.xi.items():
-                    xi[off + i] = (r, _pad(rule, off, width))
-                off += len(pm.gens)
-            self.gens = tuple(gens)
-            self.caps = caps
-            self.xi = xi
-            self.dim = sum(pm.dim for pm in parts)
-        elif spec.kind == "projbundle":
-            base = build_model(spec.base)
-            r = len(spec.lines)
-            if any(len(v) != len(base.gens) for v in spec.lines):
-                raise ValueError(
-                    "line vectors must have one entry per base generator (%d)" % len(base.gens)
-                )
-            self.base_model = base
-            nb = len(base.gens)
-            self.gens = base.gens + ("xi%d" % len(base.xi),)
-            self.caps = dict(base.caps)
-            width = nb + 1
-            # roots as base elements, then the defining relation for xi^r
-            lines = []
-            for v in spec.lines:
-                elt = {}
-                for i, a in enumerate(v):
-                    if a:
-                        e = [0] * nb
-                        e[i] = 1
-                        elt[tuple(e)] = a
-                lines.append(elt)
-            self.bundle_lines = tuple(lines)
-            # xi^r = -(c_1(V) xi^(r-1) + ... + c_r(V)), with c(V) on the base
-            c_v = chern_total(base, ZZ, VirtualSplitBundle(base, lines))
-            rule = {e + (r - sum(e),): -c for e, c in c_v.items() if sum(e)}
-            self.xi = {off: (rr, _pad(rl, 0, width)) for off, (rr, rl) in base.xi.items()}
-            self.xi[nb] = (r, rule)
-            self.dim = base.dim + r - 1
-        else:
-            raise ValueError("unknown spec kind %r" % spec.kind)
-        bounds = []
-        for i in range(len(self.gens)):
-            if i in self.caps:
-                bounds.append(self.caps[i])
-            else:
-                bounds.append(self.xi[i][0] - 1)
-        self._bounds = tuple(bounds)
+    def __init__(self, spec, layers=None):
+        self.layers = _layers(spec) if layers is None else layers
+        self.gens = tuple("xi%d" % i for i in range(len(self.layers)))
+        self._bounds = tuple(len(lines) - 1 for lines in self.layers)
+        self.dim = sum(self._bounds)
         self._reduce_cache = {}
         self._residue_cache = {}
         self._pushforward_cache = {}
@@ -358,7 +318,18 @@ class ChowModel:
         self._p_neg_tangent = {}
         self._fundamental = None
         self._euler = None
-        assert sum(self._bounds) == self.dim
+        # (generator, r, rule) with xi^r = rule; the vanishing relations
+        # (empty rule) come first, so a monomial that one of them kills is
+        # never expanded by a bundle relation
+        self._relations = ()
+        relations = []
+        for i, lines in enumerate(self.layers):
+            r = len(lines)
+            V = VirtualSplitBundle(self, [x for x in map(self.line_class, lines) if x])
+            rule = {e[:i] + (r - sum(e),) + e[i + 1:]: -c
+                    for e, c in chern_total(self, ZZ, V).items() if sum(e)}
+            relations.append((i, r, rule))
+            self._relations = tuple(sorted(relations, key=lambda rel: (bool(rel[2]), -rel[0])))
 
     # -- ring structure ----------------------------------------------------
     def zero(self):
@@ -372,29 +343,28 @@ class ChowModel:
         e[i] = 1
         return {tuple(e): dom.one()}
 
+    def line_class(self, vec):
+        """The codimension-1 int element sum_i vec[i] xi_i; vec may end
+        before the last generator."""
+        n = len(self.gens)
+        return {(0,) * i + (1,) + (0,) * (n - i - 1): a for i, a in enumerate(vec) if a}
+
     def reduce(self, exp):
         """Normal form of a monomial as a dict {normal exponent: int}."""
         hit = self._reduce_cache.get(exp)
         if hit is not None:
             return hit
-        for i, cap in self.caps.items():
-            if exp[i] > cap:
-                self._reduce_cache[exp] = {}
-                return {}
-        for idx in sorted(self.xi, reverse=True):
-            r, rule = self.xi[idx]
-            if exp[idx] >= r:
-                rest = list(exp)
-                rest[idx] -= r
-                rest = tuple(rest)
+        out = {exp: 1}
+        for i, r, rule in self._relations:
+            if exp[i] >= r:
+                rest = exp[:i] + (exp[i] - r,) + exp[i + 1:]
                 out = {}
                 for me, mc in rule.items():
-                    sub = self.reduce(tuple(a + b for a, b in zip(rest, me)))
+                    sub = self.reduce(tuple(map(_plus, rest, me)))
                     out = sparse_add(ZZ, out, sparse_int_scale(ZZ, sub, mc))
-                self._reduce_cache[exp] = out
-                return out
-        self._reduce_cache[exp] = {exp: 1}
-        return {exp: 1}
+                break
+        self._reduce_cache[exp] = out
+        return out
 
     def normalize(self, dom, u):
         """Normal form of an element: the reductions of its monomials, summed
@@ -460,40 +430,12 @@ class ChowModel:
 
     # -- tangent bundles ----------------------------------------------------
     def tangent(self):
-        if self._tangent is not None:
-            return self._tangent
-        spec = self.spec
-        if spec.kind == "multiproj":
-            plus = []
-            for i, n in enumerate(spec.dims):
-                plus.extend([self.gen_element(i)] * (n + 1))
-            E = VirtualSplitBundle(self, plus, (), 0, len(spec.dims))
-        elif spec.kind == "product":
-            plus, minus = [], []
-            pt, mt = 0, 0
-            off = 0
-            width = len(self.gens)
-            for f in spec.factors:
-                fm = build_model(f)
-                ft = fm.tangent()
-                plus.extend(_pad(l, off, width) for l in ft.plus_lines)
-                minus.extend(_pad(l, off, width) for l in ft.minus_lines)
-                pt += ft.plus_trivial
-                mt += ft.minus_trivial
-                off += len(fm.gens)
-            E = VirtualSplitBundle(self, plus, minus, pt, mt)
-        else:  # projbundle
-            base = self.base_model
-            bt = base.tangent()
-            width = len(self.gens)
-            xi = self.gen_element(len(self.gens) - 1)
-            plus = [_pad(l, 0, width) for l in bt.plus_lines]
-            minus = [_pad(l, 0, width) for l in bt.minus_lines]
-            for x in self.bundle_lines:
-                plus.append(sparse_add(ZZ, _pad(x, 0, width), xi))
-            E = VirtualSplitBundle(self, plus, minus, bt.plus_trivial, bt.minus_trivial + 1)
-        self._tangent = E
-        return E
+        """T = sum_i sum_(x in V_i) O(x + xi_i) - (number of layers) O: the
+        relative Euler sequence of every layer."""
+        if self._tangent is None:
+            plus = [self.line_class(v + (1,)) for lines in self.layers for v in lines]
+            self._tangent = VirtualSplitBundle(self, plus, (), 0, len(self.layers))
+        return self._tangent
 
 
 def tangent_bundle(spec):
@@ -684,7 +626,6 @@ def _residue_series(model, V, dom):
 def euler_number(spec):
     """Degree of the top Chern class of the tangent bundle, memoized on the
     model."""
-    spec = spec.canonical()
     if spec.kind == "disjoint":
         return sum(euler_number(c) for c in spec.components)
     model = build_model(spec)
@@ -719,7 +660,6 @@ def fundamental_class(spec, theory="L", p=None):
       CHX  -- euler number times t^n,
       CHA  -- additive Chern number times eps t^n (euler number for n = 0).
     """
-    spec = spec.canonical()
     n = spec.dim()
     if theory == "L":
         B = b_ring(ZZ)

@@ -3,8 +3,9 @@ variety catalog, and the fixed-locus verifiers, all speaking JSON.
 
 Every command writes one JSON object {"command", "payload", "checks",
 "status"} (sorted keys, so output is byte-deterministic).  Exit codes:
-0 for pass, 1 for a failed verification, 2 for usage or data errors, 3
-for an internal self-check that failed (a fault of the program).
+0 for pass, 1 for a failed verification, 2 for usage or data errors
+(among them an --out that cannot be written), 3 for an internal
+self-check that failed (a fault of the program).
 """
 
 from __future__ import annotations
@@ -227,12 +228,22 @@ def _build_parser():
 
 
 def _emit(obj, args):
-    text = json.dumps(obj, sort_keys=True, indent=2 if args.pretty else None)
+    """Write obj as JSON to --out and return True.  When --out cannot be
+    opened, write an error naming it to stdout instead and return False."""
+    def dump(o):
+        return json.dumps(o, sort_keys=True, indent=2 if args.pretty else None) + "\n"
+
     if args.out == "-":
-        sys.stdout.write(text + "\n")
-    else:
+        sys.stdout.write(dump(obj))
+        return True
+    try:
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(dump(obj))
+    except OSError as e:
+        sys.stdout.write(dump({"command": args.command, "status": "error",
+                               "error": "cannot write %s: %s" % (args.out, e.strerror)}))
+        return False
+    return True
 
 
 def main(argv=None):
@@ -247,13 +258,10 @@ def main(argv=None):
     try:
         obj, code = handlers[args.command](args)
     except (UsageError, ValueError) as e:
-        _emit({"command": args.command, "error": str(e), "status": "error"}, args)
-        return 2
+        obj, code = {"command": args.command, "error": str(e), "status": "error"}, 2
     except AssertionError as e:
-        _emit({"command": args.command, "error": str(e), "status": "internal-error"}, args)
-        return 3
-    _emit(obj, args)
-    return code
+        obj, code = {"command": args.command, "error": str(e), "status": "internal-error"}, 3
+    return code if _emit(obj, args) else 2
 
 
 if __name__ == "__main__":

@@ -66,15 +66,9 @@ def _line_element(model, vec):
     ng = len(model.gens)
     if len(vec) != ng:
         raise ValueError("line vector has %d entries, model has %d generators" % (len(vec), ng))
-    out = {}
-    for i, c in enumerate(vec):
-        if not is_int(c):
-            raise ValueError("line vector entries must be integers")
-        if c:
-            e = [0] * ng
-            e[i] = 1
-            out[tuple(e)] = c
-    return out
+    if not all(is_int(c) for c in vec):
+        raise ValueError("line vector entries must be integers")
+    return model.line_class(vec)
 
 
 def _line_vector(model, elt):
@@ -116,7 +110,6 @@ class FixedComponent:
 
     @classmethod
     def from_lines(cls, spec, codim, line_vectors=(), trivial_rank=0, minus_trivial_rank=0):
-        spec = spec.canonical()
         model = build_model(spec)
         lines = [_line_element(model, v) for v in line_vectors]
         normal = VirtualSplitBundle(model, lines, (), trivial_rank, minus_trivial_rank)
@@ -445,7 +438,6 @@ def _eval_chern_poly(model, f, cz):
 
 def _poly_number(spec, f):
     """Degree of f evaluated on the Chern classes of the tangent bundle."""
-    spec = spec.canonical()
     if spec.kind == "disjoint":
         return sum(_poly_number(c, f) for c in spec.components)
     model = build_model(spec)

@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb
 
-from cobcalc.chow_models import VirtualSplitBundle, chern_total, cm_graded
+from cobcalc.chow_models import VirtualSplitBundle, build_model, chern_total, cm_graded
 from cobcalc.core_algebra import ZZ, b_ring, is_partition, sparse_add, sparse_from_int
 from cobcalc.symmfunc import b_image_for, class_coefficient, total_P
 
@@ -92,14 +92,21 @@ def projbundle_relation(lines, nb):
     return rule
 
 
-def pushforward_projbundle(model, u, dom=ZZ):
-    """Pushforward along p: P(V) -> S on raw elements: xi^j beta |->
-    c_{j+1-r}(-V) beta, zero for j < r-1.  Returns (base_model, element)."""
-    if model.base_model is None:
-        raise ValueError("pushforward needs a projbundle model")
-    base = model.base_model
-    r = model.xi[len(base.gens)][0]
-    minus_v = VirtualSplitBundle(base, (), model.bundle_lines, 0, 0)
+def line_element(vec):
+    """The int element sum_i vec[i] x_i over len(vec) generators."""
+    return {tuple(int(j == i) for j in range(len(vec))): a for i, a in enumerate(vec) if a}
+
+
+def pushforward_projbundle(spec, u, dom=ZZ):
+    """Pushforward along p: P(V) -> S on raw elements of the model of the
+    projbundle spec: xi^j beta |-> c_{j+1-r}(-V) beta, zero for j < r-1,
+    with V the sum of the spec's lines on its base S.  Returns (base model,
+    element)."""
+    if spec.kind != "projbundle":
+        raise ValueError("pushforward needs a projbundle spec")
+    base = build_model(spec.base)
+    r = len(spec.lines)
+    minus_v = VirtualSplitBundle(base, (), [line_element(v) for v in spec.lines], 0, 0)
     cneg = chern_total(base, dom, minus_v)
     out = {}
     for e, c in u.items():

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cobcalc.core_algebra import ZZ, TRING, TEPS, IntDomain, b_ring
 from cobcalc.fgl import b_transport, chx_b_image, cha_b_image
@@ -19,9 +21,8 @@ from cobcalc.chow_models import (
     euler_number,
     chern_number,
     additive_chern_number,
-    _pad,
 )
-from symm_oracle import normal_basis, projbundle_relation, pushforward_projbundle
+from symm_oracle import line_element, normal_basis, projbundle_relation, pushforward_projbundle
 
 B = b_ring(ZZ)
 
@@ -104,16 +105,23 @@ def test_f1_relation_and_degree():
     assert len(normal_basis(m, 1)) == 2
 
 
-def _relations_by_oracle(model):
-    """The xi table of a chain of projective bundles, every relation built
-    from unreduced elementary symmetric polynomials of the roots."""
-    if model.base_model is None:
-        return dict(model.xi)
-    base = model.base_model
-    nb = len(base.gens)
-    xi = {off: (r, _pad(rule, 0, nb + 1)) for off, (r, rule) in _relations_by_oracle(base).items()}
-    xi[nb] = (len(model.bundle_lines), projbundle_relation(model.bundle_lines, nb))
-    return xi
+def _relations_by_oracle(spec):
+    """The relations of the tower of spec, one (r, rule) per generator, read
+    off the spec: a multiproj hyperplane has an empty rule, a product
+    prefixes its factors' exponents with zeros, and a projective bundle adds
+    the rule built from unreduced elementary symmetric polynomials of its
+    roots.  The exponents of a rule end at its generator."""
+    if spec.kind == "multiproj":
+        return [(n + 1, {}) for n in spec.dims]
+    if spec.kind == "product":
+        out = []
+        for f in spec.factors:
+            pad = (0,) * len(out)
+            out.extend((r, {pad + e: c for e, c in rule.items()}) for r, rule in _relations_by_oracle(f))
+        return out
+    base = _relations_by_oracle(spec.base)
+    lines = [line_element(v) for v in spec.lines]
+    return base + [(len(lines), projbundle_relation(lines, len(base)))]
 
 
 @pytest.mark.parametrize("spec", [
@@ -121,14 +129,23 @@ def _relations_by_oracle(model):
     VarietySpec.projbundle(F1, [(0, 0), (1, 0), (0, 1)]),
     VarietySpec.projbundle(VarietySpec.projbundle(P2, [(0,), (1,), (3,)]), [(1, 0), (0, 1), (2, -1)]),
     VarietySpec.projbundle(VarietySpec.projbundle(P3, [(0,), (2,)]), [(0, 0), (1, 1), (-1, 2)]),
+    VarietySpec.product([F1, P2]),
+    VarietySpec.product([VarietySpec.projbundle(P2, [(0,), (1,), (-1,)]), F1]),
+    VarietySpec.projbundle(VarietySpec.product([P1, F1]), [(1, 0, 0), (0, 1, 1), (2, -1, 1)]),
+    VarietySpec.multiproj([1, 0, 2]),
 ])
 def test_reduce_matches_unreduced_relation(spec):
-    # the relation xi^r = -sum c_i(V) xi^(r-i) takes c(V) reduced on the
-    # base; it is the same relation, so every normal form must agree with
-    # the one under the unreduced e_i of the roots
+    # each relation xi^r = -sum c_i(V) xi^(r-i) takes c(V) reduced on the
+    # generators below it; it is the same relation, so every normal form
+    # must agree with the one under the unreduced e_i of the roots
     model = build_model(spec)
-    old = ChowModel(spec.canonical())
-    old.xi = _relations_by_oracle(model)
+    relations = _relations_by_oracle(spec)
+    assert [r - 1 for r, _ in relations] == list(model._bounds)
+    n = len(model.gens)
+    old = ChowModel(spec)
+    old._relations = tuple((i, r, {e + (0,) * (n - len(e)): c for e, c in rule.items()})
+                           for i, (r, rule) in enumerate(relations))
+    old._reduce_cache.clear()
     for exp in itertools.product(*[range(b + 3) for b in model._bounds]):
         assert model.reduce(exp) == old.reduce(exp), exp
 
@@ -146,6 +163,63 @@ def test_top_piece_is_the_bounds_monomial(spec):
     m = build_model(spec)
     assert normal_basis(m, m.dim) == [m._bounds]
     assert not m.tangent().minus_lines
+
+
+def _ngens(spec):
+    """The number of generators of a connected spec, from its shape."""
+    if spec.kind == "multiproj":
+        return len(spec.dims)
+    if spec.kind == "product":
+        return sum(_ngens(f) for f in spec.factors)
+    return _ngens(spec.base) + 1
+
+
+@st.composite
+def _towers(draw, max_dim, depth=2):
+    """A connected spec of dimension <= max_dim: a product of projective
+    spaces, or, while depth lasts, a projective bundle over a smaller tower
+    or a product of two smaller towers."""
+    kind = draw(st.sampled_from(("multiproj", "projbundle", "product") if depth else ("multiproj",)))
+    if kind == "multiproj":
+        dims = draw(st.lists(st.integers(0, max_dim), max_size=3).filter(lambda d: sum(d) <= max_dim))
+        return VarietySpec.multiproj(dims)
+    if kind == "product":
+        first = draw(_towers(max_dim, depth - 1))
+        return VarietySpec.product([first, draw(_towers(max_dim - first.dim(), depth - 1))])
+    base = draw(_towers(max_dim, depth - 1))
+    return _random_bundle(draw, base, max_dim)
+
+
+def _random_bundle(draw, base, max_dim):
+    rank = draw(st.integers(1, max_dim - base.dim() + 1))
+    line = st.tuples(*[st.integers(-2, 2)] * _ngens(base))
+    return VarietySpec.projbundle(base, draw(st.lists(line, min_size=rank, max_size=rank)))
+
+
+def _check_tangent(spec):
+    T = build_model(spec).tangent()
+    assert T.rank == spec.dim()
+    assert not T.minus_lines
+
+
+@settings(max_examples=50, deadline=None)
+@given(_towers(3), _towers(3))
+def test_random_product_euler_number_multiplies(X, Y):
+    # chi(X x Y) = chi(X) chi(Y), whatever the towers of X and Y
+    XY = VarietySpec.product([X, Y])
+    assert euler_number(XY) == euler_number(X) * euler_number(Y)
+    for spec in (X, Y, XY):
+        _check_tangent(spec)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data(), _towers(5))
+def test_random_bundle_euler_number_is_rank_times_base(data, S):
+    # chi(P(V)) = rank(V) chi(S): P(V) is a fibration with fibre P^(r-1)
+    pv = _random_bundle(data.draw, S, 6)
+    assert euler_number(pv) == len(pv.lines) * euler_number(S)
+    for spec in (S, pv):
+        _check_tangent(spec)
 
 
 class _CountingZZ(IntDomain):
@@ -286,12 +360,11 @@ def test_fundamental_class_transport_consistency():
 # pushforwards
 
 def test_pushforward_projbundle_f1():
-    m = build_model(F1)
-    base, out = pushforward_projbundle(m, {(0, 0): 1})  # p_*(1) = 0
+    base, out = pushforward_projbundle(F1, {(0, 0): 1})  # p_*(1) = 0
     assert out == {}
-    base, out = pushforward_projbundle(m, {(0, 1): 1})  # p_*(xi) = 1
+    base, out = pushforward_projbundle(F1, {(0, 1): 1})  # p_*(xi) = 1
     assert out == base.one(ZZ)
-    base, out = pushforward_projbundle(m, {(0, 2): 1})  # p_*(xi^2) = c_1(-V) = -h
+    base, out = pushforward_projbundle(F1, {(0, 2): 1})  # p_*(xi^2) = c_1(-V) = -h
     assert out == {(1,): -1}
 
 
@@ -302,8 +375,8 @@ def test_pushforward_matches_reduce_then_push():
     for _ in range(25):
         e = (rng.randrange(4), rng.randrange(7))
         u = {e: rng.randrange(-4, 5)}
-        _, direct = pushforward_projbundle(m, u)
-        _, reduced = pushforward_projbundle(m, m.normalize(ZZ, u))
+        _, direct = pushforward_projbundle(spec, u)
+        _, reduced = pushforward_projbundle(spec, m.normalize(ZZ, u))
         assert direct == reduced, e
 
 

@@ -225,6 +225,19 @@ def test_chern_file_io(capsys, tmp_path):
     assert obj["payload"]["euler_number"] == 3
 
 
+@pytest.mark.parametrize("spec", [P2, {"type": "multiproj", "dims": [-2]}])
+def test_unwritable_out_exits_2(capsys, tmp_path, spec):
+    # on the success path and on the error path of main, an --out that
+    # cannot be opened (a directory, or a file in a missing directory) is a
+    # usage error named on stdout, not a traceback with exit 1
+    for dst in (tmp_path, tmp_path / "missing" / "out.json"):
+        code, obj = run(capsys, ["chern", "--spec", json.dumps(spec), "--out", str(dst)])
+        assert code == 2
+        assert obj["status"] == "error"
+        assert obj["error"].startswith("cannot write %s: " % dst)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_chern_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(P2)))
     code, obj = run(capsys, ["chern", "--in", "-"])
