@@ -296,13 +296,10 @@ class ChowModel:
         "_relations",
         "_bounds",
         "_reduce_cache",
-        "_residue_cache",
-        "_pushforward_cache",
-        "_pi_powers",
+        "_residues",
         "_tangent",
         "_p_neg_tangent",
         "_fundamental",
-        "_euler",
     )
 
     def __init__(self, spec, layers=None):
@@ -311,13 +308,10 @@ class ChowModel:
         self._bounds = tuple(len(lines) - 1 for lines in self.layers)
         self.dim = sum(self._bounds)
         self._reduce_cache = {}
-        self._residue_cache = {}
-        self._pushforward_cache = {}
-        self._pi_powers = {}
+        self._residues = {}
         self._tangent = None
         self._p_neg_tangent = {}
         self._fundamental = None
-        self._euler = None
         # (generator, r, rule) with xi^r = rule; the vanishing relations
         # (empty rule) come first, so a monomial that one of them kills is
         # never expanded by a bundle relation
@@ -512,11 +506,9 @@ def quillen_pushforward(S, V, m, dom):
     P(V + nothing) over S, pushed all the way to the point: computed on S by
     a residue formula, so P(V) itself is never built.
 
-    S may be a spec or a model; V must be an honest bundle on it.  Only the
-    factor pi(y)^m depends on m: the rest comes from _residue_series, which
-    computes it once per bundle and domain, and the powers of pi are kept on
-    the model per domain and order.  Each value is memoized on the model by
-    the key of the residue series plus m, after its homogeneity check."""
+    S may be a spec or a model; V must be an honest bundle on it.  The value
+    is read off the residue record of V (see `_residues`), which holds every
+    twist below rank + dim; every higher twist is 0."""
     model = build_model(S) if isinstance(S, VarietySpec) else S
     if V.model is not model:
         raise ValueError("bundle lives on a different model")
@@ -524,49 +516,10 @@ def quillen_pushforward(S, V, m, dom):
         raise ValueError("quillen_pushforward needs an honest bundle")
     if m < 0:
         raise ValueError("m must be >= 0")
-    r = V.rank
-    if r < 1:
+    if V.rank < 1:
         raise ValueError("bundle rank must be >= 1")
-    key = _bundle_key(V, dom) + (m,)
-    hit = model._pushforward_cache.get(key)
-    if hit is not None:
-        return hit
-    order, series = _residue_series(model, V, dom)
-    # the residue at y = 0 of y^(m-r-i) pi^m d_i is [y^(r+i-m-1)] of pi^m d_i,
-    # zero when that exponent is negative (it is always below the order)
-    if m >= order:
-        # negative for every i <= dim = order - r: the value is 0, and
-        # neither pi^m nor the value is kept
-        return dom.zero()
-    pi_m = _pi_power(model, dom, order, m)
-    terms = []
-    for i, di in series:
-        e = r + i - m - 1
-        for (k,), c in di.coeffs.items():
-            if k <= e and (e - k,) in pi_m.coeffs:
-                terms.append((pi_m.coeffs[(e - k,)], c, 1))
-    total = dom.dot(terms)
-    expected = m - (model.dim + r - 1)
-    if not dom.is_homogeneous(total, expected):
-        raise AssertionError("pushforward value is not homogeneous of degree %d" % expected)
-    model._pushforward_cache[key] = total
-    return total
-
-
-def _pi_power(model, dom, order, m):
-    """pi(y)^m truncated at `order`, for pi(y) = 1 + b_1 y + b_2 y^2 + ...
-    in dom.  The powers are memoized on the model per domain and order and
-    grown one product at a time on demand."""
-    from . import symmfunc as sf
-
-    key = (dom.name, order)
-    powers = model._pi_powers.get(key)
-    if powers is None:
-        one = TruncatedSeries.constant(dom, ("y",), order, dom.one())
-        powers = model._pi_powers[key] = [one, sf.pi_series(dom, order)]
-    while len(powers) <= m:
-        powers.append(powers[-1].mul(powers[1]))
-    return powers[m]
+    values = _residues(model, V, dom)[0]
+    return values[m] if m < len(values) else dom.zero()
 
 
 def _p_neg_tangent(model, dom):
@@ -590,14 +543,9 @@ def _bundle_key(V, dom):
 def _residue_series(model, V, dom):
     """The twist-independent part of the residue pushforward of the honest
     bundle V: the truncation order and the series d_i(y) = deg(c_i(-V) *
-    P(-T) * P_y(-V)) for every nonzero c_i(-V).  Memoized on the model by the
-    line classes and trivial rank of V and the coefficient domain."""
+    P(-T) * P_y(-V)) for every nonzero c_i(-V)."""
     from . import symmfunc as sf
 
-    key = _bundle_key(V, dom)
-    hit = model._residue_cache.get(key)
-    if hit is not None:
-        return hit
     ns = model.dim
     order = V.rank + ns
     p_tan = _p_neg_tangent(model, dom)
@@ -615,8 +563,45 @@ def _residue_series(model, V, dom):
             if not dom.is_zero(v):
                 d_coeffs[(k,)] = v
         series.append((i, TruncatedSeries(dom, ("y",), order, d_coeffs)))
-    hit = (order, tuple(series))
-    model._residue_cache[key] = hit
+    return order, tuple(series)
+
+
+def _residues(model, V, dom):
+    """The residue record of the honest bundle V over dom, memoized on the
+    model by `_bundle_key`: the pushforward values of the twists m below the
+    order rank + dim, each checked once to be homogeneous of degree
+    m - (dim + rank - 1), and the ks integral, the sum of every coefficient
+    of pi(y) * sum_i d_i(y) (see `_residue_series`)."""
+    from . import symmfunc as sf
+
+    key = _bundle_key(V, dom)
+    hit = model._residues.get(key)
+    if hit is not None:
+        return hit
+    order, series = _residue_series(model, V, dom)
+    r = V.rank
+    pi = sf.pi_series(dom, order)
+    pi_m = TruncatedSeries.constant(dom, ("y",), order, dom.one())
+    values = []
+    for m in range(order):
+        if m:
+            pi_m = pi_m.mul(pi)
+        # the residue at y = 0 of y^(m-r-i) pi^m d_i is [y^(r+i-m-1)] of
+        # pi^m d_i, zero when that exponent is negative
+        terms = []
+        for i, di in series:
+            e = r + i - m - 1
+            for (k,), c in di.coeffs.items():
+                if k <= e and (e - k,) in pi_m.coeffs:
+                    terms.append((pi_m.coeffs[(e - k,)], c, 1))
+        value = dom.dot(terms)
+        expected = m - (model.dim + r - 1)
+        if not dom.is_homogeneous(value, expected):
+            raise AssertionError("pushforward value is not homogeneous of degree %d" % expected)
+        values.append(value)
+    ks = dom.dot([(pi.coeffs[(j,)], c, 1) for _, di in series for (k,), c in di.coeffs.items()
+                  for j in range(order - k) if (j,) in pi.coeffs])
+    hit = model._residues[key] = (tuple(values), ks)
     return hit
 
 
@@ -624,14 +609,10 @@ def _residue_series(model, V, dom):
 # numerical invariants and fundamental classes
 
 def euler_number(spec):
-    """Degree of the top Chern class of the tangent bundle, memoized on the
-    model."""
-    if spec.kind == "disjoint":
-        return sum(euler_number(c) for c in spec.components)
-    model = build_model(spec)
-    if model._euler is None:
-        model._euler = model.degree(ZZ, chern_class(model, ZZ, model.tangent(), model.dim))
-    return model._euler
+    """The degree of the top Chern class of the tangent bundle, read off the
+    fundamental class: b_i -> (-t)^i sends pi(x) to 1/(1 + t x), so P(-T) to
+    c_t(T), and every b-monomial of weight dim to (-t)^dim."""
+    return (-1) ** spec.dim() * sum(fundamental_class(spec, "L").values())
 
 
 def chern_number(spec, alpha):
@@ -645,12 +626,10 @@ def chern_number(spec, alpha):
 
 
 def additive_chern_number(spec):
-    """Chern number of the single-row partition (dim,); Euler number in
-    dimension zero."""
+    """Chern number of the single-row partition (dim,); in dimension zero,
+    that of the empty partition, the number of points."""
     n = spec.dim()
-    if n == 0:
-        return euler_number(spec)
-    return fundamental_class(spec, "L").get((n,), 0)
+    return fundamental_class(spec, "L").get((n,) if n else (), 0)
 
 
 def fundamental_class(spec, theory="L", p=None):

@@ -148,19 +148,29 @@ def _load_action(args):
     raise UsageError("need one of --builtin, --action, --in")
 
 
+# the verifier options of `verify`: flag dest -> (verifier keyword, the
+# theorems whose verifiers read it, how its text becomes the value); a flag
+# given to any other theorem is refused rather than ignored
+_VERIFY_OPTIONS = {
+    "max_m": ("max_m", ("l2", "lmod2", "all"), None),
+    "order": ("order", ("lmod2", "all"), None),
+    "alpha": ("alphas", ("ks",), lambda text: [_parse_alpha(text)]),
+    "p": ("p", ("decomposable",), None),
+}
+
+
 def cmd_verify(args):
-    action = _load_action(args)
-    fn = VERIFIERS[args.theorem]
     kwargs = {}
-    if args.theorem in ("l2", "lmod2", "all") and args.max_m is not None:
-        kwargs["max_m"] = args.max_m
-    if args.theorem in ("lmod2", "all") and args.order is not None:
-        kwargs["order"] = args.order
-    if args.theorem == "ks" and args.alpha:
-        kwargs["alphas"] = [_parse_alpha(args.alpha)]
-    if args.theorem == "decomposable" and args.p is not None:
-        kwargs["p"] = args.p
-    report = fn(action, **kwargs)
+    for dest, (keyword, theorems, parse) in _VERIFY_OPTIONS.items():
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        if args.theorem not in theorems:
+            raise UsageError("--%s applies only to --theorem %s"
+                             % (dest.replace("_", "-"), " or ".join(theorems)))
+        kwargs[keyword] = parse(value) if parse else value
+    action = _load_action(args)
+    report = VERIFIERS[args.theorem](action, **kwargs)
     obj = {
         "command": "verify",
         "payload": {

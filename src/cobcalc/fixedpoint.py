@@ -19,7 +19,7 @@ from .chow_models import (
     VarietySpec,
     VirtualSplitBundle,
     _p_neg_tangent,
-    _residue_series,
+    _residues,
     additive_chern_number,
     build_model,
     chern_total,
@@ -27,11 +27,10 @@ from .chow_models import (
     euler_number,
     fundamental_class,
     quillen_pushforward,
-    tangent_bundle,
 )
 from .cobordism import decomposable_test, lazard_piece, mod2_theory_member
 from .core_algebra import (
-    ZHALF, ZZ, TruncatedSeries, b_ring, is_int, is_partition, partitions, sparse_add,
+    ZHALF, ZZ, b_ring, is_int, is_partition, partitions, sparse_add,
     sparse_from_int, sparse_int_scale,
 )
 from .fgl import formal_mult, universal_fgl
@@ -272,7 +271,15 @@ def builtin_action(name, n=None, a=None, spec=None):
         spec = spec.canonical()
         if spec.kind == "disjoint":
             raise ValueError("swap_square factor must be connected")
-        comp = FixedComponent(spec, spec.dim(), tangent_bundle(spec))
+        # the diagonal's normal bundle is the tangent bundle, which subtracts
+        # one trivial summand per layer of the factor's tower, and a fixed
+        # component's normal bundle may subtract at most one
+        model = build_model(spec)
+        if len(model.layers) > 1:
+            raise ValueError("swap_square needs a factor whose tower has at most one layer "
+                             "(a projective space or a point); this one has %d layers"
+                             % len(model.layers))
+        comp = FixedComponent(spec, spec.dim(), model.tangent())
         ambient = VarietySpec.product([spec, spec])
         return MuTwoActionModel(
             ambient, [comp], name="swap_square(dim=%d)" % spec.dim())
@@ -471,16 +478,11 @@ def verify_ks(action, alphas=None, f=None):
         ambient_cls = fundamental_class(action.ambient, "L")
         # The fixed-locus integral of alpha is the b^alpha coefficient of
         # sum_{k <= n} [y^k] deg(c(-N) P(-T) P_y(-N)).  With V = N + O,
-        # c(-N) = c(-V) and P_y(-N) = P_y(-V) pi(y), so it is read off the
-        # residue series of V that the pushforwards share: sum_i d_i(y) pi(y).
+        # c(-N) = c(-V) and P_y(-N) = P_y(-V) pi(y), so it is the ks integral
+        # of the residue record of V that the pushforwards share.
         fixed = B.zero()
         for comp in action.components:
-            order, series = _residue_series(comp.model, comp.normal_plus_one(), B)
-            d = TruncatedSeries.zero(B, ("y",), order)
-            for _, di in series:
-                d = d.add(di)
-            for c in d.mul(sf.pi_series(B, order)).coeffs.values():
-                fixed = B.add(fixed, c)
+            fixed = B.add(fixed, _residues(comp.model, comp.normal_plus_one(), B)[1])
         for alpha in run_alphas:
             lhs = ambient_cls.get(alpha, 0)
             rhs = fixed.get(alpha, 0)

@@ -43,11 +43,16 @@ def test_clear_caches_empties_every_cache():
     verify_all(builtin_action("linear_pn", n=3, a=1))
     caches = _package_lru_caches()
     assert chow_models._model_cache and any(f.cache_info().currsize for f in caches)
+    # both fixed components are P^1: its model holds a residue record and
+    # its fundamental class
+    warm = build_model(VarietySpec.multiproj([1]))
+    assert warm._residues and warm._fundamental is not None
     clear_caches()
     assert not chow_models._model_cache
     assert [f.__qualname__ for f in caches if f.cache_info().currsize] == []
     model = build_model(VarietySpec.multiproj([1]))
-    assert model._pushforward_cache == {} and model._euler is None
+    assert model is not warm
+    assert model._residues == {} and model._fundamental is None
 
 
 @pytest.mark.parametrize("name,params", SMALL_BUILTINS)

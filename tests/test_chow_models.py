@@ -196,10 +196,20 @@ def _random_bundle(draw, base, max_dim):
     return VarietySpec.projbundle(base, draw(st.lists(line, min_size=rank, max_size=rank)))
 
 
+def _euler_by_top_chern(spec):
+    """Oracle for `euler_number`: the degree of c_dim(T), summed over the
+    components of a disjoint union."""
+    if spec.kind == "disjoint":
+        return sum(_euler_by_top_chern(c) for c in spec.components)
+    model = build_model(spec)
+    return model.degree(ZZ, chern_class(model, ZZ, model.tangent(), model.dim))
+
+
 def _check_tangent(spec):
     T = build_model(spec).tangent()
     assert T.rank == spec.dim()
     assert not T.minus_lines
+    assert euler_number(spec) == _euler_by_top_chern(spec)
 
 
 @settings(max_examples=50, deadline=None)
@@ -305,6 +315,14 @@ def test_chern_total_p3():
     cneg = chern_total(m, ZZ, m.tangent().neg())
     assert cneg == {(0,): 1, (1,): -4, (2,): 10, (3,): -20}
     assert chern_class(m, ZZ, m.tangent(), 2) == {(2,): 6}
+
+
+def test_euler_number_matches_top_chern_class_on_a_point_and_a_disjoint_union():
+    pt = VarietySpec.point()
+    union = VarietySpec.disjoint([P2, F1, VarietySpec.projbundle(P1, [(0,), (2,)])])
+    for spec in (pt, VarietySpec.disjoint([pt, pt, pt]), union):
+        assert euler_number(spec) == _euler_by_top_chern(spec)
+    assert euler_number(union) == 3 + 4 + 4
 
 
 def test_euler_numbers():
@@ -446,8 +464,8 @@ QUILLEN_DOMAINS = (B, TRING, TEPS)
 
 @pytest.mark.parametrize("spec, specs", QUILLEN_CASES)
 def test_quillen_cache_order_independent(spec, specs):
-    # reference: one fresh model per bundle, twist and domain, so neither the
-    # residue data nor the powers of pi come from a memo
+    # reference: one fresh model per bundle, twist and domain, so no residue
+    # record comes from a memo
     want = {}
     for idx, (lines, triv) in enumerate(specs):
         for dom in QUILLEN_DOMAINS:
@@ -485,6 +503,35 @@ def test_quillen_cache_keeps_domains_apart():
         k = 3 - 1 - m
         want = TRING.monomial(k + 1, (3 - m) * 2) if k >= 0 else TRING.zero()
         assert got == want, m
+
+
+@pytest.mark.parametrize("spec, specs", QUILLEN_CASES)
+def test_quillen_vanishes_from_rank_plus_dim(spec, specs):
+    # the residue exponent r + i - m - 1 is negative for every i <= dim
+    model = build_model(spec)
+    for V in _bundles(model, specs):
+        for dom in QUILLEN_DOMAINS:
+            top = V.rank + model.dim
+            for m in (top, top + 1, top + 5):
+                assert quillen_pushforward(model, V, m, dom) == dom.zero(), (m, dom.name)
+
+
+def test_one_residue_record_per_bundle_and_domain():
+    # whatever twists are asked, in whatever order, a model keeps one
+    # residue record per (bundle, domain) asked for
+    spec, specs = QUILLEN_CASES[1]
+    model = ChowModel(spec)
+    bundles = _bundles(model, specs)
+    rng = random.Random(3)
+    asked = set()
+    for _ in range(60):
+        idx = rng.randrange(len(bundles))
+        dom = rng.choice(QUILLEN_DOMAINS)
+        V = bundles[idx]
+        quillen_pushforward(model, V, rng.randrange(V.rank + model.dim + 3), dom)
+        asked.add((idx, dom.name))
+        assert len(model._residues) == len(asked)
+    assert len(asked) == len(bundles) * len(QUILLEN_DOMAINS)
 
 
 def test_quillen_rejects_bad_input():

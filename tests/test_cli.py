@@ -320,6 +320,36 @@ def test_verify_decomposable_p(capsys):
     assert verdict["lhs"]["p"] == 3
 
 
+@pytest.mark.parametrize("flag, value, theorem, readers", [
+    ("--p", "3", "all", "decomposable"),
+    ("--alpha", "[2,1]", "l2", "ks"),
+    ("--order", "9", "ks", "lmod2 or all"),
+    ("--max-m", "2", "decomposable", "l2 or lmod2 or all"),
+])
+def test_verify_flag_outside_its_theorems_exits_2(capsys, flag, value, theorem, readers):
+    # a flag the chosen verifier does not read is refused, not ignored
+    code, obj = run(capsys, ["verify", "--theorem", theorem, "--builtin", "linear_pn",
+                             "--n", "3", "--a", "1", flag, value])
+    assert code == 2
+    assert obj["status"] == "error"
+    assert obj["error"] == "%s applies only to --theorem %s" % (flag, readers)
+
+
+@pytest.mark.parametrize("spec", [
+    {"type": "multiproj", "dims": [1, 1]},
+    {"type": "projbundle", "base": P1, "lines": [[0], [1]]},
+])
+def test_swap_square_refuses_a_factor_of_two_layers(capsys, spec):
+    # the diagonal's normal bundle, the factor's tangent bundle, would
+    # subtract one trivial summand per layer
+    code, obj = run(capsys, ["verify", "--theorem", "all", "--builtin", "swap_square",
+                             "--spec", json.dumps(spec)])
+    assert code == 2
+    assert obj["status"] == "error"
+    assert obj["error"] == ("swap_square needs a factor whose tower has at most one layer "
+                            "(a projective space or a point); this one has 2 layers")
+
+
 def test_catalog_deterministic(capsys):
     main(["catalog"])
     first = capsys.readouterr().out
