@@ -524,8 +524,7 @@ def quillen_pushforward(S, V, m, dom):
 
 def _p_neg_tangent(model, dom):
     """P(-T) of the model over dom, memoized on the model per domain: the
-    fundamental class, the residue pushforwards and the additive verifier
-    all read it."""
+    fundamental class and the residue records both read it."""
     from . import symmfunc as sf
 
     hit = model._p_neg_tangent.get(dom.name)

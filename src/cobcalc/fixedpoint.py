@@ -14,11 +14,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from . import symmfunc as sf
 from .chow_models import (
     VarietySpec,
     VirtualSplitBundle,
-    _p_neg_tangent,
     _residues,
     additive_chern_number,
     build_model,
@@ -30,7 +28,7 @@ from .chow_models import (
 )
 from .cobordism import decomposable_test, lazard_piece, mod2_theory_member
 from .core_algebra import (
-    ZHALF, ZZ, b_ring, is_int, is_partition, partitions, sparse_add,
+    ZHALF, ZZ, b_ring, is_int, is_partition, is_prime, partitions, sparse_add,
     sparse_from_int, sparse_int_scale,
 )
 from .fgl import formal_mult, universal_fgl
@@ -120,15 +118,12 @@ class FixedComponent:
     def normal_plus_one(self):
         return self.normal.add_trivial(1)
 
-    def proj_lines(self):
-        nb = self.normal_plus_one()
-        vecs = [_line_vector(self.model, l) for l in nb.plus_lines]
-        vecs += [[0] * len(self.model.gens) for _ in range(nb.plus_trivial)]
-        return vecs
-
     def proj_spec(self):
         """The projective completion of the normal bundle, as a variety."""
-        return VarietySpec.projbundle(self.spec, self.proj_lines())
+        nb = self.normal_plus_one()
+        vecs = [_line_vector(self.model, l) for l in nb.plus_lines]
+        vecs += [[0] * len(self.model.gens)] * nb.plus_trivial
+        return VarietySpec.projbundle(self.spec, vecs)
 
     def to_json(self):
         nb = self.normal
@@ -194,6 +189,11 @@ class MuTwoActionModel:
     def fix_dim(self):
         """Largest dimension of a fixed component; -1 for a free action."""
         return max((c.dim() for c in self.components), default=-1)
+
+    @property
+    def small_fix(self):
+        """2 fix_dim < dim - 1: the hypothesis of every small-fixed-locus check."""
+        return 2 * self.fix_dim < self.dim - 1
 
     def to_json(self):
         return {
@@ -641,7 +641,7 @@ def verify_euler(action):
             "Euler numbers agree mod 4 in odd ambient dimension",
             lhs="ambient dimension %d is even" % n,
         )
-    if 2 * action.fix_dim < n - 1:
+    if action.small_fix:
         rep.add(
             "euler:small-fix",
             "a fixed locus of dimension below (dim - 1)/2 has Euler number divisible by 4",
@@ -658,35 +658,42 @@ def verify_euler(action):
     return rep
 
 
+def _point_skip(name, what):
+    """The one record of a verifier with nothing to check on a 0-dimensional
+    ambient variety."""
+    rep = Report(name)
+    rep.add_skip(name + ":dimension", what + " need a positive-dimensional ambient variety",
+                 lhs="ambient dimension 0")
+    return rep
+
+
+def _completion_terms(comp):
+    """[s, D_1, ..., D_n] for the projective completion P(N + O) of a fixed
+    component, n the ambient dimension, read off the residue record of
+    N + O: twist j is the class q_j of the codimension-j linear section Z_j,
+    and T_(Z_j) = T|Z_j - j O(xi), so s = [b_n] q_0, D_j = j deg(xi^n) -
+    [b_(n-j)] q_j for 0 < j < n, and D_n = deg(xi^n), the constant of q_n."""
+    n = comp.dim() + comp.codim
+    q = _residues(comp.model, comp.normal_plus_one(), B)[0]
+    top = q[n].get((), 0)
+    return [q[0].get((n,), 0)] + [j * top - q[j].get((n - j,), 0) for j in range(1, n)] + [top]
+
+
 def verify_additive(action):
     """Additive-number relations over the projective completions of the
     normal bundles: the ambient additive number matches the completion total
     mod 2, every twisted term is even, the power-of-two twists refine the
     congruence to mod 4, and a small fixed locus forces divisibility of the
-    ambient additive number (with a decomposability cross-check)."""
+    ambient additive number (with a decomposability cross-check).  A
+    0-dimensional ambient variety has none of these and gets one skip."""
     n = action.dim
     if n < 1:
-        raise ValueError("need a positive-dimensional ambient variety")
+        return _point_skip("additive", "additive-number relations")
     rep = Report("additive")
     s_x = additive_chern_number(action.ambient)
-    s_pb = 0
-    d = [0] * (n + 1)
-    for comp in action.components:
-        pb = comp.proj_spec()
-        pb_model = build_model(pb)
-        s_pb += additive_chern_number(pb)
-        # [b_k]P(T) is the k-th power sum of the tangent roots, which is
-        # additive in the bundle, so it is -[b_k]P(-T)
-        p_neg_tan = _p_neg_tangent(pb_model, B)
-        xi = pb_model.gen_element(len(pb_model.gens) - 1)
-        xi_j = pb_model.one(ZZ)
-        for j in range(1, n + 1):
-            xi_j = pb_model.mul(ZZ, xi_j, xi)
-            if j == n:
-                d[j] += pb_model.degree(ZZ, xi_j)
-            else:
-                cls = sf.class_coefficient(p_neg_tan, (n - j,))
-                d[j] -= pb_model.degree(ZZ, pb_model.mul(ZZ, xi_j, cls))
+    # entry 0 sums the completion numbers, entry j the terms D_j
+    d = [sum(col) for col in zip([0] * (n + 1), *map(_completion_terms, action.components))]
+    s_pb = d[0]
     rep.add(
         "additive:mod2",
         "additive number of the ambient variety matches the completion total mod 2",
@@ -721,7 +728,7 @@ def verify_additive(action):
             "mod-4 relations need the ambient dimension plus one to be a power of two",
             lhs="dim + 1 = %d" % (n + 1),
         )
-    if 2 * action.fix_dim < n - 1:
+    if action.small_fix:
         rep.add(
             "additive:small-fix",
             "a fixed locus of dimension below (dim - 1)/2 forces an even ambient additive number",
@@ -757,6 +764,10 @@ def verify_decomposable(action, p=2):
     """Decomposability verdicts for the ambient class; for p = 2 and a fixed
     locus of small dimension the mod-2 verdict must be positive."""
     n = action.dim
+    if not is_prime(p):
+        raise ValueError("p must be prime")
+    if n < 1:
+        return _point_skip("decomposable", "decomposability verdicts")
     rep = Report("decomposable")
     verdict = decomposable_test(action.ambient, p)
     rep.add(
@@ -765,7 +776,7 @@ def verify_decomposable(action, p=2):
         True,
         lhs=verdict,
     )
-    if p == 2 and 2 * action.fix_dim < n - 1:
+    if p == 2 and action.small_fix:
         rep.add(
             "decomposable:small-fix",
             "a small fixed locus forces decomposability of the ambient class mod 2",

@@ -17,7 +17,6 @@ from .chow_models import VirtualSplitBundle, multiplicative_class
 __all__ = [
     "total_P",
     "total_P_deformed",
-    "class_coefficient",
     "b_image_for",
     "pi_series",
     "VirtualSplitBundle",
@@ -59,13 +58,3 @@ def total_P(E, dom):
     part; trivial summands contribute pi(0) = 1."""
     return total_P_deformed(E, dom, 0)[0]
 
-
-def class_coefficient(P, alpha):
-    """The b^alpha coefficient of a total_P-shaped element (exponent ->
-    b-ring element), as an int-coefficient element of the same model."""
-    out = {}
-    for e, coeff in P.items():
-        v = coeff.get(alpha)
-        if v:
-            out[e] = v
-    return out

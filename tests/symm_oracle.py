@@ -10,6 +10,11 @@ projective bundle by the Segre-class formula, which checks the relations of
 the bundle's Chow model, and the normal-form basis of a model in each
 codimension, whose top piece is the one monomial `ChowModel.degree` reads.
 
+With them goes the additive verifier's earlier route: the additive number
+and twisted terms of each fixed component's projective completion, taken
+on a Chow model of the completion, which production now reads off the
+residue record of the component's bundle.
+
 The rest is the alpha-indexed classes through symmetric functions.
 
 The production code reads every alpha class off the multiplicative class
@@ -29,9 +34,11 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb
 
-from cobcalc.chow_models import VirtualSplitBundle, build_model, chern_total, cm_graded
+from cobcalc.chow_models import (
+    VirtualSplitBundle, additive_chern_number, build_model, chern_total, cm_graded,
+)
 from cobcalc.core_algebra import ZZ, b_ring, is_partition, sparse_add, sparse_from_int
-from cobcalc.symmfunc import b_image_for, class_coefficient, total_P
+from cobcalc.symmfunc import b_image_for, total_P
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +297,40 @@ def chern_series_oracle(model, plus_roots, minus_roots, z_max):
         for j in range(1, z_max + 1):
             c[j] = _add(ZZ, c[j], _scale(ZZ, model.mul(ZZ, s, c[j - 1]), -1))
     return c
+
+
+def class_coefficient(P, alpha):
+    """The b^alpha coefficient of a total_P-shaped element (exponent ->
+    b-ring element), as an int-coefficient element of the same model."""
+    out = {}
+    for e, coeff in P.items():
+        v = coeff.get(alpha)
+        if v:
+            out[e] = v
+    return out
+
+
+def additive_terms_by_completion(comp):
+    """The list [s, D_1, ..., D_n] of the additive number and the twisted
+    terms of the projective completion P(N + O) of a fixed component, n the
+    ambient dimension, computed on the completion itself: s is its (n,)
+    Chern number, D_j = -deg(xi^j [b_(n-j)]P(-T)) for j < n, since
+    [b_k]P(T) is the k-th power sum of the tangent roots and so
+    -[b_k]P(-T), and D_n = deg(xi^n)."""
+    n = comp.dim() + comp.codim
+    pb = comp.proj_spec()
+    model = build_model(pb)
+    p_neg_tan = total_P(model.tangent().neg(), b_ring(ZZ))
+    xi = model.gen_element(len(model.gens) - 1)
+    xi_j = model.one(ZZ)
+    d = [additive_chern_number(pb)] + [0] * n
+    for j in range(1, n + 1):
+        xi_j = model.mul(ZZ, xi_j, xi)
+        if j == n:
+            d[j] = model.degree(ZZ, xi_j)
+        else:
+            d[j] = -model.degree(ZZ, model.mul(ZZ, xi_j, class_coefficient(p_neg_tan, (n - j,))))
+    return d
 
 
 # ---------------------------------------------------------------------------

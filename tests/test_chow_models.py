@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cobcalc import fgl
 from cobcalc.core_algebra import ZZ, TRING, TEPS, IntDomain, b_ring
 from cobcalc.fgl import b_transport, chx_b_image, cha_b_image
 from cobcalc.fixedpoint import _line_element
@@ -215,8 +216,10 @@ def _check_tangent(spec):
 @settings(max_examples=50, deadline=None)
 @given(_towers(3), _towers(3))
 def test_random_product_euler_number_multiplies(X, Y):
-    # chi(X x Y) = chi(X) chi(Y), whatever the towers of X and Y
+    # [X x Y] = [X][Y] in the b-ring, whatever the towers of X and Y, and so
+    # chi(X x Y) = chi(X) chi(Y)
     XY = VarietySpec.product([X, Y])
+    assert fundamental_class(XY, "L") == B.mul(fundamental_class(X, "L"), fundamental_class(Y, "L"))
     assert euler_number(XY) == euler_number(X) * euler_number(Y)
     for spec in (X, Y, XY):
         _check_tangent(spec)
@@ -364,6 +367,16 @@ def test_fundamental_classes():
             fundamental_class(P2, "L_p", p=p)
     with pytest.raises(ValueError):
         fundamental_class(P2, "nope")
+
+
+def test_projective_space_class_is_mishchenko_logarithm_coefficient():
+    # Mishchenko: log(x) = sum_n [P^n] x^(n+1) / (n + 1), so [P^n] is
+    # (n + 1) times [x^(n+1)] log(x), which the law store keeps as L_1(n + 1);
+    # the two sides share no code past the b-ring
+    fgl._grow_log_powers(15)
+    for n in range(15):
+        want = B.int_scale(fgl._LOG_POWERS[n + 1][1], n + 1)
+        assert fundamental_class(VarietySpec.multiproj([n]), "L") == want, n
 
 
 def test_fundamental_class_transport_consistency():

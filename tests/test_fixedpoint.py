@@ -1,13 +1,18 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from cobcalc import chow_models, clear_caches
 from cobcalc import symmfunc as sf
 from cobcalc.chow_models import (
     VarietySpec,
     VirtualSplitBundle,
+    _layers,
     build_model,
     chern_total,
     tangent_bundle,
 )
+from cobcalc.cobordism import decomposable_test
 from cobcalc.core_algebra import ZHALF, ZZ, b_ring, partitions, sparse_add
 from cobcalc.fixedpoint import (
     FixedComponent,
@@ -21,12 +26,13 @@ from cobcalc.fixedpoint import (
     verify_ks,
     verify_lmod2,
     verify_trivial_normal,
+    _completion_terms,
     _eval_chern_poly,
     _to_half_element,
 )
 from cobcalc.fgl import formal_inverse, formal_mult, universal_fgl
 from law_oracle import half_law_without_store
-from symm_oracle import chern_series_oracle
+from symm_oracle import additive_terms_by_completion, chern_series_oracle, class_coefficient
 
 BH = b_ring(ZHALF)
 
@@ -155,9 +161,25 @@ def test_additive_mod4_line():
 
 
 def test_additive_rejects_points():
+    # a 0-dimensional ambient variety has no additive-number relations: the
+    # verifier reports one skip, and so does the decomposable verifier,
+    # while decomposable_test itself still refuses it
     act = MuTwoActionModel(VarietySpec.point(), [])
-    with pytest.raises(ValueError):
-        verify_additive(act)
+    for fn, cid in ((verify_additive, "additive:dimension"),
+                    (verify_decomposable, "decomposable:dimension")):
+        rep = fn(act)
+        assert rep.ok
+        assert [(c.id, c.status, c.lhs) for c in rep.checks] == [
+            (cid, "hypothesis-not-met", "ambient dimension 0")]
+    with pytest.raises(ValueError, match="positive-dimensional"):
+        decomposable_test(act.ambient, 2)
+    with pytest.raises(ValueError, match="p must be prime"):
+        verify_decomposable(act, p=4)
+    swap = builtin_action("swap_square", spec=VarietySpec.multiproj([0]))
+    rep = verify_all(swap)
+    assert rep.ok
+    assert {c.id.split(":")[0] for c in rep.checks} == {
+        "l2", "trivial-normal", "ks", "lmod2", "euler", "additive", "decomposable"}
 
 
 def test_trivial_normal_hypothesis():
@@ -299,7 +321,7 @@ def _ks_rhs_by_component(action, alphas):
         for elt in sf.total_P_deformed(comp.normal.neg(), B, action.dim).values():
             prod = model.mul(B, elt, p_tan)
             for alpha in alphas:
-                ext = sf.class_coefficient(prod, alpha)
+                ext = class_coefficient(prod, alpha)
                 if ext:
                     rhs[alpha] += model.degree(ZZ, model.mul(ZZ, c_minus, ext))
     return rhs
@@ -370,3 +392,56 @@ def test_lmod2_series_match_specialized_law():
         assert formal_mult(law, 2).map_coefficients(BH, _to_half_element) == half.formal_mult(2)
         assert formal_inverse(law).map_coefficients(BH, _to_half_element) == half.formal_inverse()
 
+
+
+def _additive_oracle_actions():
+    acts = [builtin_action("linear_pn", n=n, a=a) for n in range(1, 9) for a in range(n)]
+    acts += [builtin_action("factorwise_p1n", n=n) for n in range(1, 4)]
+    acts += [builtin_action("swap_square", spec=pn(d)) for d in range(1, 4)]
+    return acts
+
+
+def test_additive_terms_match_completion_route():
+    # the residue-record identities give each component's completion
+    # number and twisted terms exactly as the completion's own model does
+    acts = _additive_oracle_actions()
+    assert len(acts) == 42
+    for act in acts:
+        for comp in act.components:
+            assert _completion_terms(comp) == additive_terms_by_completion(comp), (act, comp)
+
+
+@st.composite
+def _fixed_components(draw):
+    """A fixed component on a small multiproj or a projective bundle over
+    one, with random line normal summands and trivial ranks."""
+    dims = draw(st.lists(st.integers(0, 2), max_size=2).filter(lambda d: sum(d) <= 2))
+    spec = VarietySpec.multiproj(dims)
+    if draw(st.booleans()):
+        line = st.tuples(*[st.integers(-1, 2)] * len(dims))
+        spec = VarietySpec.projbundle(spec, draw(st.lists(line, min_size=1, max_size=2)))
+    ngens = len(build_model(spec).gens)
+    lines = draw(st.lists(st.lists(st.integers(-2, 2), min_size=ngens, max_size=ngens), max_size=3))
+    trivial = draw(st.integers(0, 2))
+    minus = draw(st.integers(0, min(1, len(lines) + trivial)))
+    codim = len(lines) + trivial - minus
+    assume(spec.dim() + codim >= 1)
+    return FixedComponent.from_lines(spec, codim, lines, trivial, minus)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fixed_components())
+def test_random_component_additive_terms_match_completion_route(comp):
+    assert _completion_terms(comp) == additive_terms_by_completion(comp)
+
+
+def test_additive_builds_no_completion():
+    act = builtin_action("linear_pn", n=5, a=2)
+    clear_caches()
+    assert verify_additive(act).ok
+    for comp in act.components:
+        assert _layers(comp.proj_spec()) not in chow_models._model_cache
+    # the l2 route check builds them on purpose
+    verify_L2_relations(act)
+    for comp in act.components:
+        assert _layers(comp.proj_spec()) in chow_models._model_cache

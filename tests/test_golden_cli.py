@@ -56,12 +56,17 @@ COMMANDS = {
     "verify-all-factorwise-3": "verify --theorem all --builtin factorwise_p1n --n 3",
     "verify-all-swap-p3": ["verify", "--theorem", "all", "--builtin", "swap_square", "--spec", _j(P3)],
     "verify-all-swap-bundle": ["verify", "--theorem", "all", "--builtin", "swap_square", "--spec", _j(P2_AS_BUNDLE)],
+    "verify-all-swap-point": ["verify", "--theorem", "all", "--builtin", "swap_square", "--spec",
+                              _j({"type": "multiproj", "dims": [0]})],
     "verify-ks-linear-5-2": "verify --theorem ks --builtin linear_pn --n 5 --a 2",
     "verify-ks-alpha": "verify --theorem ks --builtin linear_pn --n 4 --a 1 --alpha [2,1]",
     "verify-l2-max-m": "verify --theorem l2 --builtin linear_pn --n 4 --a 1 --max-m 2",
     "verify-lmod2-order": "verify --theorem lmod2 --builtin linear_pn --n 3 --a 1 --order 9",
     "verify-lmod2-swap-p2": ["verify", "--theorem", "lmod2", "--builtin", "swap_square", "--spec", _j(P2)],
     "verify-decomposable-p3": "verify --theorem decomposable --builtin linear_pn --n 3 --a 0 --p 3",
+    "verify-additive-linear-7-3": "verify --theorem additive --builtin linear_pn --n 7 --a 3",
+    "verify-additive-linear-6-2": "verify --theorem additive --builtin linear_pn --n 6 --a 2",
+    "verify-additive-factorwise-3": "verify --theorem additive --builtin factorwise_p1n --n 3",
     "verify-trivial-normal": "verify --theorem trivial-normal --builtin factorwise_p1n --n 2",
     "verify-all-broken": ["verify", "--theorem", "all", "--action", _j(BROKEN)],
     "verify-all-missing-point": ["verify", "--theorem", "all", "--action", _j(MISSING_POINT)],
@@ -119,6 +124,9 @@ PINS = {
     'fgl-universal-mult': (0, '068326ae6fd60551a987eafd222b6ebddc79cff53023c6b6e27a646a7be7ee7b'),
     'fgl-universal-mult-3': (0, 'ccf5eeebdcb7eec6e77cd59e4bde589cdffa3df4d93b4c556b0a7c6ae457c3fe'),
     'fgl-universal-mult-neg-3': (0, 'da9d556ba14b0629eea840bbb32fef35df6ef931e4d1e01d44a2c7ed60dc1171'),
+    'verify-additive-factorwise-3': (0, '16bc02640055d19440eeae2cae136c8079c57fec3f541827e9fa87c5fc1b2b10'),
+    'verify-additive-linear-6-2': (0, '03b1754734e9d3826fbe31aa013843287b3e554451b5438645850b9dab4aed10'),
+    'verify-additive-linear-7-3': (0, 'c0310b93c59fe3d72fbb353657174734874306f60ac7a7384e6ed414547caa8e'),
     'verify-all-broken': (1, '9dd65176a7ed25ac9c2fcddbe45aa96c033c5af06c7d19fe3bf03566ae48c270'),
     'verify-all-factorwise-3': (0, 'b19c6e83ef56f2677884e4a5a973adae64ae81ff3246561e567ecdbbc97115ba'),
     'verify-all-linear-4-0': (0, '1cd6d7a889a01ddb755139ded50db99df48912104320bfe408fb96a6850eaec9'),
@@ -128,6 +136,7 @@ PINS = {
     'verify-all-minus-trivial': (0, '06f17cfe3f73a34c30c7b32640845e10ba9b311ee3c85e47eae38f8ad42f32ce'),
     'verify-all-missing-point': (1, 'e555697e3156a91cb6acb24b0ac7cd285d064753735e72963730af5c6f70d211'),
     'verify-all-swap-bundle': (0, '4931d5a4dcd71e710ffad9160bdb598eac9fe58f9cbe3202593957e5dbe4520f'),
+    'verify-all-swap-point': (0, 'f9dd24d5fc1b1bdbfa76ae9c8147c4d8dd90e5ea8eb742fc70bfa5c21cf899a5'),
     'verify-all-swap-p3': (0, '8400d6ac3b8dbd9627e47a9cdc7b26795f93a3471ad991240c1d1444d11eec58'),
     'verify-decomposable-p3': (0, 'e6680ae02ad23f3b88a4973aa25ba98ebadaec4de4ed5e0ad27ef6422ba09841'),
     'verify-ks-alpha': (0, '5b526247a3218fbf881dd6149016efc130826324081c585fb6f90620a45a6786'),

@@ -13,12 +13,12 @@ from cobcalc.chow_models import (
 from cobcalc.symmfunc import (
     total_P,
     total_P_deformed,
-    class_coefficient,
     pi_series,
     b_image_for,
 )
 from symm_oracle import (
     cf_class,
+    class_coefficient,
     chern_series_oracle,
     chern_total_oracle,
     elementary_class,
@@ -270,7 +270,7 @@ _F1 = VarietySpec.projbundle(VarietySpec.multiproj([1]), [[0], [1]])
 )
 def test_single_row_class_of_tangent_changes_sign(spec):
     """[b_k]P(T) is the k-th power sum of the tangent roots, additive in the
-    bundle, so it is -[b_k]P(-T); verify_additive reads it off P(-T)."""
+    bundle, so it is -[b_k]P(-T); the additive oracle reads it off P(-T)."""
     model = build_model(spec)
     tan = model.tangent()
     p_tan, p_neg = total_P(tan, B), total_P(tan.neg(), B)
