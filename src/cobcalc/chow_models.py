@@ -10,8 +10,9 @@ relation is xi^(n+1) = 0, and a product joins the towers of its factors.
 Ring elements are sparse dicts mapping exponent tuples to coefficients in a
 chosen Domain; reduction to normal form happens inside multiplication.
 Every total class of a split bundle (Chern, P, deformed P) is one
-`multiplicative_class`: a `ChowModel.product` of a series phi shifted by the
-plus roots and of 1/phi shifted by the minus roots.
+`multiplicative_class`: a `ChowModel.product` with one factor per distinct
+root, the power of phi (or of 1/phi) by the root's net multiplicity, shifted
+by that root.
 """
 
 from __future__ import annotations
@@ -465,25 +466,51 @@ def _shifted_factor(model, phi, u, y_max):
     return out
 
 
+def _series_power(phi, k):
+    """phi^k for k >= 1, by binary powering."""
+    out = None
+    while True:
+        if k & 1:
+            out = phi if out is None else out.mul(phi)
+        k >>= 1
+        if not k:
+            return out
+        phi = phi.mul(phi)
+
+
 def multiplicative_class(E, phi, y_max):
     """The multiplicative class of the virtual split bundle E fixed by the
     univariate series phi, phi(0) = 1, with every root shifted by y: the
     product of phi(u + y) over the plus roots u and of (1/phi)(v + y) over
     the minus roots v, as a y-polynomial {k: element} truncated above
     y^y_max.  Trivial roots are 0, so they only count when y_max > 0.  The
-    order of phi must exceed dim + y_max."""
+    order of phi must exceed dim + y_max.
+
+    Equal roots are grouped by line class, each with its net multiplicity k
+    (plus roots count +1, minus roots -1, so an equal plus and minus line
+    cancel), and each group is one factor (phi^k)(u + y), or
+    ((1/phi)^|k|)(u + y) when k < 0, with the power taken by binary powering
+    of the series."""
     model = E.model
     if phi.order <= model.dim + y_max:
         raise ValueError("phi needs order > dim + y_max")
-
-    def roots(lines, trivial):
-        return lines + ({},) * trivial if y_max else lines
-
-    factors = [_shifted_factor(model, phi, u, y_max) for u in roots(E.plus_lines, E.plus_trivial)]
-    minus = roots(E.minus_lines, E.minus_trivial)
-    if minus:
-        inv = phi.inverse()
-        factors += [_shifted_factor(model, inv, v, y_max) for v in minus]
+    net = {}
+    for sign, lines, trivial in ((1, E.plus_lines, E.plus_trivial),
+                                 (-1, E.minus_lines, E.minus_trivial)):
+        for u in lines:
+            key = tuple(sorted((e, c) for e, c in u.items() if c))
+            net[key] = net.get(key, 0) + sign
+        if y_max:
+            net[()] = net.get((), 0) + sign * trivial
+    inv = None
+    factors = []
+    for key, k in net.items():
+        if not k or not (key or y_max):
+            continue
+        if k < 0 and inv is None:
+            inv = phi.inverse()
+        power = _series_power(phi if k > 0 else inv, abs(k))
+        factors.append(_shifted_factor(model, power, dict(key), y_max))
     return model.product(phi.dom, factors, y_max)
 
 

@@ -139,22 +139,29 @@ class LazardDegreePiece:
     partition of n.  Construction checks that the rank is full and that the
     product of the HNF pivots is `_lazard_index(n)`, which proves that these
     rows span the whole piece; a failure raises AssertionError.
-    `generators` holds every product of law coefficients of weight n, the
-    spanning set the piece is defined by."""
+    `generators`, every product of law coefficients of weight n (the
+    spanning set the piece is defined by), is built on first read and kept;
+    no membership query reads it."""
 
-    __slots__ = ("n", "basis", "_index", "generators", "lattice")
+    __slots__ = ("n", "basis", "_index", "_generators", "lattice")
 
     def __init__(self, n):
         self.n = n
         self.basis = partitions(n)
         self._index = {p: k for k, p in enumerate(self.basis)}
-        self.generators = tuple(lazard_basis(n))
+        self._generators = None
         rows = [self.vector(_generator_monomial(alpha)) for alpha in self.basis]
         self.lattice = IntegerLattice(rows, len(self.basis))
         index = prod(row[c] for row, c in zip(self.lattice.hnf, self.lattice.pivcols))
         if self.lattice.rank != len(self.basis) or index != _lazard_index(n):
             raise AssertionError(
                 "the generator monomials of degree %d fail the index certificate" % n)
+
+    @property
+    def generators(self):
+        if self._generators is None:
+            self._generators = tuple(lazard_basis(self.n))
+        return self._generators
 
     @property
     def rank(self):

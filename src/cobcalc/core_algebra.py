@@ -883,20 +883,30 @@ class TruncatedSeries:
         return t0._like(dot_groups(t0.dom, groups))
 
     def inverse(self):
-        """Multiplicative inverse; requires unit constant term."""
+        """Multiplicative inverse; requires unit constant term.  Degree by
+        degree over the homogeneous parts f_j: g_0 = 1/f_0 and g_d = sum over
+        j = 1..d of h_j g_(d-j), where h_j = -g_0 f_j, one `dot` per exponent
+        of degree d."""
         dom = self.dom
-        c = self.coefficient((0,) * len(self.vars))
-        c_inv = dom.inv(c)
-        one = TruncatedSeries.constant(dom, self.vars, self.order, dom.one())
-        r = one.sub(self.scale(c_inv))
-        acc = one
-        term = one
-        for _ in range(self.order - 1):
-            term = term.mul(r)
-            if term.is_zero():
-                break
-            acc = acc.add(term)
-        return acc.scale(c_inv)
+        zero = (0,) * len(self.vars)
+        g0 = dom.inv(self.coefficient(zero))
+        scale = dom.neg(g0)
+        h = [[] for _ in range(self.order)]
+        for e, c in self.coeffs.items():
+            if e != zero:
+                h[sum(e)].append((e, dom.mul(scale, c)))
+        g = [[(zero, g0)]]
+        out = {zero: g0}
+        for d in range(1, self.order):
+            groups = {}
+            for j in range(1, d + 1):
+                for e1, c1 in h[j]:
+                    for e2, c2 in g[d - j]:
+                        groups.setdefault(tuple(map(_plus, e1, e2)), []).append((c1, c2, 1))
+            part = dot_groups(dom, groups)
+            out.update(part)
+            g.append(list(part.items()))
+        return self._like(out)
 
     def _shift_down(self, emin, new_order):
         out = {}
