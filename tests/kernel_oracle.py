@@ -5,10 +5,14 @@ Production multiplies monomials of B, T and TEPS through a MonomialTable
 (int ids and product rows) and sums products in one accumulator per `dot`.
 This module multiplies the plain way: every pair of monomials is merged by
 its key product (`merge_partitions` for b-monomials, exponent addition for
-t and eps), and a sum of products is a fold of sparse additions."""
+t and eps), and a sum of products is a fold of sparse additions.
+
+It also keeps the series inverse as a geometric sum, one full series
+product per term, against the degree-by-degree recurrence of
+`TruncatedSeries.inverse`."""
 
 from cobcalc.core_algebra import (
-    TEPS, TRING, BDomain, merge_partitions, sparse_add, sparse_int_scale,
+    TEPS, TRING, BDomain, TruncatedSeries, merge_partitions, sparse_add, sparse_int_scale,
 )
 
 
@@ -45,3 +49,19 @@ def oracle_dot(dom, terms):
     for a, b, k in terms:
         out = sparse_add(dom.base, out, sparse_int_scale(dom.base, oracle_mul(dom, a, b), k))
     return out
+
+
+def inverse_by_geometric_sum(f):
+    """1/f for a series f with unit constant term c: (1/c) sum_k r^k with
+    r = 1 - f/c, summed until r^k vanishes in the truncation."""
+    dom = f.dom
+    c_inv = dom.inv(f.coefficient((0,) * len(f.vars)))
+    one = TruncatedSeries.constant(dom, f.vars, f.order, dom.one())
+    r = one.sub(f.scale(c_inv))
+    acc = term = one
+    for _ in range(f.order - 1):
+        term = term.mul(r)
+        if term.is_zero():
+            break
+        acc = acc.add(term)
+    return acc.scale(c_inv)

@@ -3,7 +3,8 @@ oracles for the production path.
 
 The first part holds the multiplicative classes as they were computed
 before every one of them became a product of unit factors in
-`ChowModel.product`: each routine with its own accumulation loops, inverses
+`ChowModel.product`, and the product route as it was before equal roots
+were grouped, one factor phi(u + y) per root: each routine with its own accumulation loops, inverses
 by geometric series, and the projective-bundle relation from unreduced
 elementary symmetric polynomials.  With it goes the pushforward along a
 projective bundle by the Segre-class formula, which checks the relations of
@@ -35,10 +36,12 @@ from itertools import permutations
 from math import comb
 
 from cobcalc.chow_models import (
-    VirtualSplitBundle, additive_chern_number, build_model, chern_total, cm_graded,
+    VirtualSplitBundle, _shifted_factor, additive_chern_number, build_model, chern_total,
+    cm_graded,
 )
 from cobcalc.core_algebra import ZZ, b_ring, is_partition, sparse_add, sparse_from_int
 from cobcalc.symmfunc import b_image_for, total_P
+from kernel_oracle import inverse_by_geometric_sum
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +300,23 @@ def chern_series_oracle(model, plus_roots, minus_roots, z_max):
         for j in range(1, z_max + 1):
             c[j] = _add(ZZ, c[j], _scale(ZZ, model.mul(ZZ, s, c[j - 1]), -1))
     return c
+
+
+def multiplicative_class_by_factors(E, phi, y_max):
+    """`chow_models.multiplicative_class` with one factor per root: phi(u + y)
+    for every plus root u and (1/phi)(v + y) for every minus root v, 1/phi
+    by the geometric sum, trivial roots 0 and taken only when y_max > 0."""
+    model = E.model
+
+    def roots(lines, trivial):
+        return lines + ({},) * trivial if y_max else lines
+
+    factors = [_shifted_factor(model, phi, u, y_max) for u in roots(E.plus_lines, E.plus_trivial)]
+    minus = roots(E.minus_lines, E.minus_trivial)
+    if minus:
+        inv = inverse_by_geometric_sum(phi)
+        factors += [_shifted_factor(model, inv, v, y_max) for v in minus]
+    return model.product(phi.dom, factors, y_max)
 
 
 def class_coefficient(P, alpha):

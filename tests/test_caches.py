@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cobcalc import chow_models, clear_caches
 from cobcalc.chow_models import VarietySpec, build_model
+from cobcalc.cobordism import lazard_piece
 from cobcalc.fixedpoint import (
     _twisted_series,
     builtin_action,
@@ -53,6 +54,14 @@ def test_clear_caches_empties_every_cache():
     model = build_model(VarietySpec.multiproj([1]))
     assert model is not warm
     assert model._residues == {} and model._fundamental is None
+
+
+def test_lazard_generators_same_after_clear_caches():
+    before = lazard_piece(7).generators
+    clear_caches()
+    piece = lazard_piece(7)
+    assert piece._generators is None  # built on first read, not with the piece
+    assert piece.generators == before
 
 
 @pytest.mark.parametrize("name,params", SMALL_BUILTINS)

@@ -5,7 +5,7 @@ from math import comb, gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cobcalc import cobordism, fixedpoint
+from cobcalc import clear_caches, cobordism, fixedpoint
 from cobcalc.chow_models import VarietySpec, fundamental_class
 from cobcalc.cobordism import (
     BRING,
@@ -148,6 +148,32 @@ def test_generator_counts_are_pinned():
     # the session benchmark digests these counts
     assert len(lazard_piece(12).generators) == 348
     assert len(lazard_piece(13).generators) == 532
+
+
+def test_no_production_query_builds_the_spanning_sets(monkeypatch):
+    # the products of law coefficients are built only when `generators` is
+    # read, and no verifier, lattice or membership query reads it
+    calls = []
+    real = cobordism.lazard_basis
+
+    def counted(n, order=None):
+        calls.append(n)
+        return real(n, order)
+
+    monkeypatch.setattr(cobordism, "lazard_basis", counted)
+    clear_caches()
+    assert fixedpoint.verify_all(fixedpoint.builtin_action("linear_pn", n=6, a=2)).ok
+    mod2_theory_piece(12)
+    assert decomposable_test(VarietySpec.multiproj([2, 3]), 2)["in_Lmodp_decomposable"]
+    spec = VarietySpec.projbundle(VarietySpec.multiproj([1, 2]), [(0, 0), (1, -1), (0, 2)])
+    assert lazard_piece(spec.dim()).member(fundamental_class(spec, "L"))
+    assert calls == []
+    # the counter sees a read
+    lazard_piece(3).generators
+    assert calls == [3]
+    monkeypatch.undo()
+    for n in range(11):
+        assert lazard_piece(n).generators == tuple(lazard_basis(n)), n
 
 
 def test_lazard_piece_contains_its_generators():

@@ -21,7 +21,7 @@ from cobcalc.core_algebra import (
     bezout,
 )
 from cobcalc.fgl import cha_fgl, chx_fgl, universal_fgl
-from kernel_oracle import oracle_dot, oracle_mul
+from kernel_oracle import inverse_by_geometric_sum, oracle_dot, oracle_mul
 from law_oracle import reversion, scaled_lattice
 
 
@@ -416,6 +416,27 @@ def test_dot_and_mul_match_oracle(case):
     assert dom.dot(terms) == oracle_dot(dom, terms)
     for a, b, _k in terms:
         assert dom.mul(a, b) == oracle_mul(dom, a, b)
+
+
+@st.composite
+def unit_series(draw):
+    """A series in one or two variables over B(ZZ), B(Z/2) or TRING whose
+    constant term is a unit, +1 or -1, and whose other terms are drawn."""
+    dom, keys, coeffs = draw(st.sampled_from(
+        [_KERNEL_DOMAINS[0], _KERNEL_DOMAINS[1], _KERNEL_DOMAINS[3]]))
+    nvars = draw(st.integers(1, 2))
+    order = draw(st.integers(1, 7))
+    exps = st.tuples(*[st.integers(0, order - 1)] * nvars).filter(lambda e: 0 < sum(e) < order)
+    terms = draw(st.dictionaries(exps, st.dictionaries(keys, coeffs, min_size=1, max_size=3),
+                                 max_size=6))
+    terms[(0,) * nvars] = dom.from_int(draw(st.sampled_from([1, -1])))
+    return TS(dom, ("x", "y")[:nvars], order, terms)
+
+
+@given(unit_series())
+@settings(max_examples=100, deadline=None)
+def test_series_inverse_matches_geometric_sum(f):
+    assert f.inverse() == inverse_by_geometric_sum(f)
 
 
 def _tables():

@@ -1,7 +1,9 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cobcalc.core_algebra import ZHALF, ZZ, TRING, TEPS, b_ring, int_mod, partitions, sparse_add
+from cobcalc.core_algebra import (
+    ZHALF, ZZ, TRING, TEPS, TruncatedSeries, b_ring, int_mod, partitions, sparse_add,
+)
 from cobcalc.chow_models import (
     VarietySpec,
     VirtualSplitBundle,
@@ -9,6 +11,7 @@ from cobcalc.chow_models import (
     chern_number,
     chern_total,
     fundamental_class,
+    multiplicative_class,
 )
 from cobcalc.symmfunc import (
     total_P,
@@ -24,6 +27,7 @@ from symm_oracle import (
     elementary_class,
     lambda_coeffs,
     m_product,
+    multiplicative_class_by_factors,
     q_alpha,
     total_P_deformed_oracle,
     total_P_oracle,
@@ -228,6 +232,58 @@ def test_products_match_oracles(E, dom, y_max):
     if dom is not ZZ:
         assert total_P(E, dom) == total_P_oracle(E, dom)
         assert total_P_deformed(E, dom, y_max) == total_P_deformed_oracle(E, dom, y_max)
+
+
+# Equal roots are one factor phi^k(u + y) by their net multiplicity k; the
+# route with one factor per root is the oracle.  Roots are drawn from a pool
+# of at most three line vectors, so lines repeat and a plus and a minus copy
+# of one line cancel.  The domains are the ones the package passes in: ZZ
+# for Chern classes (phi = 1 + t, or any integer series with phi(0) = 1) and
+# B(ZZ) for P and its deformation (phi = pi).
+
+
+def _pooled_bundle(model_index, pool, plus, minus, trivial):
+    """A bundle whose roots are lines of the pool, picked by index mod its
+    length; each line vector is cut to the model's generators."""
+    model = build_model(PRODUCT_MODELS[model_index])
+    lines = [{tuple(int(i == j) for j in range(len(model.gens))): c
+              for i, c in enumerate(v[:len(model.gens)]) if c} for v in pool]
+
+    def pick(indices):
+        return [lines[k % len(lines)] for k in indices]
+
+    return VirtualSplitBundle(model, pick(plus), pick(minus), *trivial)
+
+
+def _phi(dom, tail, order):
+    """pi over B(ZZ); over ZZ, 1 + t, or 1 + sum_i tail[i] t^(i+1)."""
+    if dom is B:
+        return pi_series(B, order)
+    coeffs = {(i + 1,): c for i, c in enumerate([1] if tail is None else tail)}
+    return TruncatedSeries(ZZ, ("t",), order, {(0,): 1, **coeffs})
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, len(PRODUCT_MODELS) - 1),
+    st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=1, max_size=3),
+    st.lists(st.integers(0, 2), max_size=5),
+    st.lists(st.integers(0, 2), max_size=4),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.sampled_from([ZZ, B]),
+    st.none() | st.lists(st.integers(-3, 3), max_size=6),
+    st.integers(0, 3),
+)
+# a line three times, cancelled once, on a nested projective bundle
+@example(4, [[1, -1, 0]], [0, 0, 0], [0], (0, 0), B, None, 2)
+# a plus and a minus copy of one line cancel exactly; trivial summands shift
+@example(2, [[0, 1, 0], [1, 0, 0]], [0, 1], [0], (2, 1), B, None, 3)
+# only minus roots, repeated, with a trivial minus summand, on a multiproj
+@example(1, [[1, 1, 0]], [], [0, 0, 0], (0, 1), ZZ, [2, -1, 3], 2)
+def test_grouped_roots_match_one_factor_per_root(i, pool, plus, minus, trivial, dom, tail, y_max):
+    E = _pooled_bundle(i, pool, plus, minus, trivial)
+    phi = _phi(dom, tail, E.model.dim + y_max + 1)
+    assert multiplicative_class(E, phi, y_max) == multiplicative_class_by_factors(E, phi, y_max)
 
 
 @settings(max_examples=40, deadline=None)
