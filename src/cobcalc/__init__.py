@@ -83,9 +83,9 @@ def clear_caches():
     every `lru_cache` of the package (laws, lattice pieces, the `lmod2`
     twisted series, the b_transport memo, partitions).  A model or law a
     caller still holds keeps its own memos.  The universal law's coefficient
-    store and the interned monomial tables stay: they are append-only tables
-    that every law and every sparse product reads, the same whatever is
-    asked first."""
+    store, with its log-power and Horner row tables, and the interned
+    monomial tables stay: they are append-only tables that every law and
+    every sparse product reads, the same whatever is asked first."""
     chow_models._model_cache.clear()
     for mod in (core_algebra, fgl, cobordism, symmfunc, chow_models, fixedpoint):
         for obj in list(vars(mod).values()):

@@ -2,11 +2,11 @@
 
 Every law is the universal law pushed along a ring map.  The universal law
 F(x, y) = exp(log x + log y) over ZZ[b1, b2, ...] is read off one
-coefficient store, together with the table L_k(n) = [x^n] log(x)^k.  A
-`FormalGroupLaw(dom, order, image)` is that store truncated below total
-degree `order`, with every coefficient mapped through `image`, a ring map
-from ZZ[b] into `dom`.  Its multiples [a](x) = exp(a log x), the formal
-inverse [-1](x) among them, are the store's multiples mapped the same way.
+coefficient store, built in Horner form from the table L_k(n) = [x^n] log(x)^k.
+A `FormalGroupLaw(dom, order, image)` is that store truncated below total
+degree `order`, with each coefficient pair F_ab = F_ba mapped once through
+`image`, a ring map from ZZ[b] into `dom`.  Its multiples [a](x) = exp(a log x),
+the inverse [-1](x) among them, are the store's multiples mapped the same way.
 
 The constructors differ only in the image: the identity (`universal_fgl`),
 reduction mod p (`universal_fgl_mod_p`), b_i |-> (-t)^i into ZZ[t]
@@ -14,11 +14,11 @@ reduction mod p (`universal_fgl_mod_p`), b_i |-> (-t)^i into ZZ[t]
 b_i |-> 0 into ZZ (`additive_fgl`).  The store has the unit, the symmetry
 and the grading (the coefficient of x^i y^j is homogeneous of degree
 1 - i - j) by construction, and a ring map keeps them.  Every truncation of
-such a law holds the same mapped coefficients, so its associativity check
-runs once per (domain, image) in a process, at order ASSOC_CHECK_CAP.
-`specialize` pushes a law further along a caller's coefficient function,
-which nothing here can vouch for, so its result gets the full check on
-every call.
+such a law holds the same mapped coefficients, so its associativity check,
+one composition F(F(x, y), z) compared with its rotation, runs once per
+(domain, image) in a process, at order ASSOC_CHECK_CAP.  `specialize`
+pushes a law further along a caller's coefficient function, which nothing
+here can vouch for, so its result gets the full check on every call.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from functools import lru_cache, partial
 from math import comb
 
 from .core_algebra import (
-    ZZ, TRING, TEPS, b_ring, dot_groups, int_mod, is_int, is_prime, sparse_from_int,
-    TruncatedSeries,
+    ZZ, TRING, TEPS, b_ring, int_mod, is_int, is_prime, sparse_from_int, TruncatedSeries,
 )
 
 # associativity is a trivariate identity; comparing it in full at high order
@@ -88,8 +87,8 @@ def formal_mult(law, a):
 
 def check_law_series(series):
     """Raise ValueError unless the series F(x, y) is a formal group law to
-    its order: F(x, 0) = x, F(0, y) = y, F symmetric in x and y, the
-    coefficient of x^i y^j homogeneous of degree 1 - i - j, and associative
+    its order: F(x, 0) = x, F(0, y) = y, the coefficient of x^i y^j
+    homogeneous of degree 1 - i - j, F symmetric in x and y, and associative
     up to order min(order, ASSOC_CHECK_CAP)."""
     if series.vars != ("x", "y"):
         raise ValueError("law series must have variables (x, y)")
@@ -101,30 +100,30 @@ def check_law_series(series):
             raise ValueError("law fails F(x,0) = x at x^%d" % i)
         if i == 0 and j != 1:
             raise ValueError("law fails F(0,y) = y at y^%d" % j)
-        if not dom.eq(c, series.coefficient((j, i))):
-            raise ValueError("law is not commutative at x^%d y^%d" % (i, j))
         if not dom.is_homogeneous(c, 1 - i - j):
-            raise ValueError(
-                "coefficient of x^%d y^%d is not homogeneous of degree %d"
-                % (i, j, 1 - i - j)
-            )
-    _check_associativity(series.truncate(min(series.order, ASSOC_CHECK_CAP)))
+            raise ValueError("coefficient of x^%d y^%d is not homogeneous of degree %d"
+                             % (i, j, 1 - i - j))
+    _check_associativity(series)
 
 
 def _check_associativity(f):
-    """Raise ValueError unless F(F(x, y), z) = F(x, F(y, z)) for the law
-    series f, to its order."""
-    A = f.order
+    """Raise ValueError unless the law series f is commutative and, to order
+    A = min(order, ASSOC_CHECK_CAP), associative.  For a commutative F,
+    F(x, F(y, z)) = F(F(y, z), x) = G(y, z, x) with G(x, y, z) = F(F(x, y), z),
+    so F is associative exactly when G[(a, b, c)] = G[(b, c, a)] for all a, b, c."""
+    dom = f.dom
+    for (i, j), c in f.coeffs.items():
+        if not dom.eq(c, f.coefficient((j, i))):
+            raise ValueError("law is not commutative at x^%d y^%d" % (i, j))
+    A = min(f.order, ASSOC_CHECK_CAP)
     if A < 3:
         return
-    vars3 = ("x", "y", "z")
-    X = TruncatedSeries.variable(f.dom, vars3, A, "x")
-    Y = TruncatedSeries.variable(f.dom, vars3, A, "y")
-    Z = TruncatedSeries.variable(f.dom, vars3, A, "z")
-    lhs = f.compose({"x": f.compose({"x": X, "y": Y}), "y": Z})
-    rhs = f.compose({"x": X, "y": f.compose({"x": Y, "y": Z})})
-    if lhs != rhs:
-        raise ValueError("law is not associative to order %d" % A)
+    f = f.truncate(A)
+    X, Y, Z = (TruncatedSeries.variable(dom, ("x", "y", "z"), A, v) for v in "xyz")
+    G = f.compose({"x": f.compose({"x": X, "y": Y}), "y": Z})
+    for (a, b, c), v in G.coeffs.items():
+        if not dom.eq(v, G.coefficient((b, c, a))):
+            raise ValueError("law is not associative to order %d" % A)
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +135,17 @@ def _check_associativity(f):
 # order.  With L_k(n) = [x^n] log(x)^k and b_0 = 1:
 #   L_k(n) = sum_{a=1}^{n-k+1} L_1(a) L_{k-1}(n-a)       (k >= 2)
 #   L_1(n) = -sum_{k=2}^{n} b_{k-1} L_k(n)                 ([x^n] exp(log x) = 0)
-#   F_ab   = sum_{j,l >= 1} b_{j+l-1} C(j+l, j) L_j(a) L_l(b)
+#   F_ab   = sum_{j,l >= 1} b_{j+l-1} C(j+l, j) L_j(a) L_l(b) = sum_{j=1}^{a} L_j(a) M_j(b)
+#   M_j(b) = sum_{l=1}^{b} C(j+l, j) b_{j+l-1} L_l(b)       (Horner form, a <= b)
 #   [x^n][a](x) = sum_{k=1}^{n} a^k b_{k-1} L_k(n)          ([a](x) = exp(a log x))
-# _LOG_POWERS[n] maps k to L_k(n), _EXP_LOG[n] maps k to b_{k-1} L_k(n), and
-# _LAW_BY_DEGREE[d] maps (i, j), i + j = d, to F_ij.  Zero entries are not
-# stored.
+# _LOG_POWERS[n] maps k to L_k(n), _EXP_LOG[n] maps k to b_{k-1} L_k(n),
+# _HORNER[n] maps j to M_j(n) for j up to the largest a <= n read so far, and
+# _LAW_BY_DEGREE[d] maps (i, j), i + j = d, to F_ij.  None of them stores a
+# zero; no M_j(b) or F_ab is zero, as it holds C(j+b, j) b_{j+b-1} (j = a).
 _B = b_ring(ZZ)
 _LOG_POWERS = [{}, {1: _B.one()}]
 _EXP_LOG = [{}, {1: _B.one()}]
+_HORNER = [{}, {}]
 _LAW_BY_DEGREE = [{}, {(1, 0): _B.one(), (0, 1): _B.one()}]
 
 
@@ -153,8 +155,7 @@ def _grow_log_powers(n):
     one = B.one()
     while len(_LOG_POWERS) <= n:
         d = len(_LOG_POWERS)
-        row = {}
-        terms = {}
+        row, terms = {}, {}
         for k in range(2, d + 1):
             acc = B.dot([(_LOG_POWERS[a][1], _LOG_POWERS[d - a][k - 1], 1)
                          for a in range(1, d - k + 2) if k - 1 in _LOG_POWERS[d - a]])
@@ -166,6 +167,7 @@ def _grow_log_powers(n):
             row[1] = terms[1] = l1
         _LOG_POWERS.append(row)
         _EXP_LOG.append(terms)
+        _HORNER.append({})
 
 
 def _grow_universal(degree):
@@ -177,25 +179,23 @@ def _grow_universal(degree):
         row = {}
         for a in range(1, d // 2 + 1):
             b = d - a
-            by_k = {}
-            for j, lj in _LOG_POWERS[a].items():
-                for l, ll in _LOG_POWERS[b].items():
-                    by_k.setdefault(j + l, []).append((lj, ll, comb(j + l, j)))
-            c = B.dot([(B.gen(k - 1), v, 1) for k, v in dot_groups(B, by_k).items()])
-            if c:
-                row[(a, b)] = row[(b, a)] = c
+            m = _HORNER[b]
+            for j in range(len(m) + 1, a + 1):
+                m[j] = B.dot([(B.gen(j + l - 1), v, comb(j + l, j))
+                              for l, v in _LOG_POWERS[b].items()])
+            row[(a, b)] = row[(b, a)] = B.dot([(v, m[j], 1) for j, v in _LOG_POWERS[a].items()])
         _LAW_BY_DEGREE.append(row)
 
 
 def _store_series(dom, order, image):
-    """The law series to `order` read off the store through `image`."""
+    """The law series to `order`: the store through `image`, once per pair F_ab = F_ba."""
     _grow_universal(order - 1)
-    coeffs = {}
+    coeffs, mapped = {}, {}
     for d in range(1, order):
-        for e, c in _LAW_BY_DEGREE[d].items():
-            v = image(c)
+        for (a, b), c in _LAW_BY_DEGREE[d].items():
+            v = mapped[(a, b)] = mapped[(b, a)] if (b, a) in mapped else image(c)
             if not dom.is_zero(v):
-                coeffs[e] = v
+                coeffs[(a, b)] = v
     return TruncatedSeries(dom, ("x", "y"), order, coeffs, _trusted=True)
 
 
