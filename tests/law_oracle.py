@@ -22,6 +22,12 @@ mod p) or from its closed form (`chx_law_closed_form`,
 monomial images, and `scaled_lattice` the lattice m*L behind
 `LazardDegreePiece.member_mod`.
 
+`universal_store_by_pairs` fills the store by the by-k formula, one product
+L_j(a) L_l(b) per pair of log-power entries, where production takes the
+Horner form sum_j L_j(a) M_j(b).  `associative_by_two_compositions` checks
+F(F(x, y), z) = F(x, F(y, z)) by composing both sides, where production
+composes once and compares G(x, y, z) = F(F(x, y), z) with G(y, z, x).
+
 `lazard_lattice_from_all_products` builds each lattice piece from every
 product of law coefficients of its weight; production builds it from the
 p(n) monomials in Lazard's polynomial generators.
@@ -32,8 +38,13 @@ mapped into B(ZHALF) as a `SeriesLaw`; production embeds the integral [2](x)
 and [-1](x) read off the store, keeps the twisted series per order and grows
 them one power of zeta at a time."""
 
+from math import comb
+
+from cobcalc import fgl
 from cobcalc.cobordism import BRING, lazard_basis, lazard_piece
-from cobcalc.core_algebra import TEPS, TRING, ZHALF, ZZ, IntegerLattice, TruncatedSeries, b_ring, int_mod
+from cobcalc.core_algebra import (
+    TEPS, TRING, ZHALF, ZZ, IntegerLattice, TruncatedSeries, b_ring, dot_groups, int_mod,
+)
 from cobcalc.fgl import (
     additive_fgl, cha_fgl, check_law_series, chx_fgl, universal_fgl, universal_fgl_mod_p,
 )
@@ -75,6 +86,46 @@ def universal_series_by_reversion(order):
     lx = log.compose({"x": X})
     ly = log.compose({"x": Y})
     return exp.compose({"x": lx.add(ly)})
+
+
+def universal_store_by_pairs(degree):
+    """The universal law's coefficients through total degree `degree`, one
+    dict per degree in the store's key order ((a, b) then (b, a) for
+    a = 1, 2, ...): F_ab = sum_k b_{k-1} sum_{j+l=k} C(k, j) L_j(a) L_l(b)
+    over every pair of entries of the log-power table."""
+    B = fgl._B
+    fgl._grow_log_powers(degree - 1)
+    L = fgl._LOG_POWERS
+    rows = [{}, {(1, 0): B.one(), (0, 1): B.one()}]
+    for d in range(2, degree + 1):
+        row = {}
+        for a in range(1, d // 2 + 1):
+            b = d - a
+            by_k = {}
+            for j, lj in L[a].items():
+                for l, ll in L[b].items():
+                    by_k.setdefault(j + l, []).append((lj, ll, comb(j + l, j)))
+            c = B.dot([(B.gen(k - 1), v, 1) for k, v in dot_groups(B, by_k).items()])
+            if c:
+                row[(a, b)] = row[(b, a)] = c
+        rows.append(row)
+    return rows
+
+
+def associative_by_two_compositions(f):
+    """Raise ValueError unless F(F(x, y), z) = F(x, F(y, z)) for the law
+    series f to its order, composing each side in full."""
+    A = f.order
+    if A < 3:
+        return
+    vars3 = ("x", "y", "z")
+    X = TruncatedSeries.variable(f.dom, vars3, A, "x")
+    Y = TruncatedSeries.variable(f.dom, vars3, A, "y")
+    Z = TruncatedSeries.variable(f.dom, vars3, A, "z")
+    lhs = f.compose({"x": f.compose({"x": X, "y": Y}), "y": Z})
+    rhs = f.compose({"x": X, "y": f.compose({"x": Y, "y": Z})})
+    if lhs != rhs:
+        raise ValueError("law is not associative to order %d" % A)
 
 
 def lazard_lattice_from_all_products(n):

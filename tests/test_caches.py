@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobcalc import chow_models, clear_caches
+from cobcalc import chow_models, clear_caches, fgl
 from cobcalc.chow_models import VarietySpec, build_model
 from cobcalc.cobordism import lazard_piece
 from cobcalc.fixedpoint import (
@@ -62,6 +62,23 @@ def test_lazard_generators_same_after_clear_caches():
     piece = lazard_piece(7)
     assert piece._generators is None  # built on first read, not with the piece
     assert piece.generators == before
+
+
+def test_universal_law_same_after_clear_caches():
+    # the store and its Horner rows M_j(b) are append-only tables that
+    # clear_caches() keeps; the law and its multiples built after it hold
+    # the same coefficients, in the same order
+    law = fgl.universal_fgl(18)
+    before = [list(s.coeffs.items()) for s in (law.series, law.formal_mult(2), law.formal_mult(-1))]
+    horner = list(fgl._HORNER)
+    clear_caches()
+    again = fgl.universal_fgl(18)
+    assert again is not law
+    after = [list(s.coeffs.items()) for s in (again.series, fgl.formal_mult(again, 2),
+                                              fgl.formal_mult(again, -1))]
+    assert after == before
+    assert len(fgl._HORNER) >= len(horner)
+    assert all(row is kept for row, kept in zip(fgl._HORNER, horner))
 
 
 @pytest.mark.parametrize("name,params", SMALL_BUILTINS)

@@ -1,4 +1,7 @@
+from math import comb
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cobcalc import fgl
 from cobcalc.core_algebra import ZZ, TRING, TEPS, b_ring, int_mod, TruncatedSeries as TS
@@ -18,11 +21,13 @@ from cobcalc.fgl import (
 )
 from law_oracle import (
     additive_law_closed_form,
+    associative_by_two_compositions,
     b_transport_by_parts,
     cha_law_closed_form,
     chx_law_closed_form,
     law_without_store,
     universal_series_by_reversion,
+    universal_store_by_pairs,
 )
 
 B = b_ring(ZZ)
@@ -308,3 +313,128 @@ def test_law_construction_rejects_bad_series():
     s = TS(ZZ, ("x",), 4, {(1,): 1})
     with pytest.raises(ValueError, match="variables"):
         check_law_series(s)
+
+
+def test_horner_store_matches_pair_oracle_through_degree_20():
+    # F_ab = sum_j L_j(a) M_j(b) against the by-k formula over every pair of
+    # log-power entries: the same keys in the same order, and the same b-monomial
+    # coefficients in every F_ab
+    fgl._grow_universal(20)
+    ref = universal_store_by_pairs(20)
+    for d in range(1, 21):
+        row = fgl._LAW_BY_DEGREE[d]
+        assert list(row) == list(ref[d]), d
+        for e, c in row.items():
+            assert sorted(c.items()) == sorted(ref[d][e].items()), (d, e)
+
+
+def test_store_maps_each_coefficient_pair_once():
+    # F_ab = F_ba is one stored object, mapped once: the store to order 18
+    # holds (1, 0), (0, 1) and F_ab for a, b >= 1, a + b < 18, so the pairs
+    # with a <= b number 1 + sum_{d=2}^{17} floor(d/2) = 73, against the 138
+    # keys of the series
+    pairs = 1 + sum(d // 2 for d in range(2, 18))
+    assert pairs == 73
+    assert len(universal_fgl(18).series.coeffs) == 138
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return fgl._chx_image(c)
+
+    assert fgl._store_series(TRING, 18, counted) == chx_fgl(18).series
+    assert len(calls) == pairs
+    calls.clear()
+    law = specialize(universal_fgl(18), TRING, counted)
+    assert law.series == chx_fgl(18).series
+    assert len(calls) == pairs
+
+
+# a store law over each kind of coefficient domain, with the element of
+# degree 1 - n that a perturbation of a total degree n coefficient adds
+PERTURBED_LAWS = {
+    "B(ZZ)": (universal_fgl, lambda n: B.gen(n - 1)),
+    "ZZ[t]": (chx_fgl, lambda n: TRING.monomial(n - 1, 1)),
+    "ZZ": (additive_fgl, lambda n: 1),
+}
+
+
+def _perturbed(kind, order, n, i, k, k_swap, cocycle):
+    """The store law of `kind` at `order` with k g added at x^i y^(n-i) and
+    k_swap g at x^(n-i) y^i, g of degree 1 - n; with `cocycle`,
+    k g ((x+y)^n - x^n - y^n) is added instead, which keeps the law
+    associative when n = order - 1."""
+    constructor, g = PERTURBED_LAWS[kind]
+    law = constructor(order)
+    dom = law.dom
+    c = dict(law.series.coeffs)
+    if cocycle:
+        adds = [((a, n - a), k * comb(n, a)) for a in range(1, n)]
+    elif 2 * i == n:
+        adds = [((i, i), k)]
+    else:
+        adds = [((i, n - i), k), ((n - i, i), k_swap)]
+    for e, m in adds:
+        c[e] = dom.add(c.get(e, dom.zero()), dom.int_scale(g(n), m))
+    return TS(dom, ("x", "y"), order, c)
+
+
+def _raised(check, f):
+    """The message of the ValueError that check(f) raises, or None."""
+    try:
+        check(f)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(PERTURBED_LAWS)),
+    st.integers(5, 9),
+    st.integers(0, 3),
+    st.integers(1, 7),
+    st.integers(-2, 2),
+    st.one_of(st.none(), st.integers(-2, 2)),
+    st.booleans(),
+)
+def test_rotation_check_raises_exactly_when_two_compositions_differ(
+        kind, order, below, i, k, k_swap, cocycle):
+    # perturb the coefficients of total degree n = order - 1 - below: as a
+    # symmetric pair (k_swap None), as an asymmetric pair, or by a cocycle,
+    # which keeps the law associative at the top degree; the rotation check
+    # raises exactly when the two sides composed in full differ, and refuses
+    # every asymmetric series as not commutative
+    n = order - 1 - below
+    i = 1 + (i - 1) % (n - 1)
+    f = _perturbed(kind, order, n, i, k, k if k_swap is None else k_swap, cocycle)
+    new = _raised(fgl._check_associativity, f)
+    old = _raised(associative_by_two_compositions, f)
+    assert (new is None) == (old is None), (new, old)
+    if any(not f.dom.eq(c, f.coefficient((b, a))) for (a, b), c in f.coeffs.items()):
+        assert "commutative" in new
+
+
+@pytest.mark.parametrize("kind", sorted(PERTURBED_LAWS))
+def test_rotation_check_on_fixed_perturbations(kind):
+    # the store law and a top-degree cocycle pass both checks; a symmetric
+    # monomial pair fails both; an asymmetric pair is refused as not
+    # commutative, by the rotation check and by the full law check alike
+    # (over ZZ, where a nonzero integer at x^i y^j breaks the grading, the
+    # full check stops there first)
+    cases = [
+        (dict(n=6, i=1, k=0, k_swap=0, cocycle=False), None),
+        (dict(n=6, i=2, k=1, k_swap=1, cocycle=True), None),
+        (dict(n=4, i=1, k=1, k_swap=1, cocycle=False), "associative"),
+        (dict(n=5, i=2, k=1, k_swap=0, cocycle=False), "commutative"),
+    ]
+    for args, message in cases:
+        f = _perturbed(kind, 7, **args)
+        new = _raised(fgl._check_associativity, f)
+        assert (new is None) == (_raised(associative_by_two_compositions, f) is None), args
+        if message is None:
+            assert new is None, args
+        else:
+            assert message in new, args
+            with pytest.raises(ValueError, match=message if kind != "ZZ" else "homogeneous"):
+                check_law_series(f)
