@@ -6,6 +6,11 @@ Every command writes one JSON object {"command", "payload", "checks",
 0 for pass, 1 for a failed verification, 2 for usage or data errors
 (among them an --out that cannot be written), 3 for an internal
 self-check that failed (a fault of the program).
+
+Each command imports only the layers it runs: `chern` the Chow models and
+the characteristic classes, `fgl` the law store, `verify` and `catalog` the
+verifiers, which bring in every layer.  The parser lists the theorem names
+itself, so parsing and `--help` load no layer beyond `core_algebra`.
 """
 
 from __future__ import annotations
@@ -14,25 +19,13 @@ import argparse
 import json
 import sys
 
-from .chow_models import (
-    VarietySpec,
-    additive_chern_number,
-    chern_number,
-    euler_number,
-    fundamental_class,
-)
 from .core_algebra import is_int, partitions
-from .fgl import (
-    additive_fgl,
-    cha_fgl,
-    chx_fgl,
-    formal_mult,
-    universal_fgl,
-    universal_fgl_mod_p,
-)
-from .fixedpoint import BUILTIN_CATALOG, VERIFIERS, MuTwoActionModel, builtin_action
 
 DEFAULT_ORDER = 8
+
+# the theorem names of `verify --theorem`, the keys of fixedpoint.VERIFIERS
+# in sorted order; written out so that building the parser loads no verifier
+_THEOREMS = ("additive", "all", "decomposable", "euler", "ks", "l2", "lmod2", "trivial-normal")
 
 
 class UsageError(Exception):
@@ -78,6 +71,10 @@ def _parse_alpha(text):
 
 
 def cmd_fgl(args):
+    from .fgl import (
+        additive_fgl, cha_fgl, chx_fgl, formal_mult, universal_fgl, universal_fgl_mod_p,
+    )
+
     order = args.order
     if order < 2:
         raise UsageError("--order must be at least 2")
@@ -107,6 +104,8 @@ def cmd_fgl(args):
 
 
 def _load_spec(args):
+    from .chow_models import VarietySpec
+
     if args.spec and args.infile:
         raise UsageError("give --spec or --in, not both")
     if args.spec:
@@ -117,6 +116,8 @@ def _load_spec(args):
 
 
 def cmd_chern(args):
+    from .chow_models import additive_chern_number, chern_number, euler_number, fundamental_class
+
     spec = _load_spec(args)
     n = spec.dim()
     payload = {"spec": spec.to_json(), "dim": n}
@@ -133,6 +134,9 @@ def cmd_chern(args):
 
 
 def _load_action(args):
+    from .chow_models import VarietySpec
+    from .fixedpoint import MuTwoActionModel, builtin_action
+
     sources = [s for s in (args.builtin, args.action, args.infile) if s]
     if len(sources) > 1:
         raise UsageError("give exactly one of --builtin, --action, --in")
@@ -160,6 +164,8 @@ _VERIFY_OPTIONS = {
 
 
 def cmd_verify(args):
+    from .fixedpoint import VERIFIERS
+
     kwargs = {}
     for dest, (keyword, theorems, parse) in _VERIFY_OPTIONS.items():
         value = getattr(args, dest)
@@ -185,6 +191,8 @@ def cmd_verify(args):
 
 
 def cmd_catalog(args):
+    from .fixedpoint import BUILTIN_CATALOG
+
     entries = [e for e in BUILTIN_CATALOG if not args.builtin or e["name"] == args.builtin]
     if args.builtin and not entries:
         raise UsageError("unknown builtin %r" % args.builtin)
@@ -220,7 +228,7 @@ def _build_parser():
     pc.add_argument("--alpha", help="partition as a JSON list; omit for all top numbers")
 
     pv = sub.add_parser("verify", parents=[common], help="run a fixed-locus verifier")
-    pv.add_argument("--theorem", choices=sorted(VERIFIERS), required=True)
+    pv.add_argument("--theorem", choices=_THEOREMS, required=True)
     pv.add_argument("--builtin", help="name of a builtin action (see catalog)")
     pv.add_argument("--n", type=int, help="builtin parameter n")
     pv.add_argument("--a", type=int, help="builtin parameter a")

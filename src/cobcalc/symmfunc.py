@@ -11,7 +11,6 @@ variable y; the residue pushforward is built from it."""
 from __future__ import annotations
 
 from .core_algebra import TRING, TEPS, BDomain, TruncatedSeries
-from .fgl import chx_b_image, cha_b_image
 from .chow_models import VirtualSplitBundle, multiplicative_class
 
 __all__ = [
@@ -30,6 +29,8 @@ def b_image_for(dom):
     """How the universal coefficients b_i land in a target domain."""
     if isinstance(dom, BDomain):
         return dom.gen
+    from .fgl import chx_b_image, cha_b_image
+
     if dom is TRING:
         return chx_b_image
     if dom is TEPS:

@@ -6,9 +6,11 @@ import pytest
 
 from cobcalc import chow_models, clear_caches
 from cobcalc.chow_models import VarietySpec, chern_number
-from cobcalc.cli import main, series_json
+from cobcalc.cli import _THEOREMS, main, series_json
 from cobcalc.core_algebra import TRING, TruncatedSeries, partitions
 from cobcalc.fgl import formal_mult, universal_fgl
+from cobcalc.fixedpoint import VERIFIERS
+from fresh_process import LOADED, run_fresh
 
 P1 = {"type": "multiproj", "dims": [1]}
 P2 = {"type": "multiproj", "dims": [2]}
@@ -402,3 +404,29 @@ def test_failed_self_check_exits_3(capsys, monkeypatch):
     assert obj["status"] == "internal-error"
     assert "not homogeneous" in obj["error"]
     assert "Traceback" not in captured.err
+
+
+# each command loads only its layers: `chern` neither the verifiers, the
+# lattices nor the law store, `fgl` neither the verifiers nor the lattices
+LOADS_CLI = """
+import contextlib, io, json, sys
+from cobcalc.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, %s]))
+""" % LOADED
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["chern", "--spec", json.dumps(P2)], ("fixedpoint", "cobordism", "fgl")),
+    (["chern", "--spec", json.dumps(P2), "--alpha", "[1,1]"], ("fixedpoint", "cobordism", "fgl")),
+    (["fgl", "--law", "chx", "--order", "6", "--mult", "2"], ("fixedpoint", "cobordism")),
+])
+def test_command_loads_only_its_layers(argv, unloaded):
+    code, loaded = run_fresh(LOADS_CLI, *argv)
+    assert code == 0
+    assert [m for m in loaded if m.split(".")[-1] in unloaded] == []
+
+
+def test_parser_theorems_are_the_verifier_table():
+    assert _THEOREMS == tuple(sorted(VERIFIERS))

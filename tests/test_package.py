@@ -1,0 +1,105 @@
+"""The package namespace is filled on first use: `import cobcalc` loads no
+layer, the first public name loads every layer and binds all of `__all__`,
+and a submodule name loads only that submodule.  Each test starts a fresh
+interpreter, since the test process has loaded every layer already."""
+
+from fresh_process import LOADED, run_fresh
+
+LAYERS = ("chow_models", "cobordism", "core_algebra", "fgl", "fixedpoint", "report", "symmfunc")
+
+
+def test_import_loads_no_layer():
+    assert run_fresh("import sys, json, cobcalc; print(json.dumps(%s))" % LOADED) == ["cobcalc"]
+
+
+def test_every_public_name_is_its_layers_object():
+    code = """
+import sys, json, cobcalc
+first = cobcalc.verify_all is cobcalc.fixedpoint.verify_all
+loaded = %s
+layers = [sys.modules["cobcalc." + m] for m in sys.argv[1:]]
+bad = []
+for name in cobcalc.__all__:
+    if name in ("clear_caches", "__version__"):
+        continue
+    holders = [vars(m)[name] for m in layers if name in vars(m)]
+    if not holders or any(h is not getattr(cobcalc, name) for h in holders):
+        bad.append(name)
+print(json.dumps([first, loaded, bad]))
+""" % LOADED
+    first, loaded, bad = run_fresh(code, *LAYERS)
+    assert first
+    # one public name loads every layer, the CLI excepted
+    assert loaded == ["cobcalc"] + ["cobcalc." + m for m in LAYERS]
+    assert bad == []
+
+
+def test_star_import_binds_all_names():
+    code = """
+import json, cobcalc
+ns = {}
+exec("from cobcalc import *", ns)
+print(json.dumps([n for n in cobcalc.__all__ if n not in ns]))
+"""
+    assert run_fresh(code) == []
+
+
+def test_submodule_name_loads_only_that_submodule():
+    code = """
+import sys, json, cobcalc
+fgl = cobcalc.fgl
+print(json.dumps([fgl is sys.modules["cobcalc.fgl"], %s]))
+""" % LOADED
+    assert run_fresh(code) == [True, ["cobcalc", "cobcalc.core_algebra", "cobcalc.fgl"]]
+    code = """
+import sys, json, cobcalc
+print(json.dumps([hasattr(cobcalc, "fixedpoint"), "verify_all" in vars(cobcalc), %s]))
+""" % LOADED
+    found, bound, loaded = run_fresh(code)
+    # a submodule name binds no public name
+    assert found and not bound
+    assert "cobcalc.fixedpoint" in loaded and "cobcalc.cli" not in loaded
+
+
+def test_dir_lists_public_and_submodule_names_without_loading():
+    code = """
+import sys, json, cobcalc
+names = dir(cobcalc)
+print(json.dumps([sorted(set(cobcalc.__all__) - set(names)), "fgl" in names, %s]))
+""" % LOADED
+    missing, has_fgl, loaded = run_fresh(code)
+    assert missing == [] and has_fgl
+    assert loaded == ["cobcalc"]
+
+
+def test_unknown_name_raises_attribute_error_without_loading():
+    code = """
+import sys, json, cobcalc
+try:
+    cobcalc.no_such_name
+    raised = False
+except AttributeError:
+    raised = True
+print(json.dumps([raised, hasattr(cobcalc, "no_such_name"), %s]))
+""" % LOADED
+    assert run_fresh(code) == [True, False, ["cobcalc"]]
+
+
+def test_clear_caches_before_and_after_use():
+    code = """
+import sys, json, cobcalc
+cobcalc.clear_caches()
+before = %s
+def answers():
+    p3 = cobcalc.VarietySpec.multiproj([3])
+    return [cobcalc.chern_number(p3, (2, 1)), cobcalc.lazard_piece(4).rank,
+            cobcalc.verify_all(cobcalc.builtin_action("linear_pn", n=2, a=1)).ok]
+first = answers()
+cobcalc.clear_caches()
+empty = not cobcalc.chow_models._model_cache
+print(json.dumps([before, first, empty, answers() == first]))
+""" % LOADED
+    before, first, empty, same = run_fresh(code)
+    assert before == ["cobcalc"]
+    assert first[2] is True
+    assert empty and same
