@@ -14,7 +14,7 @@ import sys
 
 __version__ = "0.1.0"
 
-# the public names of each layer, in load order
+# the layers and the public names of each, in load order
 _EXPORTS = {
     "core_algebra": (
         "ZZ", "ZHALF", "TRING", "TEPS", "IntegerLattice", "TruncatedSeries",
@@ -47,8 +47,6 @@ _EXPORTS = {
     "report": ("Check", "Report"),
 }
 
-_SUBMODULES = frozenset(_EXPORTS) | {"cli"}
-
 __all__ = [name for names in _EXPORTS.values() for name in names]
 __all__ += ["clear_caches", "__version__"]
 
@@ -63,7 +61,7 @@ def _load_all():
 
 
 def __getattr__(name):
-    if name in _SUBMODULES:
+    if name in _EXPORTS:
         return importlib.import_module("." + name, __name__)
     if name in __all__:
         _load_all()
@@ -72,7 +70,7 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__) | _SUBMODULES)
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))
 
 
 def clear_caches():
