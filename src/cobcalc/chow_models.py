@@ -181,7 +181,7 @@ class VirtualSplitBundle:
     classes, int-coefficient codim-1 elements) and trivial summands.  Equal
     plus/minus trivial ranks cancel on construction."""
 
-    __slots__ = ("model", "plus_lines", "minus_lines", "plus_trivial", "minus_trivial")
+    __slots__ = ("model", "plus_lines", "minus_lines", "plus_trivial", "minus_trivial", "_key")
 
     def __init__(self, model, plus_lines=(), minus_lines=(), plus_trivial=0, minus_trivial=0):
         if plus_trivial < 0 or minus_trivial < 0:
@@ -196,6 +196,7 @@ class VirtualSplitBundle:
         self.minus_lines = tuple(dict(l) for l in minus_lines)
         self.plus_trivial = plus_trivial - t
         self.minus_trivial = minus_trivial - t
+        self._key = None  # the domain-free part of `_bundle_key`, made on first use
 
     @property
     def rank(self):
@@ -562,8 +563,10 @@ def _p_neg_tangent(model, dom):
 
 def _bundle_key(V, dom):
     """Memo key of an honest bundle over a domain: its line classes, its
-    trivial rank and the domain's name."""
-    return (tuple(tuple(sorted(l.items())) for l in V.plus_lines), V.plus_trivial, dom.name)
+    trivial rank and the domain's name.  The first two are kept on V."""
+    if V._key is None:
+        V._key = (tuple(tuple(sorted(l.items())) for l in V.plus_lines), V.plus_trivial)
+    return V._key + (dom.name,)
 
 
 def _residue_series(model, V, dom):
@@ -598,12 +601,12 @@ def _residues(model, V, dom):
     order rank + dim, each checked once to be homogeneous of degree
     m - (dim + rank - 1), and the ks integral, the sum of every coefficient
     of pi(y) * sum_i d_i(y) (see `_residue_series`)."""
-    from . import symmfunc as sf
-
     key = _bundle_key(V, dom)
     hit = model._residues.get(key)
     if hit is not None:
         return hit
+    from . import symmfunc as sf
+
     order, series = _residue_series(model, V, dom)
     r = V.rank
     pi = sf.pi_series(dom, order)

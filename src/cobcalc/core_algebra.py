@@ -18,6 +18,7 @@ this module: elements are dicts keyed by their monomials.
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from itertools import groupby
 from operator import add as _plus
 
 
@@ -244,10 +245,11 @@ class Domain:
     """Base of all coefficient domains.  Subclasses define zero/one/from_int,
     add/neg/mul, is_zero and is_unit/inv; _ScalarDomain and SparseDomain
     define `degrees`, the graded degrees present in an element, and
-    `monomials`, its serialization as a sorted list of {"b", "t", "eps",
-    "coeff"} dicts, which the CLI writes and `fmt` renders.  `dot(terms)` is
-    the sum of k * a * b over (a, b, k) triples with k an int; sums of
-    products call it instead of adding one product at a time."""
+    `_terms`, its monomials as one sorted list of (weight, t, eps,
+    b-partition, coefficient string) tuples, which `monomials` serializes
+    for the CLI and `fmt` renders.  `dot(terms)` is the sum of k * a * b
+    over (a, b, k) triples with k an int; sums of products call it instead
+    of adding one product at a time."""
 
     name = "?"
 
@@ -271,32 +273,28 @@ class Domain:
     def is_homogeneous(self, a, d):
         return self.degrees(a) <= {d}
 
+    def monomials(self, a):
+        return [{"b": list(b), "t": t, "eps": eps, "coeff": c}
+                for _w, t, eps, b, c in self._terms(a)]
+
     def fmt(self, a):
         """Human-readable rendering, deterministic."""
-        items = self.monomials(a)
-        if not items:
-            return "0"
         chunks = []
-        for it in items:
+        for _w, t, eps, b, c in self._terms(a):
             factors = []
-            seen = {}
-            for part in it["b"]:
-                seen[part] = seen.get(part, 0) + 1
-            for part in sorted(seen, reverse=True):
-                e = seen[part]
-                factors.append("b%d" % part + ("^%d" % e if e > 1 else ""))
-            if it["t"]:
-                factors.append("t" + ("^%d" % it["t"] if it["t"] > 1 else ""))
-            if it["eps"]:
+            for p, run in groupby(b):  # a partition: each run of equal parts is one power
+                e = len(list(run))
+                factors.append("b%d^%d" % (p, e) if e > 1 else "b%d" % p)
+            if t:
+                factors.append("t^%d" % t if t > 1 else "t")
+            if eps:
                 factors.append("eps")
-            c = it["coeff"]
             neg = c.startswith("-")
             mag = c[1:] if neg else c
-            if factors and mag == "1":
-                body = "*".join(factors)
-            else:
-                body = "*".join([mag] + factors) if factors else mag
+            body = "*".join(factors if factors and mag == "1" else [mag] + factors)
             chunks.append(("- " if neg else "+ ") + body)
+        if not chunks:
+            return "0"
         s = " ".join(chunks)
         return s[2:] if s.startswith("+ ") else "-" + s[2:]
 
@@ -308,10 +306,8 @@ class _ScalarDomain(Domain):
     def degrees(self, a):
         return frozenset() if self.is_zero(a) else frozenset({0})
 
-    def monomials(self, a):
-        if self.is_zero(a):
-            return []
-        return [{"b": [], "t": 0, "eps": 0, "coeff": self.coeff_str(a)}]
+    def _terms(self, a):
+        return [] if self.is_zero(a) else [(0, 0, 0, (), self.coeff_str(a))]
 
 
 class IntDomain(_ScalarDomain):
@@ -449,10 +445,6 @@ class HalfDomain(_ScalarDomain):
         return str(n) if e == 0 else "%d/2^%d" % (n, e)
 
 
-def _mono_key(it):
-    return (sum(it["b"]) + it["t"], it["t"], it["eps"], it["b"])
-
-
 class SparseDomain(Domain):
     """A domain whose elements are sparse elements over `base`.  The sum,
     negation and integer multiples are the kernel's, bound to the base once
@@ -531,13 +523,10 @@ class SparseDomain(Domain):
     def degrees(self, a):
         return frozenset(-sum(b) - t for b, t, _eps in map(self._parts, a))
 
-    def monomials(self, a):
-        items = []
-        for k, v in a.items():
-            b, t, eps = self._parts(k)
-            items.append({"b": list(b), "t": t, "eps": eps, "coeff": self.base.coeff_str(v)})
-        items.sort(key=_mono_key)
-        return items
+    def _terms(self, a):
+        coeff_str = self.base.coeff_str
+        return sorted((sum(b) + t, t, eps, b, coeff_str(v))
+                      for (b, t, eps), v in zip(map(self._parts, a), a.values()))
 
 
 # the product of b-monomials does not depend on the base, so every B-ring

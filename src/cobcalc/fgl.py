@@ -204,22 +204,36 @@ def _store_series(dom, order, image):
 
 def b_transport(elt, new_dom, gen_image):
     """Push a BDomain element through b_i |-> gen_image(i): the sum of
-    c * image(m) over its monomials m, as one `dot`."""
+    c * image(m) over its monomials m, as one `dot`, with each image read
+    off the table of (new_dom, gen_image)."""
+    table = _image_table(new_dom, gen_image)
     one = new_dom.one()
-    return new_dom.dot([(_monomial_image(new_dom, gen_image, parts), one, c)
-                        for parts, c in elt.items()])
+    return new_dom.dot([(table[parts], one, c) for parts, c in elt.items()])
 
 
-# the b-monomials of degree <= 17, the universal law's at order 18, number
-# about 1,200; the bound keeps a caller that passes a new gen_image on every
-# call from growing the memo without limit
-@lru_cache(maxsize=4096)
-def _monomial_image(new_dom, gen_image, parts):
-    """The image of the b-monomial `parts` (a partition) under
-    b_i |-> gen_image(i), built on the image of its longest proper prefix."""
-    if not parts:
-        return new_dom.one()
-    return new_dom.mul(_monomial_image(new_dom, gen_image, parts[:-1]), gen_image(parts[-1]))
+class _ImageTable(dict):
+    """b-partition -> its image under b_i |-> gen_image(i) in `dom`, each
+    entry built on the entry of its longest proper prefix on first lookup."""
+
+    __slots__ = ("dom", "gen_image")
+
+    def __init__(self, dom, gen_image):
+        super().__init__({(): dom.one()})
+        self.dom = dom
+        self.gen_image = gen_image
+
+    def __missing__(self, parts):
+        v = self[parts] = self.dom.mul(self[parts[:-1]], self.gen_image(parts[-1]))
+        return v
+
+
+# the universal law at order 18 holds 915 distinct b-monomials, so a table
+# stays small; the bound keeps a caller that passes a new gen_image on every
+# call from keeping every table it made
+@lru_cache(maxsize=8)
+def _image_table(new_dom, gen_image):
+    """The image table of one (target domain, generator map)."""
+    return _ImageTable(new_dom, gen_image)
 
 
 def chx_b_image(i):

@@ -83,7 +83,7 @@ class FixedComponent:
     The normal bundle may subtract at most one trivial summand, so adding a
     single trivial line always yields an honest bundle."""
 
-    __slots__ = ("spec", "codim", "model", "normal")
+    __slots__ = ("spec", "codim", "model", "normal", "_plus_one")
 
     def __init__(self, spec, codim, normal):
         spec = spec.canonical()
@@ -104,6 +104,7 @@ class FixedComponent:
         self.codim = codim
         self.model = model
         self.normal = normal
+        self._plus_one = normal.add_trivial(1)
 
     @classmethod
     def from_lines(cls, spec, codim, line_vectors=(), trivial_rank=0, minus_trivial_rank=0):
@@ -116,7 +117,9 @@ class FixedComponent:
         return self.spec.dim()
 
     def normal_plus_one(self):
-        return self.normal.add_trivial(1)
+        """N + 1, one bundle per component, so that its residue records share
+        one memo key, made once."""
+        return self._plus_one
 
     def proj_spec(self):
         """The projective completion of the normal bundle, as a variety."""

@@ -9,10 +9,13 @@ t and eps), and a sum of products is a fold of sparse additions.
 
 It also keeps the series inverse as a geometric sum, one full series
 product per term, against the degree-by-degree recurrence of
-`TruncatedSeries.inverse`."""
+`TruncatedSeries.inverse`, and the rendering of an element from one dict
+per monomial (`monomials_by_dicts`, `fmt_by_dicts`), against the one sorted
+term list that `Domain.monomials` and `Domain.fmt` read."""
 
 from cobcalc.core_algebra import (
-    TEPS, TRING, BDomain, TruncatedSeries, merge_partitions, sparse_add, sparse_int_scale,
+    TEPS, TRING, BDomain, SparseDomain, TruncatedSeries, merge_partitions, sparse_add,
+    sparse_int_scale,
 )
 
 
@@ -65,3 +68,47 @@ def inverse_by_geometric_sum(f):
             break
         acc = acc.add(term)
     return acc.scale(c_inv)
+
+
+def monomials_by_dicts(dom, a):
+    """The serialization of `a` as {"b", "t", "eps", "coeff"} dicts, one per
+    monomial, sorted by weight, then t, eps and b-partition."""
+    if not isinstance(dom, SparseDomain):
+        return [] if dom.is_zero(a) else [{"b": [], "t": 0, "eps": 0, "coeff": dom.coeff_str(a)}]
+    items = []
+    for k, v in a.items():
+        b, t, eps = dom._parts(k)
+        items.append({"b": list(b), "t": t, "eps": eps, "coeff": dom.base.coeff_str(v)})
+    items.sort(key=lambda it: (sum(it["b"]) + it["t"], it["t"], it["eps"], it["b"]))
+    return items
+
+
+def fmt_by_dicts(dom, a):
+    """The rendering of `a`, read off `monomials_by_dicts` with a dict of
+    part multiplicities per monomial."""
+    items = monomials_by_dicts(dom, a)
+    if not items:
+        return "0"
+    chunks = []
+    for it in items:
+        factors = []
+        seen = {}
+        for part in it["b"]:
+            seen[part] = seen.get(part, 0) + 1
+        for part in sorted(seen, reverse=True):
+            e = seen[part]
+            factors.append("b%d" % part + ("^%d" % e if e > 1 else ""))
+        if it["t"]:
+            factors.append("t" + ("^%d" % it["t"] if it["t"] > 1 else ""))
+        if it["eps"]:
+            factors.append("eps")
+        c = it["coeff"]
+        neg = c.startswith("-")
+        mag = c[1:] if neg else c
+        if factors and mag == "1":
+            body = "*".join(factors)
+        else:
+            body = "*".join([mag] + factors) if factors else mag
+        chunks.append(("- " if neg else "+ ") + body)
+    s = " ".join(chunks)
+    return s[2:] if s.startswith("+ ") else "-" + s[2:]

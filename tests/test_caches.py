@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobcalc import chow_models, clear_caches, fgl
-from cobcalc.chow_models import VarietySpec, build_model
+from cobcalc.chow_models import VarietySpec, _bundle_key, _residues, build_model
 from cobcalc.cobordism import lazard_piece
+from cobcalc.core_algebra import TRING, ZHALF, ZZ, b_ring
 from cobcalc.fixedpoint import (
     _twisted_series,
     builtin_action,
@@ -20,7 +21,7 @@ from cobcalc.fixedpoint import (
     verify_L2_relations,
     verify_lmod2,
 )
-from law_oracle import lmod2_series_by_loop
+from law_oracle import b_transport_by_parts, lmod2_series_by_loop
 
 SMALL_BUILTINS = (
     [("linear_pn", {"n": n, "a": a}) for n in range(1, 5) for a in range(n)]
@@ -79,6 +80,38 @@ def test_universal_law_same_after_clear_caches():
     assert after == before
     assert len(fgl._HORNER) >= len(horner)
     assert all(row is kept for row, kept in zip(fgl._HORNER, horner))
+
+
+def test_transport_tables_are_bounded_and_cleared():
+    coeffs = list(fgl.universal_fgl(9).series.coeffs.values())
+    want = [fgl.b_transport(c, TRING, fgl.chx_b_image) for c in coeffs]
+    assert fgl._image_table.cache_info().currsize
+    # a caller that makes a new map on every call keeps at most the bound
+    for k in range(50):
+        image = lambda i, k=k: TRING.monomial(i, k + 1)  # noqa: E731
+        assert fgl.b_transport(coeffs[-1], TRING, image) == b_transport_by_parts(coeffs[-1], TRING, image)
+        info = fgl._image_table.cache_info()
+        assert info.currsize <= info.maxsize == 8
+    clear_caches()
+    assert fgl._image_table.cache_info().currsize == 0
+    assert [fgl.b_transport(c, TRING, fgl.chx_b_image) for c in coeffs] == want
+
+
+def _fresh_bundle_key(V, dom):
+    return (tuple(tuple(sorted(l.items())) for l in V.plus_lines), V.plus_trivial, dom.name)
+
+
+@pytest.mark.parametrize("name,params", SMALL_BUILTINS)
+def test_completion_bundle_is_made_once(name, params):
+    B, BH = b_ring(ZZ), b_ring(ZHALF)
+    for comp in builtin_action(name, **params).components:
+        nb = comp.normal_plus_one()
+        assert comp.normal_plus_one() is nb
+        # the domain-free part kept on the bundle must not carry a domain over
+        for dom in (B, BH, B):
+            assert _bundle_key(nb, dom) == _fresh_bundle_key(nb, dom)
+        _residues(comp.model, nb, B)
+        assert _fresh_bundle_key(nb, B) in comp.model._residues
 
 
 @pytest.mark.parametrize("name,params", SMALL_BUILTINS)

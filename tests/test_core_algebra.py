@@ -21,7 +21,9 @@ from cobcalc.core_algebra import (
     bezout,
 )
 from cobcalc.fgl import cha_fgl, chx_fgl, universal_fgl
-from kernel_oracle import inverse_by_geometric_sum, oracle_dot, oracle_mul
+from kernel_oracle import (
+    fmt_by_dicts, inverse_by_geometric_sum, monomials_by_dicts, oracle_dot, oracle_mul,
+)
 from law_oracle import reversion, scaled_lattice
 
 
@@ -150,6 +152,32 @@ def test_serialization_and_degrees(dom, elt, monomials, text, degrees):
     assert dom.monomials(elt) == monomials
     assert dom.fmt(elt) == text
     assert dom.degrees(elt) == frozenset(degrees)
+
+
+# nonzero coefficients, with +-1 drawn often; ZHALF ones include +-1/2 and
+# other half-integers; partitions with repeated parts
+_INTS = st.one_of(st.sampled_from([1, -1]), st.integers(-40, 40).filter(bool))
+_HALVES = st.builds(core_algebra._half_norm, st.integers(-9, 9), st.integers(0, 3))
+_PARTS = st.lists(st.integers(1, 4), max_size=5).map(lambda p: tuple(sorted(p, reverse=True)))
+_ELEMENTS = st.one_of(
+    st.tuples(st.just(b_ring(ZZ)), st.dictionaries(_PARTS, _INTS, max_size=6)),
+    st.tuples(st.just(b_ring(ZHALF)), st.dictionaries(_PARTS, _HALVES.filter(lambda h: h[0]), max_size=6)),
+    st.tuples(st.just(b_ring(int_mod(3))), st.dictionaries(_PARTS, st.sampled_from([1, 2]), max_size=6)),
+    st.tuples(st.just(TRING), st.dictionaries(st.integers(0, 5), _INTS, max_size=5)),
+    st.tuples(st.just(TEPS), st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 1)), _INTS,
+                                             max_size=5)),
+    st.tuples(st.just(ZZ), st.integers(-40, 40)),
+    st.tuples(st.just(int_mod(3)), st.integers(0, 2)),
+    st.tuples(st.just(ZHALF), _HALVES),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ELEMENTS)
+def test_rendering_matches_dict_route(case):
+    dom, elt = case
+    assert dom.monomials(elt) == monomials_by_dicts(dom, elt)
+    assert dom.fmt(elt) == fmt_by_dicts(dom, elt)
 
 
 # ---------------------------------------------------------------------------

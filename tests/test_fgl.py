@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cobcalc import fgl
-from cobcalc.core_algebra import ZZ, TRING, TEPS, b_ring, int_mod, TruncatedSeries as TS
+from cobcalc.core_algebra import ZZ, ZHALF, TRING, TEPS, b_ring, int_mod, TruncatedSeries as TS
 from cobcalc.fgl import (
     check_law_series,
     universal_fgl,
@@ -165,7 +165,7 @@ def test_additive_law():
 
 
 def test_chx_matches_specialized_universal():
-    # every order after the order-18 transport has filled the monomial memo
+    # every order after the order-18 transport has filled the image table
     specialize(universal_fgl(18), TRING, lambda c: b_transport(c, TRING, chx_b_image))
     for order in range(2, 19):
         S = specialize(universal_fgl(order), TRING, lambda c: b_transport(c, TRING, chx_b_image))
@@ -174,7 +174,7 @@ def test_chx_matches_specialized_universal():
 
 def test_b_transport_memo_matches_oracle():
     coeffs = list(universal_fgl(12).series.coeffs.values())
-    for _ in range(2):  # the second pass reads every monomial image from the memo
+    for _ in range(2):  # the second pass reads every monomial image from the table
         for c in coeffs:
             assert b_transport(c, TEPS, cha_b_image) == b_transport_by_parts(c, TEPS, cha_b_image)
 
@@ -184,13 +184,51 @@ def _three(i):
 
 
 def test_b_transport_memo_keeps_domains_apart():
-    # b_i |-> 3 is a ring map into ZZ and into ZZ/2 alike: the memoized
+    # b_i |-> 3 is a ring map into ZZ and into ZZ/2 alike: the tabled
     # images of the same monomials must not cross from one to the other
     Z2 = int_mod(2)
     coeffs = list(universal_fgl(8).series.coeffs.values())
     for dom in (Z2, ZZ, Z2):
         for c in coeffs:
             assert b_transport(c, dom, _three) == b_transport_by_parts(c, dom, _three), dom.name
+
+
+def _two_terms(i):
+    """b_i |-> t^i - 2 t^(i+1): every monomial image has several terms."""
+    return TRING.sub(TRING.monomial(i, 1), TRING.monomial(i + 1, 2))
+
+
+def _mixed(i):
+    """b_1 |-> 0, b_2 |-> t^2 - t^3 and b_i |-> (-t)^i above: zero, one-term
+    and two-term monomial images, some of which cancel in a sum."""
+    if i == 1:
+        return {}
+    if i == 2:
+        return {2: 1, 3: -1}
+    return chx_b_image(i)
+
+
+def _half_b(i):
+    """b_i |-> b_i / 2 into B(ZZ[1/2]), a sparse domain whose base is not ZZ."""
+    return {(i,): (1, 1)}
+
+
+# cha (eps^2 = 0, so most monomial images are zero) and b_i |-> 3 into ZZ
+# and ZZ/2 are compared by the two tests above
+@pytest.mark.parametrize("dom, gen_image", [
+    (TRING, chx_b_image),
+    (TRING, _two_terms),
+    (TRING, _mixed),
+    (b_ring(ZHALF), _half_b),
+], ids=["chx", "two-terms", "mixed", "half-b"])
+def test_b_transport_matches_oracle(dom, gen_image):
+    U = universal_fgl(12)
+    coeffs = list(U.series.coeffs.values()) + list(U.formal_mult(-1).coeffs.values())
+    # sums whose one-term chx images cancel (b1^2 - b2 |-> 0), and zero
+    coeffs += [{(1, 1): 1, (2,): -1}, {(3,): 1, (2, 1): -1, (1,): 4}, B.zero()]
+    for _ in range(2):  # the second pass reads every monomial image from the table
+        for c in coeffs:
+            assert b_transport(c, dom, gen_image) == b_transport_by_parts(c, dom, gen_image)
 
 
 def test_cha_matches_specialized_universal():

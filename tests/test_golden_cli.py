@@ -6,15 +6,20 @@ To regenerate the pins after a deliberate change of output, run
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
-and paste the printed table over PINS."""
+and paste the printed table over PINS.  To compare every command with its
+pin on an interpreter without pytest, run
 
+    PYTHONPATH=src python tests/test_golden_cli.py --check
+
+which exits 1 if any command differs.  So this module imports nothing of
+pytest: the pinned test is parametrized by `pytest_generate_tests`."""
+
+import argparse
 import hashlib
 import io
 import json
 import sys
 from contextlib import redirect_stdout
-
-import pytest
 
 from cobcalc.cli import main
 
@@ -82,6 +87,9 @@ COMMANDS = {
     "fgl-universal-mult": "fgl --law universal --order 6 --mult 2",
     "fgl-chx-mult": "fgl --law chx --order 5 --mult 3",
     "fgl-cha-mult": "fgl --law cha --order 5 --mult -2",
+    "fgl-chx-order-18": "fgl --law chx --order 18",
+    "fgl-cha-order-12": "fgl --law cha --order 12",
+    "fgl-chx-inverse-12": "fgl --law chx --order 12 --mult -1",
     "fgl-mod-3": "fgl --law universal-mod-p --p 3 --order 5",
     "fgl-additive": "fgl --law additive --order 4",
     "fgl-universal-inverse": "fgl --law universal --order 10 --mult -1",
@@ -116,7 +124,10 @@ PINS = {
     'error-spec': (2, '1a3287fa3a19c67b71c613116285766c39381a33387eacdf76c8a68258619ca9'),
     'fgl-additive': (0, 'ce944fa12d7eaf9a35a6b84d6afcf2db34efce344c941c56b5496df42e3b6ff1'),
     'fgl-cha-mult': (0, '852af84fcf5e2d81d3cf7a2d1ec24417d8afe9dcfe276779d3965e177c4a18cb'),
+    'fgl-cha-order-12': (0, 'c8a6f24042aa2e7c0f260e88c7d04bda0e5b23f374d276f3f9ecfa753d062423'),
+    'fgl-chx-inverse-12': (0, 'e15db4094ce19f2a9b2eae0623fa49ff532957bc2f19cfd0dd4576a3a0d25834'),
     'fgl-chx-mult': (0, '04b80540942aaa29c04d5d23204527134730a95ba36cc439007f043410fa1898'),
+    'fgl-chx-order-18': (0, '2120b5465764af3bcba3a85adef3c1d199b4b5330cef344b76470dec1bd812f6'),
     'fgl-mod-2-inverse': (0, '62fd0f4efdb29b826070c25d1a7e61cb9516f8fd2e6a24cc9441d11cfe43910f'),
     'fgl-mod-3': (0, '7b5b0aff546587c17afd5293df60fe0e42dc0bfb1aa178e7d9c373891c4f730e'),
     'fgl-mod-3-mult-2': (0, '7962d2c06140c1ebcd2d138ff322361ce51d541c689e8be20d17a9476253d7a3'),
@@ -157,12 +168,30 @@ def run_command(argv):
     return code, hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
+def pytest_generate_tests(metafunc):
+    if "name" in metafunc.fixturenames:
+        metafunc.parametrize("name", sorted(COMMANDS))
+
+
 def test_cli_output_is_pinned(name):
     assert run_command(COMMANDS[name]) == PINS[name]
 
 
+def check():
+    """Compare every command with its pin; print each mismatch and return
+    the exit status, 1 if any command differs."""
+    bad = [name for name in sorted(COMMANDS) if run_command(COMMANDS[name]) != PINS[name]]
+    for name in bad:
+        print("mismatch: %s" % name)
+    print("%d of %d commands match their pins" % (len(COMMANDS) - len(bad), len(COMMANDS)))
+    return 1 if bad else 0
+
+
 if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description="print the pin table, or check the pins")
+    ap.add_argument("--check", action="store_true", help="compare every command with PINS")
+    if ap.parse_args().check:
+        sys.exit(check())
     print("PINS = {")
     for name in sorted(COMMANDS):
         code, digest = run_command(COMMANDS[name])
