@@ -77,11 +77,12 @@ def clear_caches():
     """Empty every process-lifetime cache of the loaded layers, so that later
     calls compute from scratch: the model cache, which takes each model's
     memos with it, and every `lru_cache` of the package (laws, lattice
-    pieces, the `lmod2` twisted series, the b_transport image tables,
-    partitions).  A layer not yet loaded has nothing cached, and is not
-    loaded here.  A model or law a caller still holds keeps its own memos.
-    The universal law's coefficient store, with its log-power and Horner row
-    tables, and the interned monomial tables stay: they are append-only
+    pieces, the `lmod2` twisted series and their integer scalings, the
+    b_transport image tables, the `specialize` memo, partitions).  A layer
+    not yet loaded has nothing cached, and is not loaded here.  A model or
+    law a caller still holds keeps its own memos.  The universal law's
+    coefficient store, with its log-power and Horner row tables, and the
+    interned monomial tables with their names stay: they are append-only
     tables that every law and every sparse product reads, the same whatever
     is asked first."""
     chow_models = sys.modules.get(__name__ + ".chow_models")

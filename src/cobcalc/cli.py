@@ -135,11 +135,17 @@ def cmd_chern(args):
 
 def _load_action(args):
     from .chow_models import VarietySpec
-    from .fixedpoint import MuTwoActionModel, builtin_action
+    from .fixedpoint import BUILTIN_CATALOG, MuTwoActionModel, builtin_action
 
     sources = [s for s in (args.builtin, args.action, args.infile) if s]
     if len(sources) > 1:
         raise UsageError("give exactly one of --builtin, --action, --in")
+    # a builtin parameter that the chosen source does not read is refused
+    # rather than ignored; the catalog lists each builtin's parameters
+    for param in ("n", "a", "spec"):
+        readers = [e["name"] for e in BUILTIN_CATALOG if param in e["params"]]
+        if getattr(args, param) is not None and args.builtin not in readers:
+            raise UsageError("--%s applies only to --builtin %s" % (param, " or ".join(readers)))
     if args.builtin:
         spec = None
         if args.spec:

@@ -18,7 +18,6 @@ this module: elements are dicts keyed by their monomials.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import groupby
 from operator import add as _plus
 
 
@@ -221,21 +220,38 @@ class _MonomialIds(dict):
         return i
 
 
+class _MonomialNames(dict):
+    """Monomial key -> (sort key, name) on first lookup: the sort key is (weight,
+    t, eps, b-partition), the name b3*b1^2*t^2*eps, say, or "" for the unit."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        self.parts = parts
+
+    def __missing__(self, key):
+        b, t, eps = self.parts(key)
+        powers = [("b%d" % p, b.count(p)) for p in sorted(set(b), reverse=True)] + [("t", t), ("eps", eps)]
+        name = "*".join(x + "^%d" % e if e > 1 else x for x, e in powers if e)
+        v = self[key] = ((sum(b) + t, t, eps, b), name)
+        return v
+
+
 class MonomialTable:
     """Interned monomials under the commutative key product `merge`: `ids`
-    maps a key to its id, `keys` maps an id back, and `rows[i][j]` is the id
-    of the product of monomials i and j."""
+    maps a key to its id, `keys` maps an id back, `rows[i][j]` is the id of
+    the product of monomials i and j, and `names` maps a key to its sort key
+    and rendering, read off `parts(key)` = (b-partition, t, eps)."""
 
-    def __init__(self, merge):
+    def __init__(self, merge, parts):
         self.merge = merge
         self.ids = _MonomialIds(self)
-        self.keys = []
-        self.rows = []
+        self.names = _MonomialNames(parts)
+        self.keys, self.rows = [], []
 
     def clear(self):
-        self.ids.clear()
-        self.keys.clear()
-        self.rows.clear()
+        for table in (self.ids, self.names, self.keys, self.rows):
+            table.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +261,10 @@ class Domain:
     """Base of all coefficient domains.  Subclasses define zero/one/from_int,
     add/neg/mul, is_zero and is_unit/inv; _ScalarDomain and SparseDomain
     define `degrees`, the graded degrees present in an element, and
-    `_terms`, its monomials as one sorted list of (weight, t, eps,
-    b-partition, coefficient string) tuples, which `monomials` serializes
-    for the CLI and `fmt` renders.  `dot(terms)` is the sum of k * a * b
-    over (a, b, k) triples with k an int; sums of products call it instead
-    of adding one product at a time."""
+    `_named`, its monomials as sorted ((sort key, name), coefficient string)
+    pairs, which `monomials` serializes for the CLI and `fmt` renders.
+    `dot(terms)` is the sum of k * a * b over (a, b, k) triples with k an
+    int; sums of products call it instead of adding one at a time."""
 
     name = "?"
 
@@ -275,28 +290,17 @@ class Domain:
 
     def monomials(self, a):
         return [{"b": list(b), "t": t, "eps": eps, "coeff": c}
-                for _w, t, eps, b, c in self._terms(a)]
+                for ((_w, t, eps, b), _name), c in self._named(a)]
 
     def fmt(self, a):
-        """Human-readable rendering, deterministic."""
-        chunks = []
-        for _w, t, eps, b, c in self._terms(a):
-            factors = []
-            for p, run in groupby(b):  # a partition: each run of equal parts is one power
-                e = len(list(run))
-                factors.append("b%d^%d" % (p, e) if e > 1 else "b%d" % p)
-            if t:
-                factors.append("t^%d" % t if t > 1 else "t")
-            if eps:
-                factors.append("eps")
-            neg = c.startswith("-")
-            mag = c[1:] if neg else c
-            body = "*".join(factors if factors and mag == "1" else [mag] + factors)
-            chunks.append(("- " if neg else "+ ") + body)
-        if not chunks:
-            return "0"
-        s = " ".join(chunks)
-        return s[2:] if s.startswith("+ ") else "-" + s[2:]
+        """Human-readable rendering, deterministic: coefficient*name per term."""
+        out = []
+        for (_key, name), c in self._named(a):
+            out.append(" - " if c[0] == "-" else " + ")
+            c = c.lstrip("-")
+            out.append((name if c == "1" else c + "*" + name) if name else c)
+        s = "".join(out)
+        return "0" if not s else s[3:] if s[1] == "+" else "-" + s[3:]
 
 
 class _ScalarDomain(Domain):
@@ -306,8 +310,8 @@ class _ScalarDomain(Domain):
     def degrees(self, a):
         return frozenset() if self.is_zero(a) else frozenset({0})
 
-    def _terms(self, a):
-        return [] if self.is_zero(a) else [(0, 0, 0, (), self.coeff_str(a))]
+    def _named(self, a):
+        return [] if self.is_zero(a) else [(((0, 0, 0, ()), ""), self.coeff_str(a))]
 
 
 class IntDomain(_ScalarDomain):
@@ -345,8 +349,7 @@ class IntDomain(_ScalarDomain):
             return a
         raise ValueError("not a unit in ZZ: %r" % (a,))
 
-    def coeff_str(self, a):
-        return str(a)
+    coeff_str = staticmethod(str)
 
 
 class IntModDomain(_ScalarDomain):
@@ -523,15 +526,8 @@ class SparseDomain(Domain):
     def degrees(self, a):
         return frozenset(-sum(b) - t for b, t, _eps in map(self._parts, a))
 
-    def _terms(self, a):
-        coeff_str = self.base.coeff_str
-        return sorted((sum(b) + t, t, eps, b, coeff_str(v))
-                      for (b, t, eps), v in zip(map(self._parts, a), a.values()))
-
-
-# the product of b-monomials does not depend on the base, so every B-ring
-# shares one table
-_B_MONOMIALS = MonomialTable(merge_partitions)
+    def _named(self, a):
+        return sorted(zip(map(self._table.names.__getitem__, a), map(self.base.coeff_str, a.values())))
 
 
 class BDomain(SparseDomain):
@@ -539,7 +535,6 @@ class BDomain(SparseDomain):
     with b_i of graded degree -i.  Elements are dicts {partition: base elt};
     the monomial for partition (3,1,1) is b3*b1^2."""
 
-    _table = _B_MONOMIALS
     _unit = ()
 
     def __init__(self, base):
@@ -577,6 +572,11 @@ class BDomain(SparseDomain):
         return {(): self.base.inv(a[()])}
 
 
+# the product and the name of a b-monomial do not depend on the base, so
+# every B-ring shares one table
+BDomain._table = _B_MONOMIALS = MonomialTable(merge_partitions, BDomain._parts)
+
+
 class TDomain(SparseDomain):
     """ZZ[t] with t of graded degree -1; elements {exponent: int}."""
 
@@ -585,7 +585,7 @@ class TDomain(SparseDomain):
 
     def __init__(self):
         super().__init__(ZZ)
-        self._table = MonomialTable(int.__add__)
+        self._table = MonomialTable(int.__add__, self._parts)
 
     @staticmethod
     def _parts(k):
@@ -622,7 +622,7 @@ class TEpsDomain(SparseDomain):
 
     def __init__(self):
         super().__init__(ZZ)
-        self._table = MonomialTable(_add_exponents)
+        self._table = MonomialTable(_add_exponents, self._parts)
 
     @staticmethod
     def _parts(k):

@@ -18,7 +18,9 @@ such a law holds the same mapped coefficients, so its associativity check,
 one composition F(F(x, y), z) compared with its rotation, runs once per
 (domain, image) in a process, at order ASSOC_CHECK_CAP.  `specialize`
 pushes a law further along a caller's coefficient function, which nothing
-here can vouch for, so its result gets the full check on every call.
+here can vouch for, so its result gets the full check once per distinct
+coefficient table: the check reads only the series, and a table equal to
+one that passed at the same (domain, order) passes again.
 """
 
 from __future__ import annotations
@@ -329,14 +331,31 @@ def additive_fgl(order):
     return _store_law(ZZ, order, _constant_term)
 
 
+# how many coefficient tables that passed the check in `specialize` are kept
+# per (domain, order); a caller that asks again for one law through a new
+# coeff_fn (a new lambda, say) builds a table equal to one of them
+_PASSED_PER_KEY = 4
+
+
+@lru_cache(maxsize=16)
+def _passed_tables(dom, order):
+    """The tables of laws over `dom` to `order` that passed, newest last."""
+    return []
+
+
 def specialize(law, new_dom, coeff_fn):
     """The law pushed along coeff_fn, which must be a ring map from law.dom
     to new_dom: the result is the store along coeff_fn o law.image, so its
     [a](x) is coeff_fn applied to the law's [a](x) only for a ring map.
-    coeff_fn comes from the caller, so the result's series gets the full
-    check of `check_law_series` on every call, the grading included: an
-    image that breaks the degree convention is rejected."""
+    coeff_fn comes from the caller, so it runs on every call, and the
+    result's series gets the full check of `check_law_series`, the grading
+    included, unless a table equal to it already passed at the same domain
+    and order: an image that breaks the degree convention is rejected."""
     image = law.image
     out = FormalGroupLaw(new_dom, law.order, lambda c: coeff_fn(image(c)))
-    check_law_series(out.series)
+    passed = _passed_tables(new_dom, law.order)
+    if out.series.coeffs not in passed:
+        check_law_series(out.series)
+        passed.append(out.series.coeffs)
+        del passed[:-_PASSED_PER_KEY]
     return out

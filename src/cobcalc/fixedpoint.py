@@ -28,7 +28,7 @@ from .chow_models import (
 )
 from .cobordism import decomposable_test, lazard_piece, mod2_theory_member
 from .core_algebra import (
-    ZHALF, ZZ, b_ring, is_int, is_partition, is_prime, partitions, sparse_add,
+    ZHALF, ZZ, _half_norm, b_ring, is_int, is_partition, is_prime, partitions, sparse_add,
     sparse_from_int, sparse_int_scale,
 )
 from .fgl import formal_mult, universal_fgl
@@ -555,6 +555,16 @@ def _twisted_series(order, m):
     return gs[m]
 
 
+@lru_cache(maxsize=None)
+def _scaled_twist(order, m):
+    """(e, {j: 2^e [x^j] g_m}): the x-coefficients of _twisted_series(order,
+    m) over ZZ, scaled by 2^e, the largest denominator among them.  Callers
+    pass m <= order - 1, above which g_m no longer changes."""
+    coeffs = _twisted_series(order, m).coeffs
+    e = max((f for c in coeffs.values() for _num, f in c.values()), default=0)
+    return e, {j: {p: num << (e - f) for p, (num, f) in c.items()} for (j,), c in coeffs.items()}
+
+
 def verify_lmod2(action, order=None, max_m=None):
     """Integrality and lattice membership of the twisted classes built from
     the halved two-fold multiple of the group law.
@@ -575,23 +585,28 @@ def verify_lmod2(action, order=None, max_m=None):
     max_m = _max_twist(max_m, n)
     rep = Report("lmod2")
     # pushforwards of honest bundles are integral: take them over ZZ, where
-    # the values verify_L2_relations computed are cached, and embed
+    # the values verify_L2_relations computed are cached, and sum 2^e A_m
+    # there, with 2^e the largest denominator of g_m
     q_sums = []
     for j in range(n + 1):
         total = B.zero()
         for comp in action.components:
             total = B.add(total, quillen_pushforward(comp.model, comp.normal_plus_one(), j, B))
-        q_sums.append(_to_half_element(total))
+        q_sums.append(total)
     ambient_cls = fundamental_class(action.ambient, "L")
     for m in range(max_m + 1):
-        g = _twisted_series(order, m)
-        a_m = BH.dot([(g.coeffs[(j,)], q_sums[j], 1) for j in range(n + 1) if (j,) in g.coeffs])
+        e, g = _scaled_twist(order, min(m, order - 1))
+        scaled = B.dot([(g[j], q_sums[j], 1) for j in range(n + 1) if j in g])
+        # A_m is integral exactly when 2^e divides every coefficient of 2^e A_m,
+        # and an integral A_m renders the same over ZZ[1/2] as over ZZ
+        a_m = {p: _half_norm(v, e) for p, v in scaled.items()}
         ints = _to_integer_element(a_m)
+        text = BH.fmt(a_m)
         rep.add(
             "lmod2:int:%d" % m,
             "twisted class A_%d has integer coefficients" % m,
             ints is not None,
-            lhs=BH.fmt(a_m),
+            lhs=text,
         )
         if ints is None:
             continue
@@ -601,7 +616,7 @@ def verify_lmod2(action, order=None, max_m=None):
                 "lmod2:class",
                 "A_0 equals the ambient class modulo twice the lattice in degree %d" % n,
                 lazard_piece(n).member_mod(diff, 2),
-                lhs=B.fmt(ints),
+                lhs=text,
                 rhs=B.fmt(ambient_cls),
             )
         else:
@@ -610,7 +625,7 @@ def verify_lmod2(action, order=None, max_m=None):
                 "lmod2:member:%d" % m,
                 "A_%d lies in the lattice in degree %d" % (m, n - m),
                 ok,
-                lhs=B.fmt(ints),
+                lhs=text,
             )
     return rep
 

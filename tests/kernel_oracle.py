@@ -9,9 +9,13 @@ t and eps), and a sum of products is a fold of sparse additions.
 
 It also keeps the series inverse as a geometric sum, one full series
 product per term, against the degree-by-degree recurrence of
-`TruncatedSeries.inverse`, and the rendering of an element from one dict
-per monomial (`monomials_by_dicts`, `fmt_by_dicts`), against the one sorted
-term list that `Domain.monomials` and `Domain.fmt` read."""
+`TruncatedSeries.inverse`, and two renderings of an element against the
+names that `Domain.monomials` and `Domain.fmt` read off the monomial table:
+one dict per monomial (`monomials_by_dicts`, `fmt_by_dicts`), and one sorted
+list of (weight, t, eps, b-partition, coefficient string) terms whose
+factors are rebuilt for every term (`fmt_by_terms`)."""
+
+from itertools import groupby
 
 from cobcalc.core_algebra import (
     TEPS, TRING, BDomain, SparseDomain, TruncatedSeries, merge_partitions, sparse_add,
@@ -110,5 +114,38 @@ def fmt_by_dicts(dom, a):
         else:
             body = "*".join([mag] + factors) if factors else mag
         chunks.append(("- " if neg else "+ ") + body)
+    s = " ".join(chunks)
+    return s[2:] if s.startswith("+ ") else "-" + s[2:]
+
+
+def _terms(dom, a):
+    """The monomials of `a` as one sorted list of (weight, t, eps,
+    b-partition, coefficient string) tuples."""
+    if not isinstance(dom, SparseDomain):
+        return [] if dom.is_zero(a) else [(0, 0, 0, (), dom.coeff_str(a))]
+    coeff_str = dom.base.coeff_str
+    return sorted((sum(b) + t, t, eps, b, coeff_str(v))
+                  for (b, t, eps), v in zip(map(dom._parts, a), a.values()))
+
+
+def fmt_by_terms(dom, a):
+    """The rendering of `a` from `_terms`, with each run of equal parts of a
+    b-partition grouped into one power, term by term."""
+    chunks = []
+    for _w, t, eps, b, c in _terms(dom, a):
+        factors = []
+        for p, run in groupby(b):
+            e = len(list(run))
+            factors.append("b%d^%d" % (p, e) if e > 1 else "b%d" % p)
+        if t:
+            factors.append("t^%d" % t if t > 1 else "t")
+        if eps:
+            factors.append("eps")
+        neg = c.startswith("-")
+        mag = c[1:] if neg else c
+        body = "*".join(factors if factors and mag == "1" else [mag] + factors)
+        chunks.append(("- " if neg else "+ ") + body)
+    if not chunks:
+        return "0"
     s = " ".join(chunks)
     return s[2:] if s.startswith("+ ") else "-" + s[2:]

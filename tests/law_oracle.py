@@ -36,7 +36,12 @@ p(n) monomials in Lazard's polynomial generators.
 loop that verifier once ran inline on every call, from the reversion series
 mapped into B(ZHALF) as a `SeriesLaw`; production embeds the integral [2](x)
 and [-1](x) read off the store, keeps the twisted series per order and grows
-them one power of zeta at a time."""
+them one power of zeta at a time.
+
+`lmod2_classes_over_half` sums each twisted class A_m over B(ZHALF), with
+the pushforward sums embedded there and one `dot` of that ring per m;
+production sums 2^e A_m over B(ZZ), with g_m scaled by its largest
+denominator 2^e, and tests 2^e for divisibility."""
 
 from math import comb
 
@@ -48,7 +53,8 @@ from cobcalc.core_algebra import (
 from cobcalc.fgl import (
     additive_fgl, cha_fgl, check_law_series, chx_fgl, universal_fgl, universal_fgl_mod_p,
 )
-from cobcalc.fixedpoint import _to_half_element
+from cobcalc.chow_models import quillen_pushforward
+from cobcalc.fixedpoint import _to_half_element, _twisted_series
 
 
 def reversion(f):
@@ -305,4 +311,22 @@ def lmod2_series_by_loop(order, max_m):
     for _ in range(max_m):
         zpow = zpow.mul(zeta)
         out.append(zpow.mul(vz))
+    return out
+
+
+def lmod2_classes_over_half(action, order, max_m):
+    """[A_0, ..., A_max_m] over B(ZHALF): A_m = sum_j [x^j] g_m * Q_j with Q_j
+    the sum over the fixed components of the twist-j pushforward of N + 1."""
+    B, BH = b_ring(ZZ), b_ring(ZHALF)
+    n = action.dim
+    q_sums = []
+    for j in range(n + 1):
+        total = {}
+        for comp in action.components:
+            total = B.add(total, quillen_pushforward(comp.model, comp.normal_plus_one(), j, B))
+        q_sums.append(_to_half_element(total))
+    out = []
+    for m in range(max_m + 1):
+        g = _twisted_series(order, m)
+        out.append(BH.dot([(g.coeffs[(j,)], q_sums[j], 1) for j in range(n + 1) if (j,) in g.coeffs]))
     return out

@@ -15,6 +15,7 @@ from cobcalc.chow_models import VarietySpec, _bundle_key, _residues, build_model
 from cobcalc.cobordism import lazard_piece
 from cobcalc.core_algebra import TRING, ZHALF, ZZ, b_ring
 from cobcalc.fixedpoint import (
+    _scaled_twist,
     _twisted_series,
     builtin_action,
     verify_all,
@@ -55,6 +56,15 @@ def test_clear_caches_empties_every_cache():
     model = build_model(VarietySpec.multiproj([1]))
     assert model is not warm
     assert model._residues == {} and model._fundamental is None
+
+
+def test_clear_caches_empties_specialize_memo_and_scaled_twists():
+    verify_lmod2(builtin_action("linear_pn", n=3, a=1))
+    fgl.specialize(fgl.universal_fgl(9), TRING, lambda c: fgl.b_transport(c, TRING, fgl.chx_b_image))
+    assert fgl._passed_tables(TRING, 9) and _scaled_twist.cache_info().currsize
+    clear_caches()
+    assert fgl._passed_tables.cache_info().currsize == 0
+    assert _scaled_twist.cache_info().currsize == 0
 
 
 def test_lazard_generators_same_after_clear_caches():

@@ -337,6 +337,33 @@ def test_verify_flag_outside_its_theorems_exits_2(capsys, flag, value, theorem, 
     assert obj["error"] == "%s applies only to --theorem %s" % (flag, readers)
 
 
+# the sign change on one coordinate of P^2: a point and a line are fixed
+_ACTION = json.dumps({"ambient": P2, "components": [
+    {"spec": {"type": "multiproj", "dims": [0]}, "codim": 2, "normal_lines": [[1], [1]]},
+    {"spec": P1, "codim": 1, "normal_lines": [[1]]},
+]})
+
+
+@pytest.mark.parametrize("source, flag, value, readers", [
+    (["--builtin", "factorwise_p1n", "--n", "2"], "--a", "7", "linear_pn"),
+    (["--builtin", "factorwise_p1n", "--n", "2"], "--a", "0", "linear_pn"),
+    (["--builtin", "linear_pn", "--n", "3", "--a", "1"], "--spec", json.dumps(P1), "swap_square"),
+    (["--builtin", "swap_square", "--spec", json.dumps(P1)], "--n", "2",
+     "linear_pn or factorwise_p1n"),
+    (["--action", _ACTION], "--n", "2", "linear_pn or factorwise_p1n"),
+    (["--action", _ACTION], "--a", "0", "linear_pn"),
+    (["--action", _ACTION], "--spec", json.dumps(P1), "swap_square"),
+    (["--in", "-"], "--n", "1", "linear_pn or factorwise_p1n"),
+])
+def test_verify_builtin_parameter_its_source_ignores_exits_2(capsys, source, flag, value, readers):
+    # a builtin parameter that the chosen builtin, or an --action or --in
+    # source, does not read is refused, not ignored; --a 0 counts as given
+    code, obj = run(capsys, ["verify", "--theorem", "euler"] + source + [flag, value])
+    assert code == 2
+    assert obj["status"] == "error"
+    assert obj["error"] == "%s applies only to --builtin %s" % (flag, readers)
+
+
 @pytest.mark.parametrize("spec", [
     {"type": "multiproj", "dims": [1, 1]},
     {"type": "projbundle", "base": P1, "lines": [[0], [1]]},

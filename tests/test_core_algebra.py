@@ -22,7 +22,8 @@ from cobcalc.core_algebra import (
 )
 from cobcalc.fgl import cha_fgl, chx_fgl, universal_fgl
 from kernel_oracle import (
-    fmt_by_dicts, inverse_by_geometric_sum, monomials_by_dicts, oracle_dot, oracle_mul,
+    fmt_by_dicts, fmt_by_terms, inverse_by_geometric_sum, monomials_by_dicts, oracle_dot,
+    oracle_mul,
 )
 from law_oracle import reversion, scaled_lattice
 
@@ -178,6 +179,16 @@ def test_rendering_matches_dict_route(case):
     dom, elt = case
     assert dom.monomials(elt) == monomials_by_dicts(dom, elt)
     assert dom.fmt(elt) == fmt_by_dicts(dom, elt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ELEMENTS)
+def test_rendering_matches_term_list_route(case):
+    # the names read off the monomial table against factors rebuilt per term;
+    # the strategy draws zero, +-1, negative and half-integer coefficients,
+    # repeated parts and eps terms
+    dom, elt = case
+    assert dom.fmt(elt) == fmt_by_terms(dom, elt)
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +487,8 @@ def test_monomial_tables_are_consistent():
     law.series.mul(law.series)
     chx_fgl(6).series.mul(chx_fgl(6).series)
     cha_fgl(6).series.mul(cha_fgl(6).series)
+    for series in (law.series, chx_fgl(6).series, cha_fgl(6).series):
+        repr(series)  # renders every coefficient, which fills the name tables
     assert core_algebra._B_MONOMIALS.merge is merge_partitions
     for table in _tables():
         # ids and keys are inverse bijections (dict.get: no interning here)
@@ -485,6 +498,13 @@ def test_monomial_tables_are_consistent():
         for i, row in enumerate(table.rows):
             for j, p in row.items():
                 assert table.keys[p] == table.merge(table.keys[i], table.keys[j])
+    # a name and its sort key depend on the key alone: the unit's name is
+    # empty, and every other name is the rendering of the monomial itself
+    for dom, table in zip((b_ring(ZZ), TRING, TEPS), _tables()):
+        assert table.names
+        for key, ((w, t, eps, b), name) in table.names.items():
+            assert (b, t, eps) == dom._parts(key) and w == sum(b) + t
+            assert (name or "1") == fmt_by_terms(dom, {key: 1})
 
 
 def _kernel_results():
@@ -507,5 +527,5 @@ def test_results_identical_after_tables_are_emptied():
     warm = _kernel_results()
     for table in _tables():
         table.clear()
-        assert not table.ids and not table.keys and not table.rows
+        assert not table.ids and not table.names and not table.keys and not table.rows
     assert _kernel_results() == warm

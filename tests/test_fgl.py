@@ -287,6 +287,49 @@ def test_specialize_rejects_degree_breaking_map():
         specialize(U, TRING, bad)
 
 
+def test_specialize_checks_each_distinct_table_once(monkeypatch):
+    # the check reads only the series, so a table equal to one that passed
+    # at the same (domain, order) passes again; the caller's map runs on
+    # every call, and a map that breaks the grading or associativity raises
+    # however warm the memo is
+    checked = []
+    check = fgl.check_law_series
+
+    def counted(series):
+        checked.append((series.dom.name, series.order))
+        check(series)
+
+    monkeypatch.setattr(fgl, "check_law_series", counted)
+    fgl._passed_tables.cache_clear()
+    U = universal_fgl(9)
+    for _ in range(3):
+        law = specialize(U, TRING, lambda c: b_transport(c, TRING, chx_b_image))
+        assert law.series == chx_fgl(9).series
+    assert checked == [("T", 9)]
+    specialize(universal_fgl(8), TRING, lambda c: b_transport(c, TRING, chx_b_image))
+    assert checked == [("T", 9), ("T", 8)]
+    bad = lambda c: b_transport(c, TRING, lambda i: TRING.monomial(i + 1, 1))
+    with pytest.raises(ValueError, match="homogeneous"):
+        specialize(U, TRING, bad)
+    # F_12 = F_21 perturbed by t^2: unit, symmetry and grading hold
+    f12 = U.coefficient(1, 2)
+
+    def perturbed(c):
+        v = b_transport(c, TRING, chx_b_image)
+        return TRING.add(v, TRING.monomial(2, 1)) if c is f12 else v
+
+    with pytest.raises(ValueError, match="associative"):
+        specialize(U, TRING, perturbed)
+    assert len(checked) == 4
+    # only tables that passed enter the memo, and it keeps the last few per
+    # (domain, order): b_i |-> (k t)^i is a ring map for every k
+    for k in range(2, 9):
+        specialize(U, TRING, lambda c, k=k: b_transport(c, TRING, lambda i: TRING.monomial(i, k ** i)))
+    passed = fgl._passed_tables(TRING, 9)
+    assert len(checked) == 11 and len(passed) == fgl._PASSED_PER_KEY < 7
+    assert chx_fgl(9).series.coeffs not in passed
+
+
 def _t_gen(i):
     return TRING.monomial(i, 1)
 

@@ -31,7 +31,8 @@ from cobcalc.fixedpoint import (
     _to_half_element,
 )
 from cobcalc.fgl import formal_inverse, formal_mult, universal_fgl
-from law_oracle import half_law_without_store
+from law_oracle import half_law_without_store, lmod2_classes_over_half
+from test_golden_cli import BROKEN, MINUS_TRIVIAL, MISSING_POINT
 from symm_oracle import additive_terms_by_completion, chern_series_oracle, class_coefficient
 
 BH = b_ring(ZHALF)
@@ -392,6 +393,35 @@ def test_lmod2_series_match_specialized_law():
         assert formal_mult(law, 2).map_coefficients(BH, _to_half_element) == half.formal_mult(2)
         assert formal_inverse(law).map_coefficients(BH, _to_half_element) == half.formal_inverse()
 
+
+
+def _lmod2_oracle_actions():
+    acts = [builtin_action("linear_pn", n=n, a=a) for n in range(1, 8) for a in range(n)]
+    acts += [builtin_action("factorwise_p1n", n=n) for n in range(1, 8)]
+    acts += [builtin_action("swap_square", spec=pn(d)) for d in range(1, 4)]
+    return acts + [MuTwoActionModel.from_json(a) for a in (BROKEN, MISSING_POINT, MINUS_TRIVIAL)]
+
+
+def test_lmod2_classes_match_half_ring_route():
+    # verify_lmod2 sums 2^e A_m over B(ZZ) and halves it e times; the oracle
+    # sums A_m over B(ZHALF) from the embedded pushforward sums
+    B = b_ring(ZZ)
+    for act in _lmod2_oracle_actions():
+        n = act.dim
+        for order, max_m in ((n + 3, n), (n + 4, n + 5)):
+            rep = verify_lmod2(act, order=order, max_m=max_m)
+            for m, a_m in enumerate(lmod2_classes_over_half(act, order, max_m)):
+                integral = all(e == 0 for _num, e in a_m.values())
+                chk = by_id(rep, "lmod2:int:%d" % m)
+                assert (chk.lhs, chk.status == "pass") == (BH.fmt(a_m), integral), (act, m)
+                if integral:
+                    ints = {p: num for p, (num, _e) in a_m.items()}
+                    chk = by_id(rep, "lmod2:class" if m == 0 else "lmod2:member:%d" % m)
+                    assert chk.lhs == B.fmt(ints), (act, m)
+    # the missing point leaves A_1 and A_2 with a denominator 2
+    rep = verify_lmod2(MuTwoActionModel.from_json(MISSING_POINT))
+    assert [(c.lhs, c.status) for c in rep.checks if c.id in ("lmod2:int:1", "lmod2:int:2")] == [
+        ("1/2^1*b1", "fail"), ("-1/2^1", "fail")]
 
 
 def _additive_oracle_actions():
