@@ -140,8 +140,11 @@ def _load_action(args):
     sources = [s for s in (args.builtin, args.action, args.infile) if s]
     if len(sources) > 1:
         raise UsageError("give exactly one of --builtin, --action, --in")
-    # a builtin parameter that the chosen source does not read is refused
+    # an unknown builtin is named before its parameters are checked; a
+    # builtin parameter that the chosen source does not read is refused
     # rather than ignored; the catalog lists each builtin's parameters
+    if args.builtin and args.builtin not in [e["name"] for e in BUILTIN_CATALOG]:
+        raise UsageError("unknown builtin action %r" % args.builtin)
     for param in ("n", "a", "spec"):
         readers = [e["name"] for e in BUILTIN_CATALOG if param in e["params"]]
         if getattr(args, param) is not None and args.builtin not in readers:

@@ -349,7 +349,8 @@ class IntDomain(_ScalarDomain):
             return a
         raise ValueError("not a unit in ZZ: %r" % (a,))
 
-    coeff_str = staticmethod(str)
+    def coeff_str(self, a):
+        return str(a)
 
 
 class IntModDomain(_ScalarDomain):

@@ -331,15 +331,10 @@ def additive_fgl(order):
     return _store_law(ZZ, order, _constant_term)
 
 
-# how many coefficient tables that passed the check in `specialize` are kept
-# per (domain, order); a caller that asks again for one law through a new
-# coeff_fn (a new lambda, say) builds a table equal to one of them
-_PASSED_PER_KEY = 4
-
-
 @lru_cache(maxsize=16)
-def _passed_tables(dom, order):
-    """The tables of laws over `dom` to `order` that passed, newest last."""
+def _passed_table(dom, order):
+    """A one-slot list: the last table of a law over `dom` to `order` that
+    passed the check in `specialize`."""
     return []
 
 
@@ -353,9 +348,8 @@ def specialize(law, new_dom, coeff_fn):
     and order: an image that breaks the degree convention is rejected."""
     image = law.image
     out = FormalGroupLaw(new_dom, law.order, lambda c: coeff_fn(image(c)))
-    passed = _passed_tables(new_dom, law.order)
+    passed = _passed_table(new_dom, law.order)
     if out.series.coeffs not in passed:
         check_law_series(out.series)
-        passed.append(out.series.coeffs)
-        del passed[:-_PASSED_PER_KEY]
+        passed[:] = [out.series.coeffs]
     return out

@@ -61,9 +61,9 @@ def test_clear_caches_empties_every_cache():
 def test_clear_caches_empties_specialize_memo_and_scaled_twists():
     verify_lmod2(builtin_action("linear_pn", n=3, a=1))
     fgl.specialize(fgl.universal_fgl(9), TRING, lambda c: fgl.b_transport(c, TRING, fgl.chx_b_image))
-    assert fgl._passed_tables(TRING, 9) and _scaled_twist.cache_info().currsize
+    assert fgl._passed_table(TRING, 9) and _scaled_twist.cache_info().currsize
     clear_caches()
-    assert fgl._passed_tables.cache_info().currsize == 0
+    assert fgl._passed_table.cache_info().currsize == 0
     assert _scaled_twist.cache_info().currsize == 0
 
 

@@ -354,14 +354,21 @@ _ACTION = json.dumps({"ambient": P2, "components": [
     (["--action", _ACTION], "--a", "0", "linear_pn"),
     (["--action", _ACTION], "--spec", json.dumps(P1), "swap_square"),
     (["--in", "-"], "--n", "1", "linear_pn or factorwise_p1n"),
+    (["--builtin", "linear_p"], "--n", "3", None),
+    (["--builtin", "linear_p", "--n", "3"], "--a", "1", None),
+    (["--builtin", "swap_squar"], "--spec", json.dumps(P1), None),
 ])
 def test_verify_builtin_parameter_its_source_ignores_exits_2(capsys, source, flag, value, readers):
     # a builtin parameter that the chosen builtin, or an --action or --in
-    # source, does not read is refused, not ignored; --a 0 counts as given
+    # source, does not read is refused, not ignored; --a 0 counts as given.
+    # A misspelt builtin is named as unknown, not blamed on its parameters
     code, obj = run(capsys, ["verify", "--theorem", "euler"] + source + [flag, value])
     assert code == 2
     assert obj["status"] == "error"
-    assert obj["error"] == "%s applies only to --builtin %s" % (flag, readers)
+    if readers is None:
+        assert obj["error"] == "unknown builtin action %r" % source[1]
+    else:
+        assert obj["error"] == "%s applies only to --builtin %s" % (flag, readers)
 
 
 @pytest.mark.parametrize("spec", [

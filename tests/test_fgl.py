@@ -300,7 +300,7 @@ def test_specialize_checks_each_distinct_table_once(monkeypatch):
         check(series)
 
     monkeypatch.setattr(fgl, "check_law_series", counted)
-    fgl._passed_tables.cache_clear()
+    fgl._passed_table.cache_clear()
     U = universal_fgl(9)
     for _ in range(3):
         law = specialize(U, TRING, lambda c: b_transport(c, TRING, chx_b_image))
@@ -321,13 +321,16 @@ def test_specialize_checks_each_distinct_table_once(monkeypatch):
     with pytest.raises(ValueError, match="associative"):
         specialize(U, TRING, perturbed)
     assert len(checked) == 4
-    # only tables that passed enter the memo, and it keeps the last few per
+    # only tables that passed enter the memo, and it keeps the last one per
     # (domain, order): b_i |-> (k t)^i is a ring map for every k
+    assert fgl._passed_table(TRING, 9) == [chx_fgl(9).series.coeffs]
     for k in range(2, 9):
         specialize(U, TRING, lambda c, k=k: b_transport(c, TRING, lambda i: TRING.monomial(i, k ** i)))
-    passed = fgl._passed_tables(TRING, 9)
-    assert len(checked) == 11 and len(passed) == fgl._PASSED_PER_KEY < 7
+    passed = fgl._passed_table(TRING, 9)
+    assert len(checked) == 11 and len(passed) == 1
     assert chx_fgl(9).series.coeffs not in passed
+    specialize(U, TRING, lambda c: b_transport(c, TRING, chx_b_image))
+    assert len(checked) == 12
 
 
 def _t_gen(i):
