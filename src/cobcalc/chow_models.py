@@ -11,8 +11,8 @@ Ring elements are sparse dicts mapping exponent tuples to coefficients in a
 chosen Domain; reduction to normal form happens inside multiplication.
 Every total class of a split bundle (Chern, P, deformed P) is one
 `multiplicative_class`: a `ChowModel.product` with one factor per distinct
-root, the power of phi (or of 1/phi) by the root's net multiplicity, shifted
-by that root.
+root, the power of phi by the root's net multiplicity, shifted by that
+root.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from math import comb
 from operator import add as _plus
 
 from .core_algebra import (
-    TEPS, TRING, ZZ, TruncatedSeries, b_ring, dot_groups, int_mod, is_int, is_partition, is_prime,
-    sparse_add, sparse_from_int, sparse_int_scale,
+    TEPS, TRING, ZHALF, ZZ, TruncatedSeries, b_ring, dot_groups, int_mod, is_int, is_partition,
+    is_prime, sparse_add, sparse_from_int, sparse_int_scale, sparse_scale,
 )
 
 
@@ -468,15 +468,37 @@ def _shifted_factor(model, phi, u, y_max):
 
 
 def _series_power(phi, k):
-    """phi^k for k >= 1, by binary powering."""
-    out = None
-    while True:
-        if k & 1:
-            out = phi if out is None else out.mul(phi)
-        k >>= 1
-        if not k:
-            return out
-        phi = phi.mul(phi)
+    """phi^k for a univariate phi with phi(0) = 1 and an int k != 0, in one
+    pass by Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): g = phi^k has
+    g_0 = 1 and m g_m = sum over j = 1..m of ((k + 1) j - m) phi_j g_(m-j),
+    one `dot` per m and an exact division by m, where a remainder raises
+    AssertionError.  Over a base other than ZZ, where m need not be
+    invertible, the power is taken over the ZZ twin, B(ZZ), and mapped back:
+    Z/p coefficients lift as they are, ZHALF ones after y -> 2^s y clears
+    their denominators."""
+    dom = phi.dom
+    base = getattr(dom, "base", dom)
+    if phi.coeffs.get((0,)) != dom.one():
+        raise ValueError("phi(0) must be 1")
+    if k == 1:
+        return phi
+    if base is not ZZ:
+        lifted = {j: {(): c} if dom is base else c for (j,), c in phi.coeffs.items()}
+        s = max(v[1] for c in lifted.values() for v in c.values()) if base is ZHALF else 0
+        twin = TruncatedSeries(b_ring(ZZ), phi.vars, phi.order, {(j,): {
+            e: v[0] << (s * j - v[1]) if base is ZHALF else v for e, v in c.items()} for j, c in lifted.items()})
+        back = {(m,): sparse_scale(base, sparse_from_int(base, c), base.inv(base.from_int(1 << s * m)))
+                for (m,), c in _series_power(twin, k).coeffs.items()}
+        return TruncatedSeries(dom, phi.vars, phi.order, {
+            e: c.get((), base.zero()) if dom is base else c for e, c in back.items()})
+    f = [(j, c) for (j,), c in phi.coeffs.items() if j]
+    g = [dom.one()]
+    for m in range(1, phi.order):
+        acc = dom.dot([(c, g[m - j], (k + 1) * j - m) for j, c in f if j <= m and g[m - j]])
+        if any(v % m for v in ((acc,) if dom is ZZ else acc.values())):
+            raise AssertionError("Miller's recurrence leaves a remainder at y^%d" % m)
+        g.append(acc // m if dom is ZZ else {e: v // m for e, v in acc.items()})
+    return phi._like({(m,): c for m, c in enumerate(g) if c})
 
 
 def multiplicative_class(E, phi, y_max):
@@ -489,9 +511,8 @@ def multiplicative_class(E, phi, y_max):
 
     Equal roots are grouped by line class, each with its net multiplicity k
     (plus roots count +1, minus roots -1, so an equal plus and minus line
-    cancel), and each group is one factor (phi^k)(u + y), or
-    ((1/phi)^|k|)(u + y) when k < 0, with the power taken by binary powering
-    of the series."""
+    cancel), and each group is one factor (phi^k)(u + y), with the power
+    taken in one pass by `_series_power`, negative k included."""
     model = E.model
     if phi.order <= model.dim + y_max:
         raise ValueError("phi needs order > dim + y_max")
@@ -503,15 +524,10 @@ def multiplicative_class(E, phi, y_max):
             net[key] = net.get(key, 0) + sign
         if y_max:
             net[()] = net.get((), 0) + sign * trivial
-    inv = None
     factors = []
     for key, k in net.items():
-        if not k or not (key or y_max):
-            continue
-        if k < 0 and inv is None:
-            inv = phi.inverse()
-        power = _series_power(phi if k > 0 else inv, abs(k))
-        factors.append(_shifted_factor(model, power, dict(key), y_max))
+        if k and (key or y_max):
+            factors.append(_shifted_factor(model, _series_power(phi, k), dict(key), y_max))
     return model.product(phi.dom, factors, y_max)
 
 

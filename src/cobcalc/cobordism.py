@@ -22,7 +22,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, prod
 
-from .core_algebra import ZZ, IntegerLattice, b_ring, bezout, is_prime, partitions
+from .core_algebra import (
+    ZZ, IntegerLattice, all_ints, b_ring, bezout, is_int, is_prime, partitions,
+)
 from .fgl import universal_fgl
 from .chow_models import additive_chern_number, fundamental_class
 
@@ -168,7 +170,10 @@ class LazardDegreePiece:
         return self.lattice.rank
 
     def vector(self, elt):
-        """Coordinates of a b-polynomial element concentrated in degree -n."""
+        """Coordinates of a b-polynomial element over ZZ concentrated in
+        degree -n."""
+        if not all_ints(elt.values()):
+            raise ValueError("element coefficients must be ints")
         vec = [0] * len(self.basis)
         for parts, c in elt.items():
             if parts not in self._index:
@@ -182,8 +187,8 @@ class LazardDegreePiece:
     def member_mod(self, elt, m):
         """Whether the element lies in m times the lattice (m = 0: the
         lattice itself)."""
-        if m < 0:
-            raise ValueError("modulus must be nonnegative")
+        if not is_int(m) or m < 0:
+            raise ValueError("modulus must be a nonnegative int")
         vec = self.vector(elt)
         if m == 0:
             return self.lattice.member(vec)

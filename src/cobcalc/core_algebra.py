@@ -18,6 +18,7 @@ this module: elements are dicts keyed by their monomials.
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from itertools import chain, compress, count
 from operator import add as _plus
 
 
@@ -932,63 +933,61 @@ class TruncatedSeries:
 # ---------------------------------------------------------------------------
 # integer lattices via row Hermite normal form
 
+def all_ints(values):
+    """Whether every value is an int and not a bool, by one type scan."""
+    return all(issubclass(t, int) and t is not bool for t in set(map(type, values)))
+
+
 def hnf_rows(rows):
-    """Row HNF of an integer matrix given as an iterable of equal-length rows.
-    Returns (pivot_rows, pivot_cols): pivots positive, entries above each
-    pivot reduced into [0, pivot).  A row still in play at column `col` is
-    zero left of `col`, and a pivot row is zero left of its pivot, so row
-    operations only touch the columns from the pivot on."""
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
+    """Row HNF of an integer matrix given as an iterable of equal-length rows
+    of ints.  Returns (pivot_rows, pivot_cols): pivots positive, entries above
+    each pivot reduced into [0, pivot).  Rows stay dense lists, bucketed by
+    their leading column, and a row operation walks only the reducer's
+    nonzero (column, value) pairs.  The entries above the pivots are reduced
+    from the bottom row up, so every reducer is already reduced."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows) or not all_ints(chain.from_iterable(rows)):
+        raise ValueError("a matrix is rows of ints, all of one length")
+    buckets = [[] for _ in range(ncols)]
     for r in rows:
-        if len(r) != ncols:
-            raise ValueError("ragged matrix")
-    res = []
-    pivcols = []
-    col = 0
-    while rows and col < ncols:
-        have = [r for r in rows if r[col] != 0]
-        rest = [r for r in rows if r[col] == 0]
-        if not have:
-            rows = rest
-            col += 1
-            continue
-        while len(have) > 1:
+        for lead in compress(count(), r):
+            buckets[lead].append(r)
+            break
+    res, pivcols = [], []
+    for col, have in enumerate(buckets):
+        while len(have) > 1:  # Euclid on column col; rows that leave it are refiled
             have.sort(key=lambda r: abs(r[col]))
-            r0 = have[0]
-            tail0 = r0[col:]
-            nxt = [r0]
-            for r in have[1:]:
+            r0, rest = have[0], have[1:]
+            del have[1:]
+            pairs = list(compress(enumerate(r0), r0))
+            for r in rest:
                 q = r[col] // r0[col]
-                rr = r[:col]
-                rr += [a - q * b for a, b in zip(r[col:], tail0)]
-                if rr[col] != 0:
-                    nxt.append(rr)
-                elif any(rr):
-                    rest.append(rr)
-            have = nxt
-        piv = have[0]
-        if piv[col] < 0:
-            piv = [-a for a in piv]
-        res.append(piv)
-        pivcols.append(col)
-        rows = rest
-        col += 1
-    for i in range(len(res)):
-        for j in range(i + 1, len(res)):
-            c = pivcols[j]
-            q = res[i][c] // res[j][c]
+                for c, v in pairs:
+                    r[c] -= q * v
+                for lead in compress(count(col), r[col:]):
+                    buckets[lead].append(r)
+                    break
+        if have:
+            res.append(have[0] if have[0][col] > 0 else [-a for a in have[0]])
+            pivcols.append(col)
+    below = []  # (pivot column, pivot, nonzero pairs) of the reduced rows, top first
+    for row, col in zip(reversed(res), reversed(pivcols)):
+        for c, p, pairs in below:
+            q = row[c] // p
             if q:
-                res[i][c:] = [a - q * b for a, b in zip(res[i][c:], res[j][c:])]
+                for c2, v in pairs:
+                    row[c2] -= q * v
+        below.insert(0, (col, row[col], list(compress(enumerate(row), row))))
     return res, pivcols
 
 
 class IntegerLattice:
-    """Z-span of integer vectors with exact membership tests."""
+    """Z-span of integer vectors with exact membership tests.  `hnf` is the
+    row HNF as dense lists; `_rows` keeps each HNF row as its pivot column,
+    its pivot and its nonzero (column, value) pairs, which `member` walks."""
 
-    __slots__ = ("ncols", "hnf", "pivcols")
+    __slots__ = ("ncols", "hnf", "pivcols", "_rows")
 
     def __init__(self, generators, ncols):
         self.ncols = ncols
@@ -996,6 +995,8 @@ class IntegerLattice:
         if any(len(g) != ncols for g in generators):
             raise ValueError("generator length != ncols")
         self.hnf, self.pivcols = hnf_rows(generators)
+        self._rows = [(c, row[c], list(compress(enumerate(row), row)))
+                      for row, c in zip(self.hnf, self.pivcols)]
 
     @property
     def rank(self):
@@ -1003,12 +1004,13 @@ class IntegerLattice:
 
     def member(self, v):
         v = list(v)
-        if len(v) != self.ncols:
-            raise ValueError("vector length mismatch")
-        for row, c in zip(self.hnf, self.pivcols):
+        if len(v) != self.ncols or not all_ints(v):
+            raise ValueError("a lattice vector is %d ints" % self.ncols)
+        for c, p, pairs in self._rows:
             if v[c]:
-                if v[c] % row[c]:
+                q, r = divmod(v[c], p)
+                if r:
                     return False
-                q = v[c] // row[c]
-                v[c:] = [a - q * b for a, b in zip(v[c:], row[c:])]
+                for c2, a in pairs:
+                    v[c2] -= q * a
         return not any(v)

@@ -13,7 +13,12 @@ product per term, against the degree-by-degree recurrence of
 names that `Domain.monomials` and `Domain.fmt` read off the monomial table:
 one dict per monomial (`monomials_by_dicts`, `fmt_by_dicts`), and one sorted
 list of (weight, t, eps, b-partition, coefficient string) terms whose
-factors are rebuilt for every term (`fmt_by_terms`)."""
+factors are rebuilt for every term (`fmt_by_terms`).
+
+Last, the row HNF and lattice membership on dense rows, as they were
+before `hnf_rows` walked sparse reducers (`dense_hnf_rows`,
+`dense_member`): every remaining row is scanned at every column, and each
+row operation rewrites the whole tail from the pivot column on."""
 
 from itertools import groupby
 
@@ -149,3 +154,62 @@ def fmt_by_terms(dom, a):
         return "0"
     s = " ".join(chunks)
     return s[2:] if s.startswith("+ ") else "-" + s[2:]
+
+
+def dense_hnf_rows(rows):
+    """(pivot_rows, pivot_cols) of the row HNF, with pivots positive and the
+    entries above each pivot in [0, pivot), by dense row operations."""
+    rows = [list(r) for r in rows if any(r)]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    res, pivcols = [], []
+    col = 0
+    while rows and col < ncols:
+        have = [r for r in rows if r[col] != 0]
+        rest = [r for r in rows if r[col] == 0]
+        if not have:
+            rows = rest
+            col += 1
+            continue
+        while len(have) > 1:
+            have.sort(key=lambda r: abs(r[col]))
+            r0 = have[0]
+            tail0 = r0[col:]
+            nxt = [r0]
+            for r in have[1:]:
+                q = r[col] // r0[col]
+                rr = r[:col]
+                rr += [a - q * b for a, b in zip(r[col:], tail0)]
+                if rr[col] != 0:
+                    nxt.append(rr)
+                elif any(rr):
+                    rest.append(rr)
+            have = nxt
+        piv = have[0]
+        if piv[col] < 0:
+            piv = [-a for a in piv]
+        res.append(piv)
+        pivcols.append(col)
+        rows = rest
+        col += 1
+    for i in range(len(res)):
+        for j in range(i + 1, len(res)):
+            c = pivcols[j]
+            q = res[i][c] // res[j][c]
+            if q:
+                res[i][c:] = [a - q * b for a, b in zip(res[i][c:], res[j][c:])]
+    return res, pivcols
+
+
+def dense_member(hnf, pivcols, v):
+    """Whether v lies in the span of the HNF rows, reducing v by dense
+    slices."""
+    v = list(v)
+    for row, c in zip(hnf, pivcols):
+        if v[c]:
+            if v[c] % row[c]:
+                return False
+            q = v[c] // row[c]
+            v[c:] = [a - q * b for a, b in zip(v[c:], row[c:])]
+    return not any(v)

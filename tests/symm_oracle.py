@@ -16,6 +16,10 @@ and twisted terms of each fixed component's projective completion, taken
 on a Chow model of the completion, which production now reads off the
 residue record of the component's bundle.
 
+With them goes the power of a series as `multiplicative_class` took it
+before Miller's recurrence: binary powering, after the series inverse when
+the power is negative (`binary_power`, `power_by_inverse`).
+
 The rest is the alpha-indexed classes through symmetric functions.
 
 The production code reads every alpha class off the multiplicative class
@@ -317,6 +321,26 @@ def multiplicative_class_by_factors(E, phi, y_max):
         inv = inverse_by_geometric_sum(phi)
         factors += [_shifted_factor(model, inv, v, y_max) for v in minus]
     return model.product(phi.dom, factors, y_max)
+
+
+def binary_power(phi, k):
+    """phi^k for k >= 1, by binary powering: one full series product per
+    squaring and per set bit of k."""
+    out = None
+    while True:
+        if k & 1:
+            out = phi if out is None else out.mul(phi)
+        k >>= 1
+        if not k:
+            return out
+        phi = phi.mul(phi)
+
+
+def power_by_inverse(phi, k):
+    """phi^k for an int k != 0 as `multiplicative_class` took it before
+    Miller's recurrence: the binary power of phi, or of the series inverse
+    1/phi when k < 0."""
+    return binary_power(phi if k > 0 else phi.inverse(), abs(k))
 
 
 def class_coefficient(P, alpha):

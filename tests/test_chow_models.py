@@ -373,8 +373,8 @@ def test_projective_space_class_is_mishchenko_logarithm_coefficient():
     # Mishchenko: log(x) = sum_n [P^n] x^(n+1) / (n + 1), so [P^n] is
     # (n + 1) times [x^(n+1)] log(x), which the law store keeps as L_1(n + 1);
     # the two sides share no code past the b-ring
-    fgl._grow_log_powers(15)
-    for n in range(15):
+    fgl._grow_log_powers(25)
+    for n in range(25):
         want = B.int_scale(fgl._LOG_POWERS[n + 1][1], n + 1)
         assert fundamental_class(VarietySpec.multiproj([n]), "L") == want, n
 

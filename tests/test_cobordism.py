@@ -20,7 +20,8 @@ from cobcalc.cobordism import (
     prime_power_root,
 )
 from cobcalc.cli import main
-from cobcalc.core_algebra import partitions
+from cobcalc.core_algebra import IntegerLattice, hnf_rows, partitions
+from kernel_oracle import dense_hnf_rows, dense_member
 from cobcalc.fgl import universal_fgl
 from law_oracle import (
     lazard_lattice_from_all_products,
@@ -101,6 +102,69 @@ def test_lazard_piece_matches_all_products_oracle():
         fast, ref = lazard_piece(n).lattice, lazard_lattice_from_all_products(n)
         assert fast.hnf == ref.hnf, n
         assert fast.pivcols == ref.pivcols, n
+
+
+def test_member_mod_rejects_non_int_input():
+    piece = lazard_piece(2)
+    elt = {(2,): 2, (1, 1): 2}
+    for m in (2.0, True, -1):
+        with pytest.raises(ValueError, match="nonnegative int"):
+            piece.member_mod(elt, m)
+    for bad in ({(2,): 2.0}, {(2,): True}, {(2,): 2, (1, 1): 1.5}):
+        with pytest.raises(ValueError, match="must be ints"):
+            piece.member(bad)
+        with pytest.raises(ValueError, match="must be ints"):
+            piece.member_mod(bad, 2)
+    assert piece.member_mod({(2,): 4, (1, 1): 4}, 2) == piece.member(elt)
+
+
+def test_generator_monomials_are_triangular():
+    # in the partitions(n) order, the row of x^alpha is zero left of column
+    # alpha and its diagonal entry is +-prod m(k) over the parts k of alpha:
+    # x_k is +-d_k b_k plus decomposables, and refining alpha goes left; so
+    # the HNF of L_n takes no Euclid step, and the diagonal entries multiply
+    # to the index, which checks `_lazard_index` independently
+    for n in range(14):
+        piece = lazard_piece(n)
+        diagonal = []
+        for i, alpha in enumerate(piece.basis):
+            row = piece.vector(cobordism._generator_monomial(alpha))
+            assert not any(row[:i]), alpha
+            assert abs(row[i]) == prod(prime_power_root(k + 1) or 1 for k in alpha), alpha
+            diagonal.append(abs(row[i]))
+        assert prod(diagonal) == cobordism._lazard_index(n), n
+
+
+def test_session_lattices_match_dense_oracle(monkeypatch):
+    # the 26 matrices of a cold session, L_0..L_13 and the mod-2 pieces of
+    # degree 1..12, against the dense HNF; membership of every row, of every
+    # row nudged off the lattice and of sums of neighbouring rows
+    seen = []
+
+    class Recording(IntegerLattice):
+        __slots__ = ()
+
+        def __init__(self, generators, ncols):
+            seen.append((list(generators), ncols))
+            super().__init__(seen[-1][0], ncols)
+
+    monkeypatch.setattr(cobordism, "IntegerLattice", Recording)
+    for n in range(14):
+        cobordism.lazard_piece.__wrapped__(n)
+    for n in range(1, 13):
+        cobordism.mod2_theory_piece.__wrapped__(n)
+    monkeypatch.undo()
+    assert [ncols for _, ncols in seen] == [len(partitions(n)) for n in range(14)] + [
+        len(partitions(n)) for n in range(1, 13)]
+    for rows, ncols in seen:
+        hnf, pivcols = hnf_rows(rows)
+        assert (hnf, pivcols) == dense_hnf_rows(rows), ncols
+        lattice = IntegerLattice(rows, ncols)
+        vectors = [list(r) for r in rows]
+        vectors += [[a + (c == i % ncols) for c, a in enumerate(r)] for i, r in enumerate(rows)]
+        vectors += [[a + b for a, b in zip(r, s)] for r, s in zip(rows, rows[1:])]
+        for v in vectors:
+            assert lattice.member(v) == dense_member(hnf, pivcols, v)
 
 
 def test_index_certificate_is_the_pivot_product():

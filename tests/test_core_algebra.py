@@ -22,8 +22,8 @@ from cobcalc.core_algebra import (
 )
 from cobcalc.fgl import cha_fgl, chx_fgl, universal_fgl
 from kernel_oracle import (
-    fmt_by_dicts, fmt_by_terms, inverse_by_geometric_sum, monomials_by_dicts, oracle_dot,
-    oracle_mul,
+    dense_hnf_rows, dense_member, fmt_by_dicts, fmt_by_terms, inverse_by_geometric_sum,
+    monomials_by_dicts, oracle_dot, oracle_mul,
 )
 from law_oracle import reversion, scaled_lattice
 
@@ -314,6 +314,61 @@ def test_lattice_rejects_ragged():
         IntegerLattice([(1, 0), (1,)], 2)
     with pytest.raises(ValueError):
         hnf_rows([(1, 0), (1,)])
+
+
+def test_lattice_rejects_non_int_entries():
+    # floats and bools are not lattice entries, vectors or matrix rows
+    for rows in ([(2.5, 0)], [(1.0, 0)], [(True, 0)], [(1, 0), (0, False)]):
+        with pytest.raises(ValueError, match="rows of ints"):
+            hnf_rows(rows)
+        with pytest.raises(ValueError, match="rows of ints"):
+            IntegerLattice(rows, 2)
+    L = IntegerLattice([(2, 0), (1, 1)], 2)
+    for v in ((1.0, -1.0), (True, 1), (3, 1.0), (1, -1, 0)):
+        with pytest.raises(ValueError, match="2 ints"):
+            L.member(v)
+    assert L.member((1, -1)) and L.member([3, 1])
+
+
+_entries = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2 ** 40, 2 ** 40))
+
+
+@st.composite
+def int_matrices(draw):
+    """An integer matrix with zero rows, repeated combinations of its rows (so
+    the rank can fall short), more rows than columns, negative entries and
+    entries up to 2^40; and vectors to test, on and off its lattice."""
+    ncols = draw(st.integers(0, 6))
+    row = st.lists(_entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=8))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    pick = st.integers(0, max(len(rows) - 1, 0))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        i, j, k = draw(pick), draw(pick), draw(st.integers(-3, 3))
+        rows.append([a + k * b for a, b in zip(rows[i], rows[j])])
+    vectors = [list(r) for r in rows] + draw(st.lists(row, max_size=3))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        v = [0] * ncols
+        for r in rows:
+            k = draw(st.integers(-2, 2))
+            v = [a + k * b for a, b in zip(v, r)]
+        if ncols and draw(st.booleans()):
+            v[draw(st.integers(0, ncols - 1))] += draw(st.integers(-2, 2))
+        vectors.append(v)
+    return ncols, rows, vectors
+
+
+@given(int_matrices())
+@settings(max_examples=300, deadline=None)
+def test_hnf_and_membership_match_dense_oracle(case):
+    ncols, rows, vectors = case
+    hnf, pivcols = hnf_rows(rows)
+    assert (hnf, pivcols) == dense_hnf_rows(rows)
+    L = IntegerLattice(rows, ncols)
+    assert (L.hnf, L.pivcols) == (hnf, pivcols)
+    for v in vectors:
+        assert L.member(v) == dense_member(hnf, pivcols, v)
 
 
 # ---------------------------------------------------------------------------

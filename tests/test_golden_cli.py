@@ -84,6 +84,8 @@ COMMANDS = {
     "chern-product": ["chern", "--spec", _j({"type": "product", "factors": [P1, F1]})],
     "chern-disjoint": ["chern", "--spec", _j({"type": "disjoint", "components": [P2, F1]})],
     "chern-alpha": ["chern", "--spec", _j(P3), "--alpha", "[2,1]"],
+    "chern-p24": ["chern", "--spec", _j({"type": "multiproj", "dims": [24]})],
+    "chern-p32": ["chern", "--spec", _j({"type": "multiproj", "dims": [32]})],
     "fgl-universal-mult": "fgl --law universal --order 6 --mult 2",
     "fgl-chx-mult": "fgl --law chx --order 5 --mult 3",
     "fgl-cha-mult": "fgl --law cha --order 5 --mult -2",
@@ -113,6 +115,8 @@ PINS = {
     'chern-disjoint': (0, '6b4481e2a5f33a9fd579c67981ec7f2d793b97c43c72994e207a95f69b26cd71'),
     'chern-p1xp2': (0, 'af1bce05aec5f47c9ee5b19cd97ae1e3491f783f01187de126edb7ac0448e7f1'),
     'chern-p2': (0, '2e136602a9ee67085c0bdfa5a8a774dd4f80abe353049597c14339294a94e00f'),
+    'chern-p24': (0, '99c1256e046ae796193a18b21eee3745f6d36afae472264a2efde778539d3033'),
+    'chern-p32': (0, '0e682a87b7241670b287b06865fa6bd86aaec50835dc6d9e4ca2c532aa9c9182'),
     'chern-product': (0, '74ec1fefd53348cc7a50535a2325ed82bc8d44ea71bec43b4fa1a6069a0d7118'),
     'chern-projbundle': (0, 'f3773fbdaa94e4bd8e8913e56340721f94760c0b96e2e12a2c1fdb778751b3ac'),
     'chern-projbundle-neg-line': (0, '75310a4455922290791e983e733963bfcfe62e2e1e7111098a25d633de735c49'),

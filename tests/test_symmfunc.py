@@ -1,12 +1,17 @@
+import json
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cobcalc import clear_caches
+from cobcalc.cli import main
 from cobcalc.core_algebra import (
     ZHALF, ZZ, TRING, TEPS, TruncatedSeries, b_ring, int_mod, partitions, sparse_add,
 )
 from cobcalc.chow_models import (
     VarietySpec,
     VirtualSplitBundle,
+    _series_power,
     build_model,
     chern_number,
     chern_total,
@@ -28,6 +33,7 @@ from symm_oracle import (
     lambda_coeffs,
     m_product,
     multiplicative_class_by_factors,
+    power_by_inverse,
     q_alpha,
     total_P_deformed_oracle,
     total_P_oracle,
@@ -334,3 +340,84 @@ def test_single_row_class_of_tangent_changes_sign(spec):
     for k in range(1, model.dim + 1):
         neg = class_coefficient(p_neg, (k,))
         assert class_coefficient(p_tan, (k,)) == {e: -c for e, c in neg.items()}, k
+
+
+# ---------------------------------------------------------------------------
+# every power of a series in one pass: Miller's recurrence against binary
+# powering, after the series inverse for a negative power
+
+_b_parts = st.lists(st.integers(1, 3), max_size=2).map(lambda l: tuple(sorted(l, reverse=True)))
+_small = st.integers(-3, 3).filter(bool)
+_POWER_DOMAINS = [
+    (ZZ, _small),
+    (B, st.dictionaries(_b_parts, _small, min_size=1, max_size=2)),
+    (TRING, st.dictionaries(st.integers(0, 3), _small, min_size=1, max_size=2)),
+    (TEPS, st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 1)), _small,
+                           min_size=1, max_size=2)),
+    # odd numerators over 2^e, so every drawn coefficient is normalized
+    (b_ring(ZHALF), st.dictionaries(_b_parts, st.tuples(st.sampled_from([-3, -1, 1, 3]),
+                                                        st.integers(0, 2)),
+                                    min_size=1, max_size=2)),
+    (b_ring(int_mod(3)), st.dictionaries(_b_parts, st.integers(1, 2), min_size=1, max_size=2)),
+]
+_exponents = st.sampled_from([1, -1, 2, -2, 33, -33]) | st.integers(-33, 33).filter(bool)
+
+
+@st.composite
+def _power_cases(draw):
+    """phi with phi(0) = 1 over one of the domains, pi itself or drawn, and
+    two exponents; the second sometimes cancels the first."""
+    dom, coeff = draw(st.sampled_from(_POWER_DOMAINS))
+    order = draw(st.integers(1, 6))
+    if dom is not ZZ and draw(st.booleans()):
+        phi = pi_series(dom, order)
+    else:
+        phi = TruncatedSeries(dom, ("y",), order, {
+            (0,): dom.one(), **{(j,): c for j, c in draw(
+                st.dictionaries(st.integers(1, max(order - 1, 1)), coeff, max_size=3)).items()}})
+    k = draw(_exponents)
+    j = -k if draw(st.booleans()) else draw(_exponents)
+    return phi, k, j
+
+
+@settings(max_examples=150, deadline=None)
+@given(_power_cases())
+def test_series_power_matches_binary_powering(case):
+    phi, k, j = case
+    got = _series_power(phi, k)
+    assert got == power_by_inverse(phi, k)
+    one = TruncatedSeries.constant(phi.dom, phi.vars, phi.order, phi.dom.one())
+    assert got.mul(_series_power(phi, j)) == (_series_power(phi, k + j) if k + j else one)
+
+
+@pytest.mark.parametrize("dom", [dom for dom, _ in _POWER_DOMAINS[1:]], ids=lambda dom: dom.name)
+def test_series_power_of_pi_matches_binary_powering(dom):
+    # (1/pi)^(n+1) is the class factor of P^n; every coefficient of pi is
+    # nonzero, so each lift and each division by m is exercised
+    pi = pi_series(dom, 9)
+    for k in (-9, -2, -1, 2, 5, 33):
+        assert _series_power(pi, k) == power_by_inverse(pi, k), k
+
+
+def test_series_power_needs_unit_constant_term():
+    for c in (2, -1):
+        with pytest.raises(ValueError, match="phi\\(0\\) must be 1"):
+            _series_power(TruncatedSeries(ZZ, ("y",), 4, {(0,): c, (1,): 1}), 2)
+
+
+def test_series_power_remainder_raises_and_exits_3(capsys, monkeypatch):
+    # a dot that is off by one leaves a remainder at y^2; on the class path
+    # the CLI reports it as an internal error
+    real = type(B).dot
+    monkeypatch.setattr(B, "dot", lambda terms: sparse_add(ZZ, real(B, terms), {(): 1}))
+    with pytest.raises(AssertionError, match="remainder at y\\^2"):
+        _series_power(pi_series(B, 4), -3)
+    clear_caches()
+    code = main(["chern", "--spec", json.dumps({"type": "multiproj", "dims": [3]})])
+    captured = capsys.readouterr()
+    monkeypatch.undo()
+    clear_caches()
+    obj = json.loads(captured.out)
+    assert code == 3 and obj["status"] == "internal-error"
+    assert "Miller's recurrence" in obj["error"]
+    assert "Traceback" not in captured.err
