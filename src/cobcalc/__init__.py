@@ -77,7 +77,7 @@ def clear_caches():
     """Empty every process-lifetime cache of the loaded layers, so that later
     calls compute from scratch: the model cache, which takes each model's
     memos with it, and every `lru_cache` of the package (laws, lattice
-    pieces, the `lmod2` twisted series and their integer scalings, the
+    pieces, the `lmod2` twisted series over the integers, the
     b_transport image tables, the `specialize` memo, partitions).  A layer
     not yet loaded has nothing cached, and is not loaded here.  A model or
     law a caller still holds keeps its own memos.  The universal law's

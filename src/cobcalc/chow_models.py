@@ -697,7 +697,7 @@ def fundamental_class(spec, theory="L", p=None):
             model._fundamental = model.degree(B, _p_neg_tangent(model, B))
         return model._fundamental
     if theory == "L_p":
-        if not (is_int(p) and is_prime(p)):
+        if not is_prime(p):
             raise ValueError("theory L_p needs a prime p")
         return sparse_from_int(int_mod(p), fundamental_class(spec, "L"))
     if theory == "CHX":

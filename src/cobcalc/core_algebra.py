@@ -59,7 +59,8 @@ def is_partition(t):
 
 
 def is_prime(p):
-    if p < 2:
+    """Whether p is a prime int; a float or a bool is not."""
+    if not is_int(p) or p < 2:
         return False
     d = 2
     while d * d <= p:
@@ -356,8 +357,8 @@ class IntDomain(_ScalarDomain):
 
 class IntModDomain(_ScalarDomain):
     def __init__(self, m):
-        if m < 2:
-            raise ValueError("modulus must be >= 2")
+        if not is_int(m) or m < 2:
+            raise ValueError("a modulus is an int >= 2, got %r" % (m,))
         self.m = m
         self.name = "ZZ/%d" % m
 
@@ -668,9 +669,11 @@ _b_ring_cache = {}
 
 
 def int_mod(m):
-    if m not in _int_mod_cache:
-        _int_mod_cache[m] = IntModDomain(m)
-    return _int_mod_cache[m]
+    # 2.0 == 2 and True == 1 share their int's key, so only an int is looked up
+    dom = _int_mod_cache.get(m) if is_int(m) else None
+    if dom is None:
+        dom = _int_mod_cache[m] = IntModDomain(m)
+    return dom
 
 
 def b_ring(base):
@@ -831,7 +834,7 @@ class TruncatedSeries:
                 out[e] = v
         return TruncatedSeries(new_dom, self.vars, self.order, out, _trusted=True)
 
-    # -- composition and friends
+    # -- composition
     def compose(self, subs):
         """Substitute subs[name] for each variable; every substituted series
         must share (dom, vars, order) and have zero constant term."""
@@ -872,62 +875,6 @@ class TruncatedSeries:
             for e2, c2 in term.coeffs.items():
                 groups.setdefault(e2, []).append((c, c2, 1))
         return t0._like(dot_groups(t0.dom, groups))
-
-    def inverse(self):
-        """Multiplicative inverse; requires unit constant term.  Degree by
-        degree over the homogeneous parts f_j: g_0 = 1/f_0 and g_d = sum over
-        j = 1..d of h_j g_(d-j), where h_j = -g_0 f_j, one `dot` per exponent
-        of degree d."""
-        dom = self.dom
-        zero = (0,) * len(self.vars)
-        g0 = dom.inv(self.coefficient(zero))
-        scale = dom.neg(g0)
-        h = [[] for _ in range(self.order)]
-        for e, c in self.coeffs.items():
-            if e != zero:
-                h[sum(e)].append((e, dom.mul(scale, c)))
-        g = [[(zero, g0)]]
-        out = {zero: g0}
-        for d in range(1, self.order):
-            groups = {}
-            for j in range(1, d + 1):
-                for e1, c1 in h[j]:
-                    for e2, c2 in g[d - j]:
-                        groups.setdefault(tuple(map(_plus, e1, e2)), []).append((c1, c2, 1))
-            part = dot_groups(dom, groups)
-            out.update(part)
-            g.append(list(part.items()))
-        return self._like(out)
-
-    def _shift_down(self, emin, new_order):
-        out = {}
-        for e, c in self.coeffs.items():
-            e2 = tuple(a - b for a, b in zip(e, emin))
-            if sum(e2) < new_order:
-                out[e2] = c
-        return TruncatedSeries(self.dom, self.vars, new_order, out, _trusted=True)
-
-    def divide(self, g):
-        """Exact division f/g.  The common monomial of g is factored out, so
-        the quotient's order drops by its total degree."""
-        self._check(g)
-        if g.is_zero():
-            raise ZeroDivisionError("division by zero series")
-        keys = list(g.coeffs)
-        emin = tuple(min(k[i] for k in keys) for i in range(len(self.vars)))
-        shift = sum(emin)
-        new_order = self.order - shift
-        if new_order < 1:
-            raise ValueError("inexact division: divisor valuation exceeds order")
-        for e in self.coeffs:
-            if any(a < b for a, b in zip(e, emin)):
-                raise ValueError("inexact division: %r not divisible by divisor monomial" % (e,))
-        g0 = g._shift_down(emin, new_order)
-        c0 = g0.coefficient((0,) * len(self.vars))
-        if not self.dom.is_unit(c0):
-            raise ValueError("inexact division: divisor lowest coefficient is not a unit")
-        f0 = self._shift_down(emin, new_order)
-        return f0.mul(g0.inverse())
 
 
 # ---------------------------------------------------------------------------

@@ -300,12 +300,13 @@ def universal_fgl(order):
     return _store_law(_B, order, _identity)
 
 
-@lru_cache(maxsize=None)
+# typed: 3.0 == 3 must not find the law of the prime 3
+@lru_cache(maxsize=None, typed=True)
 def universal_fgl_mod_p(order, p):
     """The universal law with every coefficient reduced mod the prime p,
     over (ZZ/p)[b1, b2, ...]."""
     if not is_prime(p):
-        raise ValueError("the universal law mod p needs a prime p, got %d" % p)
+        raise ValueError("the universal law mod p needs a prime p, got %r" % (p,))
     Fp = int_mod(p)
     image = _REDUCTIONS.setdefault(p, partial(sparse_from_int, Fp))
     return _store_law(b_ring(Fp), order, image)

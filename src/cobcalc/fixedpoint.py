@@ -18,6 +18,7 @@ from .chow_models import (
     VarietySpec,
     VirtualSplitBundle,
     _residues,
+    _series_power,
     additive_chern_number,
     build_model,
     chern_total,
@@ -28,8 +29,8 @@ from .chow_models import (
 )
 from .cobordism import decomposable_test, lazard_piece, mod2_theory_member
 from .core_algebra import (
-    ZHALF, ZZ, _half_norm, b_ring, is_int, is_partition, is_prime, partitions, sparse_add,
-    sparse_from_int, sparse_int_scale,
+    ZHALF, ZZ, TruncatedSeries, _half_norm, b_ring, is_int, is_partition, is_prime, partitions,
+    sparse_add, sparse_int_scale,
 )
 from .fgl import formal_mult, universal_fgl
 from .report import Report
@@ -249,8 +250,8 @@ BUILTIN_CATALOG = (
 
 def builtin_action(name, n=None, a=None, spec=None):
     if name == "linear_pn":
-        if n is None or a is None:
-            raise ValueError("linear_pn needs parameters n and a")
+        if not (is_int(n) and is_int(a)):
+            raise ValueError("linear_pn needs int parameters n and a, got %r and %r" % (n, a))
         if n < 1 or not 0 <= a < n:
             raise ValueError("linear_pn needs n >= 1 and 0 <= a < n")
         comps = [
@@ -260,8 +261,8 @@ def builtin_action(name, n=None, a=None, spec=None):
         return MuTwoActionModel(
             VarietySpec.multiproj([n]), comps, name="linear_pn(n=%d,a=%d)" % (n, a))
     if name == "factorwise_p1n":
-        if n is None:
-            raise ValueError("factorwise_p1n needs the parameter n")
+        if not is_int(n):
+            raise ValueError("factorwise_p1n needs an int parameter n, got %r" % (n,))
         if n < 1:
             raise ValueError("factorwise_p1n needs n >= 1")
         point = VarietySpec.point()
@@ -296,6 +297,8 @@ def _max_twist(max_m, n):
     """The largest twist to check: max_m, or the ambient dimension n."""
     if max_m is None:
         return n
+    if not is_int(max_m):
+        raise ValueError("max_m must be an int, got %r" % (max_m,))
     if max_m < 0:
         raise ValueError("max_m must be >= 0")
     return max_m
@@ -517,52 +520,38 @@ def verify_ks(action, alphas=None, f=None):
     return rep
 
 
-def _to_half_element(elt):
-    return sparse_from_int(ZHALF, elt)
-
-
-def _to_integer_element(elt):
-    out = {}
-    for parts, (num, e) in elt.items():
-        if e:
-            return None
-        out[parts] = num
-    return out
-
-
 @lru_cache(maxsize=None)
 def _lmod2_twists(order):
-    """zeta(x) = [-1](x) over B(ZZ[1/2]), truncated below x^(order - 1), and
-    the list [g_0, g_1, ...] of twisted series that _twisted_series grows.
-    [-1](x) and [-2](x) have integer coefficients: take them off the
-    universal law and embed them; v(zeta(x)) = [-1](x) / [2]([-1](x))."""
+    """The twisted series of verify_lmod2 at the order, over B(ZZ) after
+    x -> 2x, truncated below x^(order - 1): zeta = [-1](2x) and the list
+    [V, zeta V, zeta^2 V, ...] that _integer_twist grows, with
+    V = 2 v(zeta)(2x) for v(zeta) = [-1](x) / [-2](x).  [-2](x) = -2x + ...,
+    so den = [-2](2x) / (-4x) is integral with constant term 1, and
+    V = -([-1](2x) / (2x)) den^(-1), the reciprocal by Miller's recurrence."""
     law = universal_fgl(order)
-    inv = formal_mult(law, -1).map_coefficients(BH, _to_half_element)
-    vz = inv.divide(formal_mult(law, -2).map_coefficients(BH, _to_half_element))
-    zeta = inv.truncate(order - 1)
-    return zeta, [vz.int_scale(2), vz.mul(zeta)]
+
+    def at_2x(f, shift, div):
+        # f(2x) / (div x^shift): 2^j [x^j] f / div at x^(j - shift), exactly
+        return TruncatedSeries(B, ("x",), order - 1, {
+            (j - shift,): {p: (v << j) // div for p, v in c.items()} for (j,), c in f.coeffs.items()})
+
+    inv = formal_mult(law, -1)
+    den = at_2x(formal_mult(law, -2), 1, -4)
+    return at_2x(inv, 0, 1), [at_2x(inv, 1, -2).mul(_series_power(den, -1))]
 
 
-def _twisted_series(order, m):
-    """g_0 = 2 v(zeta) and g_m = zeta^m v(zeta) for m >= 1, read off the
-    memo of the order and grown one power of zeta at a time.  zeta^m
-    vanishes below x^(order - 1) from m = order - 1 on, so every such m reads
-    g_(order - 1) = 0 and the memo holds at most `order` series."""
+def _integer_twist(order, m):
+    """G_m(x) = 2 g_m(2x) over B(ZZ), for verify_lmod2's twisted series
+    g_0 = 2 v(zeta) and g_m = zeta^m v(zeta): G_0 = 2V and G_m = zeta^m V,
+    so [x^j] g_m = 2^(-j-1) [x^j] G_m.  Read off the memo of the order and
+    grown one power of zeta at a time; zeta^m vanishes below x^(order - 1)
+    from m = order - 1 on, so every such m reads G_(order - 1) = 0 and the
+    memo holds at most `order` series."""
     zeta, gs = _lmod2_twists(order)
     m = min(m, order - 1)
     while len(gs) <= m:
         gs.append(gs[-1].mul(zeta))
-    return gs[m]
-
-
-@lru_cache(maxsize=None)
-def _scaled_twist(order, m):
-    """(e, {j: 2^e [x^j] g_m}): the x-coefficients of _twisted_series(order,
-    m) over ZZ, scaled by 2^e, the largest denominator among them.  Callers
-    pass m <= order - 1, above which g_m no longer changes."""
-    coeffs = _twisted_series(order, m).coeffs
-    e = max((f for c in coeffs.values() for _num, f in c.values()), default=0)
-    return e, {j: {p: num << (e - f) for p, (num, f) in c.items()} for (j,), c in coeffs.items()}
+    return gs[0].int_scale(2) if m == 0 else gs[m]
 
 
 def verify_lmod2(action, order=None, max_m=None):
@@ -573,20 +562,24 @@ def verify_lmod2(action, order=None, max_m=None):
     formal inverse [-1](x), which gives [-1](x) / [-2](x); the twisted class
     A_m sums the x-coefficients of that series (multiplied by the m-th power
     of the inverse, and doubled at m = 0) against the twisted pushforwards
-    from the fixed locus.  Every
-    A_m must be integral; A_0 must agree with the ambient class modulo
-    twice the lattice, and each A_m with m >= 1 must lie in the lattice."""
+    from the fixed locus.  The only denominators are powers of two, so the
+    series are built over the integers after x -> 2x (_integer_twist), and
+    no arithmetic is done over the half-integers.  Every A_m must be
+    integral; A_0 must agree with the ambient class modulo twice the
+    lattice, and each A_m with m >= 1 must lie in the lattice."""
     n = action.dim
     need = n + 3
     if order is None:
         order = need
+    if not is_int(order):
+        raise ValueError("order must be an int, got %r" % (order,))
     if order < need:
         raise ValueError("order %d too small: need at least %d" % (order, need))
     max_m = _max_twist(max_m, n)
     rep = Report("lmod2")
     # pushforwards of honest bundles are integral: take them over ZZ, where
-    # the values verify_L2_relations computed are cached, and sum 2^e A_m
-    # there, with 2^e the largest denominator of g_m
+    # the values verify_L2_relations computed are cached, and sum
+    # 2^(n+1) A_m = sum_j 2^(n-j) [x^j] G_m Q_j there
     q_sums = []
     for j in range(n + 1):
         total = B.zero()
@@ -595,20 +588,20 @@ def verify_lmod2(action, order=None, max_m=None):
         q_sums.append(total)
     ambient_cls = fundamental_class(action.ambient, "L")
     for m in range(max_m + 1):
-        e, g = _scaled_twist(order, min(m, order - 1))
-        scaled = B.dot([(g[j], q_sums[j], 1) for j in range(n + 1) if j in g])
-        # A_m is integral exactly when 2^e divides every coefficient of 2^e A_m,
-        # and an integral A_m renders the same over ZZ[1/2] as over ZZ
-        a_m = {p: _half_norm(v, e) for p, v in scaled.items()}
-        ints = _to_integer_element(a_m)
+        g = _integer_twist(order, m).coeffs
+        scaled = B.dot([(g[(j,)], q_sums[j], 1 << (n - j)) for j in range(n + 1) if (j,) in g])
+        # A_m is integral exactly when 2^(n+1) divides every coefficient of
+        # 2^(n+1) A_m, and an integral A_m renders the same over ZZ[1/2] as over ZZ
+        a_m = {p: _half_norm(v, n + 1) for p, v in scaled.items()}
+        ints = {p: num for p, (num, e) in a_m.items() if not e}
         text = BH.fmt(a_m)
         rep.add(
             "lmod2:int:%d" % m,
             "twisted class A_%d has integer coefficients" % m,
-            ints is not None,
+            len(ints) == len(a_m),
             lhs=text,
         )
-        if ints is None:
+        if len(ints) < len(a_m):
             continue
         if m == 0:
             diff = B.sub(ints, ambient_cls)

@@ -7,13 +7,18 @@ This module multiplies the plain way: every pair of monomials is merged by
 its key product (`merge_partitions` for b-monomials, exponent addition for
 t and eps), and a sum of products is a fold of sparse additions.
 
-It also keeps the series inverse as a geometric sum, one full series
-product per term, against the degree-by-degree recurrence of
-`TruncatedSeries.inverse`, and two renderings of an element against the
-names that `Domain.monomials` and `Domain.fmt` read off the monomial table:
-one dict per monomial (`monomials_by_dicts`, `fmt_by_dicts`), and one sorted
-list of (weight, t, eps, b-partition, coefficient string) terms whose
-factors are rebuilt for every term (`fmt_by_terms`).
+It also keeps the series inverse and exact division that production no
+longer needs, since every reciprocal there is a power -1 by Miller's
+recurrence (`chow_models._series_power`): `series_inverse` by a
+degree-by-degree recurrence, `series_divide` by factoring out the common
+monomial of the divisor and inverting the rest, and the inverse again as a
+geometric sum, one full series product per term
+(`inverse_by_geometric_sum`), to check the recurrence.  Then two
+renderings of an element against the names that `Domain.monomials` and
+`Domain.fmt` read off the monomial table: one dict per monomial
+(`monomials_by_dicts`, `fmt_by_dicts`), and one sorted list of (weight, t,
+eps, b-partition, coefficient string) terms whose factors are rebuilt for
+every term (`fmt_by_terms`).
 
 Last, the row HNF and lattice membership on dense rows, as they were
 before `hnf_rows` walked sparse reducers (`dense_hnf_rows`,
@@ -21,10 +26,11 @@ before `hnf_rows` walked sparse reducers (`dense_hnf_rows`,
 row operation rewrites the whole tail from the pivot column on."""
 
 from itertools import groupby
+from operator import add as _plus
 
 from cobcalc.core_algebra import (
-    TEPS, TRING, BDomain, SparseDomain, TruncatedSeries, merge_partitions, sparse_add,
-    sparse_int_scale,
+    TEPS, TRING, BDomain, SparseDomain, TruncatedSeries, dot_groups, merge_partitions,
+    sparse_add, sparse_int_scale,
 )
 
 
@@ -61,6 +67,63 @@ def oracle_dot(dom, terms):
     for a, b, k in terms:
         out = sparse_add(dom.base, out, sparse_int_scale(dom.base, oracle_mul(dom, a, b), k))
     return out
+
+
+def series_inverse(f):
+    """1/f for a series f with unit constant term.  Degree by degree over
+    the homogeneous parts f_j: g_0 = 1/f_0 and g_d = sum over j = 1..d of
+    h_j g_(d-j), where h_j = -g_0 f_j, one `dot` per exponent of degree d."""
+    dom = f.dom
+    zero = (0,) * len(f.vars)
+    g0 = dom.inv(f.coefficient(zero))
+    scale = dom.neg(g0)
+    h = [[] for _ in range(f.order)]
+    for e, c in f.coeffs.items():
+        if e != zero:
+            h[sum(e)].append((e, dom.mul(scale, c)))
+    g = [[(zero, g0)]]
+    out = {zero: g0}
+    for d in range(1, f.order):
+        groups = {}
+        for j in range(1, d + 1):
+            for e1, c1 in h[j]:
+                for e2, c2 in g[d - j]:
+                    groups.setdefault(tuple(map(_plus, e1, e2)), []).append((c1, c2, 1))
+        part = dot_groups(dom, groups)
+        out.update(part)
+        g.append(list(part.items()))
+    return TruncatedSeries(dom, f.vars, f.order, out, _trusted=True)
+
+
+def _shift_down(f, emin, new_order):
+    """f / x^emin, truncated at new_order; every exponent of f is >= emin."""
+    out = {}
+    for e, c in f.coeffs.items():
+        e2 = tuple(a - b for a, b in zip(e, emin))
+        if sum(e2) < new_order:
+            out[e2] = c
+    return TruncatedSeries(f.dom, f.vars, new_order, out, _trusted=True)
+
+
+def series_divide(f, g):
+    """Exact division f/g.  The common monomial of g is factored out, so
+    the quotient's order drops by its total degree."""
+    f._check(g)
+    if g.is_zero():
+        raise ZeroDivisionError("division by zero series")
+    keys = list(g.coeffs)
+    emin = tuple(min(k[i] for k in keys) for i in range(len(f.vars)))
+    new_order = f.order - sum(emin)
+    if new_order < 1:
+        raise ValueError("inexact division: divisor valuation exceeds order")
+    for e in f.coeffs:
+        if any(a < b for a, b in zip(e, emin)):
+            raise ValueError("inexact division: %r not divisible by divisor monomial" % (e,))
+    g0 = _shift_down(g, emin, new_order)
+    c0 = g0.coefficient((0,) * len(f.vars))
+    if not f.dom.is_unit(c0):
+        raise ValueError("inexact division: divisor lowest coefficient is not a unit")
+    return _shift_down(f, emin, new_order).mul(series_inverse(g0))
 
 
 def inverse_by_geometric_sum(f):

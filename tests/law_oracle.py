@@ -32,16 +32,17 @@ composes once and compares G(x, y, z) = F(F(x, y), z) with G(y, z, x).
 product of law coefficients of its weight; production builds it from the
 p(n) monomials in Lazard's polynomial generators.
 
-`lmod2_series_by_loop` builds the twisted series of `verify_lmod2` by the
-loop that verifier once ran inline on every call, from the reversion series
-mapped into B(ZHALF) as a `SeriesLaw`; production embeds the integral [2](x)
-and [-1](x) read off the store, keeps the twisted series per order and grows
-them one power of zeta at a time.
+`lmod2_series_by_loop` builds the twisted series g_m of `verify_lmod2` by
+the loop that verifier once ran inline on every call, from the reversion
+series mapped into B(ZHALF) as a `SeriesLaw`, with one series division;
+production builds G_m(x) = 2 g_m(2x) over B(ZZ) from [-1](x) and [-2](x)
+read off the store, with the reciprocal a power -1 by Miller's recurrence,
+keeps them per order and grows them one power of [-1](2x) at a time.
 
-`lmod2_classes_over_half` sums each twisted class A_m over B(ZHALF), with
-the pushforward sums embedded there and one `dot` of that ring per m;
-production sums 2^e A_m over B(ZZ), with g_m scaled by its largest
-denominator 2^e, and tests 2^e for divisibility."""
+`lmod2_classes_over_half` sums each twisted class A_m over B(ZHALF), from
+the loop's series, with the pushforward sums embedded there and one `dot`
+of that ring per m; production sums 2^(n+1) A_m over B(ZZ) and tests
+2^(n+1) for divisibility."""
 
 from math import comb
 
@@ -49,12 +50,13 @@ from cobcalc import fgl
 from cobcalc.cobordism import BRING, lazard_basis, lazard_piece
 from cobcalc.core_algebra import (
     TEPS, TRING, ZHALF, ZZ, IntegerLattice, TruncatedSeries, b_ring, dot_groups, int_mod,
+    sparse_from_int,
 )
 from cobcalc.fgl import (
     additive_fgl, cha_fgl, check_law_series, chx_fgl, universal_fgl, universal_fgl_mod_p,
 )
 from cobcalc.chow_models import quillen_pushforward
-from cobcalc.fixedpoint import _to_half_element, _twisted_series
+from kernel_oracle import series_divide, series_inverse
 
 
 def reversion(f):
@@ -232,7 +234,7 @@ def chx_law_closed_form(order):
     den = TruncatedSeries.constant(dom, ("x", "y"), order, dom.one()).sub(
         XY.scale(dom.monomial(2, 1))
     )
-    return SeriesLaw(num.mul(den.inverse()))
+    return SeriesLaw(num.mul(series_inverse(den)))
 
 
 def cha_law_closed_form(order):
@@ -273,10 +275,15 @@ def law_without_store(constructor, order, *args):
     return _WITHOUT_STORE[constructor](order, *args)
 
 
+def half_element(elt):
+    """An element of B(ZZ) embedded in B(ZHALF)."""
+    return sparse_from_int(ZHALF, elt)
+
+
 def half_law_without_store(order):
     """The universal law at `order` over B(ZHALF), as a `SeriesLaw` on the
     reversion series mapped into B(ZHALF)."""
-    return SeriesLaw(universal_series_by_reversion(order).map_coefficients(b_ring(ZHALF), _to_half_element))
+    return SeriesLaw(universal_series_by_reversion(order).map_coefficients(b_ring(ZHALF), half_element))
 
 
 def b_transport_by_parts(elt, new_dom, gen_image):
@@ -304,7 +311,7 @@ def lmod2_series_by_loop(order, max_m):
     half = half_law_without_store(order)
     BH = half.dom
     inv = half.formal_inverse()
-    vz = inv.divide(half.formal_mult(-2))
+    vz = series_divide(inv, half.formal_mult(-2))
     zeta = inv.truncate(order - 1)
     out = [vz.int_scale(2)]
     zpow = TruncatedSeries.constant(BH, ("x",), order - 1, BH.one())
@@ -316,7 +323,8 @@ def lmod2_series_by_loop(order, max_m):
 
 def lmod2_classes_over_half(action, order, max_m):
     """[A_0, ..., A_max_m] over B(ZHALF): A_m = sum_j [x^j] g_m * Q_j with Q_j
-    the sum over the fixed components of the twist-j pushforward of N + 1."""
+    the sum over the fixed components of the twist-j pushforward of N + 1
+    and g_m from `lmod2_series_by_loop`."""
     B, BH = b_ring(ZZ), b_ring(ZHALF)
     n = action.dim
     q_sums = []
@@ -324,9 +332,8 @@ def lmod2_classes_over_half(action, order, max_m):
         total = {}
         for comp in action.components:
             total = B.add(total, quillen_pushforward(comp.model, comp.normal_plus_one(), j, B))
-        q_sums.append(_to_half_element(total))
+        q_sums.append(half_element(total))
     out = []
-    for m in range(max_m + 1):
-        g = _twisted_series(order, m)
+    for g in lmod2_series_by_loop(order, max_m):
         out.append(BH.dot([(g.coeffs[(j,)], q_sums[j], 1) for j in range(n + 1) if (j,) in g.coeffs]))
     return out

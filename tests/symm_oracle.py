@@ -45,7 +45,7 @@ from cobcalc.chow_models import (
 )
 from cobcalc.core_algebra import ZZ, b_ring, is_partition, sparse_add, sparse_from_int
 from cobcalc.symmfunc import b_image_for, total_P
-from kernel_oracle import inverse_by_geometric_sum
+from kernel_oracle import inverse_by_geometric_sum, series_inverse
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +340,7 @@ def power_by_inverse(phi, k):
     """phi^k for an int k != 0 as `multiplicative_class` took it before
     Miller's recurrence: the binary power of phi, or of the series inverse
     1/phi when k < 0."""
-    return binary_power(phi if k > 0 else phi.inverse(), abs(k))
+    return binary_power(phi if k > 0 else series_inverse(phi), abs(k))
 
 
 def class_coefficient(P, alpha):

@@ -44,6 +44,7 @@ from cobcalc.fixedpoint import (
     verify_lmod2,
 )
 from cobcalc.symmfunc import total_P
+from kernel_oracle import series_divide
 from law_oracle import reversion
 from symm_oracle import lambda_coeffs
 
@@ -96,7 +97,7 @@ def test_02_formal_multiplication():
         one = TruncatedSeries.constant(TRING, ("x",), 12, TRING.one())
         for a in range(-3, 6):
             den = one.add(x.scale(TRING.monomial(1, a - 1)))
-            assert formal_mult(C, a) == x.int_scale(a).divide(den), a
+            assert formal_mult(C, a) == series_divide(x.int_scale(a), den), a
         for p in (2, 3, 5):
             law = universal_fgl_mod_p(12, p)
             assert formal_mult(law, p).is_zero(), p

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from cobcalc import chow_models, clear_caches, fgl
 from cobcalc.chow_models import VarietySpec, _bundle_key, _residues, build_model
 from cobcalc.cobordism import lazard_piece
-from cobcalc.core_algebra import TRING, ZHALF, ZZ, b_ring
+from cobcalc.core_algebra import TRING, ZHALF, ZZ, _half_norm, b_ring
 from cobcalc.fixedpoint import (
-    _scaled_twist,
-    _twisted_series,
+    _integer_twist,
+    _lmod2_twists,
     builtin_action,
     verify_all,
     verify_L2_relations,
@@ -61,10 +61,10 @@ def test_clear_caches_empties_every_cache():
 def test_clear_caches_empties_specialize_memo_and_scaled_twists():
     verify_lmod2(builtin_action("linear_pn", n=3, a=1))
     fgl.specialize(fgl.universal_fgl(9), TRING, lambda c: fgl.b_transport(c, TRING, fgl.chx_b_image))
-    assert fgl._passed_table(TRING, 9) and _scaled_twist.cache_info().currsize
+    assert fgl._passed_table(TRING, 9) and _lmod2_twists.cache_info().currsize
     clear_caches()
     assert fgl._passed_table.cache_info().currsize == 0
-    assert _scaled_twist.cache_info().currsize == 0
+    assert _lmod2_twists.cache_info().currsize == 0
 
 
 def test_lazard_generators_same_after_clear_caches():
@@ -169,9 +169,18 @@ def test_shuffled_shared_components_match_cold_reports(order):
 
 
 def test_twisted_series_match_the_power_loop():
+    # the memo keeps G_m(x) = 2 g_m(2x) over B(ZZ); halved by 2^(j+1) at x^j
+    # it is the loop's g_m over B(ZHALF), coefficient for coefficient
     clear_caches()
-    for order in range(4, 11):
+    for order in range(3, 14):
         want = lmod2_series_by_loop(order, order)
-        # the highest m first, so one call grows the memo to its cap
-        for m in reversed(range(order + 1)):
-            assert _twisted_series(order, m) == want[m], (order, m)
+        for m in range(order + 1):
+            got = _integer_twist(order, m)
+            halved = {e: {p: _half_norm(v, e[0] + 1) for p, v in c.items()}
+                      for e, c in got.coeffs.items()}
+            assert (got.order, halved) == (want[m].order, want[m].coeffs), (order, m)
+            # grown only to the m asked, and to at most `order` series
+            assert len(_lmod2_twists(order)[1]) == min(m, order - 1) + 1, (order, m)
+    # a large order with a small max_m computes no further power
+    verify_lmod2(builtin_action("linear_pn", n=3, a=1), order=20, max_m=1)
+    assert len(_lmod2_twists(20)[1]) == 2

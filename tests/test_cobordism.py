@@ -348,6 +348,12 @@ def test_decomposable_rejects():
         decomposable_test(VarietySpec.point(), 2)
 
 
+def test_decomposable_needs_an_int_prime():
+    for p in (2.0, 3.0, True):
+        with pytest.raises(ValueError, match="p must be prime"):
+            decomposable_test(pn(3), p)
+
+
 def test_p_typical_kernel_pattern():
     assert p_typical_kernel_check(2, 6)
     assert p_typical_kernel_check(3, 6)

@@ -14,6 +14,7 @@ from cobcalc.core_algebra import (
     b_ring,
     partitions,
     is_partition,
+    is_prime,
     merge_partitions,
     TruncatedSeries as TS,
     hnf_rows,
@@ -23,7 +24,7 @@ from cobcalc.core_algebra import (
 from cobcalc.fgl import cha_fgl, chx_fgl, universal_fgl
 from kernel_oracle import (
     dense_hnf_rows, dense_member, fmt_by_dicts, fmt_by_terms, inverse_by_geometric_sum,
-    monomials_by_dicts, oracle_dot, oracle_mul,
+    monomials_by_dicts, oracle_dot, oracle_mul, series_divide, series_inverse,
 )
 from law_oracle import reversion, scaled_lattice
 
@@ -76,6 +77,18 @@ def test_int_mod():
     assert Z4.is_unit(3) and not Z4.is_unit(2)
     assert Z4.neg(1) == 3
     assert int_mod(7) is F7  # cached
+
+
+def test_primes_and_moduli_must_be_ints():
+    # a float or a bool is no prime and no modulus, even one equal to an int
+    # whose domain is cached
+    assert [p for p in range(12) if is_prime(p)] == [2, 3, 5, 7, 11]
+    assert not any(is_prime(p) for p in (2.0, 3.0, 7.5, True))
+    int_mod(2)
+    for m in (2.0, 2.5, 3.0, True):
+        with pytest.raises(ValueError, match="modulus"):
+            int_mod(m)
+    assert int_mod(2).m == 2 and b_ring(int_mod(2)).base is int_mod(2)
 
 
 def test_zhalf_normalization():
@@ -218,13 +231,13 @@ def test_series_inverse_pi():
     pi = TS(
         B, ("y",), 5, {(i,): B.gen(i) for i in range(5)}
     )  # 1 + b1 y + b2 y^2 + ...
-    prod = pi.mul(pi.inverse())
+    prod = pi.mul(series_inverse(pi))
     assert prod == TS.constant(B, ("y",), 5, B.one())
 
 
 def test_series_inverse_needs_unit():
     with pytest.raises(ValueError):
-        _uni(ZZ, 4, {0: 2, 1: 1}).inverse()
+        series_inverse(_uni(ZZ, 4, {0: 2, 1: 1}))
 
 
 def test_reversion_oracle():
@@ -255,21 +268,21 @@ def test_compose_rejects_constant_term():
 def test_divide():
     f = _uni(ZZ, 5, {2: 1, 3: 1})  # x^2 + x^3
     g = _uni(ZZ, 5, {1: 1})  # x
-    q = f.divide(g)
+    q = series_divide(f, g)
     assert q == _uni(ZZ, 4, {1: 1, 2: 1})
     assert q.order == 4
     with pytest.raises(ValueError):
-        _uni(ZZ, 5, {1: 1}).divide(_uni(ZZ, 5, {2: 1}))  # x / x^2 inexact
+        series_divide(_uni(ZZ, 5, {1: 1}), _uni(ZZ, 5, {2: 1}))  # x / x^2 inexact
     with pytest.raises(ValueError):
-        _uni(ZZ, 5, {2: 1}).divide(_uni(ZZ, 5, {1: 2}))  # lowest coeff 2 not unit
+        series_divide(_uni(ZZ, 5, {2: 1}), _uni(ZZ, 5, {1: 2}))  # lowest coeff 2 not unit
     with pytest.raises(ZeroDivisionError):
-        f.divide(TS.zero(ZZ, ("x",), 5))
+        series_divide(f, TS.zero(ZZ, ("x",), 5))
 
 
 def test_divide_bivariate_monomial_factor():
     f = TS(ZZ, ("x", "y"), 6, {(2, 1): 2, (1, 2): 2})
     g = TS(ZZ, ("x", "y"), 6, {(1, 1): 1})
-    q = f.divide(g)
+    q = series_divide(f, g)
     assert q == TS(ZZ, ("x", "y"), 4, {(1, 0): 2, (0, 1): 2})
 
 
@@ -530,7 +543,7 @@ def unit_series(draw):
 @given(unit_series())
 @settings(max_examples=100, deadline=None)
 def test_series_inverse_matches_geometric_sum(f):
-    assert f.inverse() == inverse_by_geometric_sum(f)
+    assert series_inverse(f) == inverse_by_geometric_sum(f)
 
 
 def _tables():
@@ -571,7 +584,7 @@ def _kernel_results():
     return [
         law.series.mul(law.series).coeffs,
         half.mul(half).coeffs,
-        pi.inverse().coeffs,
+        series_inverse(pi).coeffs,
         B.dot(terms),
         chx_fgl(8).series.mul(chx_fgl(8).series).coeffs,
         cha_fgl(8).series.mul(cha_fgl(8).series).coeffs,

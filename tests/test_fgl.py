@@ -19,6 +19,7 @@ from cobcalc.fgl import (
     formal_inverse,
     formal_mult,
 )
+from kernel_oracle import series_inverse
 from law_oracle import (
     additive_law_closed_form,
     associative_by_two_compositions,
@@ -250,8 +251,16 @@ def test_chx_formal_mult_closed_form():
     one = TS.constant(TRING, ("x",), D, TRING.one())
     for a in range(-3, 5):
         den = one.add(x.scale(TRING.monomial(1, a - 1)))
-        closed = x.int_scale(a).mul(den.inverse())
+        closed = x.int_scale(a).mul(series_inverse(den))
         assert formal_mult(C, a) == closed
+
+
+def test_universal_law_mod_p_needs_an_int_prime():
+    # 3.0 == 3, so a cache keyed by value alone would hand back the law mod 3
+    universal_fgl_mod_p(4, 3)
+    for p in (3.0, 2.0, True, 4):
+        with pytest.raises(ValueError, match="prime"):
+            universal_fgl_mod_p(4, p)
 
 
 def test_mult_by_p_vanishes_mod_p():

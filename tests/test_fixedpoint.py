@@ -28,10 +28,9 @@ from cobcalc.fixedpoint import (
     verify_trivial_normal,
     _completion_terms,
     _eval_chern_poly,
-    _to_half_element,
 )
 from cobcalc.fgl import formal_inverse, formal_mult, universal_fgl
-from law_oracle import half_law_without_store, lmod2_classes_over_half
+from law_oracle import half_element, half_law_without_store, lmod2_classes_over_half
 from test_golden_cli import BROKEN, MINUS_TRIVIAL, MISSING_POINT
 from symm_oracle import additive_terms_by_completion, chern_series_oracle, class_coefficient
 
@@ -85,6 +84,23 @@ def test_builtin_validation():
         builtin_action("swap_square")
     with pytest.raises(ValueError):
         builtin_action("no_such_action", n=1)
+
+
+def test_verifier_parameters_must_be_ints():
+    act = builtin_action("linear_pn", n=3, a=1)
+    for kwargs in ({"max_m": True}, {"max_m": 2.0}, {"order": 9.0}, {"order": True}):
+        with pytest.raises(ValueError, match="must be an int"):
+            verify_lmod2(act, **kwargs)
+    with pytest.raises(ValueError, match="max_m must be an int"):
+        verify_L2_relations(act, max_m=1.0)
+    for p in (3.0, 2.0, True):
+        with pytest.raises(ValueError, match="p must be prime"):
+            verify_decomposable(act, p=p)
+    for params in ({"n": 3.0, "a": 1}, {"n": 3, "a": 1.0}, {"n": True, "a": 0}):
+        with pytest.raises(ValueError, match="int parameters"):
+            builtin_action("linear_pn", **params)
+    with pytest.raises(ValueError, match="int parameter n"):
+        builtin_action("factorwise_p1n", n=2.0)
 
 
 def test_action_json_round_trip():
@@ -383,15 +399,16 @@ def test_ks_poly_matches_old_route():
 
 
 def test_lmod2_series_match_specialized_law():
-    # verify_lmod2 embeds [2](x) and the formal inverse of the universal law
-    # in B(ZHALF); the embedding is a ring map, so they agree with the
+    # [2](x) and the formal inverse of the universal law, embedded in
+    # B(ZHALF): the embedding is a ring map, so they agree with the
     # multiples of the law specialized into B(ZHALF) first, here built with
-    # no store behind it (compose route for [2], fixed point for [-1])
+    # no store behind it (compose route for [2], fixed point for [-1]), on
+    # which the lmod2 oracle builds its twisted series
     for order in range(3, 11):
         law = universal_fgl(order)
         half = half_law_without_store(order)
-        assert formal_mult(law, 2).map_coefficients(BH, _to_half_element) == half.formal_mult(2)
-        assert formal_inverse(law).map_coefficients(BH, _to_half_element) == half.formal_inverse()
+        assert formal_mult(law, 2).map_coefficients(BH, half_element) == half.formal_mult(2)
+        assert formal_inverse(law).map_coefficients(BH, half_element) == half.formal_inverse()
 
 
 
@@ -403,8 +420,9 @@ def _lmod2_oracle_actions():
 
 
 def test_lmod2_classes_match_half_ring_route():
-    # verify_lmod2 sums 2^e A_m over B(ZZ) and halves it e times; the oracle
-    # sums A_m over B(ZHALF) from the embedded pushforward sums
+    # verify_lmod2 sums 2^(n+1) A_m over B(ZZ) and halves it n + 1 times;
+    # the oracle sums A_m over B(ZHALF) from the twisted series of its own
+    # loop and the embedded pushforward sums
     B = b_ring(ZZ)
     for act in _lmod2_oracle_actions():
         n = act.dim

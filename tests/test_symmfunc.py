@@ -24,6 +24,7 @@ from cobcalc.symmfunc import (
     pi_series,
     b_image_for,
 )
+from kernel_oracle import series_inverse
 from symm_oracle import (
     cf_class,
     class_coefficient,
@@ -88,7 +89,7 @@ def test_pi_series_images():
 def test_pi_inverse_square_series():
     # 1/pi(y)^2 = 1 - 2 b1 y + (3 b1^2 - 2 b2) y^2 - ...
     p = pi_series(B, 3)
-    inv2 = p.mul(p).inverse()
+    inv2 = series_inverse(p.mul(p))
     assert inv2.coefficient((1,)) == B.int_scale(B.gen(1), -2)
     expected = B.add(B.int_scale(B.mul(B.gen(1), B.gen(1)), 3), B.int_scale(B.gen(2), -2))
     assert inv2.coefficient((2,)) == expected
