@@ -541,17 +541,17 @@ def _lmod2_twists(order):
 
 
 def _integer_twist(order, m):
-    """G_m(x) = 2 g_m(2x) over B(ZZ), for verify_lmod2's twisted series
-    g_0 = 2 v(zeta) and g_m = zeta^m v(zeta): G_0 = 2V and G_m = zeta^m V,
-    so [x^j] g_m = 2^(-j-1) [x^j] G_m.  Read off the memo of the order and
-    grown one power of zeta at a time; zeta^m vanishes below x^(order - 1)
-    from m = order - 1 on, so every such m reads G_(order - 1) = 0 and the
-    memo holds at most `order` series."""
+    """zeta^m V = 2 (zeta^m v(zeta))(2x) over B(ZZ), so that verify_lmod2's
+    twisted series g_m = zeta^m v(zeta), doubled at m = 0, has
+    [x^j] g_m = 2^(-j-1) [x^j] zeta^m V, doubled at m = 0.  Read off the memo
+    of the order and grown one power of zeta at a time; zeta^m vanishes
+    below x^(order - 1) from m = order - 1 on, so every such m reads 0 and
+    the memo holds at most `order` series."""
     zeta, gs = _lmod2_twists(order)
     m = min(m, order - 1)
     while len(gs) <= m:
         gs.append(gs[-1].mul(zeta))
-    return gs[0].int_scale(2) if m == 0 else gs[m]
+    return gs[m]
 
 
 def verify_lmod2(action, order=None, max_m=None):
@@ -579,7 +579,7 @@ def verify_lmod2(action, order=None, max_m=None):
     rep = Report("lmod2")
     # pushforwards of honest bundles are integral: take them over ZZ, where
     # the values verify_L2_relations computed are cached, and sum
-    # 2^(n+1) A_m = sum_j 2^(n-j) [x^j] G_m Q_j there
+    # 2^(n+1) A_m = sum_j 2^(n-j) [x^j] zeta^m V Q_j there, doubled at m = 0
     q_sums = []
     for j in range(n + 1):
         total = B.zero()
@@ -589,7 +589,8 @@ def verify_lmod2(action, order=None, max_m=None):
     ambient_cls = fundamental_class(action.ambient, "L")
     for m in range(max_m + 1):
         g = _integer_twist(order, m).coeffs
-        scaled = B.dot([(g[(j,)], q_sums[j], 1 << (n - j)) for j in range(n + 1) if (j,) in g])
+        scaled = B.dot([(g[(j,)], q_sums[j], 1 << (n - j + (m == 0))) for j in range(n + 1)
+                        if (j,) in g])
         # A_m is integral exactly when 2^(n+1) divides every coefficient of
         # 2^(n+1) A_m, and an integral A_m renders the same over ZZ[1/2] as over ZZ
         a_m = {p: _half_norm(v, n + 1) for p, v in scaled.items()}

@@ -169,14 +169,15 @@ def test_shuffled_shared_components_match_cold_reports(order):
 
 
 def test_twisted_series_match_the_power_loop():
-    # the memo keeps G_m(x) = 2 g_m(2x) over B(ZZ); halved by 2^(j+1) at x^j
-    # it is the loop's g_m over B(ZHALF), coefficient for coefficient
+    # the memo keeps zeta^m V = 2 (zeta^m v(zeta))(2x) over B(ZZ); halved by
+    # 2^(j+1) at x^j, and doubled at m = 0, it is the loop's g_m over
+    # B(ZHALF), coefficient for coefficient
     clear_caches()
     for order in range(3, 14):
         want = lmod2_series_by_loop(order, order)
         for m in range(order + 1):
             got = _integer_twist(order, m)
-            halved = {e: {p: _half_norm(v, e[0] + 1) for p, v in c.items()}
+            halved = {e: {p: _half_norm(v, e[0] + (m > 0)) for p, v in c.items()}
                       for e, c in got.coeffs.items()}
             assert (got.order, halved) == (want[m].order, want[m].coeffs), (order, m)
             # grown only to the m asked, and to at most `order` series
