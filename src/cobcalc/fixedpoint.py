@@ -522,10 +522,10 @@ def verify_ks(action, alphas=None, f=None):
 
 @lru_cache(maxsize=None)
 def _lmod2_twists(order):
-    """The twisted series of verify_lmod2 at the order, over B(ZZ) after
-    x -> 2x, truncated below x^(order - 1): zeta = [-1](2x) and the list
-    [V, zeta V, zeta^2 V, ...] that _integer_twist grows, with
-    V = 2 v(zeta)(2x) for v(zeta) = [-1](x) / [-2](x).  [-2](x) = -2x + ...,
+    """verify_lmod2's twisted series at the order, over B(ZZ) after x -> 2x
+    and truncated below x^(order - 1): z = [-1](2x) and the list
+    [V, z V, z^2 V, ...] that _integer_twist grows, where V = 2 v(zeta)(2x)
+    for zeta = [-1](x) and v(zeta) = [-1](x) / [-2](x).  [-2](x) = -2x + ...,
     so den = [-2](2x) / (-4x) is integral with constant term 1, and
     V = -([-1](2x) / (2x)) den^(-1), the reciprocal by Miller's recurrence."""
     law = universal_fgl(order)
@@ -541,16 +541,16 @@ def _lmod2_twists(order):
 
 
 def _integer_twist(order, m):
-    """zeta^m V = 2 (zeta^m v(zeta))(2x) over B(ZZ), so that verify_lmod2's
-    twisted series g_m = zeta^m v(zeta), doubled at m = 0, has
-    [x^j] g_m = 2^(-j-1) [x^j] zeta^m V, doubled at m = 0.  Read off the memo
-    of the order and grown one power of zeta at a time; zeta^m vanishes
-    below x^(order - 1) from m = order - 1 on, so every such m reads 0 and
-    the memo holds at most `order` series."""
-    zeta, gs = _lmod2_twists(order)
+    """z^m V = 2 (zeta^m v(zeta))(2x) over B(ZZ), with z = [-1](2x).  The
+    twisted series of verify_lmod2 are g_0 = 2 v(zeta) and
+    g_m = zeta^m v(zeta), so [x^j] g_m = 2^(-j-1) [x^j] z^m V, doubled at
+    m = 0.  Read off the memo of the order and grown one power of z at a
+    time; z^m vanishes below x^(order - 1) from m = order - 1 on, so every
+    such m reads 0 and the memo holds at most `order` series."""
+    z, gs = _lmod2_twists(order)
     m = min(m, order - 1)
     while len(gs) <= m:
-        gs.append(gs[-1].mul(zeta))
+        gs.append(gs[-1].mul(z))
     return gs[m]
 
 
@@ -579,7 +579,7 @@ def verify_lmod2(action, order=None, max_m=None):
     rep = Report("lmod2")
     # pushforwards of honest bundles are integral: take them over ZZ, where
     # the values verify_L2_relations computed are cached, and sum
-    # 2^(n+1) A_m = sum_j 2^(n-j) [x^j] zeta^m V Q_j there, doubled at m = 0
+    # 2^(n+1) A_m = sum_j 2^(n-j) [x^j] z^m V Q_j there, doubled at m = 0
     q_sums = []
     for j in range(n + 1):
         total = B.zero()

@@ -169,7 +169,7 @@ def test_shuffled_shared_components_match_cold_reports(order):
 
 
 def test_twisted_series_match_the_power_loop():
-    # the memo keeps zeta^m V = 2 (zeta^m v(zeta))(2x) over B(ZZ); halved by
+    # the memo keeps z^m V = 2 (zeta^m v(zeta))(2x) over B(ZZ); halved by
     # 2^(j+1) at x^j, and doubled at m = 0, it is the loop's g_m over
     # B(ZHALF), coefficient for coefficient
     clear_caches()
