@@ -279,7 +279,7 @@ def build_model(spec):
     layers = _layers(spec)
     model = _model_cache.get(layers)
     if model is None:
-        model = _model_cache[layers] = ChowModel(spec, layers)
+        model = _model_cache[layers] = ChowModel(spec)
     return model
 
 
@@ -304,8 +304,8 @@ class ChowModel:
         "_fundamental",
     )
 
-    def __init__(self, spec, layers=None):
-        self.layers = _layers(spec) if layers is None else layers
+    def __init__(self, spec):
+        self.layers = _layers(spec)
         self.gens = tuple("xi%d" % i for i in range(len(self.layers)))
         self._bounds = tuple(len(lines) - 1 for lines in self.layers)
         self.dim = sum(self._bounds)
@@ -323,7 +323,7 @@ class ChowModel:
             r = len(lines)
             V = VirtualSplitBundle(self, [x for x in map(self.line_class, lines) if x])
             rule = {e[:i] + (r - sum(e),) + e[i + 1:]: -c
-                    for e, c in chern_total(self, ZZ, V).items() if sum(e)}
+                    for e, c in chern_total(V, ZZ).items() if sum(e)}
             relations.append((i, r, rule))
             self._relations = tuple(sorted(relations, key=lambda rel: (bool(rel[2]), -rel[0])))
 
@@ -531,38 +531,33 @@ def multiplicative_class(E, phi, y_max):
     return model.product(phi.dom, factors, y_max)
 
 
-def chern_total(model, dom, E):
+def chern_total(E, dom):
     """Total Chern class of a virtual split bundle: the multiplicative class
     of 1 + t."""
-    if E.model is not model:
-        raise ValueError("bundle lives on a different model")
     one = dom.one()
-    phi = TruncatedSeries(dom, ("t",), model.dim + 1, {(0,): one, (1,): one})
+    phi = TruncatedSeries(dom, ("t",), E.model.dim + 1, {(0,): one, (1,): one})
     return multiplicative_class(E, phi, 0)[0]
 
 
-def chern_class(model, dom, E, k):
-    return cm_graded(chern_total(model, dom, E), k)
+def chern_class(E, dom, k):
+    return cm_graded(chern_total(E, dom), k)
 
 
-def quillen_pushforward(S, V, m, dom):
+def quillen_pushforward(V, m, dom):
     """Degree of the m-th power of the relative hyperplane class of
-    P(V + nothing) over S, pushed all the way to the point: computed on S by
-    a residue formula, so P(V) itself is never built.
+    P(V + nothing) over V's base, pushed all the way to the point: computed
+    on V's model by a residue formula, so P(V) itself is never built.
 
-    S may be a spec or a model; V must be an honest bundle on it.  The value
-    is read off the residue record of V (see `_residues`), which holds every
-    twist below rank + dim; every higher twist is 0."""
-    model = build_model(S) if isinstance(S, VarietySpec) else S
-    if V.model is not model:
-        raise ValueError("bundle lives on a different model")
+    V must be an honest bundle and m an int >= 0.  The value is read off the
+    residue record of V (see `_residues`), which holds every twist below
+    rank + dim; every higher twist is 0."""
     if not V.is_honest():
         raise ValueError("quillen_pushforward needs an honest bundle")
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    if not is_int(m) or m < 0:
+        raise ValueError("m must be an int >= 0, got %r" % (m,))
     if V.rank < 1:
         raise ValueError("bundle rank must be >= 1")
-    values = _residues(model, V, dom)[0]
+    values = _residues(V, dom)[0]
     return values[m] if m < len(values) else dom.zero()
 
 
@@ -585,18 +580,19 @@ def _bundle_key(V, dom):
     return V._key + (dom.name,)
 
 
-def _residue_series(model, V, dom):
+def _residue_series(V, dom):
     """The twist-independent part of the residue pushforward of the honest
     bundle V: the truncation order and the series d_i(y) = deg(c_i(-V) *
     P(-T) * P_y(-V)) for every nonzero c_i(-V)."""
     from . import symmfunc as sf
 
+    model = V.model
     ns = model.dim
     order = V.rank + ns
     p_tan = _p_neg_tangent(model, dom)
     p_vy = sf.total_P_deformed(V.neg(), dom, order - 1)
     prod_y = {k: model.mul(dom, elt, p_tan) for k, elt in p_vy.items()}
-    cneg = chern_total(model, dom, V.neg())
+    cneg = chern_total(V.neg(), dom)
     series = []
     for i in range(ns + 1):
         ci = cm_graded(cneg, i)
@@ -611,19 +607,20 @@ def _residue_series(model, V, dom):
     return order, tuple(series)
 
 
-def _residues(model, V, dom):
+def _residues(V, dom):
     """The residue record of the honest bundle V over dom, memoized on the
     model by `_bundle_key`: the pushforward values of the twists m below the
     order rank + dim, each checked once to be homogeneous of degree
     m - (dim + rank - 1), and the ks integral, the sum of every coefficient
     of pi(y) * sum_i d_i(y) (see `_residue_series`)."""
+    model = V.model
     key = _bundle_key(V, dom)
     hit = model._residues.get(key)
     if hit is not None:
         return hit
     from . import symmfunc as sf
 
-    order, series = _residue_series(model, V, dom)
+    order, series = _residue_series(V, dom)
     r = V.rank
     pi = sf.pi_series(dom, order)
     pi_m = TruncatedSeries.constant(dom, ("y",), order, dom.one())

@@ -166,7 +166,6 @@ def _load_action(args):
 # given to any other theorem is refused rather than ignored
 _VERIFY_OPTIONS = {
     "max_m": ("max_m", ("l2", "lmod2", "all"), None),
-    "order": ("order", ("lmod2", "all"), None),
     "alpha": ("alphas", ("ks",), lambda text: [_parse_alpha(text)]),
     "p": ("p", ("decomposable",), None),
 }
@@ -245,7 +244,6 @@ def _build_parser():
     pv.add_argument("--action", help="action model as inline JSON")
     pv.add_argument("--in", dest="infile", help="read the action from a file ('-' for stdin)")
     pv.add_argument("--alpha", help="restrict the ks verifier to one partition")
-    pv.add_argument("--order", type=int, help="series order for lmod2")
     pv.add_argument("--max-m", type=int, help="largest twist to check")
     pv.add_argument("--p", type=int, help="prime for the decomposable verifier")
 

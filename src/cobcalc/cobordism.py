@@ -28,19 +28,6 @@ from .core_algebra import (
 from .fgl import universal_fgl
 from .chow_models import additive_chern_number, fundamental_class
 
-__all__ = [
-    "LazardDegreePiece",
-    "lazard_basis",
-    "lazard_piece",
-    "mod2_theory_piece",
-    "mod2_theory_member",
-    "decomposable_test",
-    "p_typical_chern_check",
-    "p_typical_kernel_check",
-    "binomial_middle_gcd",
-    "prime_power_root",
-]
-
 BRING = b_ring(ZZ)
 
 
@@ -75,27 +62,23 @@ def _pair_multisets(pairs, weights, total):
     return found
 
 
-def lazard_basis(n, order=None):
+def _check_degree(n):
+    if not is_int(n) or n < 0:
+        raise ValueError("degree must be a nonnegative int, got %r" % (n,))
+
+
+def lazard_basis(n):
     """A spanning set of the degree -n lattice piece: all products of
     universal group-law coefficients with total weight n, as b-polynomial
-    elements.
-
-    `order` is the truncation order used for the universal law and must
-    exceed n + 1 so every needed coefficient is present.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if order is None:
-        order = n + 2
-    if order <= n + 1:
-        raise ValueError("order %d too small for degree %d (need > %d)" % (order, n, n + 1))
+    elements, read off the universal law to order n + 2."""
+    _check_degree(n)
     pairs = _weighted_pairs(n)
     weights = [i + j - 1 for i, j in pairs]
     gens = []
     for multiset in _pair_multisets(pairs, weights, n):
         elt = BRING.one()
         for i, j in multiset:
-            elt = BRING.mul(elt, _law_coefficient(order, i, j))
+            elt = BRING.mul(elt, _law_coefficient(n + 2, i, j))
         gens.append(elt)
     return gens
 
@@ -148,6 +131,7 @@ class LazardDegreePiece:
     __slots__ = ("n", "basis", "_index", "_generators", "lattice")
 
     def __init__(self, n):
+        _check_degree(n)
         self.n = n
         self.basis = partitions(n)
         self._index = {p: k for k, p in enumerate(self.basis)}
@@ -198,12 +182,13 @@ class LazardDegreePiece:
         return self.lattice.member([c // m for c in vec])
 
 
-@lru_cache(maxsize=None)
+# typed, so that neither True nor 2.0 finds the piece of an equal int
+@lru_cache(maxsize=None, typed=True)
 def lazard_piece(n):
     return LazardDegreePiece(n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def mod2_theory_piece(n):
     """Degree -n piece of twice the lattice plus the ideal generated by the
     higher coefficients of the formal two-fold multiple [2](x) -- the

@@ -46,8 +46,8 @@ class FormalGroupLaw:
     __slots__ = ("dom", "order", "image", "series", "_mult_cache")
 
     def __init__(self, dom, order, image):
-        if order < 2:
-            raise ValueError("a formal group law needs order >= 2, got %d" % order)
+        if not is_int(order) or order < 2:
+            raise ValueError("a formal group law needs an int order >= 2, got %r" % (order,))
         self.dom = dom
         self.order = order
         self.image = image
@@ -292,7 +292,8 @@ def _cha_image(c):
 _REDUCTIONS = {}
 
 
-@lru_cache(maxsize=None)
+# typed, as are the laws below, so that 4.0 does not find the law of order 4
+@lru_cache(maxsize=None, typed=True)
 def universal_fgl(order):
     """Universal formal group law over ZZ[b1, b2, ...] to total degree
     < order: exp(log x + log y) for the universal exponential
@@ -312,21 +313,21 @@ def universal_fgl_mod_p(order, p):
     return _store_law(b_ring(Fp), order, image)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def chx_fgl(order):
     """The law (x + y - 2txy) / (1 - t^2 xy) over ZZ[t]: the universal law
     along b_i |-> (-t)^i."""
     return _store_law(TRING, order, _chx_image)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def cha_fgl(order):
     """The law x + y + eps * sum_{i>=1} t^i ((x+y)^{i+1} - x^{i+1} - y^{i+1})
     over ZZ[t, eps]/eps^2: the universal law along b_i |-> eps t^i."""
     return _store_law(TEPS, order, _cha_image)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def additive_fgl(order):
     """The additive law x + y over ZZ: the universal law along b_i |-> 0."""
     return _store_law(ZZ, order, _constant_term)

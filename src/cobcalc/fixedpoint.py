@@ -35,22 +35,6 @@ from .core_algebra import (
 from .fgl import formal_mult, universal_fgl
 from .report import Report
 
-__all__ = [
-    "FixedComponent",
-    "MuTwoActionModel",
-    "BUILTIN_CATALOG",
-    "builtin_action",
-    "verify_L2_relations",
-    "verify_trivial_normal",
-    "verify_ks",
-    "verify_lmod2",
-    "verify_euler",
-    "verify_additive",
-    "verify_decomposable",
-    "verify_all",
-    "VERIFIERS",
-]
-
 B = b_ring(ZZ)
 BH = b_ring(ZHALF)
 
@@ -317,7 +301,7 @@ def verify_L2_relations(action, max_m=None):
     for idx, comp in enumerate(action.components):
         nb = comp.normal_plus_one()
         direct = fundamental_class(comp.proj_spec(), "L")
-        q0 = quillen_pushforward(comp.model, nb, 0, B)
+        q0 = quillen_pushforward(nb, 0, B)
         rep.add(
             "l2:route:%d" % idx,
             "residue pushforward at twist 0 agrees with the direct class of the "
@@ -327,7 +311,7 @@ def verify_L2_relations(action, max_m=None):
             rhs=B.fmt(direct),
         )
         for m in range(max_m + 1):
-            val = q0 if m == 0 else quillen_pushforward(comp.model, nb, m, B)
+            val = q0 if m == 0 else quillen_pushforward(nb, m, B)
             sums[m] = B.add(sums[m], val)
     ambient_cls = fundamental_class(action.ambient, "L")
     diff = B.sub(sums[0], ambient_cls)
@@ -373,7 +357,7 @@ def verify_trivial_normal(action):
         if comp.codim == 0:
             reason = "component %d has codimension 0" % idx
             break
-        ctot = chern_total(comp.model, ZZ, comp.normal)
+        ctot = chern_total(comp.normal, ZZ)
         for k in range(1, comp.codim + 1):
             if any(v % 2 for v in cm_graded(ctot, k).values()):
                 reason = "component %d has an odd Chern class c_%d of its normal bundle" % (idx, k)
@@ -454,7 +438,7 @@ def _poly_number(spec, f):
     if spec.kind == "disjoint":
         return sum(_poly_number(c, f) for c in spec.components)
     model = build_model(spec)
-    c_tan = chern_total(model, ZZ, model.tangent())
+    c_tan = chern_total(model.tangent(), ZZ)
     cz = [cm_graded(c_tan, j) for j in range(spec.dim() + 1)]
     return model.degree(ZZ, _eval_chern_poly(model, f, cz))
 
@@ -488,7 +472,7 @@ def verify_ks(action, alphas=None, f=None):
         # of the residue record of V that the pushforwards share.
         fixed = B.zero()
         for comp in action.components:
-            fixed = B.add(fixed, _residues(comp.model, comp.normal_plus_one(), B)[1])
+            fixed = B.add(fixed, _residues(comp.normal_plus_one(), B)[1])
         for alpha in run_alphas:
             lhs = ambient_cls.get(alpha, 0)
             rhs = fixed.get(alpha, 0)
@@ -506,7 +490,7 @@ def verify_ks(action, alphas=None, f=None):
         rhs = 0
         for comp in action.components:
             model = comp.model
-            c_minus = chern_total(model, ZZ, comp.normal.neg())
+            c_minus = chern_total(comp.normal.neg(), ZZ)
             val = _eval_chern_poly(model, f, _twisted_chern_classes(comp, n))
             rhs += model.degree(ZZ, model.mul(ZZ, c_minus, val))
         rep.add(
@@ -554,7 +538,7 @@ def _integer_twist(order, m):
     return gs[m]
 
 
-def verify_lmod2(action, order=None, max_m=None):
+def verify_lmod2(action, max_m=None):
     """Integrality and lattice membership of the twisted classes built from
     the halved two-fold multiple of the group law.
 
@@ -568,13 +552,10 @@ def verify_lmod2(action, order=None, max_m=None):
     integral; A_0 must agree with the ambient class modulo twice the
     lattice, and each A_m with m >= 1 must lie in the lattice."""
     n = action.dim
-    need = n + 3
-    if order is None:
-        order = need
-    if not is_int(order):
-        raise ValueError("order must be an int, got %r" % (order,))
-    if order < need:
-        raise ValueError("order %d too small: need at least %d" % (order, need))
+    # A_m reads x^0..x^n of the twisted series, kept below x^(order - 1), and
+    # a coefficient of a truncated product depends only on the lower ones:
+    # every order above n + 1 gives the same classes
+    order = n + 3
     max_m = _max_twist(max_m, n)
     rep = Report("lmod2")
     # pushforwards of honest bundles are integral: take them over ZZ, where
@@ -584,7 +565,7 @@ def verify_lmod2(action, order=None, max_m=None):
     for j in range(n + 1):
         total = B.zero()
         for comp in action.components:
-            total = B.add(total, quillen_pushforward(comp.model, comp.normal_plus_one(), j, B))
+            total = B.add(total, quillen_pushforward(comp.normal_plus_one(), j, B))
         q_sums.append(total)
     ambient_cls = fundamental_class(action.ambient, "L")
     for m in range(max_m + 1):
@@ -686,7 +667,7 @@ def _completion_terms(comp):
     and T_(Z_j) = T|Z_j - j O(xi), so s = [b_n] q_0, D_j = j deg(xi^n) -
     [b_(n-j)] q_j for 0 < j < n, and D_n = deg(xi^n), the constant of q_n."""
     n = comp.dim() + comp.codim
-    q = _residues(comp.model, comp.normal_plus_one(), B)[0]
+    q = _residues(comp.normal_plus_one(), B)[0]
     top = q[n].get((), 0)
     return [q[0].get((n,), 0)] + [j * top - q[j].get((n - j,), 0) for j in range(1, n)] + [top]
 
@@ -804,12 +785,12 @@ def verify_decomposable(action, p=2):
     return rep
 
 
-def verify_all(action, max_m=None, order=None):
+def verify_all(action, max_m=None):
     rep = Report("all")
     rep.merge(verify_L2_relations(action, max_m=max_m))
     rep.merge(verify_trivial_normal(action))
     rep.merge(verify_ks(action))
-    rep.merge(verify_lmod2(action, order=order, max_m=max_m))
+    rep.merge(verify_lmod2(action, max_m=max_m))
     rep.merge(verify_euler(action))
     rep.merge(verify_additive(action))
     rep.merge(verify_decomposable(action))

@@ -38,9 +38,9 @@ class Check:
 class Report:
     __slots__ = ("command", "checks")
 
-    def __init__(self, command, checks=None):
+    def __init__(self, command):
         self.command = command
-        self.checks = list(checks or [])
+        self.checks = []
 
     def add(self, check_id, statement, ok, lhs=None, rhs=None):
         self.checks.append(Check(check_id, statement, PASS if ok else FAIL, lhs, rhs))

@@ -11,15 +11,7 @@ variable y; the residue pushforward is built from it."""
 from __future__ import annotations
 
 from .core_algebra import TRING, TEPS, BDomain, TruncatedSeries
-from .chow_models import VirtualSplitBundle, multiplicative_class
-
-__all__ = [
-    "total_P",
-    "total_P_deformed",
-    "b_image_for",
-    "pi_series",
-    "VirtualSplitBundle",
-]
+from .chow_models import multiplicative_class
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ def pushforward_projbundle(spec, u, dom=ZZ):
     base = build_model(spec.base)
     r = len(spec.lines)
     minus_v = VirtualSplitBundle(base, (), [line_element(v) for v in spec.lines], 0, 0)
-    cneg = chern_total(base, dom, minus_v)
+    cneg = chern_total(minus_v, dom)
     out = {}
     for e, c in u.items():
         j = e[-1]
@@ -526,7 +526,7 @@ def elementary_class(E, alpha):
     """The alpha class of a virtual split bundle from the elementary-basis
     expansion of m_alpha, evaluated on the Chern classes of E."""
     model = E.model
-    ctot = chern_total(model, ZZ, E)
+    ctot = chern_total(E, ZZ)
     out = {}
     for mu, c in q_alpha(alpha).items():
         term = model.one(ZZ)

@@ -285,7 +285,7 @@ def _suite_quillen_trivial(count):
         r = rng.randint(1, 4)
         m = rng.randint(0, r + 1)
         V = VirtualSplitBundle(build_model(S), plus_trivial=r)
-        got = quillen_pushforward(S, V, m, B)
+        got = quillen_pushforward(V, m, B)
         k = r - 1 - m
         if k < 0:
             assert got == B.zero(), (S, r, m)

@@ -325,7 +325,6 @@ def test_verify_decomposable_p(capsys):
 @pytest.mark.parametrize("flag, value, theorem, readers", [
     ("--p", "3", "all", "decomposable"),
     ("--alpha", "[2,1]", "l2", "ks"),
-    ("--order", "9", "ks", "lmod2 or all"),
     ("--max-m", "2", "decomposable", "l2 or lmod2 or all"),
 ])
 def test_verify_flag_outside_its_theorems_exits_2(capsys, flag, value, theorem, readers):
@@ -419,11 +418,19 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
+def test_verify_has_no_order_flag():
+    # lmod2 takes its series order from the ambient dimension
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--theorem", "lmod2", "--builtin", "linear_pn", "--n", "3", "--a", "1",
+              "--order", "9"])
+    assert exc.value.code == 2
+
+
 def test_failed_self_check_exits_3(capsys, monkeypatch):
     # a residue series of degree 0 makes the pushforward inhomogeneous, so
     # its homogeneity check fires: exit 3 with an error object, no traceback
-    def constant_residue_series(model, V, dom):
-        order = V.rank + model.dim
+    def constant_residue_series(V, dom):
+        order = V.rank + V.model.dim
         ones = {(k,): dom.one() for k in range(order)}
         return order, ((0, TruncatedSeries(dom, ("y",), order, ones)),)
 

@@ -5,7 +5,7 @@ from math import comb, gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cobcalc import clear_caches, cobordism, fixedpoint
+from cobcalc import clear_caches, cobordism, fgl, fixedpoint
 from cobcalc.chow_models import VarietySpec, fundamental_class
 from cobcalc.cobordism import (
     BRING,
@@ -220,9 +220,9 @@ def test_no_production_query_builds_the_spanning_sets(monkeypatch):
     calls = []
     real = cobordism.lazard_basis
 
-    def counted(n, order=None):
+    def counted(n):
         calls.append(n)
-        return real(n, order)
+        return real(n)
 
     monkeypatch.setattr(cobordism, "lazard_basis", counted)
     clear_caches()
@@ -269,12 +269,6 @@ def test_vector_rejects_wrong_degree():
     piece = lazard_piece(1)
     with pytest.raises(ValueError):
         piece.vector({(2,): 1})
-
-
-def test_basis_needs_enough_order():
-    with pytest.raises(ValueError):
-        lazard_basis(3, order=4)
-    assert len(lazard_basis(3, order=5)) == len(lazard_basis(3))
 
 
 def test_projective_space_class_is_minus_first_coefficient():
@@ -423,3 +417,26 @@ def test_binomial_gcd_matches_gcd_of_binomials():
 def test_binomial_gcd_rule():
     for n in range(1, 65):
         assert binomial_middle_gcd(n) == (prime_power_root(n + 1) or 1)
+
+
+def test_degrees_and_orders_must_be_nonnegative_ints():
+    # the caches are typed, so an int asked first does not answer for an
+    # equal bool or float
+    lazard_piece(1)
+    lazard_piece(2)
+    mod2_theory_piece(3)
+    universal_fgl(4)
+    for n in (True, False, -1, 2.0):
+        with pytest.raises(ValueError, match="degree must be a nonnegative int"):
+            lazard_piece(n)
+        with pytest.raises(ValueError, match="degree must be a nonnegative int"):
+            lazard_basis(n)
+    for n in (True, -1, 3.0):
+        with pytest.raises(ValueError, match="degree must be a nonnegative int"):
+            mod2_theory_piece(n)
+    for law in (fgl.universal_fgl, fgl.chx_fgl, fgl.cha_fgl, fgl.additive_fgl):
+        for order in (4.0, True, 1):
+            with pytest.raises(ValueError, match="needs an int order >= 2"):
+                law(order)
+    with pytest.raises(ValueError, match="needs an int order >= 2"):
+        fgl.universal_fgl_mod_p(4.0, 3)

@@ -88,9 +88,9 @@ def test_builtin_validation():
 
 def test_verifier_parameters_must_be_ints():
     act = builtin_action("linear_pn", n=3, a=1)
-    for kwargs in ({"max_m": True}, {"max_m": 2.0}, {"order": 9.0}, {"order": True}):
-        with pytest.raises(ValueError, match="must be an int"):
-            verify_lmod2(act, **kwargs)
+    for max_m in (True, 2.0):
+        with pytest.raises(ValueError, match="max_m must be an int"):
+            verify_lmod2(act, max_m=max_m)
     with pytest.raises(ValueError, match="max_m must be an int"):
         verify_L2_relations(act, max_m=1.0)
     for p in (3.0, 2.0, True):
@@ -142,13 +142,6 @@ def test_lmod2_line_involution_exact():
     # the corrected twist-0 class reproduces the ambient class on the nose
     assert by_id(rep, "lmod2:class").lhs == "-2*b1"
     assert by_id(rep, "lmod2:int:1").lhs == "-1"
-
-
-def test_lmod2_order_guard():
-    act = builtin_action("linear_pn", n=2, a=0)
-    with pytest.raises(ValueError):
-        verify_lmod2(act, order=4)
-    assert verify_lmod2(act, order=6).ok
 
 
 def test_ks_polynomial_example():
@@ -333,7 +326,7 @@ def _ks_rhs_by_component(action, alphas):
     rhs = dict.fromkeys(alphas, 0)
     for comp in action.components:
         model = comp.model
-        c_minus = chern_total(model, ZZ, comp.normal.neg())
+        c_minus = chern_total(comp.normal.neg(), ZZ)
         p_tan = sf.total_P(model.tangent().neg(), B)
         for elt in sf.total_P_deformed(comp.normal.neg(), B, action.dim).values():
             prod = model.mul(B, elt, p_tan)
@@ -383,7 +376,7 @@ def _ks_poly_by_old_route(action, f):
         plus = [sparse_add(ZZ, one, l) for l in comp.normal.plus_lines]
         plus += [one] * comp.normal.plus_trivial + list(model.tangent().plus_lines)
         cz = chern_series_oracle(model, plus, [one] * comp.normal.minus_trivial, action.dim)
-        c_minus = chern_total(model, ZZ, comp.normal.neg())
+        c_minus = chern_total(comp.normal.neg(), ZZ)
         rhs += model.degree(ZZ, model.mul(ZZ, c_minus, _eval_chern_poly(model, f, cz)))
     return lhs, rhs
 
@@ -420,14 +413,15 @@ def _lmod2_oracle_actions():
 
 
 def test_lmod2_classes_match_half_ring_route():
-    # verify_lmod2 sums 2^(n+1) A_m over B(ZZ) and halves it n + 1 times;
-    # the oracle sums A_m over B(ZHALF) from the twisted series of its own
-    # loop and the embedded pushforward sums
+    # verify_lmod2 sums 2^(n+1) A_m over B(ZZ) at order n + 3 and halves it
+    # n + 1 times; the oracle sums A_m over B(ZHALF) from the twisted series
+    # of its own loop, at orders n + 3 and n + 4, and the embedded
+    # pushforward sums
     B = b_ring(ZZ)
     for act in _lmod2_oracle_actions():
         n = act.dim
         for order, max_m in ((n + 3, n), (n + 4, n + 5)):
-            rep = verify_lmod2(act, order=order, max_m=max_m)
+            rep = verify_lmod2(act, max_m=max_m)
             for m, a_m in enumerate(lmod2_classes_over_half(act, order, max_m)):
                 integral = all(e == 0 for _num, e in a_m.values())
                 chk = by_id(rep, "lmod2:int:%d" % m)

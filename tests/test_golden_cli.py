@@ -66,7 +66,7 @@ COMMANDS = {
     "verify-ks-linear-5-2": "verify --theorem ks --builtin linear_pn --n 5 --a 2",
     "verify-ks-alpha": "verify --theorem ks --builtin linear_pn --n 4 --a 1 --alpha [2,1]",
     "verify-l2-max-m": "verify --theorem l2 --builtin linear_pn --n 4 --a 1 --max-m 2",
-    "verify-lmod2-order": "verify --theorem lmod2 --builtin linear_pn --n 3 --a 1 --order 9",
+    "verify-lmod2-linear-3-1": "verify --theorem lmod2 --builtin linear_pn --n 3 --a 1",
     "verify-lmod2-swap-p2": ["verify", "--theorem", "lmod2", "--builtin", "swap_square", "--spec", _j(P2)],
     "verify-decomposable-p3": "verify --theorem decomposable --builtin linear_pn --n 3 --a 0 --p 3",
     "verify-additive-linear-7-3": "verify --theorem additive --builtin linear_pn --n 7 --a 3",
@@ -157,7 +157,7 @@ PINS = {
     'verify-ks-alpha': (0, '5b526247a3218fbf881dd6149016efc130826324081c585fb6f90620a45a6786'),
     'verify-ks-linear-5-2': (0, '0c6c6d6a0dcbbd90c0bdb2ede105767ed92f2e7033898137ab79542125ec79e5'),
     'verify-l2-max-m': (0, 'f02a7bd2d6414ca8bba1957773fa9ec58be1aed4fb123b550d9e1d926e23fcd5'),
-    'verify-lmod2-order': (0, 'd7faf0f4ddacdc0f48203a2051c2db18235799bee067e5c52526b20868894b75'),
+    'verify-lmod2-linear-3-1': (0, 'd7faf0f4ddacdc0f48203a2051c2db18235799bee067e5c52526b20868894b75'),
     'verify-lmod2-swap-p2': (0, '6b4cac00f9effc2f19517bfb55986cd5a1770526f65d7bc298388d4c75968f1a'),
     'verify-trivial-normal': (0, '428fe3becdd4d337f275b11c8e0f85896afd7ac9fa8c6e3df5925337a4b76646'),
 }

@@ -103,3 +103,35 @@ print(json.dumps([before, first, empty, answers() == first]))
     assert before == ["cobcalc"]
     assert first[2] is True
     assert empty and same
+
+
+def test_each_input_is_a_parameter_once():
+    # a bundle carries its model, the lmod2 series order is n + 3 and the
+    # Lazard basis reads the law it needs, so none of them is a parameter
+    code = """
+import sys, inspect, json, cobcalc
+names = sys.argv[1:]
+print(json.dumps({n: list(inspect.signature(getattr(cobcalc, n)).parameters) for n in names}))
+"""
+    want = {
+        "verify_lmod2": ["action", "max_m"],
+        "verify_all": ["action", "max_m"],
+        "lazard_basis": ["n"],
+        "quillen_pushforward": ["V", "m", "dom"],
+        "chern_total": ["E", "dom"],
+        "chern_class": ["E", "dom", "k"],
+        "ChowModel": ["spec"],
+        "Report": ["command"],
+    }
+    assert run_fresh(code, *want) == want
+
+
+def test_public_names_are_listed_once():
+    # the package's _EXPORTS is the one table of public names: no layer
+    # keeps a list of its own
+    code = """
+import sys, json, importlib
+mods = [importlib.import_module("cobcalc." + m) for m in sys.argv[1:]]
+print(json.dumps([m.__name__ for m in mods if hasattr(m, "__all__")]))
+"""
+    assert run_fresh(code, *LAYERS) == []

@@ -235,7 +235,7 @@ def _virtual_bundles(draw):
 @given(_virtual_bundles(), st.sampled_from(PRODUCT_DOMAINS), st.integers(0, 3))
 def test_products_match_oracles(E, dom, y_max):
     model = E.model
-    assert chern_total(model, dom, E) == chern_total_oracle(model, dom, E)
+    assert chern_total(E, dom) == chern_total_oracle(model, dom, E)
     if dom is not ZZ:
         assert total_P(E, dom) == total_P_oracle(E, dom)
         assert total_P_deformed(E, dom, y_max) == total_P_deformed_oracle(E, dom, y_max)
