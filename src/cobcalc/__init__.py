@@ -28,7 +28,7 @@ _EXPORTS = {
     "symmfunc": ("total_P", "total_P_deformed"),
     "chow_models": (
         "ChowModel", "VarietySpec", "VirtualSplitBundle", "additive_chern_number",
-        "build_model", "chern_class", "chern_number", "chern_total",
+        "build_model", "chern_number", "chern_total",
         "euler_number", "fundamental_class",
         "quillen_pushforward", "tangent_bundle",
     ),

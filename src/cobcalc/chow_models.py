@@ -18,13 +18,15 @@ root.
 from __future__ import annotations
 
 import json
+from functools import reduce
 from math import comb
 from operator import add as _plus
 
 from .core_algebra import (
-    TEPS, TRING, ZHALF, ZZ, TruncatedSeries, b_ring, dot_groups, int_mod, is_int, is_partition,
-    is_prime, sparse_add, sparse_from_int, sparse_int_scale, sparse_scale,
+    ZZ, TruncatedSeries, b_ring, dot_groups, is_int, is_partition, sparse_add, sparse_int_scale,
 )
+
+B = b_ring(ZZ)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +186,8 @@ class VirtualSplitBundle:
     __slots__ = ("model", "plus_lines", "minus_lines", "plus_trivial", "minus_trivial", "_key")
 
     def __init__(self, model, plus_lines=(), minus_lines=(), plus_trivial=0, minus_trivial=0):
-        if plus_trivial < 0 or minus_trivial < 0:
-            raise ValueError("trivial ranks must be >= 0")
+        if not all(is_int(k) and k >= 0 for k in (plus_trivial, minus_trivial)):
+            raise ValueError("trivial ranks must be ints >= 0, got %r" % ((plus_trivial, minus_trivial),))
         for line in tuple(plus_lines) + tuple(minus_lines):
             for e, c in line.items():
                 if c and sum(e) != 1:
@@ -196,7 +198,7 @@ class VirtualSplitBundle:
         self.minus_lines = tuple(dict(l) for l in minus_lines)
         self.plus_trivial = plus_trivial - t
         self.minus_trivial = minus_trivial - t
-        self._key = None  # the domain-free part of `_bundle_key`, made on first use
+        self._key = None  # `_bundle_key`, made on first use
 
     @property
     def rank(self):
@@ -312,7 +314,7 @@ class ChowModel:
         self._reduce_cache = {}
         self._residues = {}
         self._tangent = None
-        self._p_neg_tangent = {}
+        self._p_neg_tangent = None
         self._fundamental = None
         # (generator, r, rule) with xi^r = rule; the vanishing relations
         # (empty rule) come first, so a monomial that one of them kills is
@@ -323,7 +325,7 @@ class ChowModel:
             r = len(lines)
             V = VirtualSplitBundle(self, [x for x in map(self.line_class, lines) if x])
             rule = {e[:i] + (r - sum(e),) + e[i + 1:]: -c
-                    for e, c in chern_total(V, ZZ).items() if sum(e)}
+                    for e, c in chern_total(V).items() if sum(e)}
             relations.append((i, r, rule))
             self._relations = tuple(sorted(relations, key=lambda rel: (bool(rel[2]), -rel[0])))
 
@@ -472,25 +474,16 @@ def _series_power(phi, k):
     pass by Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): g = phi^k has
     g_0 = 1 and m g_m = sum over j = 1..m of ((k + 1) j - m) phi_j g_(m-j),
     one `dot` per m and an exact division by m, where a remainder raises
-    AssertionError.  Over a base other than ZZ, where m need not be
-    invertible, the power is taken over the ZZ twin, B(ZZ), and mapped back:
-    Z/p coefficients lift as they are, ZHALF ones after y -> 2^s y clears
-    their denominators."""
+    AssertionError.  The coefficients must be integral (ZZ, or a sparse
+    domain over ZZ): over another base m need not be invertible, and no
+    caller needs one, since every class is taken over ZZ or B(ZZ)."""
     dom = phi.dom
-    base = getattr(dom, "base", dom)
+    if getattr(dom, "base", dom) is not ZZ:
+        raise ValueError("a series power needs integer coefficients, not %s" % dom.name)
     if phi.coeffs.get((0,)) != dom.one():
         raise ValueError("phi(0) must be 1")
     if k == 1:
         return phi
-    if base is not ZZ:
-        lifted = {j: {(): c} if dom is base else c for (j,), c in phi.coeffs.items()}
-        s = max(v[1] for c in lifted.values() for v in c.values()) if base is ZHALF else 0
-        twin = TruncatedSeries(b_ring(ZZ), phi.vars, phi.order, {(j,): {
-            e: v[0] << (s * j - v[1]) if base is ZHALF else v for e, v in c.items()} for j, c in lifted.items()})
-        back = {(m,): sparse_scale(base, sparse_from_int(base, c), base.inv(base.from_int(1 << s * m)))
-                for (m,), c in _series_power(twin, k).coeffs.items()}
-        return TruncatedSeries(dom, phi.vars, phi.order, {
-            e: c.get((), base.zero()) if dom is base else c for e, c in back.items()})
     f = [(j, c) for (j,), c in phi.coeffs.items() if j]
     g = [dom.one()]
     for m in range(1, phi.order):
@@ -531,56 +524,50 @@ def multiplicative_class(E, phi, y_max):
     return model.product(phi.dom, factors, y_max)
 
 
-def chern_total(E, dom):
-    """Total Chern class of a virtual split bundle: the multiplicative class
-    of 1 + t."""
-    one = dom.one()
-    phi = TruncatedSeries(dom, ("t",), E.model.dim + 1, {(0,): one, (1,): one})
+def chern_total(E):
+    """Total Chern class of a virtual split bundle, over ZZ: the
+    multiplicative class of 1 + t."""
+    phi = TruncatedSeries(ZZ, ("t",), E.model.dim + 1, {(0,): 1, (1,): 1})
     return multiplicative_class(E, phi, 0)[0]
 
 
-def chern_class(E, dom, k):
-    return cm_graded(chern_total(E, dom), k)
-
-
-def quillen_pushforward(V, m, dom):
+def quillen_pushforward(V, m):
     """Degree of the m-th power of the relative hyperplane class of
     P(V + nothing) over V's base, pushed all the way to the point: computed
     on V's model by a residue formula, so P(V) itself is never built.
 
-    V must be an honest bundle and m an int >= 0.  The value is read off the
-    residue record of V (see `_residues`), which holds every twist below
-    rank + dim; every higher twist is 0."""
+    V must be an honest bundle and m an int >= 0.  The value, in B(ZZ), is
+    read off the residue record of V (see `_residues`), which holds every
+    twist below rank + dim; every higher twist is 0."""
     if not V.is_honest():
         raise ValueError("quillen_pushforward needs an honest bundle")
     if not is_int(m) or m < 0:
         raise ValueError("m must be an int >= 0, got %r" % (m,))
     if V.rank < 1:
         raise ValueError("bundle rank must be >= 1")
-    values = _residues(V, dom)[0]
-    return values[m] if m < len(values) else dom.zero()
+    values = _residues(V)[0]
+    return values[m] if m < len(values) else B.zero()
 
 
-def _p_neg_tangent(model, dom):
-    """P(-T) of the model over dom, memoized on the model per domain: the
-    fundamental class and the residue records both read it."""
+def _p_neg_tangent(model):
+    """P(-T) of the model, memoized on the model: the fundamental class and
+    the residue records both read it."""
     from . import symmfunc as sf
 
-    hit = model._p_neg_tangent.get(dom.name)
-    if hit is None:
-        hit = model._p_neg_tangent[dom.name] = sf.total_P(model.tangent().neg(), dom)
-    return hit
+    if model._p_neg_tangent is None:
+        model._p_neg_tangent = sf.total_P(model.tangent().neg())
+    return model._p_neg_tangent
 
 
-def _bundle_key(V, dom):
-    """Memo key of an honest bundle over a domain: its line classes, its
-    trivial rank and the domain's name.  The first two are kept on V."""
+def _bundle_key(V):
+    """Memo key of an honest bundle, kept on V: its line classes and its
+    trivial rank."""
     if V._key is None:
         V._key = (tuple(tuple(sorted(l.items())) for l in V.plus_lines), V.plus_trivial)
-    return V._key + (dom.name,)
+    return V._key
 
 
-def _residue_series(V, dom):
+def _residue_series(V):
     """The twist-independent part of the residue pushforward of the honest
     bundle V: the truncation order and the series d_i(y) = deg(c_i(-V) *
     P(-T) * P_y(-V)) for every nonzero c_i(-V)."""
@@ -589,41 +576,41 @@ def _residue_series(V, dom):
     model = V.model
     ns = model.dim
     order = V.rank + ns
-    p_tan = _p_neg_tangent(model, dom)
-    p_vy = sf.total_P_deformed(V.neg(), dom, order - 1)
-    prod_y = {k: model.mul(dom, elt, p_tan) for k, elt in p_vy.items()}
-    cneg = chern_total(V.neg(), dom)
+    p_tan = _p_neg_tangent(model)
+    p_vy = sf.total_P_deformed(V.neg(), order - 1)
+    prod_y = {k: model.mul(B, elt, p_tan) for k, elt in p_vy.items()}
+    cneg = chern_total(V.neg())
     series = []
     for i in range(ns + 1):
-        ci = cm_graded(cneg, i)
+        ci = {e: B.from_int(c) for e, c in cm_graded(cneg, i).items()}
         if not ci:
             continue
         d_coeffs = {}
         for k, elt in prod_y.items():
-            v = model.degree(dom, model.mul(dom, ci, elt))
-            if not dom.is_zero(v):
+            v = model.degree(B, model.mul(B, ci, elt))
+            if not B.is_zero(v):
                 d_coeffs[(k,)] = v
-        series.append((i, TruncatedSeries(dom, ("y",), order, d_coeffs)))
+        series.append((i, TruncatedSeries(B, ("y",), order, d_coeffs)))
     return order, tuple(series)
 
 
-def _residues(V, dom):
-    """The residue record of the honest bundle V over dom, memoized on the
+def _residues(V):
+    """The residue record of the honest bundle V over B(ZZ), memoized on the
     model by `_bundle_key`: the pushforward values of the twists m below the
     order rank + dim, each checked once to be homogeneous of degree
     m - (dim + rank - 1), and the ks integral, the sum of every coefficient
     of pi(y) * sum_i d_i(y) (see `_residue_series`)."""
     model = V.model
-    key = _bundle_key(V, dom)
+    key = _bundle_key(V)
     hit = model._residues.get(key)
     if hit is not None:
         return hit
     from . import symmfunc as sf
 
-    order, series = _residue_series(V, dom)
+    order, series = _residue_series(V)
     r = V.rank
-    pi = sf.pi_series(dom, order)
-    pi_m = TruncatedSeries.constant(dom, ("y",), order, dom.one())
+    pi = sf.pi_series(order)
+    pi_m = TruncatedSeries.constant(B, ("y",), order, B.one())
     values = []
     for m in range(order):
         if m:
@@ -636,12 +623,12 @@ def _residues(V, dom):
             for (k,), c in di.coeffs.items():
                 if k <= e and (e - k,) in pi_m.coeffs:
                     terms.append((pi_m.coeffs[(e - k,)], c, 1))
-        value = dom.dot(terms)
+        value = B.dot(terms)
         expected = m - (model.dim + r - 1)
-        if not dom.is_homogeneous(value, expected):
+        if not B.is_homogeneous(value, expected):
             raise AssertionError("pushforward value is not homogeneous of degree %d" % expected)
         values.append(value)
-    ks = dom.dot([(pi.coeffs[(j,)], c, 1) for _, di in series for (k,), c in di.coeffs.items()
+    ks = B.dot([(pi.coeffs[(j,)], c, 1) for _, di in series for (k,), c in di.coeffs.items()
                   for j in range(order - k) if (j,) in pi.coeffs])
     hit = model._residues[key] = (tuple(values), ks)
     return hit
@@ -674,33 +661,15 @@ def additive_chern_number(spec):
     return fundamental_class(spec, "L").get((n,) if n else (), 0)
 
 
-def fundamental_class(spec, theory="L", p=None):
-    """Class of the variety in the chosen theory:
-      L    -- sum of all weight-n Chern numbers times their b-monomials,
-      L_p  -- the same reduced mod p,
-      CHX  -- euler number times t^n,
-      CHA  -- additive Chern number times eps t^n (euler number for n = 0).
-    """
-    n = spec.dim()
-    if theory == "L":
-        B = b_ring(ZZ)
-        if spec.kind == "disjoint":
-            out = B.zero()
-            for c in spec.components:
-                out = B.add(out, fundamental_class(c, "L"))
-            return out
-        model = build_model(spec)
-        if model._fundamental is None:
-            model._fundamental = model.degree(B, _p_neg_tangent(model, B))
-        return model._fundamental
-    if theory == "L_p":
-        if not is_prime(p):
-            raise ValueError("theory L_p needs a prime p")
-        return sparse_from_int(int_mod(p), fundamental_class(spec, "L"))
-    if theory == "CHX":
-        return TRING.monomial(n, euler_number(spec))
-    if theory == "CHA":
-        if n == 0:
-            return TEPS.from_int(euler_number(spec))
-        return TEPS.monomial(n, 1, additive_chern_number(spec))
-    raise ValueError("unknown theory %r" % theory)
+def fundamental_class(spec, theory="L"):
+    """Class of the variety in the universal theory L, the only one taken:
+    the sum of its weight-n Chern numbers times their b-monomials.  Another
+    theory's class is its `fgl.b_transport` along that theory's ring map."""
+    if theory != "L":
+        raise ValueError("unknown theory %r: only 'L' is computed" % (theory,))
+    if spec.kind == "disjoint":
+        return reduce(B.add, map(fundamental_class, spec.components), B.zero())
+    model = build_model(spec)
+    if model._fundamental is None:
+        model._fundamental = model.degree(B, _p_neg_tangent(model))
+    return model._fundamental

@@ -138,7 +138,7 @@ class LazardDegreePiece:
         self._generators = None
         rows = [self.vector(_generator_monomial(alpha)) for alpha in self.basis]
         self.lattice = IntegerLattice(rows, len(self.basis))
-        index = prod(row[c] for row, c in zip(self.lattice.hnf, self.lattice.pivcols))
+        index = prod(p for _, p, _ in self.lattice.rows)
         if self.lattice.rank != len(self.basis) or index != _lazard_index(n):
             raise AssertionError(
                 "the generator monomials of degree %d fail the index certificate" % n)
@@ -197,15 +197,16 @@ def mod2_theory_piece(n):
     Each lattice piece enters through its HNF rows, a Z-basis of the same
     lattice, rather than through all of its generators."""
     piece = lazard_piece(n)
-    rows = [tuple(2 * x for x in row) for row in piece.lattice.hnf]
+    rows = [piece.vector({piece.basis[c]: 2 * a for c, a in pairs})
+            for _, _, pairs in piece.lattice.rows]
     two = universal_fgl(n + 2).formal_mult(2)
     for k in range(2, n + 2):
         ck = two.coefficient((k,))
         if BRING.is_zero(ck):
             continue
         lower = lazard_piece(n - k + 1)
-        for row in lower.lattice.hnf:
-            g = {lower.basis[i]: c for i, c in enumerate(row) if c}
+        for _, _, pairs in lower.lattice.rows:
+            g = {lower.basis[i]: c for i, c in pairs}
             rows.append(piece.vector(BRING.mul(ck, g)))
     return IntegerLattice(rows, len(piece.basis))
 
@@ -217,6 +218,8 @@ def mod2_theory_member(n, elt):
 
 def prime_power_root(n):
     """The prime p with n = p^q (q >= 1), or None."""
+    if not is_int(n):
+        raise ValueError("n must be an int, got %r" % (n,))
     if n < 2:
         return None
     for p in range(2, n + 1):
@@ -308,6 +311,6 @@ def p_typical_chern_check(spec, p):
 
 def binomial_middle_gcd(n):
     """gcd of the inner binomial coefficients of n + 1."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    if not is_int(n) or n < 1:
+        raise ValueError("n must be a positive int, got %r" % (n,))
     return _middle_binomial_bezout(n)[0]

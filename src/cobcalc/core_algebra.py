@@ -25,9 +25,12 @@ from operator import add as _plus
 # ---------------------------------------------------------------------------
 # partitions
 
-@lru_cache(maxsize=None)
+# typed, so that True does not find the entry of 1; the check runs on a miss
+@lru_cache(maxsize=None, typed=True)
 def partitions(n):
     """All partitions of n as weakly decreasing tuples of positive ints."""
+    if not is_int(n):
+        raise ValueError("a partition weight is an int, got %r" % (n,))
     if n < 0:
         return ()
     if n == 0:
@@ -930,30 +933,40 @@ def hnf_rows(rows):
 
 
 class IntegerLattice:
-    """Z-span of integer vectors with exact membership tests.  `hnf` is the
-    row HNF as dense lists; `_rows` keeps each HNF row as its pivot column,
-    its pivot and its nonzero (column, value) pairs, which `member` walks."""
+    """Z-span of integer vectors with exact membership tests.  `rows` keeps
+    each row of the HNF once, as its pivot column, its pivot and its nonzero
+    (column, value) pairs, which `member` walks; `hnf` and `pivcols`
+    rebuild the dense rows and the pivot columns from it."""
 
-    __slots__ = ("ncols", "hnf", "pivcols", "_rows")
+    __slots__ = ("ncols", "rows")
 
     def __init__(self, generators, ncols):
         self.ncols = ncols
         generators = list(generators)
         if any(len(g) != ncols for g in generators):
             raise ValueError("generator length != ncols")
-        self.hnf, self.pivcols = hnf_rows(generators)
-        self._rows = [(c, row[c], list(compress(enumerate(row), row)))
-                      for row, c in zip(self.hnf, self.pivcols)]
+        hnf, pivcols = hnf_rows(generators)
+        self.rows = [(c, row[c], list(compress(enumerate(row), row)))
+                     for row, c in zip(hnf, pivcols)]
+
+    @property
+    def hnf(self):
+        rows = [dict(pairs) for _, _, pairs in self.rows]
+        return [[row.get(c, 0) for c in range(self.ncols)] for row in rows]
+
+    @property
+    def pivcols(self):
+        return [c for c, _, _ in self.rows]
 
     @property
     def rank(self):
-        return len(self.hnf)
+        return len(self.rows)
 
     def member(self, v):
         v = list(v)
         if len(v) != self.ncols or not all_ints(v):
             raise ValueError("a lattice vector is %d ints" % self.ncols)
-        for c, p, pairs in self._rows:
+        for c, p, pairs in self.rows:
             if v[c]:
                 q, r = divmod(v[c], p)
                 if r:

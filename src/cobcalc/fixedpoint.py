@@ -301,7 +301,7 @@ def verify_L2_relations(action, max_m=None):
     for idx, comp in enumerate(action.components):
         nb = comp.normal_plus_one()
         direct = fundamental_class(comp.proj_spec(), "L")
-        q0 = quillen_pushforward(nb, 0, B)
+        q0 = quillen_pushforward(nb, 0)
         rep.add(
             "l2:route:%d" % idx,
             "residue pushforward at twist 0 agrees with the direct class of the "
@@ -311,7 +311,7 @@ def verify_L2_relations(action, max_m=None):
             rhs=B.fmt(direct),
         )
         for m in range(max_m + 1):
-            val = q0 if m == 0 else quillen_pushforward(nb, m, B)
+            val = q0 if m == 0 else quillen_pushforward(nb, m)
             sums[m] = B.add(sums[m], val)
     ambient_cls = fundamental_class(action.ambient, "L")
     diff = B.sub(sums[0], ambient_cls)
@@ -357,7 +357,7 @@ def verify_trivial_normal(action):
         if comp.codim == 0:
             reason = "component %d has codimension 0" % idx
             break
-        ctot = chern_total(comp.normal, ZZ)
+        ctot = chern_total(comp.normal)
         for k in range(1, comp.codim + 1):
             if any(v % 2 for v in cm_graded(ctot, k).values()):
                 reason = "component %d has an odd Chern class c_%d of its normal bundle" % (idx, k)
@@ -438,7 +438,7 @@ def _poly_number(spec, f):
     if spec.kind == "disjoint":
         return sum(_poly_number(c, f) for c in spec.components)
     model = build_model(spec)
-    c_tan = chern_total(model.tangent(), ZZ)
+    c_tan = chern_total(model.tangent())
     cz = [cm_graded(c_tan, j) for j in range(spec.dim() + 1)]
     return model.degree(ZZ, _eval_chern_poly(model, f, cz))
 
@@ -472,7 +472,7 @@ def verify_ks(action, alphas=None, f=None):
         # of the residue record of V that the pushforwards share.
         fixed = B.zero()
         for comp in action.components:
-            fixed = B.add(fixed, _residues(comp.normal_plus_one(), B)[1])
+            fixed = B.add(fixed, _residues(comp.normal_plus_one())[1])
         for alpha in run_alphas:
             lhs = ambient_cls.get(alpha, 0)
             rhs = fixed.get(alpha, 0)
@@ -490,7 +490,7 @@ def verify_ks(action, alphas=None, f=None):
         rhs = 0
         for comp in action.components:
             model = comp.model
-            c_minus = chern_total(comp.normal.neg(), ZZ)
+            c_minus = chern_total(comp.normal.neg())
             val = _eval_chern_poly(model, f, _twisted_chern_classes(comp, n))
             rhs += model.degree(ZZ, model.mul(ZZ, c_minus, val))
         rep.add(
@@ -565,7 +565,7 @@ def verify_lmod2(action, max_m=None):
     for j in range(n + 1):
         total = B.zero()
         for comp in action.components:
-            total = B.add(total, quillen_pushforward(comp.normal_plus_one(), j, B))
+            total = B.add(total, quillen_pushforward(comp.normal_plus_one(), j))
         q_sums.append(total)
     ambient_cls = fundamental_class(action.ambient, "L")
     for m in range(max_m + 1):
@@ -667,7 +667,7 @@ def _completion_terms(comp):
     and T_(Z_j) = T|Z_j - j O(xi), so s = [b_n] q_0, D_j = j deg(xi^n) -
     [b_(n-j)] q_j for 0 < j < n, and D_n = deg(xi^n), the constant of q_n."""
     n = comp.dim() + comp.codim
-    q = _residues(comp.normal_plus_one(), B)[0]
+    q = _residues(comp.normal_plus_one())[0]
     top = q[n].get((), 0)
     return [q[0].get((n,), 0)] + [j * top - q[j].get((n - j,), 0) for j in range(1, n)] + [top]
 

@@ -6,48 +6,32 @@ the line summands L of a virtual split bundle, times the product of
 b^alpha coefficient of P(E) is the alpha-indexed class of E, so every
 partition-indexed Chern number of a variety is a coefficient of its
 fundamental class.  The deformed class shifts every root by a formal
-variable y; the residue pushforward is built from it."""
+variable y; the residue pushforward is built from it.  Both are taken over
+B(ZZ) only: a class in another theory is the image of this one under the
+ring map of its group law (`fgl.b_transport`)."""
 
 from __future__ import annotations
 
-from .core_algebra import TRING, TEPS, BDomain, TruncatedSeries
-from .chow_models import multiplicative_class
+from .core_algebra import TruncatedSeries
+from .chow_models import B, multiplicative_class
 
 
 # ---------------------------------------------------------------------------
 # the multiplicative class P and its deformation
 
-def b_image_for(dom):
-    """How the universal coefficients b_i land in a target domain."""
-    if isinstance(dom, BDomain):
-        return dom.gen
-    from .fgl import chx_b_image, cha_b_image
-
-    if dom is TRING:
-        return chx_b_image
-    if dom is TEPS:
-        return cha_b_image
-    raise ValueError("no b-coefficient image for domain %s" % dom.name)
+def pi_series(order):
+    """1 + b_1 y + b_2 y^2 + ... over B(ZZ), as a univariate truncated series
+    in y."""
+    return TruncatedSeries(B, ("y",), order, {(i,): B.gen(i) if i else B.one() for i in range(order)})
 
 
-def pi_series(dom, order):
-    """1 + b_1 y + b_2 y^2 + ... transported into dom, as a univariate
-    truncated series in y."""
-    img = b_image_for(dom)
-    coeffs = {(0,): dom.one()}
-    for i in range(1, order):
-        coeffs[(i,)] = img(i)
-    return TruncatedSeries(dom, ("y",), order, coeffs)
-
-
-def total_P_deformed(E, dom, y_max):
+def total_P_deformed(E, y_max):
     """total_P of E with every line root u shifted to u + y (and trivial
     roots to y), as a y-polynomial truncated at y^y_max."""
-    return multiplicative_class(E, pi_series(dom, E.model.dim + y_max + 1), y_max)
+    return multiplicative_class(E, pi_series(E.model.dim + y_max + 1), y_max)
 
 
-def total_P(E, dom):
+def total_P(E):
     """Product of pi(c_1) over the lines of E, with 1/pi for the negative
     part; trivial summands contribute pi(0) = 1."""
-    return total_P_deformed(E, dom, 0)[0]
-
+    return total_P_deformed(E, 0)[0]

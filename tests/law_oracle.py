@@ -331,7 +331,7 @@ def lmod2_classes_over_half(action, order, max_m):
     for j in range(n + 1):
         total = {}
         for comp in action.components:
-            total = B.add(total, quillen_pushforward(comp.normal_plus_one(), j, B))
+            total = B.add(total, quillen_pushforward(comp.normal_plus_one(), j))
         q_sums.append(half_element(total))
     out = []
     for g in lmod2_series_by_loop(order, max_m):

@@ -20,6 +20,11 @@ With them goes the power of a series as `multiplicative_class` took it
 before Miller's recurrence: binary powering, after the series inverse when
 the power is negative (`binary_power`, `power_by_inverse`).
 
+Production takes every class over B(ZZ), and Chern classes over ZZ.  The
+oracles here still take any domain: `b_image_for` says where b_i lands in
+each one, and `transport` pushes a production class there, so that the two
+can be compared.
+
 The rest is the alpha-indexed classes through symmetric functions.
 
 The production code reads every alpha class off the multiplicative class
@@ -43,9 +48,37 @@ from cobcalc.chow_models import (
     VirtualSplitBundle, _shifted_factor, additive_chern_number, build_model, chern_total,
     cm_graded,
 )
-from cobcalc.core_algebra import ZZ, b_ring, is_partition, sparse_add, sparse_from_int
-from cobcalc.symmfunc import b_image_for, total_P
+from cobcalc.core_algebra import TEPS, TRING, ZZ, BDomain, is_partition, sparse_add, sparse_from_int
+from cobcalc.fgl import b_transport, cha_b_image, chx_b_image
+from cobcalc.symmfunc import total_P
 from kernel_oracle import inverse_by_geometric_sum, series_inverse
+
+
+# ---------------------------------------------------------------------------
+# the image of the universal coefficients b_i in each domain
+
+def b_image_for(dom):
+    """How the universal coefficients b_i land in a target domain."""
+    if isinstance(dom, BDomain):
+        return dom.gen
+    if dom is TRING:
+        return chx_b_image
+    if dom is TEPS:
+        return cha_b_image
+    raise ValueError("no b-coefficient image for domain %s" % dom.name)
+
+
+def transport(u, dom):
+    """A sparse element with B(ZZ) coefficients (a Chow-ring element or a
+    series' coefficient table) pushed into dom along `b_image_for(dom)`;
+    coefficients that map to zero are dropped."""
+    img = b_image_for(dom)
+    out = {}
+    for e, c in u.items():
+        v = b_transport(c, dom, img)
+        if not dom.is_zero(v):
+            out[e] = v
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -111,17 +144,17 @@ def line_element(vec):
     return {tuple(int(j == i) for j in range(len(vec))): a for i, a in enumerate(vec) if a}
 
 
-def pushforward_projbundle(spec, u, dom=ZZ):
+def pushforward_projbundle(spec, u):
     """Pushforward along p: P(V) -> S on raw elements of the model of the
     projbundle spec: xi^j beta |-> c_{j+1-r}(-V) beta, zero for j < r-1,
     with V the sum of the spec's lines on its base S.  Returns (base model,
-    element)."""
+    element), over ZZ."""
     if spec.kind != "projbundle":
         raise ValueError("pushforward needs a projbundle spec")
     base = build_model(spec.base)
     r = len(spec.lines)
     minus_v = VirtualSplitBundle(base, (), [line_element(v) for v in spec.lines], 0, 0)
-    cneg = chern_total(minus_v, dom)
+    cneg = chern_total(minus_v)
     out = {}
     for e, c in u.items():
         j = e[-1]
@@ -131,7 +164,7 @@ def pushforward_projbundle(spec, u, dom=ZZ):
         ck = cm_graded(cneg, k)
         if not ck:
             continue
-        out = sparse_add(dom, out, base.mul(dom, {tuple(e[:-1]): c}, ck))
+        out = sparse_add(ZZ, out, base.mul(ZZ, {tuple(e[:-1]): c}, ck))
     return base, out
 
 
@@ -364,7 +397,7 @@ def additive_terms_by_completion(comp):
     n = comp.dim() + comp.codim
     pb = comp.proj_spec()
     model = build_model(pb)
-    p_neg_tan = total_P(model.tangent().neg(), b_ring(ZZ))
+    p_neg_tan = total_P(model.tangent().neg())
     xi = model.gen_element(len(model.gens) - 1)
     xi_j = model.one(ZZ)
     d = [additive_chern_number(pb)] + [0] * n
@@ -526,7 +559,7 @@ def elementary_class(E, alpha):
     """The alpha class of a virtual split bundle from the elementary-basis
     expansion of m_alpha, evaluated on the Chern classes of E."""
     model = E.model
-    ctot = chern_total(E, ZZ)
+    ctot = chern_total(E)
     out = {}
     for mu, c in q_alpha(alpha).items():
         term = model.one(ZZ)
@@ -546,7 +579,7 @@ def cf_class(E, alpha):
     alpha = tuple(alpha)
     if not is_partition(alpha):
         raise ValueError("alpha must be a partition")
-    route_a = class_coefficient(total_P(E, b_ring(ZZ)), alpha)
+    route_a = class_coefficient(total_P(E), alpha)
     route_b = elementary_class(E, alpha)
     if route_a != route_b:
         raise AssertionError("class routes disagree for alpha=%r" % (alpha,))

@@ -259,8 +259,8 @@ def _suite_total_P_inverse(count):
         E = VirtualSplitBundle(model, plus_lines=lines,
                                plus_trivial=rng.randint(0, 2),
                                minus_trivial=rng.randint(0, 1))
-        pe = total_P(E, B)
-        pne = total_P(E.neg(), B)
+        pe = total_P(E)
+        pne = total_P(E.neg())
         assert model.mul(B, pe, pne) == model.one(B)
 
 
@@ -285,7 +285,7 @@ def _suite_quillen_trivial(count):
         r = rng.randint(1, 4)
         m = rng.randint(0, r + 1)
         V = VirtualSplitBundle(build_model(S), plus_trivial=r)
-        got = quillen_pushforward(V, m, B)
+        got = quillen_pushforward(V, m)
         k = r - 1 - m
         if k < 0:
             assert got == B.zero(), (S, r, m)

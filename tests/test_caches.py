@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from cobcalc import chow_models, clear_caches, fgl
 from cobcalc.chow_models import VarietySpec, _bundle_key, _residues, build_model
 from cobcalc.cobordism import lazard_piece
-from cobcalc.core_algebra import TRING, ZHALF, ZZ, _half_norm, b_ring
+from cobcalc.core_algebra import TRING, _half_norm
 from cobcalc.fixedpoint import (
     _integer_twist,
     _lmod2_twists,
@@ -107,21 +107,21 @@ def test_transport_tables_are_bounded_and_cleared():
     assert [fgl.b_transport(c, TRING, fgl.chx_b_image) for c in coeffs] == want
 
 
-def _fresh_bundle_key(V, dom):
-    return (tuple(tuple(sorted(l.items())) for l in V.plus_lines), V.plus_trivial, dom.name)
+def _fresh_bundle_key(V):
+    return (tuple(tuple(sorted(l.items())) for l in V.plus_lines), V.plus_trivial)
 
 
 @pytest.mark.parametrize("name,params", SMALL_BUILTINS)
 def test_completion_bundle_is_made_once(name, params):
-    B, BH = b_ring(ZZ), b_ring(ZHALF)
     for comp in builtin_action(name, **params).components:
         nb = comp.normal_plus_one()
         assert comp.normal_plus_one() is nb
-        # the domain-free part kept on the bundle must not carry a domain over
-        for dom in (B, BH, B):
-            assert _bundle_key(nb, dom) == _fresh_bundle_key(nb, dom)
-        _residues(nb, B)
-        assert _fresh_bundle_key(nb, B) in comp.model._residues
+        # the key kept on the bundle is the one made from scratch, and a
+        # repeat lookup reads it, not a new one
+        key = _bundle_key(nb)
+        assert key == _fresh_bundle_key(nb) and _bundle_key(nb) is key
+        _residues(nb)
+        assert key in comp.model._residues
 
 
 @pytest.mark.parametrize("name,params", SMALL_BUILTINS)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobcalc import fgl
-from cobcalc.core_algebra import ZZ, TRING, TEPS, IntDomain, b_ring
+from cobcalc.core_algebra import ZZ, TRING, TEPS, IntDomain, b_ring, int_mod, sparse_from_int
 from cobcalc.fgl import b_transport, chx_b_image, cha_b_image
 from cobcalc.fixedpoint import _line_element
 from cobcalc.chow_models import (
@@ -16,14 +16,17 @@ from cobcalc.chow_models import (
     build_model,
     tangent_bundle,
     chern_total,
-    chern_class,
+    cm_graded,
     quillen_pushforward,
     fundamental_class,
     euler_number,
     chern_number,
     additive_chern_number,
 )
-from symm_oracle import line_element, normal_basis, projbundle_relation, pushforward_projbundle
+from symm_oracle import (
+    b_image_for, elementary_class, line_element, normal_basis, projbundle_relation,
+    pushforward_projbundle,
+)
 
 B = b_ring(ZZ)
 
@@ -203,7 +206,7 @@ def _euler_by_top_chern(spec):
     if spec.kind == "disjoint":
         return sum(_euler_by_top_chern(c) for c in spec.components)
     model = build_model(spec)
-    return model.degree(ZZ, chern_class(model.tangent(), ZZ, model.dim))
+    return model.degree(ZZ, cm_graded(chern_total(model.tangent()), model.dim))
 
 
 def _check_tangent(spec):
@@ -311,13 +314,26 @@ def test_virtual_bundle_rejects_inhomogeneous_line():
         VirtualSplitBundle(m, plus_lines=[{(2,): 1}])
 
 
+def test_virtual_bundle_trivial_ranks_are_ints():
+    # a trivial rank of 1.5 once made a bundle of rank 1.5
+    pt = build_model(VarietySpec.point())
+    for k in (1.5, True, False, -1, "1"):
+        with pytest.raises(ValueError, match="trivial ranks must be ints >= 0"):
+            VirtualSplitBundle(pt, plus_trivial=k)
+        with pytest.raises(ValueError, match="trivial ranks must be ints >= 0"):
+            VirtualSplitBundle(pt, minus_trivial=k)
+    with pytest.raises(ValueError, match="trivial ranks must be ints >= 0"):
+        tangent_bundle(P2).add_trivial(0.5)
+    assert VirtualSplitBundle(pt, plus_trivial=2).add_trivial(1).rank == 3
+
+
 def test_chern_total_p3():
     m = build_model(P3)
-    c = chern_total(m.tangent(), ZZ)
+    c = chern_total(m.tangent())
     assert c == {(0,): 1, (1,): 4, (2,): 6, (3,): 4}
-    cneg = chern_total(m.tangent().neg(), ZZ)
+    cneg = chern_total(m.tangent().neg())
     assert cneg == {(0,): 1, (1,): -4, (2,): 10, (3,): -20}
-    assert chern_class(m.tangent(), ZZ, 2) == {(2,): 6}
+    assert cm_graded(c, 2) == {(2,): 6}
 
 
 def test_euler_number_matches_top_chern_class_on_a_point_and_a_disjoint_union():
@@ -358,15 +374,14 @@ def test_fundamental_classes():
     sq = VarietySpec.multiproj([1, 1])
     assert fundamental_class(sq, "L") == B.monomial((1, 1), 4)
     assert fundamental_class(F1, "L") == B.monomial((1, 1), 4)
-    assert fundamental_class(P3, "CHX") == {3: 4}
-    assert fundamental_class(P2, "CHA") == {(2, 1): -3}
-    assert fundamental_class(VarietySpec.point(), "CHA") == {(0, 0): 1}
-    assert fundamental_class(P2, "L_p", p=2) == {(2,): 1}
-    for p in (None, 1, 4, True):
-        with pytest.raises(ValueError, match="theory L_p needs a prime p"):
-            fundamental_class(P2, "L_p", p=p)
-    with pytest.raises(ValueError):
-        fundamental_class(P2, "nope")
+    # the classes in other theories are images of the class in L
+    assert b_transport(fundamental_class(P3, "L"), TRING, chx_b_image) == {3: 4}
+    assert b_transport(fundamental_class(P2, "L"), TEPS, cha_b_image) == {(2, 1): -3}
+    assert b_transport(fundamental_class(VarietySpec.point(), "L"), TEPS, cha_b_image) == {(0, 0): 1}
+    assert sparse_from_int(int_mod(2), fundamental_class(P2, "L")) == {(2,): 1}
+    for theory in ("CHX", "CHA", "L_p", "nope"):
+        with pytest.raises(ValueError, match="unknown theory"):
+            fundamental_class(P2, theory)
 
 
 def test_projective_space_class_is_mishchenko_logarithm_coefficient():
@@ -379,12 +394,29 @@ def test_projective_space_class_is_mishchenko_logarithm_coefficient():
         assert fundamental_class(VarietySpec.multiproj([n]), "L") == want, n
 
 
+def _chx_class(spec):
+    """The class in the theory of chx_fgl in closed form: the Euler number,
+    as the degree of c_n(T), times t^n."""
+    return TRING.monomial(spec.dim(), _euler_by_top_chern(spec))
+
+
+def _cha_class(spec):
+    """The class in the theory of cha_fgl in closed form: the Chern number
+    of the single-row partition (n,), from its elementary-basis expansion,
+    times eps t^n; the Euler number in dimension 0."""
+    n = spec.dim()
+    if n == 0:
+        return TEPS.from_int(_euler_by_top_chern(spec))
+    model = build_model(spec)
+    return TEPS.monomial(n, 1, model.degree(ZZ, elementary_class(model.tangent().neg(), (n,))))
+
+
 def test_fundamental_class_transport_consistency():
     # the closed-form theories are images of the universal class
-    for spec in [P1, P2, P3, F1, VarietySpec.multiproj([1, 1])]:
+    for spec in [VarietySpec.point(), P1, P2, P3, F1, VarietySpec.multiproj([1, 1])]:
         cls = fundamental_class(spec, "L")
-        assert b_transport(cls, TRING, chx_b_image) == fundamental_class(spec, "CHX")
-        assert b_transport(cls, TEPS, cha_b_image) == fundamental_class(spec, "CHA")
+        assert b_transport(cls, TRING, chx_b_image) == _chx_class(spec)
+        assert b_transport(cls, TEPS, cha_b_image) == _cha_class(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +447,7 @@ def test_quillen_point_trivial_bundle():
     pt = VarietySpec.point()
     ptm = build_model(pt)
     V = VirtualSplitBundle(ptm, plus_trivial=2)
-    vals = [quillen_pushforward(V, m, B) for m in range(4)]
+    vals = [quillen_pushforward(V, m) for m in range(4)]
     assert vals[0] == B.int_scale(B.gen(1), -2)  # class of the line
     assert vals[1] == B.one()
     assert vals[2] == B.zero()
@@ -425,7 +457,7 @@ def test_quillen_point_trivial_bundle():
 def test_quillen_m0_is_bundle_class():
     p1m = build_model(P1)
     V = VirtualSplitBundle(p1m, plus_lines=[p1m.gen_element(0)], plus_trivial=1)
-    got = quillen_pushforward(V, 0, B)
+    got = quillen_pushforward(V, 0)
     pb = VarietySpec.projbundle(P1, [(1,), (0,)])
     assert got == fundamental_class(pb, "L")
 
@@ -437,7 +469,7 @@ def test_quillen_trivial_bundle_factorizes():
         V = VirtualSplitBundle(sm, plus_trivial=r)
         s_cls = fundamental_class(S, "L")
         for m in range(r):
-            got = quillen_pushforward(V, m, B)
+            got = quillen_pushforward(V, m)
             want = B.mul(fundamental_class(VarietySpec.multiproj([r - 1 - m]), "L"), s_cls)
             assert got == want, (n_s, r, m)
 
@@ -449,7 +481,7 @@ def test_quillen_chx_closed_form():
     sm = build_model(S)
     V = VirtualSplitBundle(sm, plus_trivial=3)
     for m in range(5):
-        got = quillen_pushforward(V, m, TRING)
+        got = b_transport(quillen_pushforward(V, m), TRING, chx_b_image)
         k = 3 - 1 - m
         want = TRING.monomial(k + 1, (3 - m) * 2) if k >= 0 else TRING.zero()
         assert got == want, m
@@ -472,7 +504,13 @@ QUILLEN_CASES = [
 ]
 
 
+# a pushforward is taken over B(ZZ); its value in another theory is the
+# transport of that one
 QUILLEN_DOMAINS = (B, TRING, TEPS)
+
+
+def _pushforward_in(V, m, dom):
+    return b_transport(quillen_pushforward(V, m), dom, b_image_for(dom))
 
 
 @pytest.mark.parametrize("spec, specs", QUILLEN_CASES)
@@ -485,7 +523,7 @@ def test_quillen_cache_order_independent(spec, specs):
             for m in range(len(lines) + triv + spec.dim() + 1):
                 model = ChowModel(spec)
                 V = _bundles(model, [(lines, triv)])[0]
-                want[idx, m, dom.name] = quillen_pushforward(V, m, dom)
+                want[idx, m, dom.name] = _pushforward_in(V, m, dom)
     # all bundles on one fresh model, twists and domains interleaved in a
     # shuffled order
     model = ChowModel(spec)
@@ -494,28 +532,32 @@ def test_quillen_cache_order_independent(spec, specs):
     calls = list(want)
     random.Random(5).shuffle(calls)
     for idx, m, name in calls:
-        got = quillen_pushforward(bundles[idx], m, doms[name])
+        got = _pushforward_in(bundles[idx], m, doms[name])
         assert got == want[idx, m, name], (idx, m, name)
     # the shared model agrees too
     shared = build_model(spec)
     for idx, V in enumerate(_bundles(shared, specs)):
         for dom in QUILLEN_DOMAINS:
             for m in range(V.rank + shared.dim + 1):
-                assert quillen_pushforward(V, m, dom) == want[idx, m, dom.name], (idx, m)
+                got = _pushforward_in(V, m, dom)
+                assert got == want[idx, m, dom.name], (idx, m)
 
 
 def test_quillen_cache_keeps_domains_apart():
-    # the closed-form TRING values of test_quillen_chx_closed_form, after a
-    # B call on the same bundle has filled the model's cache
+    # one residue record serves every theory: the closed-form TRING values
+    # of test_quillen_chx_closed_form are the transport of the B(ZZ) values
+    # that a twist-0 call on the same bundle has put in the model's cache
     sm = ChowModel(P1)
     V = VirtualSplitBundle(sm, plus_trivial=3)
-    assert quillen_pushforward(V, 0, B) == fundamental_class(
+    assert quillen_pushforward(V, 0) == fundamental_class(
         VarietySpec.projbundle(P1, [(0,)] * 3), "L")
+    assert len(sm._residues) == 1
     for m in range(5):
-        got = quillen_pushforward(V, m, TRING)
+        got = b_transport(quillen_pushforward(V, m), TRING, chx_b_image)
         k = 3 - 1 - m
         want = TRING.monomial(k + 1, (3 - m) * 2) if k >= 0 else TRING.zero()
         assert got == want, m
+    assert len(sm._residues) == 1
 
 
 @pytest.mark.parametrize("spec, specs", QUILLEN_CASES)
@@ -523,15 +565,15 @@ def test_quillen_vanishes_from_rank_plus_dim(spec, specs):
     # the residue exponent r + i - m - 1 is negative for every i <= dim
     model = build_model(spec)
     for V in _bundles(model, specs):
-        for dom in QUILLEN_DOMAINS:
-            top = V.rank + model.dim
-            for m in (top, top + 1, top + 5):
-                assert quillen_pushforward(V, m, dom) == dom.zero(), (m, dom.name)
+        top = V.rank + model.dim
+        for m in (top, top + 1, top + 5):
+            assert quillen_pushforward(V, m) == B.zero(), m
 
 
 def test_one_residue_record_per_bundle_and_domain():
-    # whatever twists are asked, in whatever order, a model keeps one
-    # residue record per (bundle, domain) asked for
+    # whatever twists are asked, in whatever order, and whatever theories
+    # the values are transported to, a model keeps one residue record per
+    # bundle asked for
     spec, specs = QUILLEN_CASES[1]
     model = ChowModel(spec)
     bundles = _bundles(model, specs)
@@ -541,22 +583,22 @@ def test_one_residue_record_per_bundle_and_domain():
         idx = rng.randrange(len(bundles))
         dom = rng.choice(QUILLEN_DOMAINS)
         V = bundles[idx]
-        quillen_pushforward(V, rng.randrange(V.rank + model.dim + 3), dom)
-        asked.add((idx, dom.name))
+        _pushforward_in(V, rng.randrange(V.rank + model.dim + 3), dom)
+        asked.add(idx)
         assert len(model._residues) == len(asked)
-    assert len(asked) == len(bundles) * len(QUILLEN_DOMAINS)
+    assert len(asked) == len(bundles)
 
 
 def test_quillen_rejects_bad_input():
     p1m = build_model(P1)
     virt = VirtualSplitBundle(p1m, plus_trivial=3, minus_lines=[p1m.gen_element(0)])
     with pytest.raises(ValueError):
-        quillen_pushforward(virt, 0, B)
+        quillen_pushforward(virt, 0)
     pt = VarietySpec.point()
     ptm = build_model(pt)
     honest = VirtualSplitBundle(ptm, plus_trivial=2)
     with pytest.raises(ValueError):
-        quillen_pushforward(honest, -1, B)
+        quillen_pushforward(honest, -1)
 
 
 def test_quillen_twist_must_be_an_int():
@@ -565,4 +607,4 @@ def test_quillen_twist_must_be_an_int():
     V = VirtualSplitBundle(build_model(VarietySpec.point()), plus_trivial=2)
     for m in (True, 1.0, "1"):
         with pytest.raises(ValueError, match="m must be an int"):
-            quillen_pushforward(V, m, B)
+            quillen_pushforward(V, m)

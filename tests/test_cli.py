@@ -429,10 +429,10 @@ def test_verify_has_no_order_flag():
 def test_failed_self_check_exits_3(capsys, monkeypatch):
     # a residue series of degree 0 makes the pushforward inhomogeneous, so
     # its homogeneity check fires: exit 3 with an error object, no traceback
-    def constant_residue_series(V, dom):
+    def constant_residue_series(V):
         order = V.rank + V.model.dim
-        ones = {(k,): dom.one() for k in range(order)}
-        return order, ((0, TruncatedSeries(dom, ("y",), order, ones)),)
+        ones = {(k,): chow_models.B.one() for k in range(order)}
+        return order, ((0, TruncatedSeries(chow_models.B, ("y",), order, ones)),)
 
     # an earlier test may have left these pushforwards in the memo of a
     # cached model, where the patched residue series would never be read

@@ -419,6 +419,15 @@ def test_binomial_gcd_rule():
         assert binomial_middle_gcd(n) == (prime_power_root(n + 1) or 1)
 
 
+def test_binomial_gcd_and_prime_power_root_need_an_int():
+    for n in (True, 2.0, 4.0, "4"):
+        with pytest.raises(ValueError, match="n must be"):
+            binomial_middle_gcd(n)
+        with pytest.raises(ValueError, match="n must be"):
+            prime_power_root(n)
+    assert binomial_middle_gcd(3) == 2 and prime_power_root(4) == 2
+
+
 def test_degrees_and_orders_must_be_nonnegative_ints():
     # the caches are typed, so an int asked first does not answer for an
     # equal bool or float

@@ -41,6 +41,17 @@ def test_partitions_small():
     assert not is_partition((True,)) and not is_partition((2, 0)) and not is_partition((1, 2))
 
 
+def test_partitions_need_an_int_weight():
+    # the cache is typed, so an int asked first does not answer for an equal
+    # bool or float, and the check runs on each miss
+    partitions(1)
+    partitions(2)
+    for n in (True, False, 2.0, 1.5, "2"):
+        with pytest.raises(ValueError, match="partition weight is an int"):
+            partitions(n)
+    assert partitions(-1) == ()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-50, 50), max_size=6))
 def test_bezout(values):
@@ -341,6 +352,20 @@ def test_lattice_rejects_non_int_entries():
         with pytest.raises(ValueError, match="2 ints"):
             L.member(v)
     assert L.member((1, -1)) and L.member([3, 1])
+
+
+def test_lattice_keeps_one_hnf_store():
+    # the rows that member walks are the only store; the dense HNF and the
+    # pivot columns are rebuilt from them on each read
+    rows = [(2, 0, 4), (1, 1, 0), (0, 3, 3)]
+    L = IntegerLattice(rows, 3)
+    assert IntegerLattice.__slots__ == ("ncols", "rows")
+    hnf, pivcols = hnf_rows(rows)
+    assert (L.hnf, L.pivcols, L.rank) == (hnf, pivcols, len(hnf))
+    assert [(c, p) for c, p, _ in L.rows] == [(c, row[c]) for row, c in zip(hnf, pivcols)]
+    assert L.hnf is not L.hnf
+    with pytest.raises(AttributeError):
+        L.hnf = hnf
 
 
 _entries = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2 ** 40, 2 ** 40))

@@ -326,9 +326,9 @@ def _ks_rhs_by_component(action, alphas):
     rhs = dict.fromkeys(alphas, 0)
     for comp in action.components:
         model = comp.model
-        c_minus = chern_total(comp.normal.neg(), ZZ)
-        p_tan = sf.total_P(model.tangent().neg(), B)
-        for elt in sf.total_P_deformed(comp.normal.neg(), B, action.dim).values():
+        c_minus = chern_total(comp.normal.neg())
+        p_tan = sf.total_P(model.tangent().neg())
+        for elt in sf.total_P_deformed(comp.normal.neg(), action.dim).values():
             prod = model.mul(B, elt, p_tan)
             for alpha in alphas:
                 ext = class_coefficient(prod, alpha)
@@ -376,7 +376,7 @@ def _ks_poly_by_old_route(action, f):
         plus = [sparse_add(ZZ, one, l) for l in comp.normal.plus_lines]
         plus += [one] * comp.normal.plus_trivial + list(model.tangent().plus_lines)
         cz = chern_series_oracle(model, plus, [one] * comp.normal.minus_trivial, action.dim)
-        c_minus = chern_total(comp.normal.neg(), ZZ)
+        c_minus = chern_total(comp.normal.neg())
         rhs += model.degree(ZZ, model.mul(ZZ, c_minus, _eval_chern_poly(model, f, cz)))
     return lhs, rhs
 

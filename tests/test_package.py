@@ -3,6 +3,11 @@ layer, the first public name loads every layer and binds all of `__all__`,
 and a submodule name loads only that submodule.  Each test starts a fresh
 interpreter, since the test process has loaded every layer already."""
 
+import ast
+import importlib
+from pathlib import Path
+
+import cobcalc
 from fresh_process import LOADED, run_fresh
 
 LAYERS = ("chow_models", "cobordism", "core_algebra", "fgl", "fixedpoint", "report", "symmfunc")
@@ -106,8 +111,9 @@ print(json.dumps([before, first, empty, answers() == first]))
 
 
 def test_each_input_is_a_parameter_once():
-    # a bundle carries its model, the lmod2 series order is n + 3 and the
-    # Lazard basis reads the law it needs, so none of them is a parameter
+    # a bundle carries its model, the lmod2 series order is n + 3, the
+    # Lazard basis reads the law it needs and every class is taken over
+    # B(ZZ) (Chern classes over ZZ), so none of them is a parameter
     code = """
 import sys, inspect, json, cobcalc
 names = sys.argv[1:]
@@ -117,9 +123,11 @@ print(json.dumps({n: list(inspect.signature(getattr(cobcalc, n)).parameters) for
         "verify_lmod2": ["action", "max_m"],
         "verify_all": ["action", "max_m"],
         "lazard_basis": ["n"],
-        "quillen_pushforward": ["V", "m", "dom"],
-        "chern_total": ["E", "dom"],
-        "chern_class": ["E", "dom", "k"],
+        "quillen_pushforward": ["V", "m"],
+        "chern_total": ["E"],
+        "total_P": ["E"],
+        "total_P_deformed": ["E", "y_max"],
+        "fundamental_class": ["spec", "theory"],
         "ChowModel": ["spec"],
         "Report": ["command"],
     }
@@ -135,3 +143,42 @@ mods = [importlib.import_module("cobcalc." + m) for m in sys.argv[1:]]
 print(json.dumps([m.__name__ for m in mods if hasattr(m, "__all__")]))
 """
     assert run_fresh(code, *LAYERS) == []
+
+
+# The benchmark reads the package from outside: bench/session.py through the
+# public names, and bench/tracer.py by wrapping the functions that its TIMED
+# and COUNTED tables name.  Both files are read as text, so a rename that
+# would break a benchmark run fails here too.
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+# traced names that had gone before these tests were written; each reads as
+# zero calls in a trace
+TRACED_GONE = {"symmfunc.q_alpha", "symmfunc.cf_class", "core_algebra.TruncatedSeries.reversion"}
+
+
+def test_session_reads_only_public_names():
+    tree = ast.parse((BENCH / "session.py").read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "cc"}
+    assert {"fundamental_class", "verify_all", "lazard_piece"} <= read
+    assert sorted(read - set(cobcalc.__all__)) == []
+
+
+def test_traced_names_still_resolve():
+    tree = ast.parse((BENCH / "tracer.py").read_text())
+    tables = {t.id: ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+              for t in node.targets if isinstance(t, ast.Name) and t.id in ("TIMED", "COUNTED")}
+    traced = {m + "." + name for table in tables.values() for m, names in table.items() for name in names}
+    assert {"symmfunc.total_P", "symmfunc.total_P_deformed", "chow_models.quillen_pushforward",
+            "core_algebra.BDomain.mul"} <= traced
+    gone = []
+    for name in sorted(traced - TRACED_GONE):
+        modname, dotted = name.split(".", 1)
+        mod = importlib.import_module("cobcalc." + modname)
+        if "." in dotted:  # a method must be the class's own, as the tracer patches vars(cls)
+            clsname, meth = dotted.split(".")
+            ok = meth in vars(getattr(mod, clsname, object))
+        else:
+            ok = getattr(mod, dotted, None) is not None
+        if not ok:
+            gone.append(name)
+    assert gone == []
