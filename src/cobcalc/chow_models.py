@@ -179,26 +179,31 @@ def cm_graded(u, k):
 # virtual split bundles
 
 class VirtualSplitBundle:
-    """Formal difference of sums of line bundles (given by their first Chern
-    classes, int-coefficient codim-1 elements) and trivial summands.  Equal
-    plus/minus trivial ranks cancel on construction."""
+    """Formal difference of sums of line bundles and trivial summands.  A
+    line is the int vector v of its first Chern class sum_i v_i xi_i, with
+    one entry per generator of the model; the lines are kept as tuples of
+    such vectors.  Equal plus/minus trivial ranks cancel on construction."""
 
-    __slots__ = ("model", "plus_lines", "minus_lines", "plus_trivial", "minus_trivial", "_key")
+    __slots__ = ("model", "plus_lines", "minus_lines", "plus_trivial", "minus_trivial")
 
     def __init__(self, model, plus_lines=(), minus_lines=(), plus_trivial=0, minus_trivial=0):
         if not all(is_int(k) and k >= 0 for k in (plus_trivial, minus_trivial)):
             raise ValueError("trivial ranks must be ints >= 0, got %r" % ((plus_trivial, minus_trivial),))
-        for line in tuple(plus_lines) + tuple(minus_lines):
-            for e, c in line.items():
-                if c and sum(e) != 1:
-                    raise ValueError("line class must be homogeneous of codimension 1")
+        n = len(model.gens)
+        plus_lines, minus_lines = tuple(plus_lines), tuple(minus_lines)
+        for vec in plus_lines + minus_lines:
+            if not isinstance(vec, (tuple, list)):
+                raise ValueError("a line is a vector of ints, got %r" % (vec,))
+            if len(vec) != n:
+                raise ValueError("line vector has %d entries, model has %d generators" % (len(vec), n))
+            if not all(is_int(a) for a in vec):
+                raise ValueError("line vector entries must be integers, got %r" % (vec,))
         t = min(plus_trivial, minus_trivial)
         self.model = model
-        self.plus_lines = tuple(dict(l) for l in plus_lines)
-        self.minus_lines = tuple(dict(l) for l in minus_lines)
+        self.plus_lines = tuple(map(tuple, plus_lines))
+        self.minus_lines = tuple(map(tuple, minus_lines))
         self.plus_trivial = plus_trivial - t
         self.minus_trivial = minus_trivial - t
-        self._key = None  # `_bundle_key`, made on first use
 
     @property
     def rank(self):
@@ -215,17 +220,6 @@ class VirtualSplitBundle:
     def neg(self):
         return VirtualSplitBundle(
             self.model, self.minus_lines, self.plus_lines, self.minus_trivial, self.plus_trivial
-        )
-
-    def add(self, other):
-        if other.model is not self.model:
-            raise ValueError("bundle sum needs a common model")
-        return VirtualSplitBundle(
-            self.model,
-            self.plus_lines + other.plus_lines,
-            self.minus_lines + other.minus_lines,
-            self.plus_trivial + other.plus_trivial,
-            self.minus_trivial + other.minus_trivial,
         )
 
     def add_trivial(self, k=1):
@@ -323,27 +317,20 @@ class ChowModel:
         relations = []
         for i, lines in enumerate(self.layers):
             r = len(lines)
-            V = VirtualSplitBundle(self, [x for x in map(self.line_class, lines) if x])
+            pad = (0,) * (len(self.gens) - i)
+            V = VirtualSplitBundle(self, [v + pad for v in lines])
             rule = {e[:i] + (r - sum(e),) + e[i + 1:]: -c
                     for e, c in chern_total(V).items() if sum(e)}
             relations.append((i, r, rule))
             self._relations = tuple(sorted(relations, key=lambda rel: (bool(rel[2]), -rel[0])))
 
     # -- ring structure ----------------------------------------------------
-    def zero(self):
-        return {}
-
     def one(self, dom=ZZ):
         return {(0,) * len(self.gens): dom.one()}
 
-    def gen_element(self, i, dom=ZZ):
-        e = [0] * len(self.gens)
-        e[i] = 1
-        return {tuple(e): dom.one()}
-
     def line_class(self, vec):
-        """The codimension-1 int element sum_i vec[i] xi_i; vec may end
-        before the last generator."""
+        """The codimension-1 int element sum_i vec[i] xi_i of a line vector
+        with one entry per generator."""
         n = len(self.gens)
         return {(0,) * i + (1,) + (0,) * (n - i - 1): a for i, a in enumerate(vec) if a}
 
@@ -431,7 +418,8 @@ class ChowModel:
         """T = sum_i sum_(x in V_i) O(x + xi_i) - (number of layers) O: the
         relative Euler sequence of every layer."""
         if self._tangent is None:
-            plus = [self.line_class(v + (1,)) for lines in self.layers for v in lines]
+            n = len(self.gens)
+            plus = [v + (1,) + (0,) * (n - len(v) - 1) for lines in self.layers for v in lines]
             self._tangent = VirtualSplitBundle(self, plus, (), 0, len(self.layers))
         return self._tangent
 
@@ -502,25 +490,26 @@ def multiplicative_class(E, phi, y_max):
     y^y_max.  Trivial roots are 0, so they only count when y_max > 0.  The
     order of phi must exceed dim + y_max.
 
-    Equal roots are grouped by line class, each with its net multiplicity k
-    (plus roots count +1, minus roots -1, so an equal plus and minus line
-    cancel), and each group is one factor (phi^k)(u + y), with the power
-    taken in one pass by `_series_power`, negative k included."""
+    Equal roots are grouped by line vector, a trivial root with the zero
+    vector, each with its net multiplicity k (plus roots count +1, minus
+    roots -1, so an equal plus and minus line cancel), and each group is one
+    factor (phi^k)(u + y), with the power taken in one pass by
+    `_series_power`, negative k included."""
     model = E.model
     if phi.order <= model.dim + y_max:
         raise ValueError("phi needs order > dim + y_max")
+    zero = (0,) * len(model.gens)
     net = {}
     for sign, lines, trivial in ((1, E.plus_lines, E.plus_trivial),
                                  (-1, E.minus_lines, E.minus_trivial)):
-        for u in lines:
-            key = tuple(sorted((e, c) for e, c in u.items() if c))
-            net[key] = net.get(key, 0) + sign
+        for v in lines:
+            net[v] = net.get(v, 0) + sign
         if y_max:
-            net[()] = net.get((), 0) + sign * trivial
+            net[zero] = net.get(zero, 0) + sign * trivial
     factors = []
-    for key, k in net.items():
-        if k and (key or y_max):
-            factors.append(_shifted_factor(model, _series_power(phi, k), dict(key), y_max))
+    for v, k in net.items():
+        if k and (y_max or any(v)):
+            factors.append(_shifted_factor(model, _series_power(phi, k), model.line_class(v), y_max))
     return model.product(phi.dom, factors, y_max)
 
 
@@ -559,14 +548,6 @@ def _p_neg_tangent(model):
     return model._p_neg_tangent
 
 
-def _bundle_key(V):
-    """Memo key of an honest bundle, kept on V: its line classes and its
-    trivial rank."""
-    if V._key is None:
-        V._key = (tuple(tuple(sorted(l.items())) for l in V.plus_lines), V.plus_trivial)
-    return V._key
-
-
 def _residue_series(V):
     """The twist-independent part of the residue pushforward of the honest
     bundle V: the truncation order and the series d_i(y) = deg(c_i(-V) *
@@ -596,12 +577,12 @@ def _residue_series(V):
 
 def _residues(V):
     """The residue record of the honest bundle V over B(ZZ), memoized on the
-    model by `_bundle_key`: the pushforward values of the twists m below the
-    order rank + dim, each checked once to be homogeneous of degree
-    m - (dim + rank - 1), and the ks integral, the sum of every coefficient
-    of pi(y) * sum_i d_i(y) (see `_residue_series`)."""
+    model by its line vectors and trivial rank: the pushforward values of
+    the twists m below the order rank + dim, each checked once to be
+    homogeneous of degree m - (dim + rank - 1), and the ks integral, the sum
+    of every coefficient of pi(y) * sum_i d_i(y) (see `_residue_series`)."""
     model = V.model
-    key = _bundle_key(V)
+    key = (V.plus_lines, V.plus_trivial)
     hit = model._residues.get(key)
     if hit is not None:
         return hit

@@ -43,25 +43,6 @@ def _alpha_str(alpha):
     return "(" + ",".join(str(a) for a in alpha) + ")"
 
 
-def _line_element(model, vec):
-    vec = tuple(vec)
-    ng = len(model.gens)
-    if len(vec) != ng:
-        raise ValueError("line vector has %d entries, model has %d generators" % (len(vec), ng))
-    if not all(is_int(c) for c in vec):
-        raise ValueError("line vector entries must be integers")
-    return model.line_class(vec)
-
-
-def _line_vector(model, elt):
-    vec = [0] * len(model.gens)
-    for e, c in elt.items():
-        if sum(e) != 1:
-            raise ValueError("element is not a line class")
-        vec[e.index(1)] = c
-    return vec
-
-
 class FixedComponent:
     """One connected piece of the fixed locus: its own variety, its
     codimension in the ambient variety, and its normal bundle in split form.
@@ -93,9 +74,7 @@ class FixedComponent:
 
     @classmethod
     def from_lines(cls, spec, codim, line_vectors=(), trivial_rank=0, minus_trivial_rank=0):
-        model = build_model(spec)
-        lines = [_line_element(model, v) for v in line_vectors]
-        normal = VirtualSplitBundle(model, lines, (), trivial_rank, minus_trivial_rank)
+        normal = VirtualSplitBundle(build_model(spec), line_vectors, (), trivial_rank, minus_trivial_rank)
         return cls(spec, codim, normal)
 
     def dim(self):
@@ -109,8 +88,7 @@ class FixedComponent:
     def proj_spec(self):
         """The projective completion of the normal bundle, as a variety."""
         nb = self.normal_plus_one()
-        vecs = [_line_vector(self.model, l) for l in nb.plus_lines]
-        vecs += [[0] * len(self.model.gens)] * nb.plus_trivial
+        vecs = nb.plus_lines + ((0,) * len(self.model.gens),) * nb.plus_trivial
         return VarietySpec.projbundle(self.spec, vecs)
 
     def to_json(self):
@@ -118,7 +96,7 @@ class FixedComponent:
         out = {
             "spec": self.spec.to_json(),
             "codim": self.codim,
-            "normal_lines": [_line_vector(self.model, l) for l in nb.plus_lines],
+            "normal_lines": [list(v) for v in nb.plus_lines],
             "normal_trivial_rank": nb.plus_trivial,
         }
         if nb.minus_trivial:
@@ -405,8 +383,8 @@ def _twisted_chern_classes(comp, z_max):
     model = comp.model
     one = model.one(ZZ)
     tan = model.tangent()  # it subtracts trivial summands only, roots 0
-    roots = [sparse_add(ZZ, one, l) for l in comp.normal.plus_lines]
-    roots += [one] * comp.normal.plus_trivial + list(tan.plus_lines)
+    roots = [sparse_add(ZZ, one, model.line_class(v)) for v in comp.normal.plus_lines]
+    roots += [one] * comp.normal.plus_trivial + [model.line_class(v) for v in tan.plus_lines]
     # a subtracted trivial summand divides by 1 + z: times sum_j (-z)^j
     inv = {j: sparse_int_scale(ZZ, one, (-1) ** j) for j in range(z_max + 1)}
     factors = [{0: one, 1: r} for r in roots] + [inv] * comp.normal.minus_trivial

@@ -153,7 +153,7 @@ def pushforward_projbundle(spec, u):
         raise ValueError("pushforward needs a projbundle spec")
     base = build_model(spec.base)
     r = len(spec.lines)
-    minus_v = VirtualSplitBundle(base, (), [line_element(v) for v in spec.lines], 0, 0)
+    minus_v = VirtualSplitBundle(base, (), spec.lines, 0, 0)
     cneg = chern_total(minus_v)
     out = {}
     for e, c in u.items():
@@ -221,9 +221,9 @@ def _inverse_unit(model, dom, u):
 
 def chern_total_oracle(model, dom, E):
     out = model.one(dom)
-    for line in E.plus_lines:
+    for line in map(model.line_class, E.plus_lines):
         out = model.mul(dom, out, _add(dom, model.one(dom), sparse_from_int(dom, line)))
-    for line in E.minus_lines:
+    for line in map(model.line_class, E.minus_lines):
         f = _add(dom, model.one(dom), sparse_from_int(dom, line))
         out = model.mul(dom, out, _inverse_unit(model, dom, f))
     return out
@@ -245,9 +245,9 @@ def total_P_oracle(E, dom):
     model = E.model
     img = b_image_for(dom)
     out = model.one(dom)
-    for line in E.plus_lines:
+    for line in map(model.line_class, E.plus_lines):
         out = model.mul(dom, out, _pi_of_element(model, dom, img, line))
-    for line in E.minus_lines:
+    for line in map(model.line_class, E.minus_lines):
         f = _pi_of_element(model, dom, img, line)
         out = model.mul(dom, out, _inverse_unit(model, dom, f))
     return out
@@ -315,8 +315,8 @@ def total_P_deformed_oracle(E, dom, y_max):
     model = E.model
     img = b_image_for(dom)
     out = {0: model.one(dom)}
-    plus = list(E.plus_lines) + [{}] * E.plus_trivial
-    minus = list(E.minus_lines) + [{}] * E.minus_trivial
+    plus = [model.line_class(v) for v in E.plus_lines] + [{}] * E.plus_trivial
+    minus = [model.line_class(v) for v in E.minus_lines] + [{}] * E.minus_trivial
     for line in plus:
         out = _ypoly_mul(model, dom, out, _pi_shifted(model, dom, img, line, y_max), y_max)
     for line in minus:
@@ -346,6 +346,7 @@ def multiplicative_class_by_factors(E, phi, y_max):
     model = E.model
 
     def roots(lines, trivial):
+        lines = tuple(map(model.line_class, lines))
         return lines + ({},) * trivial if y_max else lines
 
     factors = [_shifted_factor(model, phi, u, y_max) for u in roots(E.plus_lines, E.plus_trivial)]
@@ -398,7 +399,7 @@ def additive_terms_by_completion(comp):
     pb = comp.proj_spec()
     model = build_model(pb)
     p_neg_tan = total_P(model.tangent().neg())
-    xi = model.gen_element(len(model.gens) - 1)
+    xi = model.line_class((0,) * (len(model.gens) - 1) + (1,))
     xi_j = model.one(ZZ)
     d = [additive_chern_number(pb)] + [0] * n
     for j in range(1, n + 1):

@@ -240,13 +240,7 @@ def _suite_reversion(count):
 
 
 def _rand_line(model, rng):
-    k = len(model.gens)
-    out = {}
-    for i in range(k):
-        c = rng.randint(-2, 2)
-        if c:
-            out[tuple(1 if j == i else 0 for j in range(k))] = c
-    return out
+    return tuple(rng.randint(-2, 2) for _ in model.gens)
 
 
 def _suite_total_P_inverse(count):

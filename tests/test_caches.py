@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobcalc import chow_models, clear_caches, fgl
-from cobcalc.chow_models import VarietySpec, _bundle_key, _residues, build_model
+from cobcalc.chow_models import VarietySpec, _residues, build_model
 from cobcalc.cobordism import lazard_piece
 from cobcalc.core_algebra import TRING, _half_norm
 from cobcalc.fixedpoint import (
@@ -107,21 +107,14 @@ def test_transport_tables_are_bounded_and_cleared():
     assert [fgl.b_transport(c, TRING, fgl.chx_b_image) for c in coeffs] == want
 
 
-def _fresh_bundle_key(V):
-    return (tuple(tuple(sorted(l.items())) for l in V.plus_lines), V.plus_trivial)
-
-
 @pytest.mark.parametrize("name,params", SMALL_BUILTINS)
 def test_completion_bundle_is_made_once(name, params):
     for comp in builtin_action(name, **params).components:
         nb = comp.normal_plus_one()
         assert comp.normal_plus_one() is nb
-        # the key kept on the bundle is the one made from scratch, and a
-        # repeat lookup reads it, not a new one
-        key = _bundle_key(nb)
-        assert key == _fresh_bundle_key(nb) and _bundle_key(nb) is key
+        # the residue record is keyed by the line vectors and trivial rank
         _residues(nb)
-        assert key in comp.model._residues
+        assert (nb.plus_lines, nb.plus_trivial) in comp.model._residues
 
 
 @pytest.mark.parametrize("name,params", SMALL_BUILTINS)

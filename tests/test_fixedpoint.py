@@ -58,7 +58,7 @@ def test_component_validation():
         FixedComponent.from_lines(pn(1), 1, [[1, 0]])
     # more than one subtracted trivial summand
     model = build_model(pn(2))
-    bad = VirtualSplitBundle(model, [model.gen_element(0)] * 4, (), 0, 2)
+    bad = VirtualSplitBundle(model, [(1,)] * 4, (), 0, 2)
     with pytest.raises(ValueError):
         FixedComponent(pn(2), 2, bad)
 
@@ -368,13 +368,14 @@ def _ks_poly_by_old_route(action, f):
         return model.degree(ZZ, _eval_chern_poly(model, f, cz))
 
     amb = build_model(action.ambient)
-    lhs = number(amb, chern_series_oracle(amb, list(amb.tangent().plus_lines), [], action.dim))
+    lhs = number(amb, chern_series_oracle(amb, list(map(amb.line_class, amb.tangent().plus_lines)), [],
+                                          action.dim))
     rhs = 0
     for comp in action.components:
         model = comp.model
         one = model.one(ZZ)
-        plus = [sparse_add(ZZ, one, l) for l in comp.normal.plus_lines]
-        plus += [one] * comp.normal.plus_trivial + list(model.tangent().plus_lines)
+        plus = [sparse_add(ZZ, one, model.line_class(v)) for v in comp.normal.plus_lines]
+        plus += [one] * comp.normal.plus_trivial + list(map(model.line_class, model.tangent().plus_lines))
         cz = chern_series_oracle(model, plus, [one] * comp.normal.minus_trivial, action.dim)
         c_minus = chern_total(comp.normal.neg())
         rhs += model.degree(ZZ, model.mul(ZZ, c_minus, _eval_chern_poly(model, f, cz)))

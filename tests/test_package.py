@@ -113,11 +113,14 @@ print(json.dumps([before, first, empty, answers() == first]))
 def test_each_input_is_a_parameter_once():
     # a bundle carries its model, the lmod2 series order is n + 3, the
     # Lazard basis reads the law it needs and every class is taken over
-    # B(ZZ) (Chern classes over ZZ), so none of them is a parameter
+    # B(ZZ) (Chern classes over ZZ), so none of them is a parameter; a line
+    # is an int vector, which changes no parameter of a bundle's makers
     code = """
 import sys, inspect, json, cobcalc
+from functools import reduce
 names = sys.argv[1:]
-print(json.dumps({n: list(inspect.signature(getattr(cobcalc, n)).parameters) for n in names}))
+print(json.dumps({n: list(inspect.signature(reduce(getattr, n.split("."), cobcalc)).parameters)
+                  for n in names}))
 """
     want = {
         "verify_lmod2": ["action", "max_m"],
@@ -129,6 +132,8 @@ print(json.dumps({n: list(inspect.signature(getattr(cobcalc, n)).parameters) for
         "total_P_deformed": ["E", "y_max"],
         "fundamental_class": ["spec", "theory"],
         "ChowModel": ["spec"],
+        "VirtualSplitBundle": ["model", "plus_lines", "minus_lines", "plus_trivial", "minus_trivial"],
+        "FixedComponent.from_lines": ["spec", "codim", "line_vectors", "trivial_rank", "minus_trivial_rank"],
         "Report": ["command"],
     }
     assert run_fresh(code, *want) == want

@@ -106,10 +106,7 @@ def test_total_P_neg_tangent_P1():
 
 def test_total_P_multiplicative_inverse():
     m = build_model(VarietySpec.multiproj([2, 1]))
-    h0, h1 = m.gen_element(0), m.gen_element(1)
-    E = VirtualSplitBundle(
-        m, plus_lines=[h0, sparse_add(ZZ, h0, h1)], minus_lines=[h1], plus_trivial=1
-    )
+    E = VirtualSplitBundle(m, plus_lines=[(1, 0), (1, 1)], minus_lines=[(0, 1)], plus_trivial=1)
     prod = m.mul(B, total_P(E), total_P(E.neg()))
     assert prod == m.one(B)
 
@@ -127,18 +124,16 @@ def test_total_P_deformed_point_is_pi():
 def test_total_P_deformed_specializes_to_tensor():
     # evaluating the y-deformation at y = c1(O(bh)) is tensoring by that line
     m = build_model(VarietySpec.multiproj([3]))
-    h = m.gen_element(0)
-    E = VirtualSplitBundle(m, plus_lines=[h])
+    E = VirtualSplitBundle(m, plus_lines=[(1,)])
     d = total_P_deformed(E, 3)
-    two_h = {(1,): 2}
+    two_h = m.line_class((2,))
     acc = {}
     power = m.one(ZZ)
     for k in range(4):
         if k in d:
             acc = sparse_add(B, acc, m.mul(B, d[k], {e: B.from_int(c) for e, c in power.items()}))
         power = m.mul(ZZ, power, two_h)
-    three_h = sparse_add(ZZ, h, two_h)
-    direct = total_P(VirtualSplitBundle(m, plus_lines=[three_h]))
+    direct = total_P(VirtualSplitBundle(m, plus_lines=[(3,)]))
     assert acc == direct
 
 
@@ -154,8 +149,7 @@ def test_cf_class_oracles():
 def test_cf_class_on_honest_bundle():
     # O(1) + O(2) on P^2: c_(1) = 3h, c_(1,1) = e_2 = 2h^2, c_(2) = 5h^2
     m = build_model(VarietySpec.multiproj([2]))
-    h = m.gen_element(0)
-    E = VirtualSplitBundle(m, plus_lines=[h, {(1,): 2}])
+    E = VirtualSplitBundle(m, plus_lines=[(1,), (2,)])
     assert cf_class(E, (1,)) == {(1,): 3}
     assert cf_class(E, (1, 1)) == {(2,): 2}
     assert cf_class(E, (2,)) == {(2,): 5}
@@ -165,8 +159,7 @@ def test_lambda_identity_against_direct_classes():
     # c_alpha(-E) computed directly must match the lambda expansion in
     # classes of E
     m = build_model(VarietySpec.multiproj([2, 1]))
-    h0, h1 = m.gen_element(0), m.gen_element(1)
-    E = VirtualSplitBundle(m, plus_lines=[h0, h1, sparse_add(ZZ, h0, h1)])
+    E = VirtualSplitBundle(m, plus_lines=[(1, 0), (0, 1), (1, 1)])
     for alpha in [(1,), (2,), (1, 1), (2, 1), (3,), (1, 1, 1)]:
         direct = cf_class(E.neg(), alpha)
         expanded = {}
@@ -224,12 +217,8 @@ PRODUCT_DOMAINS = [ZZ, B, b_ring(ZHALF), TRING, TEPS, b_ring(int_mod(3))]
 def _virtual_bundles(draw):
     model = build_model(draw(st.sampled_from(PRODUCT_MODELS)))
     vec = st.lists(st.integers(-2, 2), min_size=len(model.gens), max_size=len(model.gens))
-
-    def line(v):
-        return {tuple(int(i == j) for j in range(len(v))): c for i, c in enumerate(v) if c}
-
-    plus = [line(v) for v in draw(st.lists(vec, max_size=3))]
-    minus = [line(v) for v in draw(st.lists(vec, max_size=2))]
+    plus = draw(st.lists(vec, max_size=3))
+    minus = draw(st.lists(vec, max_size=2))
     trivial = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
     return VirtualSplitBundle(model, plus, minus, *trivial)
 
@@ -259,8 +248,7 @@ def _pooled_bundle(model_index, pool, plus, minus, trivial):
     """A bundle whose roots are lines of the pool, picked by index mod its
     length; each line vector is cut to the model's generators."""
     model = build_model(PRODUCT_MODELS[model_index])
-    lines = [{tuple(int(i == j) for j in range(len(model.gens))): c
-              for i, c in enumerate(v[:len(model.gens)]) if c} for v in pool]
+    lines = [v[:len(model.gens)] for v in pool]
 
     def pick(indices):
         return [lines[k % len(lines)] for k in indices]
@@ -306,9 +294,10 @@ def test_z_graded_product_matches_chern_series(E, shifted, z_max):
     # the auxiliary degree z, and a divided root s is the factor sum_j (-z s)^j
     model = E.model
     one = model.one(ZZ)
-    roots = [sparse_add(ZZ, one, l) if s else l for l, s in zip(E.plus_lines, shifted)]
-    roots += list(E.plus_lines[len(roots):]) + [one] * E.plus_trivial
-    minus = list(E.minus_lines) + [one] * E.minus_trivial
+    lines = [model.line_class(v) for v in E.plus_lines]
+    roots = [sparse_add(ZZ, one, l) if s else l for l, s in zip(lines, shifted)]
+    roots += lines[len(roots):] + [one] * E.plus_trivial
+    minus = [model.line_class(v) for v in E.minus_lines] + [one] * E.minus_trivial
 
     def inverse(s):
         powers = [one]
