@@ -11,6 +11,15 @@ Milnor and Novikov the index of L_n is the product over alpha and its parts
 k of m(k) = p when k + 1 is a power of the prime p, and 1 otherwise, and
 the product of the HNF pivots must equal it.
 
+The mod-2 piece M_n = 2 L_n + I_n, with I generated by the coefficients c_k
+(k >= 2) of [2](x), is found in the same basis: L_n/M_n is the degree-n part
+of the mod-2 theory's coefficient ring, by Quillen the polynomial ring over
+F_2 on generators in the degrees other than 2^j - 1, so M_n is the preimage
+of a subspace of GF(2)^p(n), found by elimination over GF(2) once each c_k
+is written in the x^alpha.  Its p(n) triangular rows are certified too: the
+product of the HNF pivots must be the index of L_n times 2^q, q the number
+of partitions of n with no part of the form 2^j - 1.
+
 This module builds those pieces, answers membership questions (in the
 lattice and in an integer multiple of it), and packages two integer
 invariants used by the verifiers: decomposability of a variety's class
@@ -23,7 +32,7 @@ from functools import lru_cache
 from math import comb, prod
 
 from .core_algebra import (
-    ZZ, IntegerLattice, all_ints, b_ring, bezout, is_int, is_prime, partitions,
+    ZZ, IntegerLattice, all_ints, b_ring, bezout, is_int, is_prime, merge_partitions, partitions,
 )
 from .fgl import universal_fgl
 from .chow_models import additive_chern_number, fundamental_class
@@ -109,11 +118,16 @@ def _generator_monomial(alpha):
     return BRING.mul(_generator_monomial(alpha[:-1]), _lazard_generator(alpha[-1]))
 
 
+@lru_cache(maxsize=None)
+def _part_index(k):
+    """m(k): p when k + 1 is a power of the prime p, and 1 otherwise."""
+    return prime_power_root(k + 1) or 1
+
+
 def _lazard_index(n):
     """Index of the degree -n piece in the span of the weight-n monomials:
-    the product over the partitions of n and their parts k of m(k), which
-    is p when k + 1 is a power of the prime p and 1 otherwise."""
-    return prod(prime_power_root(k + 1) or 1 for alpha in partitions(n) for k in alpha)
+    the product of m(k) over the partitions of n and their parts k."""
+    return prod(_part_index(k) for alpha in partitions(n) for k in alpha)
 
 
 class LazardDegreePiece:
@@ -188,27 +202,88 @@ def lazard_piece(n):
     return LazardDegreePiece(n)
 
 
+@lru_cache(maxsize=None)
+def _two_coefficient_coordinates(k):
+    """The coefficient c_k of x^k in [2](x), k >= 2, an element of the
+    degree -(k - 1) piece, in the basis of generator monomials: {gamma: y}
+    with c_k = sum y x^gamma over the nonzero y.  One triangular solve, as
+    the row of x^gamma leads at column gamma; a remainder raises
+    AssertionError."""
+    piece = lazard_piece(k - 1)
+    v = list(piece.vector(universal_fgl(k + 1).formal_mult(2).coefficient((k,))))
+    out = {}
+    for i, gamma in enumerate(piece.basis):
+        if v[i]:
+            row = piece.vector(_generator_monomial(gamma))
+            q, r = divmod(v[i], row[i])
+            if r:
+                raise AssertionError("[x^%d][2](x) is not integral in the generator monomials" % k)
+            for c in range(i, len(v)):
+                v[c] -= q * row[c]
+            out[gamma] = q
+    return out
+
+
+def _mod2_echelon(n):
+    """The span of the ideal generators c_k x^beta of degree -n reduced mod
+    2, in the generator-monomial coordinates of the degree -n piece, as a
+    reduced echelon form {pivot bit: row}: row bit i is partitions(n)[i],
+    each pivot is its row's lowest set bit, and no other row holds it."""
+    column = {alpha: 1 << i for i, alpha in enumerate(partitions(n))}
+    echelon = {}
+    for k in range(2, n + 2):
+        odd = [gamma for gamma, y in _two_coefficient_coordinates(k).items() if y % 2]
+        for beta in partitions(n - k + 1) if odd else ():
+            r = 0
+            for gamma in odd:
+                r ^= column[merge_partitions(gamma, beta)]
+            for pivot, row in echelon.items():
+                if r & pivot:
+                    r ^= row
+            if r:
+                low = r & -r
+                for pivot, row in echelon.items():
+                    if row & low:
+                        echelon[pivot] = row ^ r
+                echelon[low] = r
+    return echelon
+
+
+def _mod2_index(n):
+    """Index of the degree -n piece of the mod-2 submodule in the span of
+    the weight-n monomials: `_lazard_index(n)` times 2^q, with q the number
+    of partitions of n with no part of the form 2^j - 1, the rank of the
+    mod-2 theory's coefficient ring in degree n."""
+    q = sum(all(_part_index(k) != 2 for k in alpha) for alpha in partitions(n))
+    return _lazard_index(n) << q
+
+
 @lru_cache(maxsize=None, typed=True)
 def mod2_theory_piece(n):
     """Degree -n piece of twice the lattice plus the ideal generated by the
     higher coefficients of the formal two-fold multiple [2](x) -- the
     submodule whose quotient is the coefficient ring of the mod-2 theory.
 
-    Each lattice piece enters through its HNF rows, a Z-basis of the same
-    lattice, rather than through all of its generators."""
+    In the generator monomials x^alpha it holds twice the lattice, so it is
+    the preimage of its image mod 2, whose reduced echelon form
+    `_mod2_echelon` gives.  The p(n) rows sum of x^alpha over alpha in each
+    echelon row, and 2 x^alpha at each column with no pivot, are upper
+    triangular and span it.  Construction checks that the product of the
+    HNF pivots is `_mod2_index(n)`; a failure raises AssertionError."""
     piece = lazard_piece(n)
-    rows = [piece.vector({piece.basis[c]: 2 * a for c, a in pairs})
-            for _, _, pairs in piece.lattice.rows]
-    two = universal_fgl(n + 2).formal_mult(2)
-    for k in range(2, n + 2):
-        ck = two.coefficient((k,))
-        if BRING.is_zero(ck):
-            continue
-        lower = lazard_piece(n - k + 1)
-        for _, _, pairs in lower.lattice.rows:
-            g = {lower.basis[i]: c for i, c in pairs}
-            rows.append(piece.vector(BRING.mul(ck, g)))
-    return IntegerLattice(rows, len(piece.basis))
+    echelon = _mod2_echelon(n)
+    monomials = [piece.vector(_generator_monomial(alpha)) for alpha in piece.basis]
+    rows = []
+    for i, vec in enumerate(monomials):
+        e = echelon.get(1 << i)
+        if e is None:
+            rows.append([2 * a for a in vec])
+        else:
+            rows.append([sum(col) for col in zip(*(v for j, v in enumerate(monomials) if e >> j & 1))])
+    lattice = IntegerLattice(rows, len(piece.basis))
+    if prod(p for _, p, _ in lattice.rows) != _mod2_index(n):
+        raise AssertionError("the mod-2 piece of degree %d fails the index certificate" % n)
+    return lattice
 
 
 def mod2_theory_member(n, elt):

@@ -880,6 +880,32 @@ class TruncatedSeries:
         return t0._like(dot_groups(t0.dom, groups))
 
 
+def _series_power(phi, k):
+    """phi^k for a univariate phi with phi(0) = 1 and an int k != 0, in one
+    pass by Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): g = phi^k has
+    g_0 = 1 and m g_m = sum over j = 1..m of ((k + 1) j - m) phi_j g_(m-j),
+    one `dot` per m and an exact division by m, where a remainder raises
+    AssertionError.  The coefficients must be integral (ZZ, or a sparse
+    domain over ZZ): over another base m need not be invertible, and no
+    caller needs one, since every class and the universal law's log-power
+    table are taken over ZZ or B(ZZ)."""
+    dom = phi.dom
+    if getattr(dom, "base", dom) is not ZZ:
+        raise ValueError("a series power needs integer coefficients, not %s" % dom.name)
+    if phi.coeffs.get((0,)) != dom.one():
+        raise ValueError("phi(0) must be 1")
+    if k == 1:
+        return phi
+    f = [(j, c) for (j,), c in phi.coeffs.items() if j]
+    g = [dom.one()]
+    for m in range(1, phi.order):
+        acc = dom.dot([(c, g[m - j], (k + 1) * j - m) for j, c in f if j <= m and g[m - j]])
+        if any(v % m for v in ((acc,) if dom is ZZ else acc.values())):
+            raise AssertionError("Miller's recurrence leaves a remainder at %s^%d" % (phi.vars[0], m))
+        g.append(acc // m if dom is ZZ else {e: v // m for e, v in acc.items()})
+    return phi._like({(m,): c for m, c in enumerate(g) if c})
+
+
 # ---------------------------------------------------------------------------
 # integer lattices via row Hermite normal form
 

@@ -29,7 +29,8 @@ from functools import lru_cache, partial
 from math import comb
 
 from .core_algebra import (
-    ZZ, TRING, TEPS, b_ring, int_mod, is_int, is_prime, sparse_from_int, TruncatedSeries,
+    ZZ, TRING, TEPS, _series_power, b_ring, int_mod, is_int, is_prime, sparse_from_int,
+    TruncatedSeries,
 )
 
 # associativity is a trivariate identity; comparing it in full at high order
@@ -134,9 +135,12 @@ def _check_associativity(f):
 # The universal law F(x, y) = exp(log x + log y), with exp(x) = x + b1 x^2 +
 # b2 x^3 + ...  A coefficient of total degree d does not depend on the
 # truncation order, so one store grows degree by degree and serves every
-# order.  With L_k(n) = [x^n] log(x)^k and b_0 = 1:
-#   L_k(n) = sum_{a=1}^{n-k+1} L_1(a) L_{k-1}(n-a)       (k >= 2)
-#   L_1(n) = -sum_{k=2}^{n} b_{k-1} L_k(n)                 ([x^n] exp(log x) = 0)
+# order.  With L_k(n) = [x^n] log(x)^k, b_0 = 1 and phi(z) = exp(z)/z =
+# 1 + b1 z + b2 z^2 + ...:
+#   L_k(n) = (k/n) [z^{n-k}] phi(z)^{-n}                  (Lagrange inversion)
+# as log is the compositional inverse of exp; phi^{-n} is one pass of
+# Miller's recurrence, each step a monomial b_j times a polynomial, so a row
+# reads no lower row.  Then
 #   F_ab   = sum_{j,l >= 1} b_{j+l-1} C(j+l, j) L_j(a) L_l(b) = sum_{j=1}^{a} L_j(a) M_j(b)
 #   M_j(b) = sum_{l=1}^{b} C(j+l, j) b_{j+l-1} L_l(b)       (Horner form, a <= b)
 #   [x^n][a](x) = sum_{k=1}^{n} a^k b_{k-1} L_k(n)          ([a](x) = exp(a log x))
@@ -152,21 +156,23 @@ _LAW_BY_DEGREE = [{}, {(1, 0): _B.one(), (0, 1): _B.one()}]
 
 
 def _grow_log_powers(n):
-    """Extend the tables L_k(.) and b_{k-1} L_k(.) through degree n."""
+    """Extend the tables L_k(.) and b_{k-1} L_k(.) through degree n, each
+    row read off phi^(-d) by Lagrange inversion."""
     B = _B
-    one = B.one()
     while len(_LOG_POWERS) <= n:
         d = len(_LOG_POWERS)
+        phi = TruncatedSeries(B, ("z",), d, {(0,): B.one(), **{(j,): B.gen(j) for j in range(1, d)}},
+                              _trusted=True)
+        power = _series_power(phi, -d).coeffs
         row, terms = {}, {}
-        for k in range(2, d + 1):
-            acc = B.dot([(_LOG_POWERS[a][1], _LOG_POWERS[d - a][k - 1], 1)
-                         for a in range(1, d - k + 2) if k - 1 in _LOG_POWERS[d - a]])
-            if acc:
-                row[k] = acc
-                terms[k] = B.mul(B.gen(k - 1), acc)
-        l1 = B.dot([(v, one, -1) for v in terms.values()])
-        if l1:
-            row[1] = terms[1] = l1
+        for k in (*range(2, d + 1), 1):
+            c = power.get((d - k,))
+            if not c:
+                continue
+            if any(k * v % d for v in c.values()):
+                raise AssertionError("Lagrange inversion leaves a remainder at L_%d(%d)" % (k, d))
+            row[k] = {e: k * v // d for e, v in c.items()}
+            terms[k] = B.mul(B.gen(k - 1), row[k]) if k > 1 else row[k]
         _LOG_POWERS.append(row)
         _EXP_LOG.append(terms)
         _HORNER.append({})

@@ -18,7 +18,6 @@ from .chow_models import (
     VarietySpec,
     VirtualSplitBundle,
     _residues,
-    _series_power,
     additive_chern_number,
     build_model,
     chern_total,
@@ -29,8 +28,8 @@ from .chow_models import (
 )
 from .cobordism import decomposable_test, lazard_piece, mod2_theory_member
 from .core_algebra import (
-    ZHALF, ZZ, TruncatedSeries, _half_norm, b_ring, is_int, is_partition, is_prime, partitions,
-    sparse_add, sparse_int_scale,
+    ZHALF, ZZ, TruncatedSeries, _half_norm, _series_power, b_ring, is_int, is_partition, is_prime,
+    partitions, sparse_add, sparse_int_scale,
 )
 from .fgl import formal_mult, universal_fgl
 from .report import Report

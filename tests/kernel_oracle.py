@@ -9,7 +9,7 @@ t and eps), and a sum of products is a fold of sparse additions.
 
 It also keeps the series inverse and exact division that production no
 longer needs, since every reciprocal there is a power -1 by Miller's
-recurrence (`chow_models._series_power`): `series_inverse` by a
+recurrence (`core_algebra._series_power`): `series_inverse` by a
 degree-by-degree recurrence, `series_divide` by factoring out the common
 monomial of the divisor and inverting the rest, and the inverse again as a
 geometric sum, one full series product per term

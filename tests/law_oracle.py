@@ -4,11 +4,12 @@ oracles for the production path.
 
 The production code reads the universal law off a coefficient store that
 grows one total degree at a time (`fgl.universal_fgl`) and builds each
-mod-2 piece from HNF bases of the lattice pieces
+mod-2 piece by elimination over GF(2) in the generator monomials
 (`cobordism.mod2_theory_piece`).  This module builds the same objects the
 direct way: the law as exp(log x + log y) with log the compositional
 inverse of the universal exponential (`reversion`), and the mod-2 piece from every
-generator of every lattice piece involved.
+generator of every lattice piece involved (`mod2_piece_from_generators`) or
+from their HNF rows, one product c_k h per row h (`mod2_piece_from_hnf_rows`).
 
 Every production law is the universal store pushed along a ring map, with
 [a](x) = exp(a log x) read off the same store.  `SeriesLaw` is a law built
@@ -22,9 +23,12 @@ mod p) or from its closed form (`chx_law_closed_form`,
 monomial images, and `scaled_lattice` the lattice m*L behind
 `LazardDegreePiece.member_mod`.
 
-`universal_store_by_pairs` fills the store by the by-k formula, one product
-L_j(a) L_l(b) per pair of log-power entries, where production takes the
-Horner form sum_j L_j(a) M_j(b).  `associative_by_two_compositions` checks
+`log_powers_by_convolution` fills the table L_k(n) = [x^n] log(x)^k by the
+convolution L_k(n) = sum_a L_1(a) L_(k-1)(n - a), each row on the rows
+below it, where production reads each row off phi^(-n) by Lagrange
+inversion.  `universal_store_by_pairs` fills the store from that table by
+the by-k formula, one product L_j(a) L_l(b) per pair of log-power entries,
+where production takes the Horner form sum_j L_j(a) M_j(b).  `associative_by_two_compositions` checks
 F(F(x, y), z) = F(x, F(y, z)) by composing both sides, where production
 composes once and compares G(x, y, z) = F(F(x, y), z) with G(y, z, x).
 
@@ -96,14 +100,35 @@ def universal_series_by_reversion(order):
     return exp.compose({"x": lx.add(ly)})
 
 
+def log_powers_by_convolution(n):
+    """[L_k(d) for d = 0..n] as dicts {k: L_k(d)} with no zero entry, in
+    the store's key order (k = 2..d, then 1): L_k(d) = sum_a L_1(a)
+    L_(k-1)(d - a) for k >= 2, and L_1(d) = -sum_k b_(k-1) L_k(d), since
+    [x^d] exp(log x) = 0 for d >= 2."""
+    B = fgl._B
+    one = B.one()
+    rows = [{}, {1: one}]
+    for d in range(2, n + 1):
+        row = {}
+        for k in range(2, d + 1):
+            acc = B.dot([(rows[a][1], rows[d - a][k - 1], 1)
+                         for a in range(1, d - k + 2) if k - 1 in rows[d - a]])
+            if acc:
+                row[k] = acc
+        l1 = B.dot([(B.gen(k - 1), v, -1) for k, v in row.items()])
+        if l1:
+            row[1] = l1
+        rows.append(row)
+    return rows[:n + 1]
+
+
 def universal_store_by_pairs(degree):
     """The universal law's coefficients through total degree `degree`, one
     dict per degree in the store's key order ((a, b) then (b, a) for
     a = 1, 2, ...): F_ab = sum_k b_{k-1} sum_{j+l=k} C(k, j) L_j(a) L_l(b)
-    over every pair of entries of the log-power table."""
+    over every pair of entries of `log_powers_by_convolution`."""
     B = fgl._B
-    fgl._grow_log_powers(degree - 1)
-    L = fgl._LOG_POWERS
+    L = log_powers_by_convolution(degree - 1)
     rows = [{}, {(1, 0): B.one(), (0, 1): B.one()}]
     for d in range(2, degree + 1):
         row = {}
@@ -162,6 +187,25 @@ def mod2_generator_rows(n):
 def mod2_piece_from_generators(n):
     """The integer lattice spanned by `mod2_generator_rows(n)`."""
     return IntegerLattice(mod2_generator_rows(n), len(lazard_piece(n).basis))
+
+
+def mod2_piece_from_hnf_rows(n):
+    """The degree -n mod-2 piece spanned by twice the HNF rows of the
+    degree -n lattice piece and c_k times each HNF row of the degree
+    -(n-k+1) piece, every product c_k h taken in the b-polynomial ring."""
+    piece = lazard_piece(n)
+    rows = [piece.vector({piece.basis[c]: 2 * a for c, a in pairs})
+            for _, _, pairs in piece.lattice.rows]
+    two = universal_fgl(n + 2).formal_mult(2)
+    for k in range(2, n + 2):
+        ck = two.coefficient((k,))
+        if BRING.is_zero(ck):
+            continue
+        lower = lazard_piece(n - k + 1)
+        for _, _, pairs in lower.lattice.rows:
+            g = {lower.basis[i]: c for i, c in pairs}
+            rows.append(piece.vector(BRING.mul(ck, g)))
+    return IntegerLattice(rows, len(piece.basis))
 
 
 class SeriesLaw:

@@ -27,6 +27,7 @@ from law_oracle import (
     lazard_lattice_from_all_products,
     mod2_generator_rows,
     mod2_piece_from_generators,
+    mod2_piece_from_hnf_rows,
     scaled_lattice,
 )
 
@@ -93,6 +94,123 @@ def test_mod2_piece_matches_all_generator_oracle():
         fast, ref = mod2_theory_piece(n), mod2_piece_from_generators(n)
         assert fast.hnf == ref.hnf
         assert fast.pivcols == ref.pivcols
+
+
+def test_mod2_piece_matches_hnf_row_oracle():
+    # the GF(2) echelon route against twice the HNF rows of L_n plus c_k
+    # times the HNF rows of L_(n-k+1), one b-polynomial product per row
+    for n in range(14):
+        fast, ref = mod2_theory_piece(n), mod2_piece_from_hnf_rows(n)
+        assert fast.hnf == ref.hnf, n
+        assert fast.pivcols == ref.pivcols, n
+
+
+def _mod2_rows(monkeypatch, n):
+    """The rows that an uncached mod2_theory_piece(n) hands to IntegerLattice."""
+    seen = []
+
+    class Recording(IntegerLattice):
+        __slots__ = ()
+
+        def __init__(self, generators, ncols):
+            seen.append(list(generators))
+            super().__init__(seen[-1], ncols)
+
+    monkeypatch.setattr(cobordism, "IntegerLattice", Recording)
+    cobordism.mod2_theory_piece.__wrapped__(n)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def test_mod2_rows_are_triangular(monkeypatch):
+    # one row leads at each column: an echelon row at its pivot, with the
+    # diagonal entry of x^alpha there, and 2 x^alpha at every other column;
+    # so the HNF of the mod-2 piece only back-reduces
+    for n in range(14):
+        rows = _mod2_rows(monkeypatch, n)
+        basis = partitions(n)
+        assert len(rows) == len(basis), n
+        leads = [next(c for c, a in enumerate(r) if a) for r in rows]
+        assert leads == list(range(len(basis))), n
+        doubled = [abs(r[i]) == 2 * prod(prime_power_root(k + 1) or 1 for k in alpha)
+                   for i, (r, alpha) in enumerate(zip(rows, basis))]
+        assert sum(doubled) == sum(all((k + 1) & k for k in alpha) for alpha in basis), n
+
+
+def test_two_coefficient_coordinates_rebuild_the_coefficients():
+    # c_k = sum y x^gamma over the solved coordinates
+    for k in range(2, 15):
+        ck = universal_fgl(k + 1).formal_mult(2).coefficient((k,))
+        coords = cobordism._two_coefficient_coordinates(k)
+        assert coords and all(coords.values()), k
+        got = BRING.dot([(cobordism._generator_monomial(g), BRING.one(), y) for g, y in coords.items()])
+        assert got == ck, k
+    assert cobordism._two_coefficient_coordinates(4) == {(3,): 7, (2, 1): -6}
+
+
+def test_two_coefficient_remainder_raises(monkeypatch):
+    # with x^(3) doubled, the coordinate 7 of c_4 at (3) leaves a remainder
+    lazard_piece(3)
+    plain = cobordism._generator_monomial
+    monkeypatch.setattr(cobordism, "_generator_monomial",
+                        lambda a: BRING.int_scale(plain(a), 2) if a == (3,) else plain(a))
+    with pytest.raises(AssertionError, match="not integral"):
+        cobordism._two_coefficient_coordinates.__wrapped__(4)
+
+
+def test_mod2_index_certificate_is_the_pivot_product():
+    # [L_n : M_n] is the order of the mod-2 theory's coefficients in degree
+    # n, 2^q with q the partitions of n with no part 2^j - 1
+    ratios = []
+    for n in range(1, 13):
+        lat = mod2_theory_piece(n)
+        assert lat.rank == len(partitions(n))
+        pivots = prod(row[c] for row, c in zip(lat.hnf, lat.pivcols))
+        assert pivots == cobordism._mod2_index(n), n
+        ratios.append(pivots // cobordism._lazard_index(n))
+    assert ratios == [1, 2, 1, 4, 2, 8, 2, 32, 8, 256, 32, 4096]
+
+
+def _without_coefficient(monkeypatch, k):
+    """Build the mod-2 pieces afterwards without the ideal generator c_k."""
+    plain = cobordism._two_coefficient_coordinates.__wrapped__
+    monkeypatch.setattr(cobordism, "_two_coefficient_coordinates",
+                        lambda j: {} if j == k else plain(j))
+    monkeypatch.setattr(cobordism, "mod2_theory_piece", cobordism.mod2_theory_piece.__wrapped__)
+
+
+def test_dropped_coefficient_fails_the_mod2_certificate(monkeypatch, capsys):
+    # without c_2 = x_1 the degree -1 piece is 2 L_1, of index 2 too large;
+    # the l2 verifier reports the failure as an internal error
+    _without_coefficient(monkeypatch, 2)
+    for n in range(1, 8):
+        with pytest.raises(AssertionError, match="mod-2 piece of degree %d" % n):
+            cobordism.mod2_theory_piece(n)
+    code = main(["verify", "--theorem", "l2", "--builtin", "linear_pn", "--n", "3", "--a", "1"])
+    captured = capsys.readouterr()
+    obj = json.loads(captured.out)
+    assert code == 3
+    assert obj["status"] == "internal-error"
+    assert "index certificate" in obj["error"]
+    assert "Traceback" not in captured.err
+
+
+def test_lazard_index_finds_each_part_index_once(monkeypatch):
+    # m(k) is one prime_power_root call per k, not one per part
+    calls = []
+    real = cobordism.prime_power_root
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(cobordism, "prime_power_root", counted)
+    cobordism._part_index.cache_clear()
+    assert cobordism._lazard_index(12) == prod(
+        prime_power_root(k + 1) or 1 for alpha in partitions(12) for k in alpha)
+    assert sorted(calls) == list(range(2, 14))
+    monkeypatch.undo()
+    cobordism._part_index.cache_clear()
 
 
 def test_lazard_piece_matches_all_products_oracle():

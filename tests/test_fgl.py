@@ -27,6 +27,7 @@ from law_oracle import (
     cha_law_closed_form,
     chx_law_closed_form,
     law_without_store,
+    log_powers_by_convolution,
     universal_series_by_reversion,
     universal_store_by_pairs,
 )
@@ -419,6 +420,21 @@ def test_horner_store_matches_pair_oracle_through_degree_20():
         assert list(row) == list(ref[d]), d
         for e, c in row.items():
             assert sorted(c.items()) == sorted(ref[d][e].items()), (d, e)
+
+
+def test_lagrange_log_powers_match_convolution_oracle_through_degree_25():
+    # each row of L_k(n) = [x^n] log(x)^k read off phi^(-n), phi = exp(z)/z,
+    # against the convolution over the rows below it: the same keys in the
+    # same order, and the same b-monomial coefficients in every entry; the
+    # row of b_(k-1) L_k(n) that [a](x) reads matches too
+    fgl._grow_log_powers(25)
+    ref = log_powers_by_convolution(25)
+    for n in range(26):
+        row = fgl._LOG_POWERS[n]
+        assert list(row) == list(ref[n]), n
+        for k, v in row.items():
+            assert sorted(v.items()) == sorted(ref[n][k].items()), (n, k)
+        assert fgl._EXP_LOG[n] == {k: B.mul(B.gen(k - 1), v) if k > 1 else v for k, v in row.items()}, n
 
 
 def test_store_maps_each_coefficient_pair_once():

@@ -6,13 +6,12 @@ from hypothesis import example, given, settings, strategies as st
 from cobcalc import clear_caches
 from cobcalc.cli import main
 from cobcalc.core_algebra import (
-    ZHALF, ZZ, TRING, TEPS, TruncatedSeries, b_ring, int_mod, partitions, sparse_add,
-    sparse_from_int,
+    ZHALF, ZZ, TRING, TEPS, TruncatedSeries, _series_power, b_ring, int_mod, partitions,
+    sparse_add, sparse_from_int,
 )
 from cobcalc.chow_models import (
     VarietySpec,
     VirtualSplitBundle,
-    _series_power,
     build_model,
     chern_number,
     chern_total,
