@@ -207,19 +207,18 @@ def _two_coefficient_coordinates(k):
     """The coefficient c_k of x^k in [2](x), k >= 2, an element of the
     degree -(k - 1) piece, in the basis of generator monomials: {gamma: y}
     with c_k = sum y x^gamma over the nonzero y.  One triangular solve, as
-    the row of x^gamma leads at column gamma; a remainder raises
-    AssertionError."""
-    piece = lazard_piece(k - 1)
-    v = list(piece.vector(universal_fgl(k + 1).formal_mult(2).coefficient((k,))))
+    x^gamma holds no b-monomial before b^gamma in `partitions` order; a
+    remainder raises AssertionError."""
+    v = dict(universal_fgl(k + 1).formal_mult(2).coefficient((k,)))
     out = {}
-    for i, gamma in enumerate(piece.basis):
-        if v[i]:
-            row = piece.vector(_generator_monomial(gamma))
-            q, r = divmod(v[i], row[i])
+    for gamma in partitions(k - 1):
+        if v.get(gamma):
+            row = _generator_monomial(gamma)
+            q, r = divmod(v[gamma], row[gamma])
             if r:
                 raise AssertionError("[x^%d][2](x) is not integral in the generator monomials" % k)
-            for c in range(i, len(v)):
-                v[c] -= q * row[c]
+            for parts, c in row.items():
+                v[parts] = v.get(parts, 0) - q * c
             out[gamma] = q
     return out
 
@@ -271,16 +270,18 @@ def mod2_theory_piece(n):
     triangular and span it.  Construction checks that the product of the
     HNF pivots is `_mod2_index(n)`; a failure raises AssertionError."""
     piece = lazard_piece(n)
+    basis, column = piece.basis, piece._index
     echelon = _mod2_echelon(n)
-    monomials = [piece.vector(_generator_monomial(alpha)) for alpha in piece.basis]
     rows = []
-    for i, vec in enumerate(monomials):
+    for i, alpha in enumerate(basis):
         e = echelon.get(1 << i)
-        if e is None:
-            rows.append([2 * a for a in vec])
-        else:
-            rows.append([sum(col) for col in zip(*(v for j, v in enumerate(monomials) if e >> j & 1))])
-    lattice = IntegerLattice(rows, len(piece.basis))
+        terms = [(alpha, 2)] if e is None else [(basis[j], 1) for j in range(i, e.bit_length()) if e >> j & 1]
+        row = [0] * len(basis)
+        for beta, s in terms:
+            for parts, c in _generator_monomial(beta).items():
+                row[column[parts]] += s * c
+        rows.append(row)
+    lattice = IntegerLattice(rows, len(basis))
     if prod(p for _, p, _ in lattice.rows) != _mod2_index(n):
         raise AssertionError("the mod-2 piece of degree %d fails the index certificate" % n)
     return lattice

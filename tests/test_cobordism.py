@@ -150,7 +150,6 @@ def test_two_coefficient_coordinates_rebuild_the_coefficients():
 
 def test_two_coefficient_remainder_raises(monkeypatch):
     # with x^(3) doubled, the coordinate 7 of c_4 at (3) leaves a remainder
-    lazard_piece(3)
     plain = cobordism._generator_monomial
     monkeypatch.setattr(cobordism, "_generator_monomial",
                         lambda a: BRING.int_scale(plain(a), 2) if a == (3,) else plain(a))
