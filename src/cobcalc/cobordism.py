@@ -265,8 +265,8 @@ def mod2_theory_piece(n):
 
     In the generator monomials x^alpha it holds twice the lattice, so it is
     the preimage of its image mod 2, whose reduced echelon form
-    `_mod2_echelon` gives.  The p(n) rows sum of x^alpha over alpha in each
-    echelon row, and 2 x^alpha at each column with no pivot, are upper
+    `_mod2_echelon` gives.  Its p(n) rows -- the sum of x^alpha over each
+    echelon row, and 2 x^alpha at each column with no pivot -- are upper
     triangular and span it.  Construction checks that the product of the
     HNF pivots is `_mod2_index(n)`; a failure raises AssertionError."""
     piece = lazard_piece(n)

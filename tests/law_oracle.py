@@ -28,9 +28,10 @@ convolution L_k(n) = sum_a L_1(a) L_(k-1)(n - a), each row on the rows
 below it, where production reads each row off phi^(-n) by Lagrange
 inversion.  `universal_store_by_pairs` fills the store from that table by
 the by-k formula, one product L_j(a) L_l(b) per pair of log-power entries,
-where production takes the Horner form sum_j L_j(a) M_j(b).  `associative_by_two_compositions` checks
-F(F(x, y), z) = F(x, F(y, z)) by composing both sides, where production
-composes once and compares G(x, y, z) = F(F(x, y), z) with G(y, z, x).
+where production takes the Horner form sum_j L_j(a) M_j(b).
+`associative_by_two_compositions` checks F(F(x, y), z) = F(x, F(y, z)) by
+composing both sides, where production composes once and compares
+G(x, y, z) = F(F(x, y), z) with G(y, z, x).
 
 `lazard_lattice_from_all_products` builds each lattice piece from every
 product of law coefficients of its weight; production builds it from the
