@@ -13,6 +13,12 @@ Every total class of a split bundle (Chern, P, deformed P) is one
 `multiplicative_class`: a `ChowModel.product` with one factor per distinct
 root, the power of phi by the root's net multiplicity, shifted by that
 root.
+
+P(E) is that class for pi(x) = 1 + b_1 x + b_2 x^2 + ... over B(ZZ).  Its
+b^alpha coefficient is the alpha-indexed class of E, so every Chern number
+of a variety is a coefficient of its fundamental class, and the residue
+pushforward is built from its y-deformation.  A class in another theory is
+the image of this one along its group law's ring map (`fgl.b_transport`).
 """
 
 from __future__ import annotations
@@ -496,6 +502,24 @@ def chern_total(E):
     return multiplicative_class(E, phi, 0)[0]
 
 
+def pi_series(order):
+    """1 + b_1 y + b_2 y^2 + ... over B(ZZ), as a univariate truncated series
+    in y."""
+    return TruncatedSeries(B, ("y",), order, {(i,): B.gen(i) if i else B.one() for i in range(order)})
+
+
+def total_P_deformed(E, y_max):
+    """total_P of E with every line root u shifted to u + y (and trivial
+    roots to y), as a y-polynomial truncated at y^y_max."""
+    return multiplicative_class(E, pi_series(E.model.dim + y_max + 1), y_max)
+
+
+def total_P(E):
+    """Product of pi(c_1) over the lines of E, with 1/pi for the negative
+    part; trivial summands contribute pi(0) = 1."""
+    return total_P_deformed(E, 0)[0]
+
+
 def quillen_pushforward(V, m):
     """Degree of the m-th power of the relative hyperplane class of
     P(V + nothing) over V's base, pushed all the way to the point: computed
@@ -517,10 +541,8 @@ def quillen_pushforward(V, m):
 def _p_neg_tangent(model):
     """P(-T) of the model, memoized on the model: the fundamental class and
     the residue records both read it."""
-    from . import symmfunc as sf
-
     if model._p_neg_tangent is None:
-        model._p_neg_tangent = sf.total_P(model.tangent().neg())
+        model._p_neg_tangent = total_P(model.tangent().neg())
     return model._p_neg_tangent
 
 
@@ -528,13 +550,11 @@ def _residue_series(V):
     """The twist-independent part of the residue pushforward of the honest
     bundle V: the truncation order and the series d_i(y) = deg(c_i(-V) *
     P(-T) * P_y(-V)) for every nonzero c_i(-V)."""
-    from . import symmfunc as sf
-
     model = V.model
     ns = model.dim
     order = V.rank + ns
     p_tan = _p_neg_tangent(model)
-    p_vy = sf.total_P_deformed(V.neg(), order - 1)
+    p_vy = total_P_deformed(V.neg(), order - 1)
     prod_y = {k: model.mul(B, elt, p_tan) for k, elt in p_vy.items()}
     cneg = chern_total(V.neg())
     series = []
@@ -562,11 +582,9 @@ def _residues(V):
     hit = model._residues.get(key)
     if hit is not None:
         return hit
-    from . import symmfunc as sf
-
     order, series = _residue_series(V)
     r = V.rank
-    pi = sf.pi_series(order)
+    pi = pi_series(order)
     pi_m = TruncatedSeries.constant(B, ("y",), order, B.one())
     values = []
     for m in range(order):

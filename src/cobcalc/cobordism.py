@@ -34,7 +34,7 @@ from math import comb, prod
 from .core_algebra import (
     ZZ, IntegerLattice, all_ints, b_ring, bezout, is_int, is_prime, merge_partitions, partitions,
 )
-from .fgl import universal_fgl
+from .fgl import mult_coefficient, universal_fgl
 from .chow_models import additive_chern_number, fundamental_class
 
 BRING = b_ring(ZZ)
@@ -209,7 +209,7 @@ def _two_coefficient_coordinates(k):
     with c_k = sum y x^gamma over the nonzero y.  One triangular solve, as
     x^gamma holds no b-monomial before b^gamma in `partitions` order; a
     remainder raises AssertionError."""
-    v = dict(universal_fgl(k + 1).formal_mult(2).coefficient((k,)))
+    v = dict(mult_coefficient(k, 2))
     out = {}
     for gamma in partitions(k - 1):
         if v.get(gamma):
@@ -335,14 +335,6 @@ def decomposable_test(spec, p):
     }
 
 
-def _is_p_power(k, p):
-    if k < 1:
-        return False
-    while k % p == 0:
-        k //= p
-    return k == 1
-
-
 def p_typical_kernel_check(p, max_degree):
     """Check that killing every b_i whose index + 1 is not a power of p
     sends all nonlinear law coefficients to zero mod p."""
@@ -353,7 +345,7 @@ def p_typical_kernel_check(p, max_degree):
         if i + j < 2:
             continue
         for parts, v in c.items():
-            if v % p and all(_is_p_power(k + 1, p) for k in parts):
+            if v % p and all(_part_index(k) == p for k in parts):
                 return False
     return True
 
@@ -373,7 +365,7 @@ def p_typical_chern_check(spec, p):
     rows = []
     ok = True
     for alpha in partitions(n):
-        if not all(_is_p_power(a + 1, p) for a in alpha):
+        if not all(_part_index(a) == p for a in alpha):
             continue
         c = cls.get(alpha, 0)
         good = c % need == 0

@@ -66,13 +66,10 @@ class FormalGroupLaw:
             raise ValueError("the formal multiple [a](x) needs an integer a, got %r" % (a,))
         r = self._mult_cache.get(a)
         if r is None:
-            B, dom = _B, self.dom
-            _grow_log_powers(self.order - 1)
+            dom = self.dom
             coeffs = {}
-            one = B.one()
             for n in range(1, self.order):
-                acc = B.dot([(term, one, a ** k) for k, term in _EXP_LOG[n].items()])
-                v = self.image(acc)
+                v = self.image(mult_coefficient(n, a))
                 if not dom.is_zero(v):
                     coeffs[(n,)] = v
             r = self._mult_cache[a] = TruncatedSeries(dom, ("x",), self.order, coeffs, _trusted=True)
@@ -193,6 +190,14 @@ def _grow_universal(degree):
                               for l, v in _LOG_POWERS[b].items()])
             row[(a, b)] = row[(b, a)] = B.dot([(v, m[j], 1) for j, v in _LOG_POWERS[a].items()])
         _LAW_BY_DEGREE.append(row)
+
+
+def mult_coefficient(n, a):
+    """[x^n][a](x) over B(ZZ) for n >= 1 and an integer a, read off the
+    store: sum_k a^k b_{k-1} L_k(n)."""
+    _grow_log_powers(n)
+    one = _B.one()
+    return _B.dot([(term, one, a ** k) for k, term in _EXP_LOG[n].items()])
 
 
 def _store_series(dom, order, image):

@@ -28,7 +28,7 @@ can be compared.
 The rest is the alpha-indexed classes through symmetric functions.
 
 The production code reads every alpha class off the multiplicative class
-P (`symmfunc.total_P`) and every Chern number off the fundamental class.
+P (`chow_models.total_P`) and every Chern number off the fundamental class.
 This module computes the same classes a second, independent way: the
 monomial symmetric polynomial m_alpha is rewritten in elementary symmetric
 polynomials (the m -> e transition matrix, Macdonald, Symmetric Functions
@@ -46,11 +46,10 @@ from math import comb
 
 from cobcalc.chow_models import (
     VirtualSplitBundle, _shifted_factor, additive_chern_number, build_model, chern_total,
-    cm_graded,
+    cm_graded, total_P,
 )
 from cobcalc.core_algebra import TEPS, TRING, ZZ, BDomain, is_partition, sparse_add, sparse_from_int
 from cobcalc.fgl import b_transport, cha_b_image, chx_b_image
-from cobcalc.symmfunc import total_P
 from kernel_oracle import inverse_by_geometric_sum, series_inverse
 
 

@@ -14,6 +14,7 @@ from cobcalc.chow_models import (
     build_model,
     fundamental_class,
     quillen_pushforward,
+    total_P,
 )
 from cobcalc.cobordism import (
     BRING,
@@ -43,7 +44,6 @@ from cobcalc.fixedpoint import (
     verify_L2_relations,
     verify_lmod2,
 )
-from cobcalc.symmfunc import total_P
 from kernel_oracle import series_divide
 from law_oracle import reversion
 from symm_oracle import lambda_coeffs

@@ -448,7 +448,8 @@ def test_failed_self_check_exits_3(capsys, monkeypatch):
 
 
 # each command loads only its layers: `chern` neither the verifiers, the
-# lattices nor the law store, `fgl` neither the verifiers nor the lattices
+# lattices nor the law store, `fgl` neither the verifiers nor the lattices,
+# and neither `chern` nor `verify` the re-export module `symmfunc`
 LOADS_CLI = """
 import contextlib, io, json, sys
 from cobcalc.cli import main
@@ -459,9 +460,11 @@ print(json.dumps([code, %s]))
 
 
 @pytest.mark.parametrize("argv, unloaded", [
-    (["chern", "--spec", json.dumps(P2)], ("fixedpoint", "cobordism", "fgl")),
-    (["chern", "--spec", json.dumps(P2), "--alpha", "[1,1]"], ("fixedpoint", "cobordism", "fgl")),
+    (["chern", "--spec", json.dumps(P2)], ("fixedpoint", "cobordism", "fgl", "symmfunc")),
+    (["chern", "--spec", json.dumps(P2), "--alpha", "[1,1]"],
+     ("fixedpoint", "cobordism", "fgl", "symmfunc")),
     (["fgl", "--law", "chx", "--order", "6", "--mult", "2"], ("fixedpoint", "cobordism")),
+    (["verify", "--theorem", "all", "--builtin", "linear_pn", "--n", "2", "--a", "1"], ("symmfunc",)),
 ])
 def test_command_loads_only_its_layers(argv, unloaded):
     code, loaded = run_fresh(LOADS_CLI, *argv)

@@ -3,7 +3,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cobcalc import chow_models, clear_caches
-from cobcalc import symmfunc as sf
 from cobcalc.chow_models import (
     VarietySpec,
     VirtualSplitBundle,
@@ -11,6 +10,8 @@ from cobcalc.chow_models import (
     build_model,
     chern_total,
     tangent_bundle,
+    total_P,
+    total_P_deformed,
 )
 from cobcalc.cobordism import decomposable_test
 from cobcalc.core_algebra import ZHALF, ZZ, b_ring, partitions, sparse_add
@@ -327,8 +328,8 @@ def _ks_rhs_by_component(action, alphas):
     for comp in action.components:
         model = comp.model
         c_minus = chern_total(comp.normal.neg())
-        p_tan = sf.total_P(model.tangent().neg())
-        for elt in sf.total_P_deformed(comp.normal.neg(), action.dim).values():
+        p_tan = total_P(model.tangent().neg())
+        for elt in total_P_deformed(comp.normal.neg(), action.dim).values():
             prod = model.mul(B, elt, p_tan)
             for alpha in alphas:
                 ext = class_coefficient(prod, alpha)

@@ -1,10 +1,22 @@
 """The package namespace is filled on first use: `import cobcalc` loads no
 layer, the first public name loads every layer and binds all of `__all__`,
-and a submodule name loads only that submodule.  Each test starts a fresh
-interpreter, since the test process has loaded every layer already."""
+and a submodule name loads only that submodule.  Each of these tests starts
+a fresh interpreter, since the test process has loaded every layer already.
 
+The layers import each other at the top of a module and form no cycle, the
+CLI's per-command imports excepted; that check reads the source only, and
+runs without pytest as
+
+    PYTHONPATH=src python tests/test_package.py --check
+
+which exits 1 if a module imports a sibling layer inside a function or the
+layers' imports form a cycle."""
+
+import argparse
 import ast
 import importlib
+import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import cobcalc
@@ -187,3 +199,69 @@ def test_traced_names_still_resolve():
         if not ok:
             gone.append(name)
     assert gone == []
+
+
+# The layer graph, read off the source: the CLI imports each command's layers
+# inside the command, so that a command loads only what it runs; every other
+# module imports its sibling layers at the top, and those imports form no
+# cycle, so each layer can be read and loaded after the layers it names.
+PACKAGE = Path(cobcalc.__file__).resolve().parent
+
+
+def _sibling_imports(path, siblings):
+    """The sibling layers that the module at `path` imports, as (at the top
+    level, inside a function): relative imports and imports of
+    `cobcalc.<layer>` alike."""
+    top, local = set(), set()
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            names = []
+            if isinstance(child, ast.ImportFrom):
+                base = "cobcalc." + (child.module or "") if child.level == 1 else child.module or ""
+                # `from cobcalc import fgl` imports the submodule cobcalc.fgl
+                names = [base.rstrip(".") + "." + a.name for a in child.names] + [base]
+            elif isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            found = {n.split(".")[1] for n in names if n.startswith("cobcalc.")}
+            (local if inside else top).update(found & siblings)
+            visit(child, inside or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+    visit(ast.parse(path.read_text()), False)
+    return top, local
+
+
+def layer_graph_problems():
+    """Each module but `cli` that imports a sibling layer inside a function,
+    and a cycle of the layers' imports, top-level and local alike; an empty
+    list when there is neither."""
+    siblings = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    graph, problems = {}, []
+    for name in sorted(siblings - {"cli"}):
+        top, local = _sibling_imports(PACKAGE / (name + ".py"), siblings)
+        if local:
+            problems.append("%s imports %s inside a function" % (name, ", ".join(sorted(local))))
+        graph[name] = top | local
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        problems.append("the layers import in a cycle: " + " -> ".join(exc.args[1]))
+    return problems
+
+
+def test_layers_import_at_top_level_without_a_cycle():
+    problems = layer_graph_problems()
+    assert [p for p in problems if "inside a function" in p] == []
+    assert [p for p in problems if "cycle" in p] == []
+
+
+if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description="check the import graph of the cobcalc layers")
+    ap.add_argument("--check", action="store_true", help="check the layer graph, exit 1 on a problem")
+    if not ap.parse_args().check:
+        ap.error("nothing to do without --check")
+    found = layer_graph_problems()
+    for line in found:
+        print(line)
+    print("layer graph: %d problem(s)" % len(found))
+    sys.exit(1 if found else 0)

@@ -17,11 +17,9 @@ from cobcalc.chow_models import (
     chern_total,
     fundamental_class,
     multiplicative_class,
-)
-from cobcalc.symmfunc import (
+    pi_series,
     total_P,
     total_P_deformed,
-    pi_series,
 )
 from kernel_oracle import series_inverse
 from symm_oracle import (
