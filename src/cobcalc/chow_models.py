@@ -29,8 +29,7 @@ from math import comb
 from operator import add as _plus
 
 from .core_algebra import (
-    ZZ, TruncatedSeries, _series_power, b_ring, dot_groups, is_int, is_partition, sparse_add,
-    sparse_int_scale,
+    ZZ, TruncatedSeries, _series_power, b_ring, dot_groups, is_int, is_partition, sparse_lincomb,
 )
 
 B = b_ring(ZZ)
@@ -350,26 +349,23 @@ class ChowModel:
         for i, r, rule in self._relations:
             if exp[i] >= r:
                 rest = exp[:i] + (exp[i] - r,) + exp[i + 1:]
-                out = {}
-                for me, mc in rule.items():
-                    sub = self.reduce(tuple(map(_plus, rest, me)))
-                    out = sparse_add(ZZ, out, sparse_int_scale(ZZ, sub, mc))
+                out = sparse_lincomb(ZZ, [(self.reduce(tuple(map(_plus, rest, me))), mc)
+                                          for me, mc in rule.items()])
                 break
         self._reduce_cache[exp] = out
         return out
 
     def normalize(self, dom, u):
         """Normal form of an element: the reductions of its monomials, summed
-        by one `dot` per normal monomial.  A monomial already in normal form
-        with no other contribution keeps its coefficient as it is."""
-        one = dom.one()
+        by one `lincomb` per normal monomial.  A monomial already in normal
+        form with no other contribution keeps its coefficient as it is."""
         groups = {}
         for e, c in u.items():
             for e2, k in self.reduce(tuple(e)).items():
-                groups.setdefault(e2, []).append((c, one, k))
+                groups.setdefault(e2, []).append((c, k))
         out = {}
-        for e2, terms in groups.items():
-            v = terms[0][0] if len(terms) == 1 and terms[0][2] == 1 else dom.dot(terms)
+        for e2, pairs in groups.items():
+            v = pairs[0][0] if len(pairs) == 1 and pairs[0][1] == 1 else dom.lincomb(pairs)
             if not dom.is_zero(v):
                 out[e2] = v
         return out
@@ -448,7 +444,6 @@ def _shifted_factor(model, phi, u, y_max):
         if not nxt:
             break
         powers.append(nxt)
-    one = dom.one()
     out = {}
     for k in range(y_max + 1):
         groups = {}
@@ -457,8 +452,12 @@ def _shifted_factor(model, phi, u, y_max):
             if c is not None:
                 binom = comb(k + d, k)
                 for e, n in u_d.items():
-                    groups.setdefault(e, []).append((c, one, binom * n))
-        elt = dot_groups(dom, groups)
+                    groups.setdefault(e, []).append((c, binom * n))
+        elt = {}
+        for e, pairs in groups.items():
+            v = dom.lincomb(pairs)
+            if not dom.is_zero(v):
+                elt[e] = v
         if elt:
             out[k] = elt
     return out

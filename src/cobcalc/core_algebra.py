@@ -12,7 +12,9 @@ A sum of products is one `dot(terms)` of a domain: sum of k * a * b over
 multiply monomials through a MonomialTable of interned monomial ids, whose
 product rows are filled on a miss by merging the two keys, and sum into one
 accumulator keyed by id that drops zeros once, at the end.  Ids never leave
-this module: elements are dicts keyed by their monomials.
+this module: elements are dicts keyed by their monomials.  A sum of integer
+multiples, with no product in it, is one `lincomb(pairs)`: sum of k * a over
+(a, k) pairs, summed into one accumulator keyed by the monomials themselves.
 """
 
 from __future__ import annotations
@@ -110,7 +112,8 @@ def merge_partitions(p, q):
 # coefficient tables of series and the elements of Chow rings are all sparse
 # elements.  Over ZZ the coefficients are plain ints, and every routine below
 # skips the per-term dispatch to the base domain.  Sums of products go
-# through a domain's `dot` (see SparseDomain), not through repeated `add`.
+# through a domain's `dot` (see SparseDomain), and sums of integer multiples
+# through its `lincomb`, not through repeated `add`.
 
 def sparse_add(base, a, b):
     out = dict(a)
@@ -170,6 +173,26 @@ def sparse_int_scale(base, a, n):
     if base is ZZ:
         return {k: v * n for k, v in a.items()} if n else {}
     return sparse_scale(base, a, base.from_int(n))
+
+
+def sparse_lincomb(base, pairs):
+    """sum of k * a over the (sparse element a, int k) pairs, in one dict
+    keyed by monomial, with the zeros dropped once, at the end."""
+    acc = {}
+    get = acc.get
+    if base is ZZ:
+        for a, k in pairs:
+            for m, v in a.items():
+                acc[m] = get(m, 0) + k * v
+        return {m: v for m, v in acc.items() if v}
+    zero, add, mul, is_zero = base.zero(), base.add, base.mul, base.is_zero
+    for a, k in pairs:
+        kk = base.from_int(k)
+        if is_zero(kk):
+            continue
+        for m, v in a.items():
+            acc[m] = add(get(m, zero), v if k == 1 else mul(v, kk))
+    return {m: v for m, v in acc.items() if not is_zero(v)}
 
 
 def dot_groups(dom, groups):
@@ -269,7 +292,9 @@ class Domain:
     `_named`, its monomials as sorted ((sort key, name), coefficient string)
     pairs, which `monomials` serializes for the CLI and `fmt` renders.
     `dot(terms)` is the sum of k * a * b over (a, b, k) triples with k an
-    int; sums of products call it instead of adding one at a time."""
+    int; sums of products call it instead of adding one at a time, and sums
+    of integer multiples call `lincomb(pairs)`, the sum of k * a over (a, k)
+    pairs."""
 
     name = "?"
 
@@ -278,6 +303,10 @@ class Domain:
         for a, b, k in terms:
             acc = self.add(acc, self.int_scale(self.mul(a, b), k))
         return acc
+
+    def lincomb(self, pairs):
+        one = self.one()
+        return self.dot([(a, one, k) for a, k in pairs])
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -342,6 +371,9 @@ class IntDomain(_ScalarDomain):
 
     def dot(self, terms):
         return sum(a * b * k for a, b, k in terms)
+
+    def lincomb(self, pairs):
+        return sum(a * k for a, k in pairs)
 
     def is_zero(self, a):
         return a == 0
@@ -456,10 +488,10 @@ class HalfDomain(_ScalarDomain):
 
 class SparseDomain(Domain):
     """A domain whose elements are sparse elements over `base`.  The sum,
-    negation and integer multiples are the kernel's, bound to the base once
-    so that each costs a single call; `mul` and `dot` multiply monomials
-    through the subclass's MonomialTable (`_table`), whose unit key is
-    `_unit`.  A subclass supplies units and `_parts`, which splits a
+    negation, integer multiples and their sums (`lincomb`) are the kernel's,
+    bound to the base once so that each costs a single call; `mul` and `dot`
+    multiply monomials through the subclass's MonomialTable (`_table`),
+    whose unit key is `_unit`.  A subclass supplies units and `_parts`, which splits a
     monomial key into its (b-partition, t exponent, eps exponent)."""
 
     def __init__(self, base):
@@ -467,6 +499,7 @@ class SparseDomain(Domain):
         self.add = partial(sparse_add, base)
         self.neg = partial(sparse_neg, base)
         self.int_scale = partial(sparse_int_scale, base)
+        self.lincomb = partial(sparse_lincomb, base)
 
     def zero(self):
         return {}
@@ -480,8 +513,12 @@ class SparseDomain(Domain):
     def dot(self, terms):
         """sum of k * a * b over the (a, b, k) triples in one accumulator
         keyed by monomial id, with the zeros dropped once, at the end.  A
-        constant factor (the unit among them) scales the other factor and
-        costs no monomial products."""
+        constant factor scales the other factor and costs no monomial
+        products.  Callers that pass the unit as every second factor take
+        `lincomb` instead; the branch serves the units that arrive among real
+        products (the powers of x, y and z in `compose`, g_0 = 1 in Miller's
+        recurrence, the first factor of `ChowModel.product`), which share
+        this accumulator."""
         table, unit, base = self._table, self._unit, self.base
         ids, rows = table.ids, table.rows
         acc = {}

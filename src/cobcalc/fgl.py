@@ -193,11 +193,13 @@ def _grow_universal(degree):
 
 
 def mult_coefficient(n, a):
-    """[x^n][a](x) over B(ZZ) for n >= 1 and an integer a, read off the
-    store: sum_k a^k b_{k-1} L_k(n)."""
+    """[x^n][a](x) over B(ZZ) for an int n >= 0 and an int a, read off the
+    store as one `lincomb`: sum_k a^k b_{k-1} L_k(n).  Anything else,
+    a bool included, raises ValueError before the store grows."""
+    if not (is_int(n) and n >= 0 and is_int(a)):
+        raise ValueError("[x^n][a](x) needs an int n >= 0 and an int a, got n=%r, a=%r" % (n, a))
     _grow_log_powers(n)
-    one = _B.one()
-    return _B.dot([(term, one, a ** k) for k, term in _EXP_LOG[n].items()])
+    return _B.lincomb([(term, a ** k) for k, term in _EXP_LOG[n].items()])
 
 
 def _store_series(dom, order, image):
@@ -217,11 +219,10 @@ def _store_series(dom, order, image):
 
 def b_transport(elt, new_dom, gen_image):
     """Push a BDomain element through b_i |-> gen_image(i): the sum of
-    c * image(m) over its monomials m, as one `dot`, with each image read
-    off the table of (new_dom, gen_image)."""
+    c * image(m) over its monomials m, as one `lincomb`, with each image
+    read off the table of (new_dom, gen_image)."""
     table = _image_table(new_dom, gen_image)
-    one = new_dom.one()
-    return new_dom.dot([(table[parts], one, c) for parts, c in elt.items()])
+    return new_dom.lincomb([(table[parts], c) for parts, c in elt.items()])
 
 
 class _ImageTable(dict):

@@ -29,7 +29,7 @@ from .chow_models import (
 from .cobordism import decomposable_test, lazard_piece, mod2_theory_member
 from .core_algebra import (
     ZHALF, ZZ, TruncatedSeries, _half_norm, _series_power, b_ring, is_int, is_partition, is_prime,
-    partitions, sparse_add, sparse_int_scale,
+    partitions, sparse_add, sparse_int_scale, sparse_lincomb,
 )
 from .fgl import formal_mult, universal_fgl
 from .report import Report
@@ -395,7 +395,7 @@ def _eval_chern_poly(model, f, cz):
     """Evaluate a polynomial in Chern classes: f maps exponent tuples
     (e_1, ..., e_k) to integer coefficients, the tuple standing for the
     product of c_j to the power e_j."""
-    out = {}
+    pairs = []
     for exps, coeff in f.items():
         term = model.one(ZZ)
         for pos, e in enumerate(exps):
@@ -406,8 +406,8 @@ def _eval_chern_poly(model, f, cz):
                 term = model.mul(ZZ, term, cj)
                 if not term:
                     break
-        out = sparse_add(ZZ, out, sparse_int_scale(ZZ, term, coeff))
-    return out
+        pairs.append((term, coeff))
+    return sparse_lincomb(ZZ, pairs)
 
 
 def _poly_number(spec, f):

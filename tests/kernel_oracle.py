@@ -23,14 +23,24 @@ every term (`fmt_by_terms`).
 Last, the row HNF and lattice membership on dense rows, as they were
 before `hnf_rows` walked sparse reducers (`dense_hnf_rows`,
 `dense_member`): every remaining row is scanned at every column, and each
-row operation rewrites the whole tail from the pivot column on."""
+row operation rewrites the whole tail from the pivot column on.
 
+To compare `dot`, `mul` and `lincomb` of every domain with the oracle on
+seeded random draws, on an interpreter without pytest or Hypothesis, run
+
+    PYTHONPATH=src python tests/kernel_oracle.py --check
+
+which exits 1 on a mismatch."""
+
+import argparse
+import random
+import sys
 from itertools import groupby
 from operator import add as _plus
 
 from cobcalc.core_algebra import (
-    TEPS, TRING, BDomain, SparseDomain, TruncatedSeries, dot_groups, merge_partitions,
-    sparse_add, sparse_int_scale,
+    TEPS, TRING, ZHALF, ZZ, BDomain, SparseDomain, TruncatedSeries, b_ring, dot_groups, int_mod,
+    merge_partitions, sparse_add, sparse_int_scale,
 )
 
 
@@ -62,7 +72,13 @@ def oracle_mul(dom, a, b):
 
 
 def oracle_dot(dom, terms):
-    """sum of k * a * b over the (a, b, k) triples, one addition at a time."""
+    """sum of k * a * b over the (a, b, k) triples, one addition at a time;
+    over a domain of constants, by its own add, mul and from_int."""
+    if not isinstance(dom, SparseDomain):
+        out = dom.zero()
+        for a, b, k in terms:
+            out = dom.add(out, dom.mul(dom.mul(a, b), dom.from_int(k)))
+        return out
     out = {}
     for a, b, k in terms:
         out = sparse_add(dom.base, out, sparse_int_scale(dom.base, oracle_mul(dom, a, b), k))
@@ -276,3 +292,77 @@ def dense_member(hnf, pivcols, v):
             q = v[c] // row[c]
             v[c:] = [a - q * b for a, b in zip(v[c:], row[c:])]
     return not any(v)
+
+
+def _partition(rng):
+    return tuple(sorted((rng.randint(1, 4) for _ in range(rng.randint(0, 3))), reverse=True))
+
+
+def _nonzero(rng):
+    return rng.choice([-3, -2, -1, 1, 2, 3])
+
+
+def _half(rng):
+    return ZHALF.mul((_nonzero(rng), 0), ZHALF.inv((1 << rng.randint(0, 2), 0)))
+
+
+# (domain, random monomial key or None for a constant, random nonzero
+# coefficient in canonical form)
+_CHECK_DOMAINS = [
+    (b_ring(ZZ), _partition, _nonzero),
+    (b_ring(int_mod(2)), _partition, lambda rng: 1),
+    (b_ring(ZHALF), _partition, _half),
+    (TRING, lambda rng: rng.randint(0, 4), _nonzero),
+    (TEPS, lambda rng: (rng.randint(0, 3), rng.randint(0, 1)), _nonzero),
+    (ZZ, None, _nonzero),
+    (int_mod(3), None, lambda rng: rng.randint(1, 2)),
+    (ZHALF, None, _half),
+]
+
+
+def _element(rng, key, coeff):
+    if key is None:
+        return coeff(rng)
+    return {key(rng): coeff(rng) for _ in range(rng.randint(0, 4))}
+
+
+def check(cases=300, seed=0):
+    """Compare dot, mul and lincomb of every domain in _CHECK_DOMAINS with
+    the oracle on `cases` random term lists each; return 1 on a mismatch.
+    The factors come from a pool that holds zero, the unit, drawn elements
+    and the negative of the first, so terms can vanish, have a unit factor
+    or cancel each other."""
+    rng = random.Random(seed)
+    bad = total = 0
+    for dom, key, coeff in _CHECK_DOMAINS:
+        for _ in range(cases):
+            drawn = [_element(rng, key, coeff) for _ in range(rng.randint(1, 3))]
+            pool = [dom.zero(), dom.one(), dom.neg(drawn[0])] + drawn
+            terms = [(rng.choice(pool), rng.choice(pool), rng.randint(-2, 2))
+                     for _ in range(rng.randint(0, 5))]
+            if terms and rng.random() < 0.5:
+                a, b, k = terms[0]
+                terms.append((b, a, -k))
+            pairs = [(a, k) for a, _b, k in terms]
+            problems = []
+            if dom.dot(terms) != oracle_dot(dom, terms):
+                problems.append("dot")
+            if isinstance(dom, SparseDomain) and any(dom.mul(a, b) != oracle_mul(dom, a, b)
+                                                     for a, b, _k in terms):
+                problems.append("mul")
+            if dom.lincomb(pairs) != oracle_dot(dom, [(a, dom.one(), k) for a, k in pairs]):
+                problems.append("lincomb")
+            total += 1
+            if problems:
+                bad += 1
+                print("MISMATCH %s %s on %r" % (dom.name, "/".join(problems), terms))
+    print("%d of %d kernel cases match the oracle" % (total - bad, total))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description="reference kernel products, kept as a test oracle")
+    ap.add_argument("--check", action="store_true", help="compare dot, mul and lincomb with the oracle")
+    if not ap.parse_args().check:
+        ap.error("nothing to do without --check")
+    sys.exit(check())

@@ -548,6 +548,26 @@ def test_dot_and_mul_match_oracle(case):
     assert dom.dot(terms) == oracle_dot(dom, terms)
     for a, b, _k in terms:
         assert dom.mul(a, b) == oracle_mul(dom, a, b)
+    assert dom.lincomb([(a, k) for a, _b, k in terms]) == oracle_dot(dom, [(a, dom.one(), k) for a, _b, k in terms])
+
+
+@pytest.mark.parametrize("dom, pairs, expected", [
+    (ZZ, [], 0),
+    (ZZ, [(3, 2), (-5, 1), (7, 0)], 1),
+    (int_mod(3), [], 0),
+    (int_mod(3), [(2, 2), (1, 5)], 0),
+    (int_mod(3), [(2, 2), (1, 1)], 2),
+    (ZHALF, [], (0, 0)),
+    (ZHALF, [((1, 1), 3), ((1, 2), -2)], (1, 0)),
+    (b_ring(int_mod(2)), [], {}),
+    # the first multiplier is 0 mod 2, and b2 and b1 cancel mod 2
+    (b_ring(int_mod(2)), [({(1,): 1, (): 1}, 2), ({(2,): 1, (1,): 1}, 1), ({(1,): 1}, 3),
+                          ({(2,): 1}, -1), ({(3,): 1}, 5)], {(3,): 1}),
+], ids=["ZZ-empty", "ZZ", "Z3-empty", "Z3-vanishes", "Z3", "ZHALF-empty", "ZHALF",
+        "B(Z2)-empty", "B(Z2)-zero-multiplier"])
+def test_lincomb_sums_integer_multiples(dom, pairs, expected):
+    # equal to `expected` in canonical form, so no zero coefficient is stored
+    assert dom.lincomb(pairs) == expected
 
 
 @st.composite

@@ -18,6 +18,7 @@ from cobcalc.fgl import (
     cha_b_image,
     formal_inverse,
     formal_mult,
+    mult_coefficient,
 )
 from kernel_oracle import series_inverse
 from law_oracle import (
@@ -157,6 +158,19 @@ def test_formal_mult_rejects_a_non_integer(constructor, a):
     # a float would give float coefficients and a bool would read as 0 or 1
     with pytest.raises(ValueError, match="integer"):
         formal_mult(constructor(5), a)
+
+
+def test_mult_coefficient_rejects_what_is_not_an_int_n_ge_0_and_an_int_a():
+    # n = -1 would read the store's top row, a float a gives float
+    # coefficients, a float n fails inside list indexing, and a bool reads
+    # as 0 or 1; none may grow the store
+    top = len(fgl._LOG_POWERS)
+    for n, a in [(-1, 2), (3, 2.5), (2.0, 2), (float(top + 2), 2), (True, 2), (3, True), (3, "2")]:
+        with pytest.raises(ValueError, match="an int n >= 0 and an int a"):
+            mult_coefficient(n, a)
+    assert len(fgl._LOG_POWERS) == top
+    assert mult_coefficient(0, 3) == {}
+    assert mult_coefficient(1, 3) == {(): 3}
 
 
 def test_additive_law():
