@@ -191,7 +191,7 @@ def sparse_lincomb(base, pairs):
         if is_zero(kk):
             continue
         for m, v in a.items():
-            acc[m] = add(get(m, zero), v if k == 1 else mul(v, kk))
+            acc[m] = add(get(m, zero), mul(v, kk))
     return {m: v for m, v in acc.items() if not is_zero(v)}
 
 

@@ -548,7 +548,8 @@ def test_dot_and_mul_match_oracle(case):
     assert dom.dot(terms) == oracle_dot(dom, terms)
     for a, b, _k in terms:
         assert dom.mul(a, b) == oracle_mul(dom, a, b)
-    assert dom.lincomb([(a, k) for a, _b, k in terms]) == oracle_dot(dom, [(a, dom.one(), k) for a, _b, k in terms])
+    pairs = [(a, k) for a, _b, k in terms]
+    assert dom.lincomb(pairs) == oracle_dot(dom, [(a, dom.one(), k) for a, k in pairs])
 
 
 @pytest.mark.parametrize("dom, pairs, expected", [
