@@ -22,15 +22,14 @@ _EXPORTS = {
     ),
     "fgl": (
         "FormalGroupLaw", "additive_fgl", "b_transport", "cha_b_image", "cha_fgl",
-        "check_law_series", "chx_b_image", "chx_fgl", "formal_inverse",
-        "formal_mult", "specialize", "universal_fgl", "universal_fgl_mod_p",
+        "check_law_series", "chx_b_image", "chx_fgl", "formal_mult", "specialize",
+        "universal_fgl", "universal_fgl_mod_p",
     ),
     "symmfunc": ("total_P", "total_P_deformed"),
     "chow_models": (
         "ChowModel", "VarietySpec", "VirtualSplitBundle", "additive_chern_number",
         "build_model", "chern_number", "chern_total",
-        "euler_number", "fundamental_class",
-        "quillen_pushforward", "tangent_bundle",
+        "euler_number", "fundamental_class", "quillen_pushforward",
     ),
     "cobordism": (
         "LazardDegreePiece", "binomial_middle_gcd", "decomposable_test",

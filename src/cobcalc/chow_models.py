@@ -29,7 +29,8 @@ from math import comb
 from operator import add as _plus
 
 from .core_algebra import (
-    ZZ, TruncatedSeries, _series_power, b_ring, dot_groups, is_int, is_partition, sparse_lincomb,
+    ZZ, TruncatedSeries, _series_power, b_ring, dot_groups, is_int, is_partition, lincomb_groups,
+    sparse_lincomb,
 )
 
 B = b_ring(ZZ)
@@ -363,12 +364,7 @@ class ChowModel:
         for e, c in u.items():
             for e2, k in self.reduce(tuple(e)).items():
                 groups.setdefault(e2, []).append((c, k))
-        out = {}
-        for e2, pairs in groups.items():
-            v = pairs[0][0] if len(pairs) == 1 and pairs[0][1] == 1 else dom.lincomb(pairs)
-            if not dom.is_zero(v):
-                out[e2] = v
-        return out
+        return lincomb_groups(dom, groups)
 
     def _group_pairs(self, groups, u, v):
         """Add the coefficient pairs of u * v to `groups`, as (a, b, 1)
@@ -427,10 +423,6 @@ class ChowModel:
         return self._tangent
 
 
-def tangent_bundle(spec):
-    return build_model(spec).tangent()
-
-
 # ---------------------------------------------------------------------------
 # characteristic classes and pushforwards
 
@@ -453,11 +445,7 @@ def _shifted_factor(model, phi, u, y_max):
                 binom = comb(k + d, k)
                 for e, n in u_d.items():
                     groups.setdefault(e, []).append((c, binom * n))
-        elt = {}
-        for e, pairs in groups.items():
-            v = dom.lincomb(pairs)
-            if not dom.is_zero(v):
-                elt[e] = v
+        elt = lincomb_groups(dom, groups)
         if elt:
             out[k] = elt
     return out

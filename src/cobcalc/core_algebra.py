@@ -15,6 +15,9 @@ accumulator keyed by id that drops zeros once, at the end.  Ids never leave
 this module: elements are dicts keyed by their monomials.  A sum of integer
 multiples, with no product in it, is one `lincomb(pairs)`: sum of k * a over
 (a, k) pairs, summed into one accumulator keyed by the monomials themselves.
+Those loops run over int coefficients; over another base (Z/p, ZHALF) a sum
+groups its coefficients by monomial and hands each group to the base's own
+`dot` or `lincomb`.
 """
 
 from __future__ import annotations
@@ -110,14 +113,16 @@ def merge_partitions(p, q):
 # A sparse element is a dict {monomial: coefficient} over a base domain that
 # never stores a zero coefficient: the elements of B, T and TEPS, the
 # coefficient tables of series and the elements of Chow rings are all sparse
-# elements.  Over ZZ the coefficients are plain ints, and every routine below
-# skips the per-term dispatch to the base domain.  Sums of products go
-# through a domain's `dot` (see SparseDomain), and sums of integer multiples
-# through its `lincomb`, not through repeated `add`.
+# elements.  Over ZZ the coefficients are plain ints, and each sum below is
+# one loop over them.  Over another base a sum groups its coefficients by
+# monomial and each group is one `dot` or `lincomb` of the base
+# (`dot_groups`, `lincomb_groups`), never a per-term `add` or `mul`.  Sums
+# of products go through a domain's `dot` (see SparseDomain), and sums of
+# integer multiples through its `lincomb`, not through repeated `add`.
 
 def sparse_add(base, a, b):
-    out = dict(a)
     if base is ZZ:
+        out = dict(a)
         for k, v in b.items():
             s = out.get(k, 0) + v
             if s:
@@ -125,34 +130,7 @@ def sparse_add(base, a, b):
             else:
                 out.pop(k, None)
         return out
-    zero = base.zero()
-    for k, v in b.items():
-        s = base.add(out.get(k, zero), v)
-        if base.is_zero(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def sparse_neg(base, a):
-    if base is ZZ:
-        return {k: -v for k, v in a.items()}
-    return {k: base.neg(v) for k, v in a.items()}
-
-
-def sparse_scale(base, a, c):
-    """c * a for a base element c."""
-    if base.is_zero(c):
-        return {}
-    if base is ZZ:
-        return {k: v * c for k, v in a.items()}
-    out = {}
-    for k, v in a.items():
-        p = base.mul(v, c)
-        if not base.is_zero(p):
-            out[k] = p
-    return out
+    return sparse_lincomb(base, ((a, 1), (b, 1)))
 
 
 def sparse_from_int(base, a):
@@ -172,12 +150,14 @@ def sparse_int_scale(base, a, n):
         return a
     if base is ZZ:
         return {k: v * n for k, v in a.items()} if n else {}
-    return sparse_scale(base, a, base.from_int(n))
+    return sparse_lincomb(base, ((a, n),))
 
 
 def sparse_lincomb(base, pairs):
-    """sum of k * a over the (sparse element a, int k) pairs, in one dict
-    keyed by monomial, with the zeros dropped once, at the end."""
+    """sum of k * a over the (sparse element a, int k) pairs.  Over ZZ, in
+    one dict keyed by monomial, with the zeros dropped once, at the end;
+    over another base, the (coefficient, k) pairs are grouped by monomial
+    and each group is one `lincomb` of the base."""
     acc = {}
     get = acc.get
     if base is ZZ:
@@ -185,14 +165,11 @@ def sparse_lincomb(base, pairs):
             for m, v in a.items():
                 acc[m] = get(m, 0) + k * v
         return {m: v for m, v in acc.items() if v}
-    zero, add, mul, is_zero = base.zero(), base.add, base.mul, base.is_zero
+    groups = {}
     for a, k in pairs:
-        kk = base.from_int(k)
-        if is_zero(kk):
-            continue
         for m, v in a.items():
-            acc[m] = add(get(m, zero), mul(v, kk))
-    return {m: v for m, v in acc.items() if not is_zero(v)}
+            groups.setdefault(m, []).append((v, k))
+    return lincomb_groups(base, groups)
 
 
 def dot_groups(dom, groups):
@@ -201,6 +178,17 @@ def dot_groups(dom, groups):
     out = {}
     for key, terms in groups.items():
         v = dom.dot(terms)
+        if not dom.is_zero(v):
+            out[key] = v
+    return out
+
+
+def lincomb_groups(dom, groups):
+    """{key: dom.lincomb(pairs)} for the (a, k) pairs grouped by key, without
+    the keys whose sum is zero.  A lone pair (a, 1) keeps a as it is."""
+    out = {}
+    for key, pairs in groups.items():
+        v = pairs[0][0] if len(pairs) == 1 and pairs[0][1] == 1 else dom.lincomb(pairs)
         if not dom.is_zero(v):
             out[key] = v
     return out
@@ -488,16 +476,17 @@ class HalfDomain(_ScalarDomain):
 
 class SparseDomain(Domain):
     """A domain whose elements are sparse elements over `base`.  The sum,
-    negation, integer multiples and their sums (`lincomb`) are the kernel's,
-    bound to the base once so that each costs a single call; `mul` and `dot`
-    multiply monomials through the subclass's MonomialTable (`_table`),
-    whose unit key is `_unit`.  A subclass supplies units and `_parts`, which splits a
-    monomial key into its (b-partition, t exponent, eps exponent)."""
+    integer multiples, negation (the multiple by -1) and sums of multiples
+    (`lincomb`) are the kernel's, bound to the base once so that each costs
+    a single call; `mul` and `dot` multiply monomials through the subclass's
+    MonomialTable (`_table`), whose unit key is `_unit`.  A subclass supplies
+    units and `_parts`, which splits a monomial key into its (b-partition, t
+    exponent, eps exponent)."""
 
     def __init__(self, base):
         self.base = base
         self.add = partial(sparse_add, base)
-        self.neg = partial(sparse_neg, base)
+        self.neg = partial(sparse_int_scale, base, n=-1)
         self.int_scale = partial(sparse_int_scale, base)
         self.lincomb = partial(sparse_lincomb, base)
 
@@ -511,14 +500,16 @@ class SparseDomain(Domain):
         return self.dot(((a, b, 1),))
 
     def dot(self, terms):
-        """sum of k * a * b over the (a, b, k) triples in one accumulator
-        keyed by monomial id, with the zeros dropped once, at the end.  A
-        constant factor scales the other factor and costs no monomial
+        """sum of k * a * b over the (a, b, k) triples.  Over ZZ, in one
+        accumulator keyed by monomial id, with the zeros dropped once, at the
+        end; a constant factor scales the other factor and costs no monomial
         products.  Callers that pass the unit as every second factor take
         `lincomb` instead; the branch serves the units that arrive among real
         products (the powers of x, y and z in `compose`, g_0 = 1 in Miller's
         recurrence, the first factor of `ChowModel.product`), which share
-        this accumulator."""
+        this accumulator.  Over another base, each coefficient product is
+        filed under its product id, and the triples of each id are one `dot`
+        of the base."""
         table, unit, base = self._table, self._unit, self.base
         ids, rows = table.ids, table.rows
         acc = {}
@@ -542,29 +533,15 @@ class SparseDomain(Domain):
                         acc[p] = get(p, 0) + v1 * v2
             keys = table.keys
             return {keys[i]: v for i, v in acc.items() if v}
-        zero, add, mul, is_zero = base.zero(), base.add, base.mul, base.is_zero
+        groups = {}
         for a, b, k in terms:
-            kk = base.from_int(k)
-            if is_zero(kk):
-                continue
-            if len(b) < len(a) or (len(b) == 1 and unit in b):
-                a, b = b, a
-            if len(a) == 1 and unit in a:
-                s = mul(a[unit], kk)
-                for m, v in b.items():
-                    j = ids[m]
-                    acc[j] = add(get(j, zero), mul(s, v))
-                continue
             ib = [(ids[m], v) for m, v in b.items()]
             for m, v1 in a.items():
                 row = rows[ids[m]]
-                if k != 1:
-                    v1 = mul(v1, kk)
                 for j, v2 in ib:
-                    p = row[j]
-                    acc[p] = add(get(p, zero), mul(v1, v2))
+                    groups.setdefault(row[j], []).append((v1, v2, k))
         keys = table.keys
-        return {keys[i]: v for i, v in acc.items() if not is_zero(v)}
+        return {keys[i]: v for i, v in dot_groups(base, groups).items()}
 
     def degrees(self, a):
         return frozenset(-sum(b) - t for b, t, _eps in map(self._parts, a))
@@ -824,13 +801,14 @@ class TruncatedSeries:
         return self._like(sparse_add(self.dom, self.coeffs, other.coeffs))
 
     def neg(self):
-        return self._like(sparse_neg(self.dom, self.coeffs))
+        return self._like(sparse_int_scale(self.dom, self.coeffs, -1))
 
     def sub(self, other):
         return self.add(other.neg())
 
     def scale(self, c):
-        return self._like(sparse_scale(self.dom, self.coeffs, c))
+        """c * self for an element c of the coefficient domain."""
+        return self._like(dot_groups(self.dom, {e: ((v, c, 1),) for e, v in self.coeffs.items()}))
 
     def int_scale(self, k):
         return self._like(sparse_int_scale(self.dom, self.coeffs, k))

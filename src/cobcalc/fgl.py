@@ -76,11 +76,6 @@ class FormalGroupLaw:
         return r
 
 
-def formal_inverse(law):
-    """The series m(x) with F(x, m(x)) = 0, which is [-1](x)."""
-    return law.formal_mult(-1)
-
-
 def formal_mult(law, a):
     return law.formal_mult(a)
 

@@ -13,7 +13,6 @@ from cobcalc.chow_models import (
     VirtualSplitBundle,
     ChowModel,
     build_model,
-    tangent_bundle,
     chern_total,
     cm_graded,
     quillen_pushforward,
@@ -289,7 +288,7 @@ def test_disjoint_model():
     assert euler_number(d) == 4
     assert fundamental_class(d, "L") == B.int_scale(B.gen(1), -4)
     with pytest.raises(ValueError):
-        tangent_bundle(d)
+        build_model(d).tangent()
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +329,7 @@ def test_virtual_bundle_trivial_ranks_are_ints():
         with pytest.raises(ValueError, match="trivial ranks must be ints >= 0"):
             VirtualSplitBundle(pt, minus_trivial=k)
     with pytest.raises(ValueError, match="trivial ranks must be ints >= 0"):
-        tangent_bundle(P2).add_trivial(0.5)
+        build_model(P2).tangent().add_trivial(0.5)
     assert VirtualSplitBundle(pt, plus_trivial=2).add_trivial(1).rank == 3
 
 

@@ -24,7 +24,8 @@ from cobcalc.core_algebra import (
 from cobcalc.fgl import cha_fgl, chx_fgl, universal_fgl
 from kernel_oracle import (
     dense_hnf_rows, dense_member, fmt_by_dicts, fmt_by_terms, inverse_by_geometric_sum,
-    monomials_by_dicts, oracle_dot, oracle_mul, series_divide, series_inverse,
+    monomials_by_dicts, oracle_dot, oracle_lincomb, oracle_mul, series_divide, series_inverse,
+    sum_problems,
 )
 from law_oracle import reversion, scaled_lattice
 
@@ -549,7 +550,8 @@ def test_dot_and_mul_match_oracle(case):
     for a, b, _k in terms:
         assert dom.mul(a, b) == oracle_mul(dom, a, b)
     pairs = [(a, k) for a, _b, k in terms]
-    assert dom.lincomb(pairs) == oracle_dot(dom, [(a, dom.one(), k) for a, k in pairs])
+    assert dom.lincomb(pairs) == oracle_lincomb(dom, pairs)
+    assert sum_problems(dom, terms) == []
 
 
 @pytest.mark.parametrize("dom, pairs, expected", [
