@@ -7,22 +7,24 @@ object supplies the ring operations.  Everything is immutable by convention and
 exact (arbitrary-precision integers throughout; the only denominators allowed
 anywhere are powers of two, in ZHALF).
 
-A sum of products is one `dot(terms)` of a domain: sum of k * a * b over
-(a, b, k) triples.  The sparse domains (the b-ring, ZZ[t], ZZ[t,eps]/eps^2)
-multiply monomials through a MonomialTable of interned monomial ids, whose
-product rows are filled on a miss by merging the two keys, and sum into one
-accumulator keyed by id that drops zeros once, at the end.  Ids never leave
-this module: elements are dicts keyed by their monomials.  A sum of integer
-multiples, with no product in it, is one `lincomb(pairs)`: sum of k * a over
-(a, k) pairs, summed into one accumulator keyed by the monomials themselves.
-Those loops run over int coefficients; over another base (Z/p, ZHALF) a sum
+A domain supplies two sums, and every other ring operation is one of them:
+`lincomb(pairs)`, the sum of k * a over (a, k) pairs with k an int, and
+`dot(terms)`, the sum of k * a * b over (a, b, k) triples.  `Domain`
+derives `add`, `neg`, `sub`, `int_scale`, `mul` and `eq` from them.  The
+sparse domains (the b-ring, ZZ[t], ZZ[t,eps]/eps^2) sum a `lincomb` into
+one accumulator keyed by the monomials themselves, and multiply monomials
+in a `dot` through a MonomialTable of interned monomial ids, whose product
+rows are filled on a miss by merging the two keys, summing into one
+accumulator keyed by id; each drops zeros once, at the end.  Ids never
+leave this module: elements are dicts keyed by their monomials.  Those two
+loops run over int coefficients; over another base (Z/p, ZHALF) a sum
 groups its coefficients by monomial and hands each group to the base's own
 `dot` or `lincomb`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, compress, count
 from operator import add as _plus
 
@@ -113,25 +115,11 @@ def merge_partitions(p, q):
 # A sparse element is a dict {monomial: coefficient} over a base domain that
 # never stores a zero coefficient: the elements of B, T and TEPS, the
 # coefficient tables of series and the elements of Chow rings are all sparse
-# elements.  Over ZZ the coefficients are plain ints, and each sum below is
-# one loop over them.  Over another base a sum groups its coefficients by
-# monomial and each group is one `dot` or `lincomb` of the base
-# (`dot_groups`, `lincomb_groups`), never a per-term `add` or `mul`.  Sums
-# of products go through a domain's `dot` (see SparseDomain), and sums of
-# integer multiples through its `lincomb`, not through repeated `add`.
-
-def sparse_add(base, a, b):
-    if base is ZZ:
-        out = dict(a)
-        for k, v in b.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return out
-    return sparse_lincomb(base, ((a, 1), (b, 1)))
-
+# elements.  Over ZZ the coefficients are plain ints, and a sum of integer
+# multiples is one loop over them (`sparse_lincomb`), as a sum of products
+# is (`SparseDomain.dot`).  Over another base a sum groups its coefficients
+# by monomial and each group is one `dot` or `lincomb` of the base
+# (`dot_groups`, `lincomb_groups`), never a per-term `add` or `mul`.
 
 def sparse_from_int(base, a):
     """An int-coefficient sparse element with its coefficients mapped into
@@ -142,15 +130,6 @@ def sparse_from_int(base, a):
         if not base.is_zero(c):
             out[k] = c
     return out
-
-
-def sparse_int_scale(base, a, n):
-    """n * a for an integer n; returns a itself when n == 1."""
-    if n == 1:
-        return a
-    if base is ZZ:
-        return {k: v * n for k, v in a.items()} if n else {}
-    return sparse_lincomb(base, ((a, n),))
 
 
 def sparse_lincomb(base, pairs):
@@ -274,35 +253,32 @@ class MonomialTable:
 # coefficient domains
 
 class Domain:
-    """Base of all coefficient domains.  Subclasses define zero/one/from_int,
-    add/neg/mul, is_zero and is_unit/inv; _ScalarDomain and SparseDomain
+    """Base of all coefficient domains.  A subclass supplies `zero`, `one`,
+    `from_int`, `is_zero`, `is_unit`/`inv` and two sums, with k an int:
+    `lincomb(pairs)`, the sum of k * a over (a, k) pairs, and `dot(terms)`,
+    the sum of k * a * b over (a, b, k) triples.  Every other ring operation
+    is one of those sums, derived here, so `eq` and `sub` take one pass and
+    `int_scale(a, 1)` returns a itself.  _ScalarDomain and SparseDomain
     define `degrees`, the graded degrees present in an element, and
     `_named`, its monomials as sorted ((sort key, name), coefficient string)
-    pairs, which `monomials` serializes for the CLI and `fmt` renders.
-    `dot(terms)` is the sum of k * a * b over (a, b, k) triples with k an
-    int; sums of products call it instead of adding one at a time, and sums
-    of integer multiples call `lincomb(pairs)`, the sum of k * a over (a, k)
-    pairs."""
+    pairs, which `monomials` serializes for the CLI and `fmt` renders."""
 
     name = "?"
 
-    def dot(self, terms):
-        acc = self.zero()
-        for a, b, k in terms:
-            acc = self.add(acc, self.int_scale(self.mul(a, b), k))
-        return acc
+    def add(self, a, b):
+        return self.lincomb(((a, 1), (b, 1)))
 
-    def lincomb(self, pairs):
-        one = self.one()
-        return self.dot([(a, one, k) for a, k in pairs])
+    def neg(self, a):
+        return self.lincomb(((a, -1),))
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return self.lincomb(((a, 1), (b, -1)))
 
     def int_scale(self, a, k):
-        if k == 1:
-            return a
-        return self.mul(a, self.from_int(k))
+        return a if k == 1 else self.lincomb(((a, k),))
+
+    def mul(self, a, b):
+        return self.dot(((a, b, 1),))
 
     def eq(self, a, b):
         return self.is_zero(self.sub(a, b))
@@ -348,15 +324,6 @@ class IntDomain(_ScalarDomain):
     def from_int(self, n):
         return n
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
     def dot(self, terms):
         return sum(a * b * k for a, b, k in terms)
 
@@ -394,14 +361,11 @@ class IntModDomain(_ScalarDomain):
     def from_int(self, n):
         return n % self.m
 
-    def add(self, a, b):
-        return (a + b) % self.m
+    def dot(self, terms):
+        return sum(a * b * k for a, b, k in terms) % self.m
 
-    def neg(self, a):
-        return (-a) % self.m
-
-    def mul(self, a, b):
-        return (a * b) % self.m
+    def lincomb(self, pairs):
+        return sum(a * k for a, k in pairs) % self.m
 
     def is_zero(self, a):
         return a % self.m == 0
@@ -428,6 +392,13 @@ def _half_norm(n, e):
     return (n, e)
 
 
+def _half_sum(terms):
+    """The sum of num / 2**e over the (num, e) terms, taken over their
+    common power of two and normalized."""
+    e = max([f for _, f in terms], default=0)
+    return _half_norm(sum(n << (e - f) for n, f in terms), e)
+
+
 class HalfDomain(_ScalarDomain):
     """The ring of integers with powers of two inverted; elements are pairs
     (num, e) meaning num / 2**e, normalized so e == 0 or num is odd."""
@@ -443,16 +414,11 @@ class HalfDomain(_ScalarDomain):
     def from_int(self, n):
         return (n, 0)
 
-    def add(self, a, b):
-        (n1, e1), (n2, e2) = a, b
-        e = max(e1, e2)
-        return _half_norm(n1 * (1 << (e - e1)) + n2 * (1 << (e - e2)), e)
+    def dot(self, terms):
+        return _half_sum([(n1 * n2 * k, e1 + e2) for (n1, e1), (n2, e2), k in terms])
 
-    def neg(self, a):
-        return (-a[0], a[1])
-
-    def mul(self, a, b):
-        return _half_norm(a[0] * b[0], a[1] + b[1])
+    def lincomb(self, pairs):
+        return _half_sum([(n * k, e) for (n, e), k in pairs])
 
     def is_zero(self, a):
         return a[0] == 0
@@ -475,29 +441,39 @@ class HalfDomain(_ScalarDomain):
 
 
 class SparseDomain(Domain):
-    """A domain whose elements are sparse elements over `base`.  The sum,
-    integer multiples, negation (the multiple by -1) and sums of multiples
-    (`lincomb`) are the kernel's, bound to the base once so that each costs
-    a single call; `mul` and `dot` multiply monomials through the subclass's
-    MonomialTable (`_table`), whose unit key is `_unit`.  A subclass supplies
-    units and `_parts`, which splits a monomial key into its (b-partition, t
-    exponent, eps exponent)."""
+    """A domain whose elements are sparse elements over `base`.  `lincomb`
+    is the kernel's `sparse_lincomb`, and `dot` multiplies monomials through
+    the subclass's MonomialTable (`_table`).  The constants and the units
+    are the base's, on the unit key `_unit`.  A subclass supplies `_unit`,
+    `_table` and `_parts`, which splits a monomial key into its
+    (b-partition, t exponent, eps exponent)."""
 
     def __init__(self, base):
         self.base = base
-        self.add = partial(sparse_add, base)
-        self.neg = partial(sparse_int_scale, base, n=-1)
-        self.int_scale = partial(sparse_int_scale, base)
-        self.lincomb = partial(sparse_lincomb, base)
 
     def zero(self):
         return {}
 
+    def one(self):
+        return {self._unit: self.base.one()}
+
+    def from_int(self, n):
+        c = self.base.from_int(n)
+        return {} if self.base.is_zero(c) else {self._unit: c}
+
     def is_zero(self, a):
         return not a
 
-    def mul(self, a, b):
-        return self.dot(((a, b, 1),))
+    def is_unit(self, a):
+        return set(a) == {self._unit} and self.base.is_unit(a[self._unit])
+
+    def inv(self, a):
+        if not self.is_unit(a):
+            raise ValueError("not a unit in %s: %r" % (self.name, a))
+        return {self._unit: self.base.inv(a[self._unit])}
+
+    def lincomb(self, pairs):
+        return sparse_lincomb(self.base, pairs)
 
     def dot(self, terms):
         """sum of k * a * b over the (a, b, k) triples.  Over ZZ, in one
@@ -565,13 +541,6 @@ class BDomain(SparseDomain):
     def _parts(k):
         return k, 0, 0
 
-    def one(self):
-        return {(): self.base.one()}
-
-    def from_int(self, n):
-        c = self.base.from_int(n)
-        return {} if self.base.is_zero(c) else {(): c}
-
     def gen(self, i):
         if i == 0:
             return self.one()
@@ -581,15 +550,7 @@ class BDomain(SparseDomain):
         return {} if self.base.is_zero(coeff) else {tuple(parts): coeff}
 
     # a method of BDomain itself, so that the benchmark's tracer can count it
-    mul = SparseDomain.mul
-
-    def is_unit(self, a):
-        return set(a) == {()} and self.base.is_unit(a[()])
-
-    def inv(self, a):
-        if not self.is_unit(a):
-            raise ValueError("not a unit in %s: %r" % (self.name, a))
-        return {(): self.base.inv(a[()])}
+    mul = Domain.mul
 
 
 # the product and the name of a b-monomial do not depend on the base, so
@@ -611,22 +572,8 @@ class TDomain(SparseDomain):
     def _parts(k):
         return (), k, 0
 
-    def one(self):
-        return {0: 1}
-
-    def from_int(self, n):
-        return {} if n == 0 else {0: n}
-
     def monomial(self, k, c):
         return {} if c == 0 else {k: c}
-
-    def is_unit(self, a):
-        return set(a) == {0} and a[0] in (1, -1)
-
-    def inv(self, a):
-        if not self.is_unit(a):
-            raise ValueError("not a unit in ZZ[t]: %r" % (a,))
-        return dict(a)
 
 
 def _add_exponents(e1, e2):
@@ -635,7 +582,8 @@ def _add_exponents(e1, e2):
 
 class TEpsDomain(SparseDomain):
     """ZZ[t,eps]/eps^2 with t of degree -1 and eps of degree 0; elements are
-    dicts {(t_exp, eps_exp): int} with eps_exp in {0, 1}."""
+    dicts {(t_exp, eps_exp): int} with eps_exp in {0, 1}.  A unit is +-1 plus
+    eps times any element of ZZ[t], so it has its own `is_unit` and `inv`."""
 
     name = "TEPS"
     _unit = (0, 0)
@@ -647,12 +595,6 @@ class TEpsDomain(SparseDomain):
     @staticmethod
     def _parts(k):
         return (), k[0], k[1]
-
-    def one(self):
-        return {(0, 0): 1}
-
-    def from_int(self, n):
-        return {} if n == 0 else {(0, 0): n}
 
     def monomial(self, k, eps, c):
         return {} if c == 0 else {(k, eps): c}
@@ -798,10 +740,10 @@ class TruncatedSeries:
 
     def add(self, other):
         self._check(other)
-        return self._like(sparse_add(self.dom, self.coeffs, other.coeffs))
+        return self._like(sparse_lincomb(self.dom, ((self.coeffs, 1), (other.coeffs, 1))))
 
     def neg(self):
-        return self._like(sparse_int_scale(self.dom, self.coeffs, -1))
+        return self._like(sparse_lincomb(self.dom, ((self.coeffs, -1),)))
 
     def sub(self, other):
         return self.add(other.neg())
@@ -811,7 +753,7 @@ class TruncatedSeries:
         return self._like(dot_groups(self.dom, {e: ((v, c, 1),) for e, v in self.coeffs.items()}))
 
     def int_scale(self, k):
-        return self._like(sparse_int_scale(self.dom, self.coeffs, k))
+        return self._like(sparse_lincomb(self.dom, ((self.coeffs, k),)))
 
     def mul(self, other):
         """The product, as one `dot` per output exponent over the pairs of

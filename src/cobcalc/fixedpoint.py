@@ -29,7 +29,7 @@ from .chow_models import (
 from .cobordism import decomposable_test, lazard_piece, mod2_theory_member
 from .core_algebra import (
     ZHALF, ZZ, TruncatedSeries, _half_norm, _series_power, b_ring, is_int, is_partition, is_prime,
-    partitions, sparse_add, sparse_int_scale, sparse_lincomb,
+    partitions, sparse_lincomb,
 )
 from .fgl import formal_mult, universal_fgl
 from .report import Report
@@ -274,7 +274,7 @@ def verify_L2_relations(action, max_m=None):
     n = action.dim
     max_m = _max_twist(max_m, n)
     rep = Report("l2")
-    sums = [B.zero() for _ in range(max_m + 1)]
+    values = []  # per component, its pushforwards at twists 0..max_m
     for idx, comp in enumerate(action.components):
         nb = comp.normal_plus_one()
         direct = fundamental_class(comp.proj_spec(), "L")
@@ -287,9 +287,8 @@ def verify_L2_relations(action, max_m=None):
             lhs=B.fmt(q0),
             rhs=B.fmt(direct),
         )
-        for m in range(max_m + 1):
-            val = q0 if m == 0 else quillen_pushforward(nb, m)
-            sums[m] = B.add(sums[m], val)
+        values.append([q0] + [quillen_pushforward(nb, m) for m in range(1, max_m + 1)])
+    sums = [B.lincomb([(vals[m], 1) for vals in values]) for m in range(max_m + 1)]
     ambient_cls = fundamental_class(action.ambient, "L")
     diff = B.sub(sums[0], ambient_cls)
     rep.add(
@@ -357,10 +356,11 @@ def verify_trivial_normal(action):
         )
     fix_cls = {}
     for c in action.components:
-        fix_cls[c.dim()] = B.add(fix_cls.get(c.dim(), B.zero()), fundamental_class(c.spec, "L"))
+        fix_cls.setdefault(c.dim(), []).append((fundamental_class(c.spec, "L"), 1))
     for w in sorted(fix_cls):
+        total = B.lincomb(fix_cls[w])
         for beta in partitions(w):
-            s = fix_cls[w].get(beta, 0)
+            s = total.get(beta, 0)
             rep.add(
                 "trivial-normal:fix:%d:%s" % (w, _alpha_str(beta)),
                 "sum of Chern numbers %s over the %d-dimensional fixed components is even"
@@ -382,10 +382,10 @@ def _twisted_chern_classes(comp, z_max):
     model = comp.model
     one = model.one(ZZ)
     tan = model.tangent()  # it subtracts trivial summands only, roots 0
-    roots = [sparse_add(ZZ, one, model.line_class(v)) for v in comp.normal.plus_lines]
+    roots = [sparse_lincomb(ZZ, ((one, 1), (model.line_class(v), 1))) for v in comp.normal.plus_lines]
     roots += [one] * comp.normal.plus_trivial + [model.line_class(v) for v in tan.plus_lines]
     # a subtracted trivial summand divides by 1 + z: times sum_j (-z)^j
-    inv = {j: sparse_int_scale(ZZ, one, (-1) ** j) for j in range(z_max + 1)}
+    inv = {j: sparse_lincomb(ZZ, ((one, (-1) ** j),)) for j in range(z_max + 1)}
     factors = [{0: one, 1: r} for r in roots] + [inv] * comp.normal.minus_trivial
     cz = model.product(ZZ, factors, z_max)
     return [cz.get(j, {}) for j in range(z_max + 1)]
@@ -447,9 +447,7 @@ def verify_ks(action, alphas=None, f=None):
         # sum_{k <= n} [y^k] deg(c(-N) P(-T) P_y(-N)).  With V = N + O,
         # c(-N) = c(-V) and P_y(-N) = P_y(-V) pi(y), so it is the ks integral
         # of the residue record of V that the pushforwards share.
-        fixed = B.zero()
-        for comp in action.components:
-            fixed = B.add(fixed, _residues(comp.normal_plus_one())[1])
+        fixed = B.lincomb([(_residues(comp.normal_plus_one())[1], 1) for comp in action.components])
         for alpha in run_alphas:
             lhs = ambient_cls.get(alpha, 0)
             rhs = fixed.get(alpha, 0)
@@ -538,12 +536,8 @@ def verify_lmod2(action, max_m=None):
     # pushforwards of honest bundles are integral: take them over ZZ, where
     # the values verify_L2_relations computed are cached, and sum
     # 2^(n+1) A_m = sum_j 2^(n-j) [x^j] z^m V Q_j there, doubled at m = 0
-    q_sums = []
-    for j in range(n + 1):
-        total = B.zero()
-        for comp in action.components:
-            total = B.add(total, quillen_pushforward(comp.normal_plus_one(), j))
-        q_sums.append(total)
+    q_sums = [B.lincomb([(quillen_pushforward(comp.normal_plus_one(), j), 1)
+                         for comp in action.components]) for j in range(n + 1)]
     ambient_cls = fundamental_class(action.ambient, "L")
     for m in range(max_m + 1):
         g = _integer_twist(order, m).coeffs

@@ -5,8 +5,9 @@ Production multiplies monomials of B, T and TEPS through a MonomialTable
 (int ids and product rows) and sums products in one accumulator per `dot`.
 This module multiplies the plain way: every pair of monomials is merged by
 its key product (`merge_partitions` for b-monomials, exponent addition for
-t and eps), and a sum of products adds one product coefficient at a time,
-each by the base domain's own `add` and `mul`.
+t and eps), and a sum of products adds one product coefficient at a time.
+A coefficient is added and multiplied as a plain int, reduced mod m over
+Z/m, or as a Fraction over ZHALF, so no sum of the kernel checks itself.
 
 It also keeps the series inverse and exact division that production no
 longer needs, since every reciprocal there is a power -1 by Miller's
@@ -26,30 +27,44 @@ before `hnf_rows` walked sparse reducers (`dense_hnf_rows`,
 `dense_member`): every remaining row is scanned at every column, and each
 row operation rewrites the whole tail from the pivot column on.
 
-To compare `dot`, `mul`, `lincomb`, `add`, `neg`, `sub` and `int_scale` of
-every domain with the oracle on random draws from the fixed seeds 0 and 1,
-on an interpreter without pytest or Hypothesis, run
+Every domain supplies only `lincomb` and `dot`, and `Domain` derives the
+other ring operations from them; `protocol_problems` checks that layout.
+To run it, and to compare `dot`, `mul`, `lincomb`, `add`, `neg`, `sub` and
+`int_scale` of every domain with the oracle on random draws from the fixed
+seeds 0 and 1, on an interpreter without pytest or Hypothesis, run
 
     PYTHONPATH=src python tests/kernel_oracle.py --check
 
-which exits 1 on a mismatch."""
+which exits 1 on a mismatch or a protocol problem."""
 
 import argparse
 import random
 import sys
+from fractions import Fraction
 from itertools import groupby
-from operator import add as _plus
+from operator import add as _plus, mul as _times
 
+from cobcalc import core_algebra
 from cobcalc.core_algebra import (
-    TEPS, TRING, ZHALF, ZZ, BDomain, SparseDomain, TruncatedSeries, b_ring, dot_groups, int_mod,
-    merge_partitions,
+    TEPS, TRING, ZHALF, ZZ, BDomain, Domain, SparseDomain, TruncatedSeries, b_ring, dot_groups,
+    int_mod, merge_partitions,
 )
+
+
+def _scalar(op, base, a, b):
+    """op(a, b) for elements of a domain of constants, taken on plain ints
+    (reduced mod m over Z/m) or, over ZHALF, on Fractions."""
+    if base is ZHALF:
+        v = op(Fraction(a[0], 1 << a[1]), Fraction(b[0], 1 << b[1]))
+        return (v.numerator, v.denominator.bit_length() - 1)
+    v = op(a, b)
+    return v % base.m if hasattr(base, "m") else v
 
 
 def _add_term(base, out, m, v):
     """Add the base element v to the coefficient of m in the sparse dict
     out, dropping the coefficient if the sum is zero."""
-    s = base.add(out.get(m, base.zero()), v)
+    s = _scalar(_plus, base, out.get(m, base.zero()), v)
     if base.is_zero(s):
         out.pop(m, None)
     else:
@@ -61,12 +76,15 @@ def sparse_mul(base, a, b, key):
     out = {}
     for k1, v1 in a.items():
         for k2, v2 in b.items():
-            _add_term(base, out, key(k1, k2), base.mul(v1, v2))
+            _add_term(base, out, key(k1, k2), _scalar(_times, base, v1, v2))
     return out
 
 
 def oracle_mul(dom, a, b):
-    """a * b in one of the sparse domains B(base), TRING and TEPS."""
+    """a * b in a domain of constants or in one of the sparse domains
+    B(base), TRING and TEPS."""
+    if not isinstance(dom, SparseDomain):
+        return _scalar(_times, dom, a, b)
     if isinstance(dom, BDomain):
         return sparse_mul(dom.base, a, b, merge_partitions)
     if dom is TRING:
@@ -78,18 +96,17 @@ def oracle_mul(dom, a, b):
 
 
 def oracle_dot(dom, terms):
-    """sum of k * a * b over the (a, b, k) triples, one addition at a time;
-    over a domain of constants, by its own add, mul and from_int."""
+    """sum of k * a * b over the (a, b, k) triples, one addition at a time."""
     if not isinstance(dom, SparseDomain):
         out = dom.zero()
         for a, b, k in terms:
-            out = dom.add(out, dom.mul(dom.mul(a, b), dom.from_int(k)))
+            out = _scalar(_plus, dom, out, _scalar(_times, dom, oracle_mul(dom, a, b), dom.from_int(k)))
         return out
     base, out = dom.base, {}
     for a, b, k in terms:
         kk = base.from_int(k)
         for m, v in oracle_mul(dom, a, b).items():
-            _add_term(base, out, m, base.mul(v, kk))
+            _add_term(base, out, m, _scalar(_times, base, v, kk))
     return out
 
 
@@ -350,6 +367,48 @@ _CHECK_DOMAINS = [
 ]
 
 
+# the ring operations that `Domain` derives from `lincomb` and `dot`
+_DERIVED = ("add", "neg", "sub", "mul", "int_scale", "eq")
+
+
+def protocol_problems():
+    """What breaks the layout of the coefficient-domain protocol, as text:
+    the class of each domain in _CHECK_DOMAINS supplies its own `dot` and
+    `lincomb`, no class but `Domain` defines an operation of _DERIVED (the
+    alias `BDomain.mul = Domain.mul` aside), no domain binds a protocol
+    method on itself, and `eq` and `sub` over B(Z/2) each make one
+    `sparse_lincomb` call."""
+    problems = []
+    for dom, _key, _coeff in _CHECK_DOMAINS:
+        cls = type(dom)
+        for name in ("dot", "lincomb"):
+            if getattr(cls, name, None) in (None, vars(Domain).get(name)):
+                problems.append("%s has no %s of its own" % (cls.__name__, name))
+        for name in _DERIVED:
+            if getattr(cls, name, None) is not vars(Domain).get(name):
+                problems.append("%s does not take %s from Domain" % (cls.__name__, name))
+        for name in set(vars(dom)) & {"dot", "lincomb", *_DERIVED}:
+            problems.append("%s binds %s on the instance" % (dom.name, name))
+    dom, a, b = b_ring(int_mod(2)), {(1,): 1, (): 1}, {(1,): 1}
+    real, calls = core_algebra.sparse_lincomb, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    core_algebra.sparse_lincomb = counted
+    try:
+        for name in ("eq", "sub"):
+            del calls[:]
+            getattr(dom, name)(a, b)
+            if len(calls) != 1:
+                problems.append("%s over %s makes %d sparse_lincomb calls, not 1"
+                                % (name, dom.name, len(calls)))
+    finally:
+        core_algebra.sparse_lincomb = real
+    return sorted(set(problems))
+
+
 def _element(rng, key, coeff):
     if key is None:
         return coeff(rng)
@@ -378,8 +437,7 @@ def check(cases=300, seed=0):
             problems = []
             if dom.dot(terms) != oracle_dot(dom, terms):
                 problems.append("dot")
-            if isinstance(dom, SparseDomain) and any(dom.mul(a, b) != oracle_mul(dom, a, b)
-                                                     for a, b, _k in terms):
+            if any(dom.mul(a, b) != oracle_mul(dom, a, b) for a, b, _k in terms):
                 problems.append("mul")
             if dom.lincomb(pairs) != oracle_lincomb(dom, pairs):
                 problems.append("lincomb")
@@ -392,10 +450,20 @@ def check(cases=300, seed=0):
     return 1 if bad else 0
 
 
+def check_protocol():
+    """Print each protocol problem; return 1 if there is one."""
+    problems = protocol_problems()
+    for problem in problems:
+        print("PROTOCOL %s" % problem)
+    print("%d coefficient-domain protocol problems" % len(problems))
+    return 1 if problems else 0
+
+
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description="reference kernel products, kept as a test oracle")
     ap.add_argument("--check", action="store_true",
-                    help="compare the kernel's sums and products with the oracle on seeds 0 and 1")
+                    help="check the domain protocol, and compare the kernel's sums and products "
+                         "with the oracle on seeds 0 and 1")
     if not ap.parse_args().check:
         ap.error("nothing to do without --check")
-    sys.exit(max([check(seed=0), check(seed=1)]))
+    sys.exit(max([check_protocol(), check(seed=0), check(seed=1)]))

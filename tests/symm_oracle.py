@@ -48,7 +48,7 @@ from cobcalc.chow_models import (
     VirtualSplitBundle, _shifted_factor, additive_chern_number, build_model, chern_total,
     cm_graded, total_P,
 )
-from cobcalc.core_algebra import TEPS, TRING, ZZ, BDomain, is_partition, sparse_add, sparse_from_int
+from cobcalc.core_algebra import TEPS, TRING, ZZ, BDomain, is_partition, sparse_from_int, sparse_lincomb
 from cobcalc.fgl import b_transport, cha_b_image, chx_b_image
 from kernel_oracle import inverse_by_geometric_sum, series_inverse
 
@@ -163,7 +163,7 @@ def pushforward_projbundle(spec, u):
         ck = cm_graded(cneg, k)
         if not ck:
             continue
-        out = sparse_add(ZZ, out, base.mul(ZZ, {tuple(e[:-1]): c}, ck))
+        out = sparse_lincomb(ZZ, ((out, 1), (base.mul(ZZ, {tuple(e[:-1]): c}, ck), 1)))
     return base, out
 
 

@@ -24,8 +24,8 @@ from cobcalc.core_algebra import (
 from cobcalc.fgl import cha_fgl, chx_fgl, universal_fgl
 from kernel_oracle import (
     dense_hnf_rows, dense_member, fmt_by_dicts, fmt_by_terms, inverse_by_geometric_sum,
-    monomials_by_dicts, oracle_dot, oracle_lincomb, oracle_mul, series_divide, series_inverse,
-    sum_problems,
+    monomials_by_dicts, oracle_dot, oracle_lincomb, oracle_mul, protocol_problems, series_divide,
+    series_inverse, sum_problems,
 )
 from law_oracle import reversion, scaled_lattice
 
@@ -516,13 +516,17 @@ def _half(n, e):
 
 
 _nonzero = st.integers(min_value=-9, max_value=9).filter(bool)
-# (domain, monomial keys, nonzero coefficients in canonical form)
+# (domain, monomial keys or None for a domain of constants, nonzero
+# coefficients in canonical form)
 _KERNEL_DOMAINS = [
     (b_ring(ZZ), _parts, _nonzero),
     (b_ring(int_mod(2)), _parts, st.just(1)),
     (b_ring(ZHALF), _parts, st.builds(_half, _nonzero, st.integers(0, 2))),
     (TRING, st.integers(0, 4), _nonzero),
     (TEPS, st.tuples(st.integers(0, 3), st.integers(0, 1)), _nonzero),
+    (ZZ, None, _nonzero),
+    (int_mod(3), None, st.integers(1, 2)),
+    (ZHALF, None, st.builds(_half, _nonzero, st.integers(0, 2))),
 ]
 
 
@@ -532,7 +536,8 @@ def dot_cases(draw):
     that holds zero, the unit, a few drawn elements and the negative of the
     first, so terms can vanish, have a unit factor or cancel each other."""
     dom, keys, coeffs = draw(st.sampled_from(_KERNEL_DOMAINS))
-    drawn = draw(st.lists(st.dictionaries(keys, coeffs, max_size=4), min_size=1, max_size=3))
+    element = coeffs if keys is None else st.dictionaries(keys, coeffs, max_size=4)
+    drawn = draw(st.lists(element, min_size=1, max_size=3))
     pool = [dom.zero(), dom.one(), dom.neg(drawn[0])] + drawn
     factor = st.sampled_from(pool)
     terms = draw(st.lists(st.tuples(factor, factor, st.integers(-2, 2)), max_size=5))
@@ -552,6 +557,12 @@ def test_dot_and_mul_match_oracle(case):
     pairs = [(a, k) for a, _b, k in terms]
     assert dom.lincomb(pairs) == oracle_lincomb(dom, pairs)
     assert sum_problems(dom, terms) == []
+
+
+def test_every_domain_supplies_only_lincomb_and_dot():
+    # Domain derives add, neg, sub, mul, int_scale and eq from the two sums,
+    # so eq and sub take one kernel pass
+    assert protocol_problems() == []
 
 
 @pytest.mark.parametrize("dom, pairs, expected", [

@@ -13,7 +13,7 @@ from cobcalc.chow_models import (
     total_P_deformed,
 )
 from cobcalc.cobordism import decomposable_test
-from cobcalc.core_algebra import ZHALF, ZZ, b_ring, partitions, sparse_add
+from cobcalc.core_algebra import ZHALF, ZZ, b_ring, partitions, sparse_lincomb
 from cobcalc.fixedpoint import (
     FixedComponent,
     MuTwoActionModel,
@@ -374,7 +374,7 @@ def _ks_poly_by_old_route(action, f):
     for comp in action.components:
         model = comp.model
         one = model.one(ZZ)
-        plus = [sparse_add(ZZ, one, model.line_class(v)) for v in comp.normal.plus_lines]
+        plus = [sparse_lincomb(ZZ, ((one, 1), (model.line_class(v), 1))) for v in comp.normal.plus_lines]
         plus += [one] * comp.normal.plus_trivial + list(map(model.line_class, model.tangent().plus_lines))
         cz = chern_series_oracle(model, plus, [one] * comp.normal.minus_trivial, action.dim)
         c_minus = chern_total(comp.normal.neg())

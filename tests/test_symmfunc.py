@@ -7,7 +7,7 @@ from cobcalc import clear_caches
 from cobcalc.cli import main
 from cobcalc.core_algebra import (
     ZHALF, ZZ, TRING, TEPS, TruncatedSeries, _series_power, b_ring, int_mod, partitions,
-    sparse_add, sparse_from_int,
+    sparse_from_int, sparse_lincomb,
 )
 from cobcalc.chow_models import (
     VarietySpec,
@@ -128,7 +128,7 @@ def test_total_P_deformed_specializes_to_tensor():
     power = m.one(ZZ)
     for k in range(4):
         if k in d:
-            acc = sparse_add(B, acc, m.mul(B, d[k], {e: B.from_int(c) for e, c in power.items()}))
+            acc = sparse_lincomb(B, ((acc, 1), (m.mul(B, d[k], {e: B.from_int(c) for e, c in power.items()}), 1)))
         power = m.mul(ZZ, power, two_h)
     direct = total_P(VirtualSplitBundle(m, plus_lines=[(3,)]))
     assert acc == direct
@@ -162,7 +162,7 @@ def test_lambda_identity_against_direct_classes():
         expanded = {}
         for beta, nb in lambda_coeffs(alpha).items():
             term = cf_class(E, beta)
-            expanded = sparse_add(ZZ, expanded, {e: nb * c for e, c in term.items()})
+            expanded = sparse_lincomb(ZZ, ((expanded, 1), ({e: nb * c for e, c in term.items()}, 1)))
         assert direct == expanded, alpha
 
 
@@ -292,7 +292,7 @@ def test_z_graded_product_matches_chern_series(E, shifted, z_max):
     model = E.model
     one = model.one(ZZ)
     lines = [model.line_class(v) for v in E.plus_lines]
-    roots = [sparse_add(ZZ, one, l) if s else l for l, s in zip(lines, shifted)]
+    roots = [sparse_lincomb(ZZ, ((one, 1), (l, 1))) if s else l for l, s in zip(lines, shifted)]
     roots += lines[len(roots):] + [one] * E.plus_trivial
     minus = [model.line_class(v) for v in E.minus_lines] + [one] * E.minus_trivial
 
@@ -412,7 +412,7 @@ def test_series_power_remainder_raises_and_exits_3(capsys, monkeypatch):
     # a dot that is off by one leaves a remainder at y^2; on the class path
     # the CLI reports it as an internal error
     real = type(B).dot
-    monkeypatch.setattr(B, "dot", lambda terms: sparse_add(ZZ, real(B, terms), {(): 1}))
+    monkeypatch.setattr(B, "dot", lambda terms: sparse_lincomb(ZZ, ((real(B, terms), 1), ({(): 1}, 1))))
     with pytest.raises(AssertionError, match="remainder at y\\^2"):
         _series_power(pi_series(4), -3)
     clear_caches()
